@@ -25,14 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lgamma
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .model import AgentSubset, LoadingVector, RiskParams, compute_loadings
-from .netgen import BlockModel, _draw_types, connect_prob
+from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
 from .streams import APPROX_DOMAIN, map_blocks, pairwise_sum, stream
 
 #: Constant of the Berry-Esseen-type bound for sums of independent,
@@ -41,9 +41,6 @@ BOUND_CONSTANT = 9.4
 
 #: Largest number of collapsed configurations exact mode will enumerate.
 MAX_EXACT_TERMS = 1_000_000
-
-#: Memory cap (floats) for one vectorised chunk of sampled configurations.
-_SAMPLE_CHUNK_FLOATS = 1 << 22
 
 TAIL_TO_ONE = "TAIL_TO_ONE"
 TAIL_TO_ZERO = "TAIL_TO_ZERO"
@@ -166,14 +163,23 @@ def _loading_classes(loadings: LoadingVector) -> tuple[np.ndarray, np.ndarray]:
 
 def _stats_from_counts(
     xi_vals: np.ndarray, counts_gl: np.ndarray, p_l: np.ndarray
-) -> tuple[float, float, float]:
-    """(mean, variance, raw third-moment sum) from per-(class, object-type) counts."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, variance, raw third-moment sum) from per-(class, object-type) counts.
+
+    ``counts_gl`` has shape ``(..., G, L)`` and the connection probabilities
+    ``p_l`` shape ``(..., L)``; leading axes broadcast, one result per
+    configuration.
+    """
     xm = xi_vals - 1.0
     s2 = p_l * (1.0 - p_l)
     h = p_l * (1.0 - p_l) ** 3 + (1.0 - p_l) * p_l**3
-    mean = float((xm * (counts_gl @ p_l)).sum())
-    var = float((xm * xm * (counts_gl @ s2)).sum())
-    raw3 = float((np.abs(xm) ** 3 * (counts_gl @ h)).sum())
+
+    def per_class(x: np.ndarray) -> np.ndarray:
+        return (counts_gl @ x[..., None])[..., 0]
+
+    mean = (xm * per_class(p_l)).sum(axis=-1)
+    var = (xm * xm * per_class(s2)).sum(axis=-1)
+    raw3 = (np.abs(xm) ** 3 * per_class(h)).sum(axis=-1)
     return mean, var, raw3
 
 
@@ -220,43 +226,30 @@ def exact_enumerable(params: RiskParams, model: BlockModel, group: AgentSubset) 
     return exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
 
 
+def _object_compositions(model: BlockModel, dg: int) -> list[tuple[tuple[int, ...], float]]:
+    """Object-type counts of a class of ``dg`` objects with their multinomial weights."""
+    rows = []
+    for comp in _compositions(int(dg), model.L):
+        w_comp = _multinomial_weight(comp, model.v)
+        if w_comp > 0.0:
+            rows.append((comp, w_comp))
+    return rows
+
+
 def _enumerate_collapsed(
     model: BlockModel, xi_vals: np.ndarray, sizes: np.ndarray, size_q: int
 ) -> Iterator[tuple[float, float, float, float]]:
     """Yield ``(weight, mean, variance, raw3)`` over collapsed configurations."""
+    per_class = [_object_compositions(model, dg) for dg in sizes]
     for m_counts, w_agent in _agent_multisets(model, size_q):
-        m = np.asarray(m_counts, dtype=np.int64)
-        p_l = 1.0 - np.prod((1.0 - model.p) ** m[:, None], axis=0)
-        per_class: list[list[tuple[tuple[int, ...], float]]] = []
-        for dg in sizes:
-            rows = []
-            for comp in _compositions(int(dg), model.L):
-                w_comp = _multinomial_weight(comp, model.v)
-                if w_comp > 0.0:
-                    rows.append((comp, w_comp))
-            per_class.append(rows)
+        p_l = connect_given_counts(model, np.asarray(m_counts, dtype=np.int64))
         for combo in itertools.product(*per_class):
             weight = w_agent
             for _, w_comp in combo:
                 weight *= w_comp
             counts_gl = np.asarray([comp for comp, _ in combo], dtype=np.float64)
             mean, var, raw3 = _stats_from_counts(xi_vals, counts_gl, p_l)
-            yield weight, mean, var, raw3
-
-
-def _closed_form(
-    params: RiskParams, model: BlockModel, group: AgentSubset, loadings: LoadingVector
-) -> ApproxResult:
-    pc = connect_prob(model, group.size)
-    xi_vals, sizes = _loading_classes(loadings)
-    mean, var, raw3 = _stats_from_counts(
-        xi_vals, sizes.astype(np.float64)[:, None], np.array([pc])
-    )
-    if var == 0.0:
-        prob = 1.0 if mean > 0 else 0.0
-        return ApproxResult(prob, 0.0, MODE_CLOSED_FORM, 1, degenerate_weight=1.0)
-    bound = BOUND_CONSTANT * raw3 / var**1.5
-    return ApproxResult(normal_positive_prob(mean, var), bound, MODE_CLOSED_FORM, 1)
+            yield weight, float(mean), float(var), float(raw3)
 
 
 def _exact(
@@ -297,46 +290,34 @@ def _sampled(
     base_seed: int,
     threads: int,
 ) -> ApproxResult:
+    """Monte Carlo over collapsed configurations.
+
+    Each configuration is one draw of :func:`netgen.sample_configurations`
+    (the group's agent-type counts and the object counts per (loading
+    class, object type)), summarised by :func:`_stats_from_counts` exactly
+    as exact mode summarises an enumerated one.
+    """
     if m_configs < 100:
         raise ValueError("sampled mode needs at least 100 configurations")
-    xm = loadings.xi - 1.0
-    n = group.size
-    d = params.d
-    chunk_cap = max(1, _SAMPLE_CHUNK_FLOATS // max(1, n * d))
+    xi_vals, sizes = _loading_classes(loadings)
+
+    def configs(rng: np.random.Generator, rows: int) -> np.ndarray:
+        connect, counts = sample_configurations(model, group.size, sizes, rng, rows)
+        return np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (3, rows))
 
     def work(k: int, lo: int, hi: int):
         rng = stream(base_seed, APPROX_DOMAIN, k)
-        want = hi - lo
-        probs = np.empty(want)
-        bounds = np.empty(want)
-        deg = 0.0
-        done = 0
-        while done < want:
-            m = min(chunk_cap, want - done)
-            s = _draw_types(rng, model.w, (m, n))
-            t = _draw_types(rng, model.v, (m, d))
-            pm = model.p[s[:, :, None], t[:, None, :]]
-            pc = 1.0 - np.prod(1.0 - pm, axis=1)
-            mean_v = (xm[None, :] * pc).sum(axis=1)
-            var_v = (xm[None, :] ** 2 * pc * (1.0 - pc)).sum(axis=1)
-            h = pc * (1.0 - pc) ** 3 + (1.0 - pc) * pc**3
-            raw3_v = (np.abs(xm[None, :]) ** 3 * h).sum(axis=1)
-            pos = var_v > 0.0
-            prob_v = np.where(pos, 0.0, (mean_v > 0).astype(np.float64))
-            prob_v[pos] = [
-                normal_positive_prob(mv, vv) for mv, vv in zip(mean_v[pos], var_v[pos])
-            ]
-            bound_v = np.zeros(m)
-            bound_v[pos] = BOUND_CONSTANT * raw3_v[pos] / var_v[pos] ** 1.5
-            deg += float((~pos).sum())
-            probs[done : done + m] = prob_v
-            bounds[done : done + m] = bound_v
-            done += m
+        mean_v, var_v, raw3_v = _in_chunks(configs, rng, hi - lo, sizes.size * model.L)
+        pos = var_v > 0.0
+        prob_v = np.where(pos, 0.0, (mean_v > 0).astype(np.float64))
+        prob_v[pos] = [normal_positive_prob(mv, vv) for mv, vv in zip(mean_v[pos], var_v[pos])]
+        bound_v = np.zeros(hi - lo)
+        bound_v[pos] = BOUND_CONSTANT * raw3_v[pos] / var_v[pos] ** 1.5
         return (
-            pairwise_sum(probs),
-            pairwise_sum(probs * probs),
-            pairwise_sum(bounds),
-            deg,
+            pairwise_sum(prob_v),
+            pairwise_sum(prob_v * prob_v),
+            pairwise_sum(bound_v),
+            float((~pos).sum()),
         )
 
     parts = map_blocks(m_configs, work, threads)
@@ -372,7 +353,8 @@ def mixture_probability(
         model: Network model.
         group: Agent group; only its size matters (agents are exchangeable).
         mode: ``exact`` (collapsed enumeration), ``sampled`` (Monte Carlo
-            over configurations), or ``closed_form`` (one-type models).
+            over collapsed configurations), or ``closed_form`` (exact mode
+            restricted to one-type models, where it has a single term).
         m_configs: Sampled-mode configuration count (>= 100).
         base_seed: Sampled-mode stream seed.
         threads: Worker threads (never affects the result).
@@ -382,7 +364,7 @@ def mixture_probability(
     if mode == MODE_CLOSED_FORM:
         if not model.is_bernoulli:
             raise ValueError("closed_form mode requires a one-type model")
-        return _closed_form(params, model, group, loadings)
+        return replace(_exact(params, model, group, loadings), mode=MODE_CLOSED_FORM)
     if mode == MODE_EXACT:
         return _exact(params, model, group, loadings)
     if mode == MODE_SAMPLED:

@@ -219,15 +219,40 @@ def _parse_premiums(spec, d: int) -> PremiumSpec:
     raise ConfigError("premiums must be a vector or a {low, high, ns} object")
 
 
+def _parse_group(group) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
+    """``(size, indices)`` of a ``group`` spec; exactly one is set."""
+    if not isinstance(group, dict):
+        raise ConfigError("group must be an object with 'size' or 'indices'")
+    try:
+        if "indices" in group:
+            return None, tuple(int(i) for i in group["indices"])
+        if "size" in group:
+            return int(group["size"]), None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"group size and indices must be integers: {exc}") from exc
+    raise ConfigError("group must contain 'size' or 'indices'")
+
+
 def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a validated configuration from a JSON document plus overrides.
 
     Seed precedence: override flag, then file value, then the
     ``RUINNET_SEED`` environment variable, then 42.
+
+    Raises:
+        ConfigError: On any invalid or missing field.
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    overrides = overrides or {}
+    try:
+        return _parse_config(doc, overrides or {})
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     try:
         q = int(doc["q"])
         d = int(doc["d"])
@@ -241,18 +266,8 @@ def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
     if "network" not in doc:
         raise ConfigError("missing 'network'")
 
-    group_size = None
-    group_indices = None
     group = doc.get("group")
-    if group is not None:
-        if not isinstance(group, dict):
-            raise ConfigError("group must be an object with 'size' or 'indices'")
-        if "indices" in group:
-            group_indices = tuple(int(i) for i in group["indices"])
-        elif "size" in group:
-            group_size = int(group["size"])
-        else:
-            raise ConfigError("group must contain 'size' or 'indices'")
+    group_size, group_indices = (None, None) if group is None else _parse_group(group)
 
     seed = overrides.get("seed")
     if seed is None:
@@ -275,39 +290,35 @@ def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
     threads = overrides.get("threads")
     if threads is None:
         threads = doc.get("threads", 1)
+    if int(threads) < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
 
     ns_grid = doc.get("ns_grid")
     if ns_grid is not None:
         ns_grid = tuple(int(x) for x in ns_grid)
 
     beta = doc.get("beta")
-    try:
-        cfg = ExperimentConfig(
-            lam=lam,
-            q=q,
-            d=d,
-            premiums=_parse_premiums(doc["premiums"], d),
-            mu=_broadcast(doc.get("mu", 1.0), d, "mu"),
-            reserves=_broadcast(doc.get("reserves", 0.0), q, "reserves"),
-            network=_parse_network(doc["network"], q, d),
-            group_size=group_size,
-            group_indices=group_indices,
-            beta=None if beta is None else float(beta),
-            replicates=int(replicates),
-            seed=int(seed),
-            threads=int(threads),
-            ns_grid=ns_grid,
-            horizon=float(doc.get("horizon", 1000.0)),
-            outer_networks=int(doc.get("outer_networks", 200)),
-            inner_paths=int(doc.get("inner_paths", 500)),
-            approx_mode=str(doc.get("approx_mode", "auto")),
-            m_configs=int(doc.get("m_configs", 10_000)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(
+        lam=lam,
+        q=q,
+        d=d,
+        premiums=_parse_premiums(doc["premiums"], d),
+        mu=_broadcast(doc.get("mu", 1.0), d, "mu"),
+        reserves=_broadcast(doc.get("reserves", 0.0), q, "reserves"),
+        network=_parse_network(doc["network"], q, d),
+        group_size=group_size,
+        group_indices=group_indices,
+        beta=None if beta is None else float(beta),
+        replicates=int(replicates),
+        seed=int(seed),
+        threads=int(threads),
+        ns_grid=ns_grid,
+        horizon=float(doc.get("horizon", 1000.0)),
+        outer_networks=int(doc.get("outer_networks", 200)),
+        inner_paths=int(doc.get("inner_paths", 500)),
+        approx_mode=str(doc.get("approx_mode", "auto")),
+        m_configs=int(doc.get("m_configs", 10_000)),
+    )
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:

@@ -29,6 +29,8 @@ def _as_vector(x, name: str, length: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional")
     if length is not None and arr.size != length:
         raise ValueError(f"{name} must have length {length}, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -53,8 +55,8 @@ class RiskParams:
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
         object.__setattr__(self, "mu", _as_vector(self.mu, "mu", self.c.size))
         object.__setattr__(self, "u", _as_vector(self.u, "u"))
-        if not self.lam > 0:
-            raise ValueError("claim intensity lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("claim intensity lam must be positive and finite")
         if not (self.c > 0).all():
             raise ValueError("every premium rate must be positive")
         if not (self.mu > 0).all():

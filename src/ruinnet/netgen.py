@@ -19,11 +19,16 @@ from .model import AgentSubset
 #: will expand (K^|Q| * L).
 MAX_ENUM_TERMS = 10_000_000
 
+#: Memory cap (array cells) of one vectorised draw; see :func:`_in_chunks`.
+_CHUNK_CELLS = 1 << 22
+
 
 def _as_prob_vector(x, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty vector")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     if (arr < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     if abs(arr.sum() - 1.0) > 1e-12:
@@ -51,7 +56,7 @@ class BlockModel:
         p = np.atleast_2d(np.asarray(self.p, dtype=np.float64))
         if p.shape != (w.size, v.size):
             raise ValueError(f"p must have shape ({w.size}, {v.size}), got {p.shape}")
-        if (p < 0).any() or (p > 1).any():
+        if not ((p >= 0) & (p <= 1)).all():
             raise ValueError("edge probabilities must lie in [0, 1]")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
@@ -110,6 +115,17 @@ class BipartiteGraph:
     @property
     def d(self) -> int:
         return self.incidence.shape[1]
+
+
+def _in_chunks(fn, rng: np.random.Generator, n: int, cells_per_row: int) -> np.ndarray:
+    """``fn(rng, rows)`` over consecutive chunks of ``n`` rows, concatenated
+    along the last axis, each chunk holding at most ``_CHUNK_CELLS`` cells.
+
+    Chunks draw one after another from ``rng``, so a draw that consumes
+    the stream row by row is the same however it is split.
+    """
+    cap = max(1, _CHUNK_CELLS // max(1, int(cells_per_row)))
+    return np.concatenate([fn(rng, min(cap, n - lo)) for lo in range(0, n, cap)], axis=-1)
 
 
 def _draw_types(rng: np.random.Generator, probs: np.ndarray, size) -> np.ndarray:
@@ -190,6 +206,54 @@ def sample_group_indicators(
     return rng.random(int(d)) < pc
 
 
+def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
+    """Probability that an object of each type connects to a group whose
+    agent-type counts are ``agent_counts``: ``1 - prod_k (1 - p_kl)^m_k``.
+
+    ``agent_counts`` has shape ``(..., K)``; the result has shape ``(..., L)``.
+    """
+    m = np.asarray(agent_counts)
+    return 1.0 - np.prod((1.0 - model.p) ** m[..., :, None], axis=-2)
+
+
+def sample_configurations(
+    model: BlockModel,
+    size_q: int,
+    class_sizes: np.ndarray,
+    rng: np.random.Generator,
+    replicates: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw collapsed type configurations of a group of ``size_q`` agents.
+
+    A configuration is the group's agent-type counts
+    ``m ~ Multinomial(size_q, w)`` together with the object counts per
+    (class, object type) ``n_g ~ Multinomial(d_g, v)`` for a partition of
+    the objects into classes of sizes ``class_sizes``.  Given it, the
+    group-connection indicators are independent, with probability
+    :func:`connect_given_counts` for an object of type ``l``.  Agent-type
+    counts are drawn only when ``K > 1`` and object counts only when
+    ``L > 1``; otherwise nothing is drawn and the axis has length 1.
+
+    Returns:
+        ``(connect, counts)``: connection probabilities of shape
+        ``(replicates, L)`` (``(1, L)`` when ``K == 1``) and integer object
+        counts of shape ``(replicates, G, L)`` (``(1, G, 1)`` when ``L == 1``),
+        where ``G = len(class_sizes)``.  Both broadcast to ``replicates`` rows.
+    """
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    n = int(replicates)
+    if model.K > 1:
+        connect = connect_given_counts(model, rng.multinomial(int(size_q), model.w, size=n))
+    else:
+        # the arithmetic of connect_prob, so one-type draws match it bit for bit
+        connect = 1.0 - (1.0 - model.p) ** int(size_q)
+    if model.L > 1:
+        counts = rng.multinomial(sizes, model.v, size=(n, sizes.size))
+    else:
+        counts = sizes[None, :, None]
+    return connect, counts
+
+
 def sample_group_counts(
     model: BlockModel,
     size_q: int,
@@ -197,19 +261,19 @@ def sample_group_counts(
     rng: np.random.Generator,
     replicates: int,
 ) -> np.ndarray:
-    """Fast path (one-type models): counts of group-connected objects per class.
+    """Counts of group-connected objects per class, for any blockmodel.
 
-    For a partition of the ``d`` objects into classes of sizes
-    ``class_sizes``, the per-class counts of connected objects are
-    independent binomials with success probability ``1 - (1-p)^|Q|``,
-    which is distributionally exact and collapses a ``d``-dimensional
-    indicator draw into ``len(class_sizes)`` binomials.
+    Draws collapsed configurations with :func:`sample_configurations`, then
+    the number of connected objects of class ``g`` as
+    ``sum_l Binomial(n_gl, connect_l)``.  This is exact in distribution:
+    the law of the counts equals that of the full type + graph + indicator
+    pipeline, which never needs to be materialised.  On a one-type model it
+    is the single draw ``rng.binomial(class_sizes, connect_prob(...))``.
 
     Returns:
         Integer array of shape ``(replicates, len(class_sizes))``.
     """
-    if not model.is_bernoulli:
-        raise ValueError("collapsed count sampling requires a one-type model")
-    sizes = np.asarray(class_sizes, dtype=np.int64)
-    pc = connect_prob(model, size_q)
-    return rng.binomial(sizes[None, :], pc, size=(int(replicates), sizes.size))
+    connect, counts = sample_configurations(model, size_q, class_sizes, rng, replicates)
+    if model.L == 1:
+        return rng.binomial(counts[:, :, 0], connect, size=(int(replicates), counts.shape[1]))
+    return rng.binomial(counts, connect[:, None, :]).sum(axis=2)

@@ -27,10 +27,6 @@ from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel
 from .streams import RUIN_DOMAIN, map_blocks, pairwise_sum, stream
 
-#: Memory cap (floats) for one vectorised chunk of full-graph sampling.
-_GRAPH_CHUNK_FLOATS = 1 << 22
-
-
 @dataclass(frozen=True)
 class PKSample:
     """One draw of the Pollaczek-Khintchine ratio with its estimator summand."""
@@ -119,11 +115,12 @@ def _premium_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
-    """Per-class binomial sampler of the PK ratio (one-type models only)."""
+    """PK-ratio sampler on collapsed configurations: per-class counts of
+    connected objects from :func:`netgen.sample_group_counts`."""
     c_cls, mu_cls, sizes = _premium_classes(params)
     rate_cls = c_cls / mu_cls
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
         counts = netgen.sample_group_counts(model, group.size, sizes, rng, n)
         total = counts.sum(axis=1)
         denom = counts @ rate_cls
@@ -131,41 +128,35 @@ def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset
         np.divide(params.lam * total, denom, out=out, where=total > 0)
         return out
 
-    return draw
+    return lambda rng, n: netgen._in_chunks(chunk, rng, n, sizes.size * model.L)
 
 
 def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
-    """PK-ratio sampler through the full type + graph + indicator pipeline."""
+    """PK-ratio sampler through the full type + graph + indicator pipeline.
+
+    The reference implementation of :func:`_collapsed_sampler`: same law,
+    different stream, and ``q * d`` cells per replicate.
+    """
     rows = group.zero_based()
     rate = params.c / params.mu
-    per_rep = max(1, params.q * params.d)
-    chunk_cap = max(1, _GRAPH_CHUNK_FLOATS // per_rep)
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty(n)
-        done = 0
-        while done < n:
-            m = min(chunk_cap, n - done)
-            s = netgen._draw_types(rng, model.w, (m, params.q))
-            t = netgen._draw_types(rng, model.v, (m, params.d))
-            pm = model.p[s[:, :, None], t[:, None, :]]
-            edges = rng.random((m, params.q, params.d)) < pm
-            ind = edges[:, rows, :].any(axis=1)
-            total = ind.sum(axis=1)
-            denom = ind @ rate
-            vals = np.zeros(m)
-            np.divide(params.lam * total, denom, out=vals, where=total > 0)
-            out[done : done + m] = vals
-            done += m
-        return out
+    def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
+        s = netgen._draw_types(rng, model.w, (m, params.q))
+        t = netgen._draw_types(rng, model.v, (m, params.d))
+        pm = model.p[s[:, :, None], t[:, None, :]]
+        edges = rng.random((m, params.q, params.d)) < pm
+        ind = edges[:, rows, :].any(axis=1)
+        total = ind.sum(axis=1)
+        denom = ind @ rate
+        vals = np.zeros(m)
+        np.divide(params.lam * total, denom, out=vals, where=total > 0)
+        return vals
 
-    return draw
+    return lambda rng, n: netgen._in_chunks(chunk, rng, n, params.q * params.d)
 
 
 def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, method: str):
-    if method == "auto":
-        method = "collapsed" if model.is_bernoulli else "graph"
-    if method == "collapsed":
+    if method in ("auto", "collapsed"):
         return _collapsed_sampler(params, model, group)
     if method == "graph":
         return _graph_sampler(params, model, group)
@@ -207,9 +198,15 @@ def estimate_psi(
 ) -> EstimateWithCI:
     """Monte-Carlo estimate of the group ruin probability.
 
-    Each replicate resamples the full network (types and edges), computes
-    the PK ratio, and contributes :func:`psi_summand`.  Output is
-    bit-identical for fixed ``(base_seed, B)`` regardless of ``threads``.
+    Each replicate draws a network realisation, computes the PK ratio, and
+    contributes :func:`psi_summand`.  The default sampler draws it in
+    collapsed form for every blockmodel: the group's agent-type counts,
+    the object counts per (premium class, object type), and binomial
+    counts of connected objects (:func:`netgen.sample_group_counts`).
+    ``method="graph"`` samples the full network (types and edges) instead;
+    it is the reference with the same law on a different stream.  Output
+    is bit-identical for fixed ``(base_seed, B, method)`` regardless of
+    ``threads``.
 
     Args:
         params: Risk parameters; the group's total reserve must be positive.
@@ -218,7 +215,8 @@ def estimate_psi(
         B: Replicate count, at least 2.
         base_seed: Base seed of the replicate streams.
         threads: Worker threads (does not affect the result).
-        method: ``auto`` | ``collapsed`` | ``graph`` sampling backend.
+        method: ``auto`` (= ``collapsed``) | ``collapsed`` | ``graph``
+            sampling backend.
 
     Raises:
         ValueError: On ``B < 2`` or zero total reserve.

@@ -70,6 +70,17 @@ def pairwise_sum(values) -> float:
     return float(x[0])
 
 
+def _run_tasks(fn: Callable, tasks: list[tuple], threads: int) -> list:
+    """``fn(*task)`` for every task, in task order, on at most
+    ``min(threads, len(tasks))`` worker threads."""
+    workers = min(int(threads), len(tasks))
+    if workers <= 1:
+        return [fn(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *t) for t in tasks]
+        return [f.result() for f in futures]
+
+
 def map_blocks(n: int, fn: Callable[[int, int, int], object], threads: int = 1) -> list:
     """Apply ``fn(block_index, start, stop)`` over the replicate blocks of ``[0, n)``.
 
@@ -79,17 +90,9 @@ def map_blocks(n: int, fn: Callable[[int, int, int], object], threads: int = 1) 
         (k, s, min(s + BLOCK_SIZE, int(n)))
         for k, s in enumerate(range(0, int(n), BLOCK_SIZE))
     ]
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+    return _run_tasks(fn, tasks, threads)
 
 
 def map_indexed(n: int, fn: Callable[[int], object], threads: int = 1) -> list:
     """Apply ``fn(i)`` for ``i`` in ``[0, n)``, collecting results in index order."""
-    if threads <= 1:
-        return [fn(i) for i in range(int(n))]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        futures = [pool.submit(fn, i) for i in range(int(n))]
-        return [f.result() for f in futures]
+    return _run_tasks(fn, [(i,) for i in range(int(n))], threads)

@@ -142,21 +142,25 @@ class TestMixtureProbability:
             params, model, group = table_params(ns)
             cf = mixture_probability(params, model, group, mode="closed_form")
             ex = mixture_probability(params, model, group, mode="exact")
+            assert cf.mode == "closed_form" and cf.config_count == 1
             assert abs(cf.probability - ex.probability) <= 1e-12
             assert abs(cf.stein_bound - ex.stein_bound) <= 1e-12
 
     def test_sampled_agrees_with_exact(self):
-        model = BlockModel(w=[0.6, 0.4], v=[1.0], p=[[0.3], [0.8]])
         params = RiskParams(
             lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05], mu=np.ones(5), u=np.ones(3)
         )
         group = AgentSubset.prefix(2)
-        ex = mixture_probability(params, model, group, mode="exact")
-        sa = mixture_probability(
-            params, model, group, mode="sampled", m_configs=100_000, base_seed=4
-        )
-        assert abs(sa.probability - ex.probability) < 3 * sa.sampling_stderr
-        assert sa.stein_bound == pytest.approx(ex.stein_bound, rel=0.05)
+        for model in (
+            BlockModel(w=[0.6, 0.4], v=[1.0], p=[[0.3], [0.8]]),
+            BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.3, 0.5], [0.8, 0.2]]),
+        ):
+            ex = mixture_probability(params, model, group, mode="exact")
+            sa = mixture_probability(
+                params, model, group, mode="sampled", m_configs=100_000, base_seed=4
+            )
+            assert abs(sa.probability - ex.probability) < 3 * sa.sampling_stderr
+            assert sa.stein_bound == pytest.approx(ex.stein_bound, rel=0.05)
 
     def test_sampled_requires_enough_configs(self):
         params, model, group = table_params(50_000, d=100, size_q=3)

@@ -77,6 +77,11 @@ class TestParseConfig:
             {"group": {"wrong": 1}},
             {"reserves": [1.0, 1.0]},
             {"seed": -1},
+            {"group": {"indices": "ab"}},
+            {"group": {"size": [3]}},
+            {"threads": 0},
+            {"seed": "abc"},
+            {"ns_grid": ["x"]},
         ],
     )
     def test_rejects_invalid_documents(self, breaker):
@@ -305,6 +310,37 @@ class TestMainEntryPoint:
 
     def test_missing_config_file(self, capsys):
         assert self.run(["estimate", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"network": {"kind": "sbm", "w": [0.5, 0.5], "v": [1.0], "p": [[0.5], [math.nan]]}},
+            {"network": {"kind": "sbm", "w": [math.nan, 1.0], "v": [1.0], "p": [[0.5], [0.5]]}},
+            {"network": {"kind": "bernoulli", "p": math.inf}},
+            {"mu": math.nan},
+            {"reserves": [1.0, math.inf]},
+            {"lambda": math.inf},
+            {"premiums": [1.05, math.nan]},
+            {"group": {"indices": "ab"}},
+            {"threads": 0},
+        ],
+    )
+    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, extra):
+        cfg_path = tmp_path / "cfg.json"
+        doc = degenerate_doc(q=2, d=2, premiums=[1.05, 1.1])
+        doc.update(extra)
+        cfg_path.write_text(json.dumps(doc))
+        assert self.run(["estimate", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_rejects_nonpositive_thread_flag(self, tmp_path, capsys, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(degenerate_doc()))
+        assert self.run(["estimate", "--config", str(cfg_path), "--threads", threads]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
 
     def test_oracle_failure_exit_code(self, tmp_path, capsys):
         # a vanishing horizon starves the oracle, forcing an honest mismatch

@@ -45,6 +45,14 @@ class TestRiskParams:
         with pytest.raises(ValueError):
             RiskParams(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["lam", "c", "mu", "u"])
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = dict(lam=1.0, c=[1.0, 1.1], mu=[1.0, 1.0], u=[1.0, 2.0])
+        kwargs[field] = bad if field == "lam" else [1.0, bad]
+        with pytest.raises(ValueError, match="finite"):
+            RiskParams(**kwargs)
+
 
 class TestAgentSubset:
     def test_sorts_and_validates(self):

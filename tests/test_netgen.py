@@ -1,5 +1,7 @@
 """Tests for blockmodel sampling, group indicators, and connection probabilities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ruinnet.netgen import (
     connect_prob,
     connect_prob_enumerated,
     group_indicators,
+    sample_configurations,
     sample_graph,
     sample_group_counts,
     sample_group_indicators,
@@ -41,6 +44,17 @@ class TestBlockModel:
             BlockModel(w=[1.0], v=[1.0], p=[[1.5]])
         with pytest.raises(ValueError):
             BlockModel(w=[0.5, 0.5], v=[1.0], p=[[0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="w must be finite"):
+            BlockModel(w=[bad, 1.0], v=[1.0], p=[[0.5], [0.5]])
+        with pytest.raises(ValueError, match="v must be finite"):
+            BlockModel(w=[1.0], v=[1.0, bad], p=[[0.5, 0.5]])
+        with pytest.raises(ValueError, match="edge probabilities"):
+            BlockModel(w=[0.5, 0.5], v=[1.0], p=[[0.5], [bad]])
+        with pytest.raises(ValueError, match="edge probabilities"):
+            BlockModel.bernoulli(bad)
 
 
 class TestSampleTypes:
@@ -153,13 +167,96 @@ class TestConnectProb:
         assert abs(hits / R - p) < 4 * np.sqrt(p * (1 - p) / R)
 
 
+def exact_count_pmf(model, size_q, class_sizes):
+    """Joint pmf of the per-class connected counts, by brute force over
+    agent types, object types and indicator outcomes."""
+    cls = np.repeat(np.arange(len(class_sizes)), class_sizes)
+    d = cls.size
+    pmf = {}
+    for s in itertools.product(range(model.K), repeat=size_q):
+        w_s = float(np.prod(model.w[list(s)]))
+        for t in itertools.product(range(model.L), repeat=d):
+            w_t = float(np.prod(model.v[list(t)]))
+            if w_s * w_t == 0.0:
+                continue
+            pc = [1.0 - float(np.prod(1.0 - model.p[list(s), l])) for l in t]
+            for bits in itertools.product((0, 1), repeat=d):
+                w_b = float(np.prod([pc[j] if b else 1.0 - pc[j] for j, b in enumerate(bits)]))
+                key = tuple(np.bincount(cls, weights=bits, minlength=len(class_sizes)).astype(int))
+                pmf[key] = pmf.get(key, 0.0) + w_s * w_t * w_b
+    return pmf
+
+
+def assert_matches_pmf(counts, pmf):
+    """Every cell's empirical frequency lies within 5 sigma of the pmf."""
+    R = counts.shape[0]
+    seen = {tuple(row) for row in counts.tolist()}
+    assert seen <= {k for k, v in pmf.items() if v > 0.0}
+    for key, prob in pmf.items():
+        freq = float((counts == np.asarray(key)).all(axis=1).mean())
+        assert abs(freq - prob) < 5 * np.sqrt(prob * (1 - prob) / R) + 1e-9, (key, freq, prob)
+
+
+KERNEL_CASES = {
+    "sbm": BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.2, 0.7], [0.5, 0.1]]),
+    "p_zero_and_one": BlockModel(w=[0.5, 0.5], v=[0.5, 0.5], p=[[1.0, 0.0], [0.0, 1.0]]),
+    "zero_w_entry": BlockModel(w=[0.0, 1.0], v=[0.4, 0.6], p=[[1.0, 1.0], [0.3, 0.6]]),
+    "zero_v_entry": BlockModel(w=[0.3, 0.7], v=[0.0, 1.0], p=[[0.9, 0.2], [0.9, 0.5]]),
+    "agent_types_only": BlockModel(w=[0.3, 0.7], v=[1.0], p=[[0.8], [0.1]]),
+    "object_types_only": BlockModel(w=[1.0], v=[0.3, 0.7], p=[[0.8, 0.1]]),
+}
+
+
+class TestCollapsedKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    @pytest.mark.parametrize("size_q", [1, 3])
+    def test_counts_match_exact_pmf(self, name, size_q):
+        # groups of one agent and of all q = 3 agents, four objects in two classes
+        model = KERNEL_CASES[name]
+        sizes = np.array([1, 3])
+        counts = sample_group_counts(model, size_q, sizes, stream(41, size_q), 20_000)
+        assert counts.shape == (20_000, 2)
+        assert_matches_pmf(counts, exact_count_pmf(model, size_q, sizes))
+
+    def test_bernoulli_is_one_binomial_draw(self):
+        rng = np.random.default_rng(3)
+        for i in range(50):
+            p = float(rng.choice([0.0, 1.0, rng.uniform(), rng.uniform() ** 8]))
+            m = BlockModel.bernoulli(p)
+            size_q = int(rng.integers(1, 200))
+            sizes = rng.integers(0, 10_000, int(rng.integers(1, 5)))
+            n = int(rng.integers(1, 3000))
+            got = sample_group_counts(m, size_q, sizes, stream(i, 8), n)
+            want = stream(i, 8).binomial(sizes, connect_prob(m, size_q), size=(n, sizes.size))
+            np.testing.assert_array_equal(got, want)
+
+    def test_draws_only_the_needed_types(self):
+        sizes = np.array([2, 5])
+        connect, counts = sample_configurations(
+            BlockModel.bernoulli(0.3), 4, sizes, stream(0, 9), 100
+        )
+        assert connect.shape == (1, 1) and counts.shape == (1, 2, 1)
+        connect, counts = sample_configurations(
+            KERNEL_CASES["sbm"], 4, sizes, stream(0, 9), 100
+        )
+        assert connect.shape == (100, 2) and counts.shape == (100, 2, 2)
+        np.testing.assert_array_equal(counts.sum(axis=2), np.broadcast_to(sizes, (100, 2)))
+
+    def test_certain_and_impossible_edges(self):
+        sizes = np.array([4, 6])
+        full = BlockModel(w=[0.5, 0.5], v=[0.2, 0.8], p=np.ones((2, 2)))
+        empty = BlockModel(w=[0.5, 0.5], v=[0.2, 0.8], p=np.zeros((2, 2)))
+        np.testing.assert_array_equal(
+            sample_group_counts(full, 3, sizes, stream(2, 0), 500), np.tile(sizes, (500, 1))
+        )
+        assert not sample_group_counts(empty, 3, sizes, stream(2, 1), 500).any()
+
+
 class TestFastPaths:
     def test_requires_one_type_model(self):
         m = BlockModel(w=[0.5, 0.5], v=[1.0], p=[[0.2], [0.8]])
         with pytest.raises(ValueError):
             sample_group_indicators(m, 2, 5, stream(0, 0))
-        with pytest.raises(ValueError):
-            sample_group_counts(m, 2, np.array([3]), stream(0, 0), 10)
 
     def test_indicator_probability(self):
         m = BlockModel.bernoulli(0.5)
@@ -187,3 +284,20 @@ class TestFastPaths:
             tol = 5 * np.sqrt(pmf * (1 - pmf) / R) + 1e-9
             assert abs((counts_fast == k).mean() - pmf) < tol
             assert abs((counts_graph == k).mean() - pmf) < tol
+
+    def test_sbm_counts_match_graph_distribution(self):
+        # on a blockmodel the collapsed counts and the full graph pipeline
+        # both follow the exact per-class count law
+        m = BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.2, 0.7], [0.5, 0.1]])
+        group = AgentSubset((2, 3))
+        sizes = np.array([1, 3])
+        R = 4000
+        counts_fast = sample_group_counts(m, 2, sizes, stream(10, 0), R)
+        counts_graph = np.empty((R, 2), dtype=int)
+        for r in range(R):
+            rng = stream(10, 1, r)
+            ind = group_indicators(sample_graph(m, sample_types(m, 3, 4, rng), rng), group)
+            counts_graph[r] = ind[:1].sum(), ind[1:].sum()
+        pmf = exact_count_pmf(m, 2, sizes)
+        assert_matches_pmf(counts_fast, pmf)
+        assert_matches_pmf(counts_graph, pmf)

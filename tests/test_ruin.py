@@ -21,6 +21,13 @@ from ruinnet.ruin import (
 )
 
 
+SBM = BlockModel(
+    w=[0.5, 0.3, 0.2],
+    v=[0.6, 0.4],
+    p=[[0.6, 0.1], [0.0, 0.9], [1.0, 0.3]],
+)
+
+
 def two_class_params(ns, d, q=10, low=0.95, high=1.05, u=1.0):
     c = np.full(d, high)
     c[:ns] = low
@@ -138,11 +145,18 @@ class TestEstimatePsi:
 
     def test_methods_agree_in_distribution(self):
         p = two_class_params(5, 8)
-        m = BlockModel.bernoulli(0.5)
-        g = AgentSubset.prefix(4)
-        a = estimate_psi(p, m, g, 40_000, 13, method="collapsed")
-        b = estimate_psi(p, m, g, 40_000, 13, method="graph")
-        assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
+        for m, k in ((BlockModel.bernoulli(0.5), 4), (SBM, 4), (SBM, p.q)):
+            g = AgentSubset.prefix(k)
+            a = estimate_psi(p, m, g, 40_000, 13, method="collapsed")
+            b = estimate_psi(p, m, g, 40_000, 13, method="graph")
+            assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
+
+    def test_sbm_thread_count_never_changes_result(self):
+        p = two_class_params(4, 10)
+        g = AgentSubset.prefix(3)
+        assert estimate_psi(p, SBM, g, 20_000, 5, threads=1) == estimate_psi(
+            p, SBM, g, 20_000, 5, threads=2
+        )
 
     def test_matches_exhaustive_graph_enumeration(self):
         # exact E[summand] over all 2^(q*d) graphs vs the estimator

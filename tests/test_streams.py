@@ -1,0 +1,59 @@
+"""Tests for block scheduling and its worker-pool size."""
+
+import pytest
+
+from ruinnet import streams
+from ruinnet.streams import BLOCK_SIZE, map_blocks, map_indexed
+
+
+class InlinePool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers`` and runs
+    every task at submission, so no thread is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        InlinePool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        value = fn(*args)
+
+        class Done:
+            def result(self):
+                return value
+
+        return Done()
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    InlinePool.created = []
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", InlinePool)
+    return InlinePool
+
+
+class TestPoolSize:
+    def test_clamped_to_block_count(self, pool):
+        out = map_blocks(3 * BLOCK_SIZE, lambda k, lo, hi: (k, lo, hi), threads=10_000)
+        assert pool.created == [3]
+        assert out == [(k, k * BLOCK_SIZE, (k + 1) * BLOCK_SIZE) for k in range(3)]
+
+    def test_clamped_to_index_count(self, pool):
+        assert map_indexed(4, lambda i: i * i, threads=10_000) == [0, 1, 4, 9]
+        assert pool.created == [4]
+
+    def test_no_pool_for_one_task_or_thread(self, pool):
+        assert map_blocks(BLOCK_SIZE, lambda k, lo, hi: hi, threads=8) == [BLOCK_SIZE]
+        assert map_indexed(5, lambda i: i, threads=1) == [0, 1, 2, 3, 4]
+        assert map_indexed(0, lambda i: i, threads=4) == []
+        assert pool.created == []
+
+    def test_thread_count_kept_below_task_count(self, pool):
+        map_indexed(6, lambda i: i, threads=2)
+        assert pool.created == [2]
