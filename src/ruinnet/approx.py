@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import AgentSubset, LoadingVector, RiskParams, compute_loadings
+from .model import AgentSubset, LoadingVector, RiskParams, object_classes
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
 from .streams import APPROX_DOMAIN, map_blocks, pairwise_sum, stream
 
@@ -154,13 +154,6 @@ def mixture_stats(
     return MixtureStats(mean=mean, variance=var, third_sum=raw3 / var**1.5)
 
 
-def _loading_classes(loadings: LoadingVector) -> tuple[np.ndarray, np.ndarray]:
-    """Object classes of identical loading ``xi``: values and sizes."""
-    uniq, inverse = np.unique(loadings.xi, return_inverse=True)
-    sizes = np.bincount(inverse, minlength=uniq.size).astype(np.int64)
-    return uniq, sizes
-
-
 def _stats_from_counts(
     xi_vals: np.ndarray, counts_gl: np.ndarray, p_l: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,7 +215,7 @@ def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
 
 def exact_enumerable(params: RiskParams, model: BlockModel, group: AgentSubset) -> bool:
     """Whether exact mode can enumerate this instance within the term cap."""
-    _, sizes = _loading_classes(compute_loadings(params))
+    _, _, sizes = object_classes(params)
     return exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
 
 
@@ -253,9 +246,8 @@ def _enumerate_collapsed(
 
 
 def _exact(
-    params: RiskParams, model: BlockModel, group: AgentSubset, loadings: LoadingVector
+    model: BlockModel, group: AgentSubset, xi_vals: np.ndarray, sizes: np.ndarray
 ) -> ApproxResult:
-    xi_vals, sizes = _loading_classes(loadings)
     terms = exact_term_count(model, group.size, sizes)
     if terms > MAX_EXACT_TERMS:
         raise ValueError(
@@ -282,10 +274,10 @@ def _exact(
 
 
 def _sampled(
-    params: RiskParams,
     model: BlockModel,
     group: AgentSubset,
-    loadings: LoadingVector,
+    xi_vals: np.ndarray,
+    sizes: np.ndarray,
     m_configs: int,
     base_seed: int,
     threads: int,
@@ -299,7 +291,6 @@ def _sampled(
     """
     if m_configs < 100:
         raise ValueError("sampled mode needs at least 100 configurations")
-    xi_vals, sizes = _loading_classes(loadings)
 
     def configs(rng: np.random.Generator, rows: int) -> np.ndarray:
         connect, counts = sample_configurations(model, group.size, sizes, rng, rows)
@@ -360,15 +351,16 @@ def mixture_probability(
         threads: Worker threads (never affects the result).
     """
     group.validate_for(params.q)
-    loadings = compute_loadings(params)
+    ratio, _, sizes = object_classes(params)
+    xi_vals = ratio / params.lam
     if mode == MODE_CLOSED_FORM:
         if not model.is_bernoulli:
             raise ValueError("closed_form mode requires a one-type model")
-        return replace(_exact(params, model, group, loadings), mode=MODE_CLOSED_FORM)
+        return replace(_exact(model, group, xi_vals, sizes), mode=MODE_CLOSED_FORM)
     if mode == MODE_EXACT:
-        return _exact(params, model, group, loadings)
+        return _exact(model, group, xi_vals, sizes)
     if mode == MODE_SAMPLED:
-        return _sampled(params, model, group, loadings, m_configs, base_seed, threads)
+        return _sampled(model, group, xi_vals, sizes, m_configs, base_seed, threads)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -390,8 +382,9 @@ def phase_classify(
     if not 0.0 < beta < 1.0:
         raise ValueError("density exponent beta must lie in (0, 1)")
     group.validate_for(params.q)
-    loadings = compute_loadings(params)
-    if np.any(loadings.xi == 1.0):
+    ratio, _, sizes = object_classes(params)
+    xi_vals = ratio / params.lam
+    if np.any(xi_vals == 1.0):
         warnings.warn(
             "some objects have zero loading excess (xi == 1); the phase "
             "classification assumes loadings bounded away from 1",
@@ -399,10 +392,8 @@ def phase_classify(
         )
     if model.is_bernoulli:
         # class-collapsed sum so that perfectly balanced loadings cancel exactly
-        xi_vals, sizes = _loading_classes(loadings)
         sign = _sign(float(((xi_vals - 1.0) * sizes).sum()) / params.d)
     else:
-        xi_vals, sizes = _loading_classes(loadings)
         if exact_term_count(model, group.size, sizes) > MAX_EXACT_TERMS:
             raise ValueError("too many configurations to classify exactly")
         signs = {

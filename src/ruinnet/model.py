@@ -156,6 +156,21 @@ def compute_loadings(params: RiskParams) -> LoadingVector:
     return LoadingVector(rho=rho, xi=xi)
 
 
+def object_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition the objects into classes of equal premium-to-claim ratio ``c_j/mu_j``.
+
+    The ratio is all that the PK ratio (``ruin``) and the loading
+    ``xi_j = (c_j/mu_j)/lam`` (``approx``) need of an object.
+
+    Returns:
+        ``(ratio, cls, sizes)``: the ascending ratio of each class, the class
+        index of each object, and the number of objects in each class.
+    """
+    ratio, cls = np.unique(params.c / params.mu, return_inverse=True)
+    sizes = np.bincount(cls, minlength=ratio.size).astype(np.int64)
+    return ratio, cls, sizes
+
+
 def proportional_r(params: RiskParams, group: AgentSubset) -> float:
     """Group scaling constant: smallest mean claim size over all objects,
     divided by ``q - |group| + 1``.

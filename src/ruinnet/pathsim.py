@@ -1,9 +1,14 @@
 """Direct simulation of compound-Poisson surplus paths.
 
 Serves as a brute-force oracle for the ruin estimators: claims for each
-object arrive as a Poisson process and are exponentially sized, the group
-deficit is the weighted sum of object losses minus premium inflow, and
-ruin is the deficit reaching the group's total reserve.
+object arrive as a Poisson process of intensity ``lam`` and are
+exponentially sized, the group deficit is the weighted sum of object
+losses minus premium inflow, and ruin is the deficit reaching the group's
+total reserve.  The claim processes of the group's exposed objects are
+simulated as their superposition: one Poisson process of rate
+``lam * (number of exposed objects)`` whose claims each hit a uniformly
+drawn exposed object.  One path is one stream and one loop that stops at
+the first ruin.
 
 Between claim epochs the deficit strictly decreases whenever the group
 carries any exposure, so checking ruin only at claim epochs is exact.
@@ -57,36 +62,17 @@ class PathConfig:
         self.group.validate_for(self.params.q)
 
 
-def _claims_upto(
-    rng: np.random.Generator, lam: float, mu_j: float, horizon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Claim epochs and sizes on [0, horizon], inverse-CDF sampled in chunks."""
-    times = []
-    sizes = []
-    t = 0.0
-    while True:
-        gaps = -np.log1p(-rng.random(_CLAIM_CHUNK)) / lam
-        amounts = -mu_j * np.log1p(-rng.random(_CLAIM_CHUNK))
-        epochs = t + np.cumsum(gaps)
-        inside = epochs <= horizon
-        if inside.all():
-            times.append(epochs)
-            sizes.append(amounts)
-            t = float(epochs[-1])
-        else:
-            keep = int(inside.sum())
-            times.append(epochs[:keep])
-            sizes.append(amounts[:keep])
-            break
-    return np.concatenate(times), np.concatenate(sizes)
-
-
 def simulate_ruin_path(cfg: PathConfig, key: StreamKey) -> bool:
     """Simulate one surplus path; True iff the group deficit ever reaches
     the total reserve within the horizon.
 
-    Claims for object ``j`` come from the sub-stream ``key.child(j)``, so
-    each (replicate, object) pair owns its own stream.
+    The claims of the exposed objects form one Poisson process of rate
+    ``lam * (number of exposed objects)``; each claim hits a uniformly
+    drawn exposed object ``j`` and adds ``exposure_j * Exp(mean mu_j)`` to
+    the deficit.  The path draws from ``key.child(j0)`` with ``j0`` its
+    first exposed object, chunk by chunk: gap uniforms, object marks (only
+    when more than one object is exposed), then size uniforms.  With a
+    single exposed object this is that object's own claim process.
     """
     rows = cfg.group.zero_based()
     exposure = cfg.weights.A[rows].sum(axis=0)
@@ -96,42 +82,27 @@ def simulate_ruin_path(cfg: PathConfig, key: StreamKey) -> bool:
     active = np.flatnonzero(exposure > 0)
     if active.size == 0:
         return False
-    drift = float((exposure[active] * cfg.params.c[active]).sum())
-
-    if active.size == 1:
-        # Single exposed object: scan chunk by chunk and stop at first ruin.
-        j = int(active[0])
-        rng = key.child(j).generator()
-        a = float(exposure[j])
-        t = 0.0
-        cum_jumps = 0.0
-        while True:
-            gaps = -np.log1p(-rng.random(_CLAIM_CHUNK)) / cfg.params.lam
-            amounts = -cfg.params.mu[j] * np.log1p(-rng.random(_CLAIM_CHUNK))
-            epochs = t + np.cumsum(gaps)
-            keep = int((epochs <= cfg.horizon).sum())
-            deficit = cum_jumps + np.cumsum(a * amounts[:keep]) - drift * epochs[:keep]
-            if (deficit >= total_reserve).any():
-                return True
-            if keep < _CLAIM_CHUNK:
-                return False
-            cum_jumps += float((a * amounts).sum())
-            t = float(epochs[-1])
-
-    all_times = []
-    all_jumps = []
-    for j in active:
-        rng = key.child(int(j)).generator()
-        epochs, amounts = _claims_upto(rng, cfg.params.lam, float(cfg.params.mu[j]), cfg.horizon)
-        all_times.append(epochs)
-        all_jumps.append(exposure[j] * amounts)
-    times = np.concatenate(all_times)
-    jumps = np.concatenate(all_jumps)
-    if times.size == 0:
-        return False
-    order = np.argsort(times, kind="stable")
-    deficit = np.cumsum(jumps[order]) - drift * times[order]
-    return bool((deficit >= total_reserve).any())
+    weight = exposure[active]
+    mean = cfg.params.mu[active]
+    drift = float((weight * cfg.params.c[active]).sum())
+    rate = cfg.params.lam * active.size
+    rng = key.child(int(active[0])).generator()
+    t = 0.0
+    cum_jumps = 0.0
+    while True:
+        gaps = -np.log1p(-rng.random(_CLAIM_CHUNK)) / rate
+        # integers(1) would draw no bits either; skipping it only saves time
+        marks = rng.integers(active.size, size=_CLAIM_CHUNK) if active.size > 1 else 0
+        jumps = weight[marks] * (-mean[marks] * np.log1p(-rng.random(_CLAIM_CHUNK)))
+        epochs = t + np.cumsum(gaps)
+        keep = int((epochs <= cfg.horizon).sum())
+        deficit = cum_jumps + np.cumsum(jumps[:keep]) - drift * epochs[:keep]
+        if (deficit >= total_reserve).any():
+            return True
+        if keep < _CLAIM_CHUNK:
+            return False
+        cum_jumps += float(jumps.sum())
+        t = float(epochs[-1])
 
 
 def ruin_frequency(cfg: PathConfig, base_seed: int, threads: int = 1) -> EstimateWithCI:

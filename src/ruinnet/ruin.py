@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import netgen
-from .model import AgentSubset, RiskParams, proportional_r
+from .model import AgentSubset, RiskParams, object_classes, proportional_r
 from .netgen import BlockModel
 from .streams import RUIN_DOMAIN, map_blocks, pairwise_sum, stream
 
@@ -106,27 +106,30 @@ def pk_sample(indicators, params: RiskParams, r_q: float, total_reserve: float) 
     )
 
 
-def _premium_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition objects into classes of identical (c_j, mu_j) pairs."""
-    keys = np.stack([params.c, params.mu], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sizes = np.bincount(inverse, minlength=uniq.shape[0])
-    return uniq[:, 0], uniq[:, 1], sizes.astype(np.int64)
+def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """PK ratios of replicates given as counts of connected objects per
+    :func:`model.object_classes` class, 0 for a disconnected group.
+
+    Both samplers pass freshly allocated integer counts through this
+    arithmetic, so a configuration gives the same bits (and the same side
+    of a tie at 1) whichever sampler drew it.  The BLAS product can round
+    differently for an array that starts at an unaligned offset, such as
+    a slice.
+    """
+    total = counts.sum(axis=1)
+    out = np.zeros(counts.shape[0])
+    np.divide(lam * total, counts @ ratio, out=out, where=total > 0)
+    return out
 
 
 def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     """PK-ratio sampler on collapsed configurations: per-class counts of
     connected objects from :func:`netgen.sample_group_counts`."""
-    c_cls, mu_cls, sizes = _premium_classes(params)
-    rate_cls = c_cls / mu_cls
+    ratio, _, sizes = object_classes(params)
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
         counts = netgen.sample_group_counts(model, group.size, sizes, rng, n)
-        total = counts.sum(axis=1)
-        denom = counts @ rate_cls
-        out = np.zeros(n)
-        np.divide(params.lam * total, denom, out=out, where=total > 0)
-        return out
+        return _pk_from_counts(params.lam, counts, ratio)
 
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, sizes.size * model.L)
 
@@ -138,7 +141,8 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     different stream, and ``q * d`` cells per replicate.
     """
     rows = group.zero_based()
-    rate = params.c / params.mu
+    ratio, cls, _ = object_classes(params)
+    G = ratio.size
 
     def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
         s = netgen._draw_types(rng, model.w, (m, params.q))
@@ -146,11 +150,9 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
         pm = model.p[s[:, :, None], t[:, None, :]]
         edges = rng.random((m, params.q, params.d)) < pm
         ind = edges[:, rows, :].any(axis=1)
-        total = ind.sum(axis=1)
-        denom = ind @ rate
-        vals = np.zeros(m)
-        np.divide(params.lam * total, denom, out=vals, where=total > 0)
-        return vals
+        cell = np.arange(m)[:, None] * G + cls  # (replicate, class) of each indicator
+        counts = np.bincount(cell[ind], minlength=m * G).reshape(m, G)
+        return _pk_from_counts(params.lam, counts, ratio)
 
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, params.q * params.d)
 

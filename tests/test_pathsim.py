@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ruinnet.model import AgentSubset, RiskParams, build_weights, classical_ruin
+from pathsim_reference import simulate_ruin_path_per_object
+from ruinnet.model import AgentSubset, RiskParams, WeightMatrix, build_weights, classical_ruin
 from ruinnet.netgen import BipartiteGraph, BlockModel
 from ruinnet.pathsim import PathConfig, oracle_psi, ruin_frequency, simulate_ruin_path
 from ruinnet.ruin import estimate_psi
@@ -23,6 +24,19 @@ def single_object_config(c=1.05, u=1.0, horizon=1000.0, replicates=1):
         weights=build_weights(graph, group, params),
         horizon=horizon,
         replicates=replicates,
+    )
+
+
+def one_agent_config(exposure, c, mu, lam=1.0, u=1.0, horizon=200.0):
+    """A one-agent group carrying share ``exposure[j]`` of object ``j``."""
+    share = np.asarray(exposure, dtype=float)[None, :]
+    params = RiskParams(lam=lam, c=c, mu=mu, u=[u])
+    return PathConfig(
+        params,
+        BipartiteGraph(share > 0),
+        AgentSubset.prefix(1),
+        WeightMatrix(A=share, r_q=1.0),
+        horizon=horizon,
     )
 
 
@@ -92,6 +106,51 @@ class TestSimulateRuinPath:
         flags1 = [simulate_ruin_path(cfg, StreamKey(9, (2, r))) for r in range(100)]
         flags2 = [simulate_ruin_path(cfg, StreamKey(9, (2, r))) for r in range(100)]
         assert flags1 == flags2
+
+
+class TestMergedClaimStream:
+    def test_fixed_keys_regression(self):
+        # survivors among 200 fixed keys, as the per-object simulator gave them
+        cfg = single_object_config(c=1.05, u=1.0)
+        survivors = [r for r in range(200) if not simulate_ruin_path(cfg, StreamKey(9, (2, r)))]
+        assert survivors == [
+            14, 20, 22, 33, 34, 38, 42, 44, 50, 54, 59, 67, 78, 109, 140, 142, 149, 150, 163, 176
+        ]
+
+    def test_single_exposed_object_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for case in range(30):
+            d = int(rng.integers(1, 5))
+            exposure = np.zeros(d)
+            exposure[rng.integers(d)] = rng.uniform(0.1, 1.0)
+            cfg = one_agent_config(
+                exposure,
+                c=rng.uniform(0.2, 2.0, d),
+                mu=rng.uniform(0.2, 2.0, d),
+                lam=float(rng.uniform(0.5, 2.0)),
+                u=float(rng.uniform(0.1, 3.0)),
+                horizon=float(rng.uniform(1.0, 300.0)),
+            )
+            for r in range(25):
+                key = StreamKey(case, (7, r))
+                assert simulate_ruin_path(cfg, key) == simulate_ruin_path_per_object(cfg, key)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # exposure_j * mu_j differs between objects, so the object marks matter
+            dict(exposure=[0.2, 0.5, 0.9], c=[3.3, 1.1, 0.3], mu=[3.0, 1.0, 0.25]),
+            dict(exposure=[1.0, 0.1], c=[1.5, 13.0], mu=[0.5, 8.0], lam=2.0),
+        ],
+    )
+    def test_several_objects_agree_with_reference_in_distribution(self, kwargs):
+        cfg = one_agent_config(**kwargs)
+        n = 4000
+        merged = sum(simulate_ruin_path(cfg, StreamKey(1, (r,))) for r in range(n)) / n
+        reference = sum(simulate_ruin_path_per_object(cfg, StreamKey(2, (r,))) for r in range(n)) / n
+        se = math.hypot(*(math.sqrt(p * (1 - p) / n) for p in (merged, reference)))
+        assert 0.1 < reference < 0.9
+        assert abs(merged - reference) < 4 * se
 
 
 class TestOraclePsi:

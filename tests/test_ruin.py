@@ -144,12 +144,20 @@ class TestEstimatePsi:
         assert psi.mean >= (1.0 - tail.mean) - 1e-12
 
     def test_methods_agree_in_distribution(self):
-        p = two_class_params(5, 8)
-        for m, k in ((BlockModel.bernoulli(0.5), 4), (SBM, 4), (SBM, p.q)):
+        small = two_class_params(5, 8)
+        cases = (
+            (small, BlockModel.bernoulli(0.5), 4),
+            (small, SBM, 4),
+            (small, SBM, small.q),
+            # many configurations with PK exactly 1: both samplers must break the tie alike
+            (two_class_params(50, 100), BlockModel.bernoulli(0.1), 6),
+        )
+        for p, m, k in cases:
             g = AgentSubset.prefix(k)
-            a = estimate_psi(p, m, g, 40_000, 13, method="collapsed")
-            b = estimate_psi(p, m, g, 40_000, 13, method="graph")
-            assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
+            for estimate in (estimate_psi, estimate_tail):
+                a = estimate(p, m, g, 40_000, 13, method="collapsed")
+                b = estimate(p, m, g, 40_000, 13, method="graph")
+                assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
 
     def test_sbm_thread_count_never_changes_result(self):
         p = two_class_params(4, 10)
