@@ -41,6 +41,8 @@ from .pathsim import PathConfig, oracle_psi, ruin_frequency, simulate_ruin_path
 from .ruin import (
     EstimateWithCI,
     PKSample,
+    RuinEstimate,
+    estimate,
     estimate_psi,
     estimate_tail,
     pk_sample,
@@ -63,6 +65,7 @@ __all__ = [
     "PathConfig",
     "PhaseVerdict",
     "RiskParams",
+    "RuinEstimate",
     "StreamKey",
     "TypeAssignment",
     "WeightMatrix",
@@ -70,6 +73,7 @@ __all__ = [
     "classical_ruin",
     "compute_loadings",
     "connect_prob",
+    "estimate",
     "estimate_psi",
     "estimate_tail",
     "group_indicators",

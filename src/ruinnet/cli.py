@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .model import AgentSubset, RiskParams
 from .netgen import BlockModel
 from .output import fmt, render_csv, sweep_svg
 from .pathsim import oracle_psi
-from .ruin import estimate_psi, estimate_tail
+from .ruin import estimate, estimate_psi, estimate_tail
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,32 +93,10 @@ class SweepRow:
     stein_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "qsize": self.qsize,
-            "ns": self.ns,
-            "psi_hat": self.psi_hat,
-            "stderr": self.stderr,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "log10_psi": self.log10_psi,
-            "tail_hat": self.tail_hat,
-            "approx_prob": self.approx_prob,
-            "stein_bound": self.stein_bound,
-        }
+        return asdict(self)
 
 
-SWEEP_FIELDS = (
-    "qsize",
-    "ns",
-    "psi_hat",
-    "stderr",
-    "ci_lo",
-    "ci_hi",
-    "log10_psi",
-    "tail_hat",
-    "approx_prob",
-    "stein_bound",
-)
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 TABLE_FIELDS = ("ns", "bound", "approximation", "estimate", "stderr", "abs_difference")
 
@@ -136,7 +114,6 @@ class ExperimentConfig:
     network: BlockModel
     group_size: Optional[int]
     group_indices: Optional[tuple[int, ...]]
-    beta: Optional[float]
     replicates: int
     seed: int
     threads: int
@@ -248,7 +225,7 @@ def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
         return _parse_config(doc, overrides or {})
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -297,7 +274,6 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     if ns_grid is not None:
         ns_grid = tuple(int(x) for x in ns_grid)
 
-    beta = doc.get("beta")
     return ExperimentConfig(
         lam=lam,
         q=q,
@@ -308,7 +284,6 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
         network=_parse_network(doc["network"], q, d),
         group_size=group_size,
         group_indices=group_indices,
-        beta=None if beta is None else float(beta),
         replicates=int(replicates),
         seed=int(seed),
         threads=int(threads),
@@ -358,14 +333,13 @@ def cmd_estimate(cfg: ExperimentConfig) -> dict:
     params = cfg.risk_params()
     group = cfg.group()
     try:
-        psi = estimate_psi(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
-        tail = estimate_tail(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+        est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return {
-        "psi_hat": psi.mean,
-        "stderr": psi.stderr,
-        "tail_hat": tail.mean,
+        "psi_hat": est.psi.mean,
+        "stderr": est.psi.stderr,
+        "tail_hat": est.tail.mean,
     }
 
 
@@ -382,15 +356,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         for k in range(1, cfg.q + 1):
             group = AgentSubset.prefix(k)
             try:
-                psi = estimate_psi(
-                    params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads
-                )
-                tail = estimate_tail(
-                    params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads
-                )
+                est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+                ap = _approx_point(cfg, params, group)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            ap = _approx_point(cfg, params, group)
+            psi = est.psi
             rows.append(
                 SweepRow(
                     qsize=k,
@@ -400,7 +370,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                     ci_lo=psi.mean - psi.halfwidth,
                     ci_hi=psi.mean + psi.halfwidth,
                     log10_psi=math.log10(psi.mean) if psi.mean > 0 else None,
-                    tail_hat=tail.mean,
+                    tail_hat=est.tail.mean,
                     approx_prob=ap.probability,
                     stein_bound=ap.stein_bound,
                 )
@@ -420,8 +390,8 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
-        ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_CLOSED_FORM)
         try:
+            ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_CLOSED_FORM)
             tail = estimate_tail(
                 params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads
             )

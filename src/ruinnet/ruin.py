@@ -11,15 +11,13 @@ certain group ruin; with ``P < 1`` the group ruins with probability
 ``r`` the proportional-weight scaling constant.  Averaging that summand
 over network replicates estimates the group ruin probability, and the
 frequency of ``P < 1`` estimates the tail probability driving the phase
-transition.
+transition; :func:`estimate` reads both from the same draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import netgen
@@ -64,6 +62,19 @@ class EstimateWithCI:
     def halfwidth(self) -> float:
         """Reporting convention: plus/minus two standard errors."""
         return 2.0 * self.stderr
+
+
+@dataclass(frozen=True)
+class RuinEstimate:
+    """Ruin probability ``psi`` and tail ``P(PK ratio < 1)`` estimated
+    from the same replicates."""
+
+    psi: EstimateWithCI
+    tail: EstimateWithCI
+
+    @property
+    def replicates(self) -> int:
+        return self.psi.replicates
 
 
 def pk_value(indicators, params: RiskParams) -> float:
@@ -157,7 +168,10 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, params.q * params.d)
 
 
-def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, method: str):
+def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, B: int, method: str):
+    group.validate_for(params.q)
+    if B < 2:
+        raise ValueError("need at least two replicates for a standard error")
     if method in ("auto", "collapsed"):
         return _collapsed_sampler(params, model, group)
     if method == "graph":
@@ -165,31 +179,29 @@ def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, met
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def _run_replicates(
-    sampler,
-    transform: Callable[[np.ndarray], np.ndarray],
-    B: int,
-    base_seed: int,
-    threads: int,
-) -> tuple[float, float]:
-    """Total and total-of-squares of ``transform(pk)`` over ``B`` replicates.
+def _run_replicates(sampler, transform, B: int, base_seed: int, threads: int) -> list[float]:
+    """Total over ``B`` replicates of each array that ``transform(pk)`` returns.
 
-    Each block draws from its own stream and both totals are pairwise-tree
-    sums in replicate order, so the result is independent of scheduling.
+    Each block makes one sampler call on its own stream, and every total
+    is a pairwise-tree sum in replicate order, so the result is
+    independent of scheduling.
     """
 
     def work(k: int, lo: int, hi: int):
         rng = stream(base_seed, RUIN_DOMAIN, k)
-        vals = transform(sampler(rng, hi - lo))
-        return pairwise_sum(vals), pairwise_sum(vals * vals)
+        return [pairwise_sum(vals) for vals in transform(sampler(rng, hi - lo))]
 
     parts = map_blocks(B, work, threads)
-    total = pairwise_sum([p[0] for p in parts])
-    total_sq = pairwise_sum([p[1] for p in parts])
-    return total, total_sq
+    return [pairwise_sum(column) for column in zip(*parts)]
 
 
-def estimate_psi(
+def _frequency(total: float, B: int) -> EstimateWithCI:
+    """Frequency ``total / B`` with the binomial error ``sqrt(phat*(1-phat)/B)``."""
+    phat = total / B
+    return EstimateWithCI(mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / B), replicates=int(B))
+
+
+def estimate(
     params: RiskParams,
     model: BlockModel,
     group: AgentSubset,
@@ -197,18 +209,20 @@ def estimate_psi(
     base_seed: int,
     threads: int = 1,
     method: str = "auto",
-) -> EstimateWithCI:
-    """Monte-Carlo estimate of the group ruin probability.
+) -> RuinEstimate:
+    """Monte-Carlo estimates of the group ruin probability and of the tail
+    ``P(PK ratio < 1)``, read from the same PK draws in one pass.
 
-    Each replicate draws a network realisation, computes the PK ratio, and
-    contributes :func:`psi_summand`.  The default sampler draws it in
-    collapsed form for every blockmodel: the group's agent-type counts,
-    the object counts per (premium class, object type), and binomial
-    counts of connected objects (:func:`netgen.sample_group_counts`).
-    ``method="graph"`` samples the full network (types and edges) instead;
-    it is the reference with the same law on a different stream.  Output
-    is bit-identical for fixed ``(base_seed, B, method)`` regardless of
-    ``threads``.
+    Each replicate draws a network realisation and computes its PK ratio;
+    it contributes :func:`psi_summand` to ``psi`` and the indicator of a
+    ratio below 1 (a disconnected group has ratio 0) to ``tail``.  The
+    default sampler draws the ratio in collapsed form for every
+    blockmodel: the group's agent-type counts, the object counts per
+    (premium class, object type), and binomial counts of connected objects
+    (:func:`netgen.sample_group_counts`).  ``method="graph"`` samples the
+    full network (types and edges) instead; it is the reference with the
+    same law on a different stream.  Output is bit-identical for fixed
+    ``(base_seed, B, method)`` regardless of ``threads``.
 
     Args:
         params: Risk parameters; the group's total reserve must be positive.
@@ -223,23 +237,36 @@ def estimate_psi(
     Raises:
         ValueError: On ``B < 2`` or zero total reserve.
     """
-    group.validate_for(params.q)
-    if B < 2:
-        raise ValueError("need at least two replicates for a standard error")
+    sampler = _make_sampler(params, model, group, B, method)
     total_reserve = float(params.u[group.zero_based()].sum())
     if not total_reserve > 0:
         raise ValueError("total reserve must be positive")
     decay = total_reserve / proportional_r(params, group)
 
-    def transform(pk: np.ndarray) -> np.ndarray:
+    def transform(pk: np.ndarray) -> tuple[np.ndarray, ...]:
         capped = np.minimum(pk, 1.0)
-        return np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
+        psi = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
+        return psi, psi * psi, pk < 1.0
 
-    sampler = _make_sampler(params, model, group, method)
-    total, total_sq = _run_replicates(sampler, transform, B, base_seed, threads)
+    total, total_sq, below = _run_replicates(sampler, transform, B, base_seed, threads)
     mean = total / B
     var = max(0.0, (total_sq - B * mean * mean) / (B - 1))
-    return EstimateWithCI(mean=mean, stderr=math.sqrt(var / B), replicates=int(B))
+    psi = EstimateWithCI(mean=mean, stderr=math.sqrt(var / B), replicates=int(B))
+    return RuinEstimate(psi=psi, tail=_frequency(below, B))
+
+
+def estimate_psi(
+    params: RiskParams,
+    model: BlockModel,
+    group: AgentSubset,
+    B: int,
+    base_seed: int,
+    threads: int = 1,
+    method: str = "auto",
+) -> EstimateWithCI:
+    """Monte-Carlo estimate of the group ruin probability: the ``psi``
+    field of :func:`estimate`, with the same arguments and errors."""
+    return estimate(params, model, group, B, base_seed, threads, method).psi
 
 
 def estimate_tail(
@@ -253,19 +280,11 @@ def estimate_tail(
 ) -> EstimateWithCI:
     """Monte-Carlo frequency of realisations with PK ratio below 1.
 
-    A disconnected group has ratio 0 and counts toward the event.  The
+    The tail-only pass: the same draws and value as ``estimate(...).tail``,
+    without the ruin summand, so the group's total reserve may be zero.  A
+    disconnected group has ratio 0 and counts toward the event.  The
     standard error is the binomial ``sqrt(phat*(1-phat)/B)``.
     """
-    group.validate_for(params.q)
-    if B < 2:
-        raise ValueError("need at least two replicates for a standard error")
-
-    def transform(pk: np.ndarray) -> np.ndarray:
-        return (pk < 1.0).astype(np.float64)
-
-    sampler = _make_sampler(params, model, group, method)
-    total, _ = _run_replicates(sampler, transform, B, base_seed, threads)
-    phat = total / B
-    return EstimateWithCI(
-        mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / B), replicates=int(B)
-    )
+    sampler = _make_sampler(params, model, group, B, method)
+    (below,) = _run_replicates(sampler, lambda pk: (pk < 1.0,), B, base_seed, threads)
+    return _frequency(below, B)

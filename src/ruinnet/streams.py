@@ -13,6 +13,7 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -72,8 +73,8 @@ def pairwise_sum(values) -> float:
 
 def _run_tasks(fn: Callable, tasks: list[tuple], threads: int) -> list:
     """``fn(*task)`` for every task, in task order, on at most
-    ``min(threads, len(tasks))`` worker threads."""
-    workers = min(int(threads), len(tasks))
+    ``min(threads, len(tasks), os.cpu_count())`` worker threads."""
+    workers = min(int(threads), len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*t) for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:

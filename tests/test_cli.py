@@ -59,6 +59,24 @@ def degenerate_doc(**extra):
     return doc
 
 
+SBM_2X1 = {"kind": "sbm", "w": [0.5, 0.5], "v": [1.0], "p": [[0.4], [0.6]]}
+
+BAD_ESTIMATE_INPUTS = [
+    {"network": {"kind": "sbm", "w": [0.5, 0.5], "v": [1.0], "p": [[0.5], [math.nan]]}},
+    {"network": {"kind": "sbm", "w": [math.nan, 1.0], "v": [1.0], "p": [[0.5], [0.5]]}},
+    {"network": {"kind": "bernoulli", "p": math.inf}},
+    {"mu": math.nan},
+    {"reserves": [1.0, math.inf]},
+    {"lambda": math.inf},
+    {"premiums": [1.05, math.nan]},
+    {"group": {"indices": "ab"}},
+    {"threads": 0},
+]
+
+#: Overrides that turn ``degenerate_doc(q=2, d=2, ...)`` into a valid sweep.
+SWEEP_2X2 = {"group": None, "premiums": {"low": 0.95, "high": 1.05}, "ns_grid": [1]}
+
+
 class TestParseConfig:
     def test_minimal_document(self):
         cfg = parse_config(figure_doc())
@@ -312,25 +330,26 @@ class TestMainEntryPoint:
         assert self.run(["estimate", "--config", "/nonexistent.json"]) == 2
 
     @pytest.mark.parametrize(
-        "extra",
+        "command, extra",
         [
-            {"network": {"kind": "sbm", "w": [0.5, 0.5], "v": [1.0], "p": [[0.5], [math.nan]]}},
-            {"network": {"kind": "sbm", "w": [math.nan, 1.0], "v": [1.0], "p": [[0.5], [0.5]]}},
-            {"network": {"kind": "bernoulli", "p": math.inf}},
-            {"mu": math.nan},
-            {"reserves": [1.0, math.inf]},
-            {"lambda": math.inf},
-            {"premiums": [1.05, math.nan]},
-            {"group": {"indices": "ab"}},
-            {"threads": 0},
+            pytest.param("estimate", extra, id=f"extra{i}")
+            for i, extra in enumerate(BAD_ESTIMATE_INPUTS)
+        ]
+        + [
+            pytest.param("sweep", dict(SWEEP_2X2, **extra), id=f"sweep-{name}")
+            for name, extra in (
+                ("unknown-mode", {"approx_mode": "bogus"}),
+                ("few-configs", {"approx_mode": "sampled", "m_configs": 5}),
+                ("closed-form-sbm", {"approx_mode": "closed_form", "network": SBM_2X1}),
+            )
         ],
     )
-    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, extra):
+    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, extra):
         cfg_path = tmp_path / "cfg.json"
         doc = degenerate_doc(q=2, d=2, premiums=[1.05, 1.1])
         doc.update(extra)
         cfg_path.write_text(json.dumps(doc))
-        assert self.run(["estimate", "--config", str(cfg_path)]) == 2
+        assert self.run([command, "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")

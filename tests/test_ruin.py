@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
+from ruinnet.streams import BLOCK_SIZE
 from ruinnet.ruin import (
     EstimateWithCI,
     PKSample,
+    estimate,
     estimate_psi,
     estimate_tail,
     pk_sample,
@@ -198,6 +200,28 @@ class TestEstimatePsi:
         a = estimate_psi(p, m, AgentSubset.prefix(4), 10_000, 21, method="graph")
         b = estimate_psi(p, m, AgentSubset((2, 5, 7, 10)), 10_000, 21, method="graph")
         assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
+    @pytest.mark.parametrize("method", ["collapsed", "graph"])
+    def test_one_pass_matches_separate_passes(self, method, model, threads):
+        # three full blocks and a ragged one; the separate passes run on one thread
+        B = 3 * BLOCK_SIZE + 17
+        args = (two_class_params(4, 10), model, AgentSubset.prefix(3), B, 5)
+        est = estimate(*args, threads=threads, method=method)
+        assert est.psi == estimate_psi(*args, method=method)
+        assert est.tail == estimate_tail(*args, method=method)
+        assert est.replicates == B
+        assert 0.0 < est.tail.mean < 1.0
+
+    def test_zero_reserve_rejected_but_tail_only_pass_accepts_it(self):
+        p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
+        m, g = BlockModel.bernoulli(1.0), AgentSubset.prefix(1)
+        with pytest.raises(ValueError, match="reserve"):
+            estimate(p, m, g, 100, 0)
+        assert estimate_tail(p, m, g, 100, 0).mean == 1.0
 
 
 class TestEstimateTail:

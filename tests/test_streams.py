@@ -35,6 +35,9 @@ class InlinePool:
 def pool(monkeypatch):
     InlinePool.created = []
     monkeypatch.setattr(streams, "ThreadPoolExecutor", InlinePool)
+    # A CPU count above every request, so the tests below see the clamp to
+    # the task count whatever machine runs them.
+    monkeypatch.setattr(streams.os, "cpu_count", lambda: 1_000_000)
     return InlinePool
 
 
@@ -57,3 +60,13 @@ class TestPoolSize:
     def test_thread_count_kept_below_task_count(self, pool):
         map_indexed(6, lambda i: i, threads=2)
         assert pool.created == [2]
+
+    def test_clamped_to_cpu_count(self, pool, monkeypatch):
+        monkeypatch.setattr(streams.os, "cpu_count", lambda: 3)
+        assert map_indexed(8, lambda i: i, threads=10_000) == list(range(8))
+        assert pool.created == [3]
+
+    def test_unknown_cpu_count_runs_inline(self, pool, monkeypatch):
+        monkeypatch.setattr(streams.os, "cpu_count", lambda: None)
+        assert map_blocks(2 * BLOCK_SIZE, lambda k, lo, hi: k, threads=4) == [0, 1]
+        assert pool.created == []
