@@ -10,45 +10,22 @@ phase-transition sweep experiments.
 
 from .approx import (
     ApproxResult,
-    MixtureStats,
     PhaseVerdict,
     mixture_probability,
-    mixture_stats,
     normal_positive_prob,
-    p_of_config,
     phase_classify,
 )
 from .model import (
     AgentSubset,
-    LoadingVector,
     RiskParams,
     WeightMatrix,
     build_weights,
     classical_ruin,
-    compute_loadings,
     proportional_r,
 )
-from .netgen import (
-    BipartiteGraph,
-    BlockModel,
-    TypeAssignment,
-    connect_prob,
-    group_indicators,
-    sample_graph,
-    sample_types,
-)
+from .netgen import BipartiteGraph, BlockModel, TypeAssignment, sample_graph, sample_types
 from .pathsim import PathConfig, oracle_psi, ruin_frequency, simulate_ruin_path
-from .ruin import (
-    EstimateWithCI,
-    PKSample,
-    RuinEstimate,
-    estimate,
-    estimate_psi,
-    estimate_tail,
-    pk_sample,
-    pk_value,
-    psi_summand,
-)
+from .ruin import EstimateWithCI, RuinEstimate, estimate, estimate_psi, estimate_tail, psi_summand
 from .streams import StreamKey, stream
 
 __version__ = "0.1.0"
@@ -59,9 +36,6 @@ __all__ = [
     "BipartiteGraph",
     "BlockModel",
     "EstimateWithCI",
-    "LoadingVector",
-    "MixtureStats",
-    "PKSample",
     "PathConfig",
     "PhaseVerdict",
     "RiskParams",
@@ -71,20 +45,13 @@ __all__ = [
     "WeightMatrix",
     "build_weights",
     "classical_ruin",
-    "compute_loadings",
-    "connect_prob",
     "estimate",
     "estimate_psi",
     "estimate_tail",
-    "group_indicators",
     "mixture_probability",
-    "mixture_stats",
     "normal_positive_prob",
     "oracle_psi",
-    "p_of_config",
     "phase_classify",
-    "pk_sample",
-    "pk_value",
     "proportional_r",
     "psi_summand",
     "ruin_frequency",

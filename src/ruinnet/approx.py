@@ -31,9 +31,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import AgentSubset, LoadingVector, RiskParams, object_classes
+from .model import AgentSubset, RiskParams, object_classes
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
-from .streams import APPROX_DOMAIN, map_blocks, pairwise_sum, stream
+from .streams import APPROX_DOMAIN, block_totals, mean_stderr
 
 #: Constant of the Berry-Esseen-type bound for sums of independent,
 #: not identically distributed summands.
@@ -49,32 +49,6 @@ INDETERMINATE = "INDETERMINATE"
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
 MODE_CLOSED_FORM = "closed_form"
-
-
-@dataclass(frozen=True)
-class MixtureStats:
-    """Normal-component statistics of one type configuration.
-
-    Attributes:
-        mean: ``sum_j (xi_j - 1) p(c_j)``.
-        variance: ``sum_j (xi_j - 1)^2 p(c_j)(1 - p(c_j))``.
-        third_sum: ``sum_j E|Z_j(c)|^3`` (0 and ``degenerate=True`` when the
-            variance vanishes).
-        weight: Probability or sampling weight of the configuration.
-        degenerate: The component is a point mass at ``mean``.
-    """
-
-    mean: float
-    variance: float
-    third_sum: float
-    weight: float = 1.0
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if self.variance < 0 or self.third_sum < 0:
-            raise ValueError("variance and third_sum must be nonnegative")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -108,16 +82,6 @@ class PhaseVerdict:
     beta: float
 
 
-def p_of_config(model: BlockModel, agent_types, object_type: int) -> float:
-    """Conditional group-connection probability given realised types:
-    ``1 - prod_i (1 - p[s(i), t])``."""
-    s = np.asarray(agent_types, dtype=np.int64)
-    t = int(object_type)
-    if s.min(initial=0) < 0 or s.max(initial=0) >= model.K or not 0 <= t < model.L:
-        raise ValueError("type labels out of range")
-    return float(1.0 - np.prod(1.0 - model.p[s, t]))
-
-
 def normal_positive_prob(mean: float, variance: float) -> float:
     """P(N(mean, variance) > 0), i.e. Phi(mean/sqrt(variance)).
 
@@ -130,28 +94,6 @@ def normal_positive_prob(mean: float, variance: float) -> float:
     if variance == 0.0:
         return 1.0 if mean > 0 else 0.0
     return 0.5 * math.erfc(-mean / math.sqrt(2.0 * variance))
-
-
-def mixture_stats(
-    params: RiskParams,
-    loadings: LoadingVector,
-    model: BlockModel,
-    agent_types,
-    object_types,
-) -> MixtureStats:
-    """Normal-component statistics for one realised type configuration."""
-    s = np.asarray(agent_types, dtype=np.int64)
-    t = np.asarray(object_types, dtype=np.int64)
-    if t.size != params.d:
-        raise ValueError("object types must cover every object")
-    pc = 1.0 - np.prod(1.0 - model.p[s[:, None], t[None, :]], axis=0)
-    xm = loadings.xi - 1.0
-    mean = float((xm * pc).sum())
-    var = float((xm * xm * pc * (1.0 - pc)).sum())
-    if var == 0.0:
-        return MixtureStats(mean=mean, variance=0.0, third_sum=0.0, degenerate=True)
-    raw3 = float((np.abs(xm) ** 3 * (pc * (1.0 - pc) ** 3 + (1.0 - pc) * pc**3)).sum())
-    return MixtureStats(mean=mean, variance=var, third_sum=raw3 / var**1.5)
 
 
 def _stats_from_counts(
@@ -197,12 +139,11 @@ def _multinomial_weight(counts, probs: np.ndarray) -> float:
     return math.exp(log_w)
 
 
-def _agent_multisets(model: BlockModel, size_q: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Multisets of ``size_q`` iid agent types with their multinomial weights."""
-    for counts in _compositions(int(size_q), model.K):
-        weight = _multinomial_weight(counts, model.w)
-        if weight > 0.0:
-            yield counts, weight
+def _weighted_compositions(total: int, probs: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
+    """Type counts of ``total`` iid draws from ``probs``, with their positive
+    multinomial weights."""
+    weighted = ((c, _multinomial_weight(c, probs)) for c in _compositions(int(total), probs.size))
+    return [(counts, weight) for counts, weight in weighted if weight > 0.0]
 
 
 def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
@@ -219,22 +160,12 @@ def exact_enumerable(params: RiskParams, model: BlockModel, group: AgentSubset) 
     return exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
 
 
-def _object_compositions(model: BlockModel, dg: int) -> list[tuple[tuple[int, ...], float]]:
-    """Object-type counts of a class of ``dg`` objects with their multinomial weights."""
-    rows = []
-    for comp in _compositions(int(dg), model.L):
-        w_comp = _multinomial_weight(comp, model.v)
-        if w_comp > 0.0:
-            rows.append((comp, w_comp))
-    return rows
-
-
 def _enumerate_collapsed(
     model: BlockModel, xi_vals: np.ndarray, sizes: np.ndarray, size_q: int
 ) -> Iterator[tuple[float, float, float, float]]:
     """Yield ``(weight, mean, variance, raw3)`` over collapsed configurations."""
-    per_class = [_object_compositions(model, dg) for dg in sizes]
-    for m_counts, w_agent in _agent_multisets(model, size_q):
+    per_class = [_weighted_compositions(dg, model.v) for dg in sizes]
+    for m_counts, w_agent in _weighted_compositions(size_q, model.w):
         p_l = connect_given_counts(model, np.asarray(m_counts, dtype=np.int64))
         for combo in itertools.product(*per_class):
             weight = w_agent
@@ -296,35 +227,26 @@ def _sampled(
         connect, counts = sample_configurations(model, group.size, sizes, rng, rows)
         return np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (3, rows))
 
-    def work(k: int, lo: int, hi: int):
-        rng = stream(base_seed, APPROX_DOMAIN, k)
-        mean_v, var_v, raw3_v = _in_chunks(configs, rng, hi - lo, sizes.size * model.L)
+    def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
+        mean_v, var_v, raw3_v = _in_chunks(configs, rng, rows, sizes.size * model.L)
         pos = var_v > 0.0
         prob_v = np.where(pos, 0.0, (mean_v > 0).astype(np.float64))
         prob_v[pos] = [normal_positive_prob(mv, vv) for mv, vv in zip(mean_v[pos], var_v[pos])]
-        bound_v = np.zeros(hi - lo)
+        bound_v = np.zeros(rows)
         bound_v[pos] = BOUND_CONSTANT * raw3_v[pos] / var_v[pos] ** 1.5
-        return (
-            pairwise_sum(prob_v),
-            pairwise_sum(prob_v * prob_v),
-            pairwise_sum(bound_v),
-            float((~pos).sum()),
-        )
+        return prob_v, prob_v * prob_v, bound_v, ~pos
 
-    parts = map_blocks(m_configs, work, threads)
-    total = pairwise_sum([p[0] for p in parts])
-    total_sq = pairwise_sum([p[1] for p in parts])
-    total_bound = pairwise_sum([p[2] for p in parts])
-    deg_count = sum(p[3] for p in parts)
-    mean = total / m_configs
-    var = max(0.0, (total_sq - m_configs * mean * mean) / (m_configs - 1))
+    total, total_sq, total_bound, degenerate = block_totals(
+        m_configs, APPROX_DOMAIN, base_seed, draw, threads
+    )
+    probability, stderr = mean_stderr(total, total_sq, m_configs)
     return ApproxResult(
-        probability=mean,
+        probability=probability,
         stein_bound=total_bound / m_configs,
         mode=MODE_SAMPLED,
         config_count=int(m_configs),
-        sampling_stderr=math.sqrt(var / m_configs),
-        degenerate_weight=deg_count / m_configs,
+        sampling_stderr=stderr,
+        degenerate_weight=degenerate / m_configs,
     )
 
 

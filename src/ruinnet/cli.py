@@ -37,6 +37,13 @@ SEED_ENV_VAR = "RUINNET_SEED"
 DEFAULT_SEED = 42
 DEFAULT_NS_GRID = (3, 4, 5, 6)
 
+# Caps on the sample counts: the schedulers build one task list per count
+# before they sample anything, so a count must bound that list.
+MAX_REPLICATES = 2**32  # at most 2**20 replicate blocks
+MAX_M_CONFIGS = 2**32  # at most 2**20 configuration blocks
+MAX_OUTER_NETWORKS = 2**20  # one task per network
+MAX_INNER_PATHS = 2**20  # one path list per network
+
 U_SHAPE = "U_SHAPE"
 S_SHAPE = "S_SHAPE"
 FLAT = "FLAT"
@@ -210,6 +217,14 @@ def _parse_group(group) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
     raise ConfigError("group must contain 'size' or 'indices'")
 
 
+def _count(value, name: str, cap: int) -> int:
+    """``value`` as an integer count of at most ``cap``."""
+    n = int(value)
+    if n > cap:
+        raise ConfigError(f"{name} must be at most {cap}, got {n}")
+    return n
+
+
 def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a validated configuration from a JSON document plus overrides.
 
@@ -245,6 +260,8 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
 
     group = doc.get("group")
     group_size, group_indices = (None, None) if group is None else _parse_group(group)
+    if group_size is not None and group_size > q:
+        raise ConfigError(f"group size {group_size} exceeds agent count {q}")
 
     seed = overrides.get("seed")
     if seed is None:
@@ -273,6 +290,8 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     ns_grid = doc.get("ns_grid")
     if ns_grid is not None:
         ns_grid = tuple(int(x) for x in ns_grid)
+        if not ns_grid:
+            raise ConfigError("ns_grid must not be empty")
 
     return ExperimentConfig(
         lam=lam,
@@ -284,15 +303,17 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
         network=_parse_network(doc["network"], q, d),
         group_size=group_size,
         group_indices=group_indices,
-        replicates=int(replicates),
+        replicates=_count(replicates, "replicates", MAX_REPLICATES),
         seed=int(seed),
         threads=int(threads),
         ns_grid=ns_grid,
         horizon=float(doc.get("horizon", 1000.0)),
-        outer_networks=int(doc.get("outer_networks", 200)),
-        inner_paths=int(doc.get("inner_paths", 500)),
+        outer_networks=_count(
+            doc.get("outer_networks", 200), "outer_networks", MAX_OUTER_NETWORKS
+        ),
+        inner_paths=_count(doc.get("inner_paths", 500), "inner_paths", MAX_INNER_PATHS),
         approx_mode=str(doc.get("approx_mode", "auto")),
-        m_configs=int(doc.get("m_configs", 10_000)),
+        m_configs=_count(doc.get("m_configs", 10_000), "m_configs", MAX_M_CONFIGS),
     )
 
 

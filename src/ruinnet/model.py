@@ -78,14 +78,6 @@ class RiskParams:
 
 
 @dataclass(frozen=True)
-class LoadingVector:
-    """Per-object safety loadings: ``rho_j = lam*mu_j/c_j`` and ``xi_j = 1/rho_j``."""
-
-    rho: np.ndarray
-    xi: np.ndarray
-
-
-@dataclass(frozen=True)
 class AgentSubset:
     """Nonempty group of agents, stored as sorted distinct 1-based indices."""
 
@@ -147,13 +139,6 @@ class WeightMatrix:
 
     def column_sums(self) -> np.ndarray:
         return self.A.sum(axis=0)
-
-
-def compute_loadings(params: RiskParams) -> LoadingVector:
-    """Elementwise safety loadings ``rho_j = lam*mu_j/c_j`` and ``xi_j = c_j/(lam*mu_j)``."""
-    rho = params.lam * params.mu / params.c
-    xi = params.c / (params.lam * params.mu)
-    return LoadingVector(rho=rho, xi=xi)
 
 
 def object_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,16 +8,9 @@ graph.  Type labels are 0-based indices into the type-probability vectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import AgentSubset
-
-#: Largest number of terms the enumerated connection-probability oracle
-#: will expand (K^|Q| * L).
-MAX_ENUM_TERMS = 10_000_000
 
 #: Memory cap (array cells) of one vectorised draw; see :func:`_in_chunks`.
 _CHUNK_CELLS = 1 << 22
@@ -152,60 +145,6 @@ def sample_graph(model: BlockModel, types: TypeAssignment, rng: np.random.Genera
     return BipartiteGraph(incidence=inc)
 
 
-def group_indicators(graph: BipartiteGraph, group: AgentSubset) -> np.ndarray:
-    """Boolean vector: object ``j`` is connected to some agent of ``group``."""
-    group.validate_for(graph.q)
-    return graph.incidence[group.zero_based()].any(axis=0)
-
-
-def connect_prob(model: BlockModel, size_q: int) -> float:
-    """Probability that a fixed object connects to a group of ``size_q`` agents.
-
-    Uses the factorised form ``sum_l v_l * (1 - (sum_k w_k (1 - p_kl))^|Q|)``,
-    which is exact because agent types are iid.
-    """
-    if size_q < 1:
-        raise ValueError("group size must be at least 1")
-    no_edge_per_l = (model.w[:, None] * (1.0 - model.p)).sum(axis=0) ** int(size_q)
-    return float((model.v * (1.0 - no_edge_per_l)).sum())
-
-
-def connect_prob_enumerated(model: BlockModel, size_q: int) -> float:
-    """Brute-force evaluation of the group-connection probability.
-
-    Expands the full sum over agent-type tuples and object types; kept as
-    an independent oracle for :func:`connect_prob`.
-    """
-    if size_q < 1:
-        raise ValueError("group size must be at least 1")
-    if model.K**size_q * model.L > MAX_ENUM_TERMS:
-        raise ValueError("instance too large to enumerate; use connect_prob")
-    total = 0.0
-    for ks in itertools.product(range(model.K), repeat=int(size_q)):
-        w_weight = float(np.prod(model.w[list(ks)]))
-        if w_weight == 0.0:
-            continue
-        for l in range(model.L):
-            no_edge = float(np.prod(1.0 - model.p[list(ks), l]))
-            total += (1.0 - no_edge) * model.v[l] * w_weight
-    return total
-
-
-def sample_group_indicators(
-    model: BlockModel, size_q: int, d: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Fast path (one-type models): draw the group-connection indicators directly.
-
-    Under a Bernoulli network the indicators are iid with success
-    probability ``1 - (1-p)^|Q|``, so the graph itself never needs to be
-    materialised.
-    """
-    if not model.is_bernoulli:
-        raise ValueError("direct indicator sampling requires a one-type model")
-    pc = connect_prob(model, size_q)
-    return rng.random(int(d)) < pc
-
-
 def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     """Probability that an object of each type connects to a group whose
     agent-type counts are ``agent_counts``: ``1 - prod_k (1 - p_kl)^m_k``.
@@ -245,7 +184,7 @@ def sample_configurations(
     if model.K > 1:
         connect = connect_given_counts(model, rng.multinomial(int(size_q), model.w, size=n))
     else:
-        # the arithmetic of connect_prob, so one-type draws match it bit for bit
+        # every group has agent-type counts (size_q,): nothing to draw
         connect = 1.0 - (1.0 - model.p) ** int(size_q)
     if model.L > 1:
         counts = rng.multinomial(sizes, model.v, size=(n, sizes.size))
@@ -268,7 +207,7 @@ def sample_group_counts(
     ``sum_l Binomial(n_gl, connect_l)``.  This is exact in distribution:
     the law of the counts equals that of the full type + graph + indicator
     pipeline, which never needs to be materialised.  On a one-type model it
-    is the single draw ``rng.binomial(class_sizes, connect_prob(...))``.
+    is the single draw ``rng.binomial(class_sizes, 1 - (1-p)**size_q)``.
 
     Returns:
         Integer array of shape ``(replicates, len(class_sizes))``.

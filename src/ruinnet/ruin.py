@@ -23,21 +23,7 @@ import numpy as np
 from . import netgen
 from .model import AgentSubset, RiskParams, object_classes, proportional_r
 from .netgen import BlockModel
-from .streams import RUIN_DOMAIN, map_blocks, pairwise_sum, stream
-
-@dataclass(frozen=True)
-class PKSample:
-    """One draw of the Pollaczek-Khintchine ratio with its estimator summand."""
-
-    value: float
-    summand: float
-    connected_count: int
-
-    def __post_init__(self):
-        if (self.value == 0.0) != (self.connected_count == 0):
-            raise ValueError("value must be 0 exactly when no object is connected")
-        if not 0.0 <= self.summand <= 1.0:
-            raise ValueError("summand must lie in [0, 1]")
+from .streams import RUIN_DOMAIN, block_totals, mean_stderr
 
 
 @dataclass(frozen=True)
@@ -77,44 +63,24 @@ class RuinEstimate:
         return self.psi.replicates
 
 
-def pk_value(indicators, params: RiskParams) -> float:
-    """Pollaczek-Khintchine ratio for one realised indicator vector."""
-    ind = np.asarray(indicators, dtype=bool)
-    if ind.size != params.d:
-        raise ValueError("indicator length does not match object count")
-    n = int(ind.sum())
-    if n == 0:
-        return 0.0
-    return float(params.lam * n / (params.c[ind] / params.mu[ind]).sum())
-
-
-def psi_summand(pk: float, r_q: float, total_reserve: float) -> float:
-    """One replicate's contribution to the ruin-probability estimator.
+def psi_summand(pk, r_q: float, total_reserve: float):
+    """Each replicate's contribution to the ruin-probability estimator.
 
     ``pk * exp(-(1 - pk) * total_reserve / r_q)`` below 1, and 1 from 1
     upward (a realisation at or above 1 is certain ruin).  Continuous at
-    ``pk = 1``.
+    ``pk = 1``.  Elementwise over an array of ratios; a float for a scalar.
     """
     if not r_q > 0:
         raise ValueError("r_q must be positive")
     if total_reserve < 0:
         raise ValueError("total reserve must be nonnegative")
-    if pk < 0:
+    pk = np.asarray(pk, dtype=np.float64)
+    if (pk < 0).any():
         raise ValueError("pk must be nonnegative")
-    if pk >= 1.0:
-        return 1.0
-    return pk * math.exp(-(1.0 - pk) * total_reserve / r_q)
-
-
-def pk_sample(indicators, params: RiskParams, r_q: float, total_reserve: float) -> PKSample:
-    """Bundle one indicator realisation into a :class:`PKSample`."""
-    ind = np.asarray(indicators, dtype=bool)
-    value = pk_value(ind, params)
-    return PKSample(
-        value=value,
-        summand=psi_summand(value, r_q, total_reserve),
-        connected_count=int(ind.sum()),
-    )
+    decay = total_reserve / r_q
+    capped = np.minimum(pk, 1.0)
+    out = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
+    return float(out) if out.ndim == 0 else out
 
 
 def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -179,22 +145,6 @@ def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, B: 
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def _run_replicates(sampler, transform, B: int, base_seed: int, threads: int) -> list[float]:
-    """Total over ``B`` replicates of each array that ``transform(pk)`` returns.
-
-    Each block makes one sampler call on its own stream, and every total
-    is a pairwise-tree sum in replicate order, so the result is
-    independent of scheduling.
-    """
-
-    def work(k: int, lo: int, hi: int):
-        rng = stream(base_seed, RUIN_DOMAIN, k)
-        return [pairwise_sum(vals) for vals in transform(sampler(rng, hi - lo))]
-
-    parts = map_blocks(B, work, threads)
-    return [pairwise_sum(column) for column in zip(*parts)]
-
-
 def _frequency(total: float, B: int) -> EstimateWithCI:
     """Frequency ``total / B`` with the binomial error ``sqrt(phat*(1-phat)/B)``."""
     phat = total / B
@@ -241,17 +191,16 @@ def estimate(
     total_reserve = float(params.u[group.zero_based()].sum())
     if not total_reserve > 0:
         raise ValueError("total reserve must be positive")
-    decay = total_reserve / proportional_r(params, group)
+    r_q = proportional_r(params, group)
 
-    def transform(pk: np.ndarray) -> tuple[np.ndarray, ...]:
-        capped = np.minimum(pk, 1.0)
-        psi = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
+    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+        pk = sampler(rng, n)
+        psi = psi_summand(pk, r_q, total_reserve)
         return psi, psi * psi, pk < 1.0
 
-    total, total_sq, below = _run_replicates(sampler, transform, B, base_seed, threads)
-    mean = total / B
-    var = max(0.0, (total_sq - B * mean * mean) / (B - 1))
-    psi = EstimateWithCI(mean=mean, stderr=math.sqrt(var / B), replicates=int(B))
+    total, total_sq, below = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
+    mean, stderr = mean_stderr(total, total_sq, B)
+    psi = EstimateWithCI(mean=mean, stderr=stderr, replicates=int(B))
     return RuinEstimate(psi=psi, tail=_frequency(below, B))
 
 
@@ -286,5 +235,9 @@ def estimate_tail(
     standard error is the binomial ``sqrt(phat*(1-phat)/B)``.
     """
     sampler = _make_sampler(params, model, group, B, method)
-    (below,) = _run_replicates(sampler, lambda pk: (pk < 1.0,), B, base_seed, threads)
+
+    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray]:
+        return (sampler(rng, n) < 1.0,)
+
+    (below,) = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
     return _frequency(below, B)

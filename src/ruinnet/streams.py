@@ -8,11 +8,14 @@ matter how it is scheduled across workers.
 Replicated sampling is organised in fixed blocks of :data:`BLOCK_SIZE`
 replicates; block ``k`` draws from the stream ``(base_seed, domain, k)``
 and is vectorised internally.  Because the block boundaries are constants,
-results are identical for any worker count.
+results are identical for any worker count.  :func:`block_totals` is the
+one Monte-Carlo runner on these blocks, shared by the ruin estimator and
+the sampled mixture approximation.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -97,3 +100,34 @@ def map_blocks(n: int, fn: Callable[[int, int, int], object], threads: int = 1) 
 def map_indexed(n: int, fn: Callable[[int], object], threads: int = 1) -> list:
     """Apply ``fn(i)`` for ``i`` in ``[0, n)``, collecting results in index order."""
     return _run_tasks(fn, [(i,) for i in range(int(n))], threads)
+
+
+def block_totals(
+    n: int,
+    domain: int,
+    base_seed: int,
+    draw: Callable[[np.random.Generator, int], tuple],
+    threads: int = 1,
+) -> list[float]:
+    """Total over ``n`` replicates of each array that ``draw(rng, rows)`` returns.
+
+    Block ``k`` makes one ``draw`` call on the stream
+    ``(base_seed, domain, k)`` for its rows, and every total is a
+    pairwise-tree sum within the block and then across blocks, so the
+    result is independent of ``threads``.
+    """
+
+    def work(k: int, lo: int, hi: int) -> list[float]:
+        rng = stream(base_seed, domain, k)
+        return [pairwise_sum(values) for values in draw(rng, hi - lo)]
+
+    parts = map_blocks(n, work, threads)
+    return [pairwise_sum(column) for column in zip(*parts)]
+
+
+def mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from the totals of ``n`` values
+    and of their squares (the variance clipped at 0)."""
+    mean = total / n
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+    return mean, math.sqrt(var / n)

@@ -13,11 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from ruin_reference import pk_value
 from ruinnet.cli import S_SHAPE, U_SHAPE, classify_shape, cmd_sweep, main, parse_config
 from ruinnet.model import AgentSubset, RiskParams, build_weights
 from ruinnet.netgen import BipartiteGraph, BlockModel
 from ruinnet.pathsim import PathConfig, ruin_frequency
-from ruinnet.ruin import estimate_psi, estimate_tail, pk_value
+from ruinnet.ruin import estimate_psi, estimate_tail
 from ruinnet.approx import mixture_probability
 
 TABLE_NS = (49_000, 49_500, 49_900, 50_000, 50_100, 50_500, 51_000)

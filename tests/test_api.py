@@ -1,0 +1,50 @@
+"""The public API of the package: exactly these names, and each resolves.
+
+Reference implementations that only tests call live in ``tests/``; adding
+one back to the package, or dropping a public name, fails here.
+"""
+
+import ruinnet
+
+PUBLIC = {
+    "AgentSubset",
+    "ApproxResult",
+    "BipartiteGraph",
+    "BlockModel",
+    "EstimateWithCI",
+    "PathConfig",
+    "PhaseVerdict",
+    "RiskParams",
+    "RuinEstimate",
+    "StreamKey",
+    "TypeAssignment",
+    "WeightMatrix",
+    "build_weights",
+    "classical_ruin",
+    "estimate",
+    "estimate_psi",
+    "estimate_tail",
+    "mixture_probability",
+    "normal_positive_prob",
+    "oracle_psi",
+    "phase_classify",
+    "proportional_r",
+    "psi_summand",
+    "ruin_frequency",
+    "sample_graph",
+    "sample_types",
+    "simulate_ruin_path",
+    "stream",
+    "__version__",
+}
+
+
+def test_all_is_pinned():
+    assert len(ruinnet.__all__) == len(set(ruinnet.__all__))
+    assert set(ruinnet.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in ruinnet.__all__:
+        assert getattr(ruinnet, name) is not None, name
+

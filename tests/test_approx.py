@@ -10,20 +10,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from approx_reference import MixtureStats, mixture_stats, p_of_config
+from model_reference import compute_loadings
+from ruin_reference import pk_value
 from ruinnet.approx import (
     INDETERMINATE,
     TAIL_TO_ONE,
     TAIL_TO_ZERO,
-    MixtureStats,
+    _stats_from_counts,
     mixture_probability,
-    mixture_stats,
     normal_positive_prob,
-    p_of_config,
     phase_classify,
 )
-from ruinnet.model import AgentSubset, RiskParams, compute_loadings
-from ruinnet.netgen import BlockModel
-from ruinnet.ruin import pk_value
+from ruinnet.model import AgentSubset, RiskParams, object_classes
+from ruinnet.netgen import BlockModel, connect_given_counts
+from ruinnet.streams import BLOCK_SIZE
+
+
+def random_sbm(rng):
+    """Random small blockmodel; about a fifth of the edge probabilities are 0 or 1."""
+    K, L = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    p = rng.uniform(0.0, 1.0, size=(K, L))
+    p = np.where(rng.random((K, L)) < 0.2, rng.integers(0, 2, size=(K, L)), p)
+    return BlockModel(w=rng.dirichlet(np.ones(K)), v=rng.dirichlet(np.ones(L)), p=p)
 
 
 def table_params(ns, d=100_000, size_q=100):
@@ -46,6 +55,19 @@ class TestPOfConfig:
     def test_single_agent(self):
         m = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5], p=[[0.2, 0.3], [0.4, 0.5]])
         assert p_of_config(m, [1], 1) == pytest.approx(0.5)
+
+    def test_matches_connect_given_counts(self):
+        # the per-agent reference against the count form that the sampler,
+        # exact mode and sampled mode use, one batched call per model
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            model = random_sbm(rng)
+            groups = [rng.integers(0, model.K, int(rng.integers(1, 7))) for _ in range(5)]
+            counts = np.stack([np.bincount(s, minlength=model.K) for s in groups])
+            got = connect_given_counts(model, counts)
+            for s, row in zip(groups, got):
+                want = [p_of_config(model, s, t) for t in range(model.L)]
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-15)
 
 
 class TestMixtureStats:
@@ -89,6 +111,29 @@ class TestMixtureStats:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             MixtureStats(mean=0.0, variance=1.0, third_sum=0.1, weight=1.5)
+
+    def test_matches_collapsed_counts(self):
+        # the per-object reference against the per-(class, object type)
+        # statistics that exact and sampled mode compute
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            model = random_sbm(rng)
+            d = int(rng.integers(1, 9))
+            c, mu = rng.choice([0.9, 1.1, 1.3], d), rng.choice([0.5, 1.0], d)
+            params = RiskParams(lam=float(rng.uniform(0.5, 2.0)), c=c, mu=mu, u=[1.0])
+            s = rng.integers(0, model.K, int(rng.integers(1, 5)))
+            t = rng.integers(0, model.L, d)
+            ref = mixture_stats(params, compute_loadings(params), model, s, t)
+            ratio, cls, _ = object_classes(params)
+            counts = np.zeros((ratio.size, model.L))
+            np.add.at(counts, (cls, t), 1)
+            connect = connect_given_counts(model, np.bincount(s, minlength=model.K))
+            mean, var, raw3 = _stats_from_counts(ratio / params.lam, counts, connect)
+            assert mean == pytest.approx(ref.mean, rel=1e-9, abs=1e-12)
+            assert var == pytest.approx(ref.variance, rel=1e-9, abs=1e-15)
+            assert ref.degenerate == (var == 0.0)
+            if not ref.degenerate:
+                assert raw3 / var**1.5 == pytest.approx(ref.third_sum, rel=1e-9)
 
 
 class TestNormalPositiveProb:
@@ -161,6 +206,22 @@ class TestMixtureProbability:
             )
             assert abs(sa.probability - ex.probability) < 3 * sa.sampling_stderr
             assert sa.stein_bound == pytest.approx(ex.stein_bound, rel=0.05)
+
+    def test_sampled_thread_count_never_changes_result(self):
+        params = RiskParams(
+            lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05], mu=np.ones(5), u=np.ones(3)
+        )
+        model = BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.3, 0.5], [0.8, 0.2]])
+        # two full blocks and a ragged one
+        results = [
+            mixture_probability(
+                params, model, AgentSubset.prefix(2), mode="sampled",
+                m_configs=2 * BLOCK_SIZE + 100, base_seed=6, threads=threads,
+            )
+            for threads in (1, 2, 3)
+        ]
+        assert results[0] == results[1] == results[2]
+        assert results[0].config_count == 2 * BLOCK_SIZE + 100
 
     def test_sampled_requires_enough_configs(self):
         params, model, group = table_params(50_000, d=100, size_q=3)

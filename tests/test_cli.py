@@ -10,6 +10,10 @@ import pytest
 
 from ruinnet.cli import (
     FLAT,
+    MAX_INNER_PATHS,
+    MAX_M_CONFIGS,
+    MAX_OUTER_NETWORKS,
+    MAX_REPLICATES,
     S_SHAPE,
     U_SHAPE,
     ConfigError,
@@ -71,6 +75,7 @@ BAD_ESTIMATE_INPUTS = [
     {"premiums": [1.05, math.nan]},
     {"group": {"indices": "ab"}},
     {"threads": 0},
+    {"group": {"size": 1e30}},
 ]
 
 #: Overrides that turn ``degenerate_doc(q=2, d=2, ...)`` into a valid sweep.
@@ -360,6 +365,47 @@ class TestMainEntryPoint:
         cfg_path.write_text(json.dumps(degenerate_doc()))
         assert self.run(["estimate", "--config", str(cfg_path), "--threads", threads]) == 2
         assert "threads must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, cap",
+        [
+            ("replicates", MAX_REPLICATES),
+            ("m_configs", MAX_M_CONFIGS),
+            ("outer_networks", MAX_OUTER_NETWORKS),
+            ("inner_paths", MAX_INNER_PATHS),
+        ],
+    )
+    def test_counts_above_cap_exit_2_naming_the_field(self, tmp_path, capsys, field, cap):
+        assert getattr(parse_config(degenerate_doc(**{field: cap})), field) == cap
+        for value in (cap + 1, 1e30):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(degenerate_doc(**{field: value})))
+            assert self.run(["estimate", "--config", str(cfg_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {field} must be at most {cap}")
+
+    def test_replicates_flag_above_cap_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(degenerate_doc()))
+        flag = str(MAX_REPLICATES + 1)
+        assert self.run(["estimate", "--config", str(cfg_path), "--replicates", flag]) == 2
+        assert capsys.readouterr().err.startswith("error: replicates must be at most")
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("sweep", figure_doc(ns_grid=[])),
+            ("table", figure_doc(group={"size": 3}, ns_grid=[])),
+        ],
+    )
+    def test_empty_ns_grid_exits_2(self, tmp_path, capsys, command, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert self.run([command, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ns_grid must not be empty\n"
 
     def test_oracle_failure_exit_code(self, tmp_path, capsys):
         # a vanishing horizon starves the oracle, forcing an honest mismatch

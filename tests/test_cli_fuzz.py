@@ -100,7 +100,7 @@ SMALL = st.one_of(st.none(), st.integers(-3, 6), st.floats(-2.0, 2.0), st.text(m
 ODD_VALUES = st.one_of(
     st.text(max_size=4),
     st.none(),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e30]),
     st.integers(-10**6, -1),
     st.floats(-1e6, -1e-9),
     st.lists(SMALL, max_size=4),

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_reference import compute_loadings
 from ruinnet.model import (
     AgentSubset,
     RiskParams,
     build_weights,
     classical_ruin,
-    compute_loadings,
     proportional_r,
 )
 from ruinnet.netgen import BipartiteGraph

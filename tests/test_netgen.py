@@ -5,17 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
+from netgen_reference import (
+    connect_prob,
+    connect_prob_enumerated,
+    group_indicators,
+    sample_group_indicators,
+)
 from ruinnet.model import AgentSubset
 from ruinnet.netgen import (
     BipartiteGraph,
     BlockModel,
-    connect_prob,
-    connect_prob_enumerated,
-    group_indicators,
     sample_configurations,
     sample_graph,
     sample_group_counts,
-    sample_group_indicators,
     sample_types,
 )
 from ruinnet.streams import stream

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ruinnet.model import AgentSubset, RiskParams, proportional_r
+from ruin_reference import pk_value
+from ruinnet.model import AgentSubset, RiskParams, object_classes, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.streams import BLOCK_SIZE
 from ruinnet.ruin import (
     EstimateWithCI,
-    PKSample,
+    _pk_from_counts,
     estimate,
     estimate_psi,
     estimate_tail,
-    pk_sample,
-    pk_value,
     psi_summand,
 )
 
@@ -49,6 +48,20 @@ class TestPKValue:
         p = RiskParams(lam=1.0, c=[0.95], mu=[1.0], u=[1.0])
         assert pk_value([True], p) == pytest.approx(1.0526315789, abs=1e-9)
 
+    def test_matches_class_counts(self):
+        # the per-object reference against the per-class count form both
+        # samplers use
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            d = int(rng.integers(1, 10))
+            c, mu = rng.choice([0.9, 1.0, 1.2], d), rng.choice([0.5, 1.0, 2.0], d)
+            params = RiskParams(lam=float(rng.uniform(0.5, 2.0)), c=c, mu=mu, u=[1.0])
+            ratio, cls, _ = object_classes(params)
+            ind = rng.random((20, d)) < 0.5
+            counts = np.stack([np.bincount(cls[row], minlength=ratio.size) for row in ind])
+            got = _pk_from_counts(params.lam, counts, ratio)
+            np.testing.assert_allclose(got, [pk_value(row, params) for row in ind], rtol=1e-12)
+
 
 class TestPsiSummand:
     def test_no_connection_contributes_nothing(self):
@@ -76,21 +89,6 @@ class TestPsiSummand:
         assert 0.0 <= val <= 1.0
         if pk >= 1.0:
             assert val == 1.0
-
-
-class TestPKSample:
-    def test_bundles_value_and_summand(self):
-        p = RiskParams(lam=1.0, c=[0.95, 1.05], mu=[1.0, 1.0], u=[1.0])
-        s = pk_sample([True, False], p, r_q=1.0, total_reserve=1.0)
-        assert s.connected_count == 1
-        assert s.value == pytest.approx(1 / 0.95)
-        assert s.summand == 1.0
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PKSample(value=0.0, summand=0.0, connected_count=2)
-        with pytest.raises(ValueError):
-            PKSample(value=0.5, summand=1.3, connected_count=1)
 
 
 class TestEstimatePsi:
@@ -188,8 +186,7 @@ class TestEstimatePsi:
                 n_edges = int(inc.sum())
                 prob = edge_p**n_edges * (1 - edge_p) ** (q * d - n_edges)
                 ind = inc[group.zero_based()].any(axis=0)
-                s = pk_sample(ind, params, r_q, reserve)
-                exact += prob * s.summand
+                exact += prob * psi_summand(pk_value(ind, params), r_q, reserve)
             est = estimate_psi(params, BlockModel.bernoulli(edge_p), group, 100_000, 7)
             assert abs(est.mean - exact) < 5 * max(est.stderr, 1e-9)
 
