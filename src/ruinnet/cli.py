@@ -1,11 +1,16 @@
-"""Command-line surface: experiment configuration, orchestration, and the
-table/sweep/oracle experiment reproductions.
+"""Command-line surface: experiment configuration, the command table, and
+the table/sweep/oracle experiment reproductions.
 
 Subcommands:
     estimate  ruin and tail estimates for one configured group
     sweep     ruin estimates over group sizes 1..q (CSV, optional SVG)
     table     closed-form bound/approximation vs Monte-Carlo tail estimate
     oracle    cross-validate the ruin estimator against path simulation
+
+``COMMANDS`` maps each subcommand to its help text, runner, output fields,
+CSV comment, and whether it prints one row or many; ``main`` builds the
+parser from it and prints every result in one step.  A ``ValueError`` from
+the config or from any library call is caught once, in ``main``: exit 2.
 
 Exit codes: 0 success, 2 configuration error, 3 oracle mismatch.
 """
@@ -15,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +49,9 @@ MAX_REPLICATES = 2**32  # at most 2**20 replicate blocks
 MAX_M_CONFIGS = 2**32  # at most 2**20 configuration blocks
 MAX_OUTER_NETWORKS = 2**20  # one task per network
 MAX_INNER_PATHS = 2**20  # one path list per network
+# An oracle path that never ruins simulates every claim up to the horizon,
+# lam * d * horizon of them on average.
+MAX_CLAIMS_PER_PATH = 2**20
 
 U_SHAPE = "U_SHAPE"
 S_SHAPE = "S_SHAPE"
@@ -99,9 +108,6 @@ class SweepRow:
     approx_prob: float
     stein_bound: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
 
@@ -119,8 +125,7 @@ class ExperimentConfig:
     mu: np.ndarray
     reserves: np.ndarray
     network: BlockModel
-    group_size: Optional[int]
-    group_indices: Optional[tuple[int, ...]]
+    group: Optional[AgentSubset]  # None: every agent, or every size in a sweep
     replicates: int
     seed: int
     threads: int
@@ -133,27 +138,7 @@ class ExperimentConfig:
 
     def risk_params(self, ns_override: Optional[int] = None) -> RiskParams:
         c = self.premiums.resolve(self.d, ns_override)
-        try:
-            return RiskParams(lam=self.lam, c=c, mu=self.mu, u=self.reserves)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def group(self) -> AgentSubset:
-        try:
-            if self.group_indices is not None:
-                subset = AgentSubset(self.group_indices)
-            elif self.group_size is not None:
-                subset = AgentSubset.prefix(self.group_size)
-            else:
-                subset = AgentSubset.prefix(self.q)
-            subset.validate_for(self.q)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return subset
-
-    @property
-    def has_group(self) -> bool:
-        return self.group_size is not None or self.group_indices is not None
+        return RiskParams(lam=self.lam, c=c, mu=self.mu, u=self.reserves)
 
 
 def _broadcast(value, length: int, name: str) -> np.ndarray:
@@ -165,6 +150,20 @@ def _broadcast(value, length: int, name: str) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str, cap: Optional[int] = None) -> int:
+    """``value`` as an int: an integer or an integral float such as ``1e5``,
+    never a bool, and at most ``cap`` when one is given."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    n = int(value)
+    if cap is not None and n > cap:
+        raise ConfigError(f"{name} must be at most {cap}, got {n}")
+    return n
+
+
 def _parse_network(spec, q: int, d: int) -> BlockModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("network must be an object with a 'kind' field")
@@ -174,9 +173,9 @@ def _parse_network(spec, q: int, d: int) -> BlockModel:
             return BlockModel.bernoulli(float(spec["p"]))
         if kind == "sbm":
             model = BlockModel(w=spec["w"], v=spec["v"], p=spec["p"])
-            if "K" in spec and int(spec["K"]) != model.K:
+            if "K" in spec and _integer(spec["K"], "network.K") != model.K:
                 raise ConfigError(f"K={spec['K']} does not match w of length {model.K}")
-            if "L" in spec and int(spec["L"]) != model.L:
+            if "L" in spec and _integer(spec["L"], "network.L") != model.L:
                 raise ConfigError(f"L={spec['L']} does not match v of length {model.L}")
             return model
     except ConfigError:
@@ -199,30 +198,26 @@ def _parse_premiums(spec, d: int) -> PremiumSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("two-value premiums need numeric 'low' and 'high'") from exc
         ns = spec.get("ns")
-        return PremiumSpec(low=low, high=high, ns=None if ns is None else int(ns))
+        ns = None if ns is None else _integer(ns, "premiums.ns")
+        return PremiumSpec(low=low, high=high, ns=ns)
     raise ConfigError("premiums must be a vector or a {low, high, ns} object")
 
 
-def _parse_group(group) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
-    """``(size, indices)`` of a ``group`` spec; exactly one is set."""
+def _parse_group(group, q: int) -> AgentSubset:
+    """The agents a ``group`` spec selects, checked against ``q``."""
     if not isinstance(group, dict):
         raise ConfigError("group must be an object with 'size' or 'indices'")
-    try:
-        if "indices" in group:
-            return None, tuple(int(i) for i in group["indices"])
-        if "size" in group:
-            return int(group["size"]), None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"group size and indices must be integers: {exc}") from exc
-    raise ConfigError("group must contain 'size' or 'indices'")
-
-
-def _count(value, name: str, cap: int) -> int:
-    """``value`` as an integer count of at most ``cap``."""
-    n = int(value)
-    if n > cap:
-        raise ConfigError(f"{name} must be at most {cap}, got {n}")
-    return n
+    if "indices" in group:
+        subset = AgentSubset(tuple(_integer(i, "group.indices") for i in group["indices"]))
+    elif "size" in group:
+        size = _integer(group["size"], "group.size")
+        if size > q:
+            raise ConfigError(f"group size {size} exceeds agent count {q}")
+        subset = AgentSubset.prefix(size)
+    else:
+        raise ConfigError("group must contain 'size' or 'indices'")
+    subset.validate_for(q)
+    return subset
 
 
 def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -246,8 +241,8 @@ def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
 
 def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     try:
-        q = int(doc["q"])
-        d = int(doc["d"])
+        q = _integer(doc["q"], "q")
+        d = _integer(doc["d"], "d")
         lam = float(doc.get("lambda", doc.get("lam", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid or missing q/d/lambda: {exc}") from exc
@@ -259,9 +254,6 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
         raise ConfigError("missing 'network'")
 
     group = doc.get("group")
-    group_size, group_indices = (None, None) if group is None else _parse_group(group)
-    if group_size is not None and group_size > q:
-        raise ConfigError(f"group size {group_size} exceeds agent count {q}")
 
     seed = overrides.get("seed")
     if seed is None:
@@ -273,9 +265,8 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
                 seed = int(env)
             except ValueError as exc:
                 raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-    if seed is None:
-        seed = DEFAULT_SEED
-    if int(seed) < 0:
+    seed = DEFAULT_SEED if seed is None else _integer(seed, "seed")
+    if seed < 0:
         raise ConfigError("seed must be nonnegative")
 
     replicates = overrides.get("replicates")
@@ -284,12 +275,13 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     threads = overrides.get("threads")
     if threads is None:
         threads = doc.get("threads", 1)
-    if int(threads) < 1:
+    threads = _integer(threads, "threads")
+    if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
 
     ns_grid = doc.get("ns_grid")
     if ns_grid is not None:
-        ns_grid = tuple(int(x) for x in ns_grid)
+        ns_grid = tuple(_integer(x, "ns_grid") for x in ns_grid)
         if not ns_grid:
             raise ConfigError("ns_grid must not be empty")
 
@@ -301,19 +293,18 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
         mu=_broadcast(doc.get("mu", 1.0), d, "mu"),
         reserves=_broadcast(doc.get("reserves", 0.0), q, "reserves"),
         network=_parse_network(doc["network"], q, d),
-        group_size=group_size,
-        group_indices=group_indices,
-        replicates=_count(replicates, "replicates", MAX_REPLICATES),
-        seed=int(seed),
-        threads=int(threads),
+        group=None if group is None else _parse_group(group, q),
+        replicates=_integer(replicates, "replicates", MAX_REPLICATES),
+        seed=seed,
+        threads=threads,
         ns_grid=ns_grid,
         horizon=float(doc.get("horizon", 1000.0)),
-        outer_networks=_count(
+        outer_networks=_integer(
             doc.get("outer_networks", 200), "outer_networks", MAX_OUTER_NETWORKS
         ),
-        inner_paths=_count(doc.get("inner_paths", 500), "inner_paths", MAX_INNER_PATHS),
+        inner_paths=_integer(doc.get("inner_paths", 500), "inner_paths", MAX_INNER_PATHS),
         approx_mode=str(doc.get("approx_mode", "auto")),
-        m_configs=_count(doc.get("m_configs", 10_000), "m_configs", MAX_M_CONFIGS),
+        m_configs=_integer(doc.get("m_configs", 10_000), "m_configs", MAX_M_CONFIGS),
     )
 
 
@@ -351,12 +342,8 @@ def _approx_point(cfg: ExperimentConfig, params: RiskParams, group: AgentSubset)
 
 def cmd_estimate(cfg: ExperimentConfig) -> dict:
     """Ruin and tail estimates for the configured group."""
-    params = cfg.risk_params()
-    group = cfg.group()
-    try:
-        est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    group = cfg.group or AgentSubset.prefix(cfg.q)
+    est = estimate(cfg.risk_params(), cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
     return {
         "psi_hat": est.psi.mean,
         "stderr": est.psi.stderr,
@@ -364,38 +351,35 @@ def cmd_estimate(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Sweep the group size 1..q for every ns in the grid."""
-    if cfg.has_group:
+def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """Sweep the group size 1..q for every ns in the grid: one
+    :class:`SweepRow`, as a dict, per point."""
+    if cfg.group is not None:
         raise ConfigError("sweep ranges over group sizes; leave 'group' unset")
     if not cfg.premiums.is_two_value:
         raise ConfigError("sweep requires the two-value premium scheme")
     grid = cfg.ns_grid or DEFAULT_NS_GRID
-    rows: list[SweepRow] = []
+    rows = []
     for ns in grid:
         params = cfg.risk_params(ns_override=ns)
         for k in range(1, cfg.q + 1):
             group = AgentSubset.prefix(k)
-            try:
-                est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
-                ap = _approx_point(cfg, params, group)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+            ap = _approx_point(cfg, params, group)
             psi = est.psi
-            rows.append(
-                SweepRow(
-                    qsize=k,
-                    ns=int(ns),
-                    psi_hat=psi.mean,
-                    stderr=psi.stderr,
-                    ci_lo=psi.mean - psi.halfwidth,
-                    ci_hi=psi.mean + psi.halfwidth,
-                    log10_psi=math.log10(psi.mean) if psi.mean > 0 else None,
-                    tail_hat=est.tail.mean,
-                    approx_prob=ap.probability,
-                    stein_bound=ap.stein_bound,
-                )
+            row = SweepRow(
+                qsize=k,
+                ns=int(ns),
+                psi_hat=psi.mean,
+                stderr=psi.stderr,
+                ci_lo=psi.mean - psi.halfwidth,
+                ci_hi=psi.mean + psi.halfwidth,
+                log10_psi=math.log10(psi.mean) if psi.mean > 0 else None,
+                tail_hat=est.tail.mean,
+                approx_prob=ap.probability,
+                stein_bound=ap.stein_bound,
             )
+            rows.append(asdict(row))
     return rows
 
 
@@ -407,17 +391,12 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
         raise ConfigError("table mode requires an ns_grid")
     if not cfg.premiums.is_two_value:
         raise ConfigError("table mode requires the two-value premium scheme")
-    group = cfg.group()
+    group = cfg.group or AgentSubset.prefix(cfg.q)
     rows = []
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
-        try:
-            ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_CLOSED_FORM)
-            tail = estimate_tail(
-                params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_CLOSED_FORM)
+        tail = estimate_tail(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
         rows.append(
             {
                 "ns": int(ns),
@@ -436,21 +415,23 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
     if cfg.q * cfg.d > 100:
         raise ConfigError("oracle mode limited to small instances (q*d <= 100)")
     params = cfg.risk_params()
-    group = cfg.group()
-    try:
-        psi = estimate_psi(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
-        oracle = oracle_psi(
-            params,
-            cfg.network,
-            group,
-            horizon=cfg.horizon,
-            outer_networks=cfg.outer_networks,
-            inner_paths=cfg.inner_paths,
-            base_seed=cfg.seed,
-            threads=cfg.threads,
+    if params.lam * params.d * cfg.horizon > MAX_CLAIMS_PER_PATH:
+        raise ConfigError(
+            f"horizon must keep lambda*d*horizon at most {MAX_CLAIMS_PER_PATH} "
+            f"expected claims per path, got horizon {cfg.horizon:g}"
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    group = cfg.group or AgentSubset.prefix(cfg.q)
+    psi = estimate_psi(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+    oracle = oracle_psi(
+        params,
+        cfg.network,
+        group,
+        horizon=cfg.horizon,
+        outer_networks=cfg.outer_networks,
+        inner_paths=cfg.inner_paths,
+        base_seed=cfg.seed,
+        threads=cfg.threads,
+    )
     discrepancy = abs(psi.mean - oracle.mean)
     tolerance = max(0.02, 4.0 * math.hypot(psi.stderr, oracle.stderr))
     return {
@@ -505,6 +486,41 @@ def classify_shape(rows: Sequence[SweepRow]) -> str:
 # --- entry point -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner and how its result is printed."""
+
+    help: str
+    run: Callable[[ExperimentConfig], Union[dict, list[dict]]]
+    fields: tuple[str, ...]
+    comment: Optional[str] = None
+    many: bool = False  # the runner returns a list of rows, not one result
+
+
+COMMANDS = {
+    "estimate": Command(
+        "ruin/tail estimate for one configured group",
+        cmd_estimate,
+        ("psi_hat", "stderr", "tail_hat"),
+    ),
+    "sweep": Command(
+        "sweep group sizes 1..q over an ns grid",
+        cmd_sweep,
+        SWEEP_FIELDS,
+        comment="log10_psi uses base-10 logarithm",
+        many=True,
+    ),
+    "table": Command(
+        "bound/approximation table vs Monte-Carlo estimates", cmd_table, TABLE_FIELDS, many=True
+    ),
+    "oracle": Command(
+        "cross-check the estimator against path simulation",
+        cmd_oracle,
+        ("psi_hat", "psi_stderr", "oracle", "oracle_stderr", "discrepancy", "tolerance", "pass"),
+    ),
+}
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -513,25 +529,14 @@ def _write_text(path: Optional[str], text: str) -> None:
         fh.write(text)
 
 
-def _report_text(report: dict, fieldnames: Sequence[str], fmt_name: str) -> str:
-    if fmt_name == "json":
-        return json.dumps({k: report[k] for k in fieldnames}, indent=2, sort_keys=True) + "\n"
-    return render_csv(fieldnames, [report])
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruinnet",
         description="Group ruin probabilities on random bipartite insurance networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("estimate", "ruin/tail estimate for one configured group"),
-        ("sweep", "sweep group sizes 1..q over an ns grid"),
-        ("table", "bound/approximation table vs Monte-Carlo estimates"),
-        ("oracle", "cross-check the estimator against path simulation"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="override base seed")
         cmd.add_argument(
@@ -549,57 +554,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "replicates": args.replicates,
-        "threads": args.threads,
-    }
+    command = COMMANDS[args.command]
+    overrides = {k: getattr(args, k) for k in ("seed", "replicates", "threads")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "estimate":
-            report = cmd_estimate(cfg)
-            _write_text(args.out, _report_text(report, ("psi_hat", "stderr", "tail_hat"), args.format))
-        elif args.command == "sweep":
-            rows = cmd_sweep(cfg)
-            dicts = [r.as_dict() for r in rows]
-            if args.format == "json":
-                text = json.dumps(dicts, indent=2, sort_keys=True) + "\n"
-            else:
-                text = render_csv(SWEEP_FIELDS, dicts, comment="log10_psi uses base-10 logarithm")
-            _write_text(args.out, text)
-            if args.svg:
-                _write_text(args.svg, sweep_svg(dicts))
-        elif args.command == "table":
-            rows = cmd_table(cfg)
-            if args.format == "json":
-                text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-            else:
-                text = render_csv(TABLE_FIELDS, rows)
-            _write_text(args.out, text)
-        elif args.command == "oracle":
-            report = cmd_oracle(cfg)
-            fields = (
-                "psi_hat",
-                "psi_stderr",
-                "oracle",
-                "oracle_stderr",
-                "discrepancy",
-                "tolerance",
-                "pass",
-            )
-            _write_text(args.out, _report_text(report, fields, args.format))
-            status = "PASS" if report["pass"] else "FAIL"
-            print(
-                f"oracle {status}: discrepancy {fmt(report['discrepancy'])} "
-                f"vs tolerance {fmt(report['tolerance'])}",
-                file=sys.stderr,
-            )
-            if not report["pass"]:
-                return EXIT_ORACLE
-    except ConfigError as exc:
+        result = command.run(load_config(args.config, overrides))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.format == "json":
+        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    else:
+        rows = result if command.many else [result]
+        text = render_csv(command.fields, rows, comment=command.comment)
+    _write_text(args.out, text)
+    if getattr(args, "svg", None):
+        _write_text(args.svg, sweep_svg(result))
+    if args.command == "oracle":
+        status = "PASS" if result["pass"] else "FAIL"
+        print(
+            f"oracle {status}: discrepancy {fmt(result['discrepancy'])} "
+            f"vs tolerance {fmt(result['tolerance'])}",
+            file=sys.stderr,
+        )
+        return EXIT_OK if result["pass"] else EXIT_ORACLE
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ruin_reference import pk_value
-from ruinnet.cli import S_SHAPE, U_SHAPE, classify_shape, cmd_sweep, main, parse_config
+from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, cmd_sweep, main, parse_config
 from ruinnet.model import AgentSubset, RiskParams, build_weights
 from ruinnet.netgen import BipartiteGraph, BlockModel
 from ruinnet.pathsim import PathConfig, ruin_frequency
@@ -173,7 +173,7 @@ def test_criterion_6_phase_transition_shapes():
         "seed": 42,
         "ns_grid": [4, 5, 6],
     }
-    rows = cmd_sweep(parse_config(doc))
+    rows = [SweepRow(**r) for r in cmd_sweep(parse_config(doc))]
     shapes = {}
     for ns in (4, 5, 6):
         panel = [r for r in rows if r.ns == ns]

@@ -4,6 +4,8 @@ the shape classifier."""
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,45 @@ BAD_ESTIMATE_INPUTS = [
 #: Overrides that turn ``degenerate_doc(q=2, d=2, ...)`` into a valid sweep.
 SWEEP_2X2 = {"group": None, "premiums": {"low": 0.95, "high": 1.05}, "ns_grid": [1]}
 
+#: Overrides that turn ``degenerate_doc(q=2, d=2, ...)`` into a valid table.
+TABLE_2X2 = {"premiums": {"low": 0.95, "high": 1.05}, "ns_grid": [1]}
+
+#: Positive drift on every path and an unbounded horizon: without a cap on
+#: the expected claims per path, ``oracle`` never returns.
+ENDLESS_HORIZON = {"premiums": [3.0, 3.0], "horizon": 1e30}
+
+#: ``(command, field, overrides)``: one non-integral, boolean or too large
+#: value on ``degenerate_doc(q=2, d=2, ...)`` and the field the error names.
+NAMED_FIELD_INPUTS = [
+    ("estimate", "q", {"q": 2.5}),
+    ("estimate", "d", {"d": 2.5}),
+    ("estimate", "seed", {"seed": True}),
+    ("estimate", "seed", {"seed": 1.5}),
+    ("estimate", "replicates", {"replicates": 1000.9}),
+    ("estimate", "threads", {"threads": 1.9}),
+    ("estimate", "premiums.ns", {"premiums": {"low": 0.95, "high": 1.05, "ns": 1.5}}),
+    ("estimate", "group.size", {"group": {"size": 1.5}}),
+    ("estimate", "group.indices", {"group": {"indices": [1.5]}}),
+    ("estimate", "network.K", {"network": dict(SBM_2X1, K=2.5)}),
+    ("estimate", "network.L", {"network": dict(SBM_2X1, L=True)}),
+    ("sweep", "ns_grid", dict(SWEEP_2X2, ns_grid=[1.5])),
+    ("sweep", "m_configs", dict(SWEEP_2X2, m_configs=200.5)),
+    ("oracle", "outer_networks", {"outer_networks": 3.5}),
+    ("oracle", "inner_paths", {"inner_paths": 2.5}),
+    ("oracle", "horizon", ENDLESS_HORIZON),
+]
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_main(tmp_path, capsys, command, doc):
+    """``main`` on ``doc`` written to a config file: (exit code, stdout, stderr)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc = main([command, "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
 
 class TestParseConfig:
     def test_minimal_document(self):
@@ -134,9 +175,15 @@ class TestParseConfig:
         monkeypatch.delenv("RUINNET_SEED")
         assert parse_config(doc).seed == 42
 
+    def test_integral_floats_are_accepted(self):
+        doc = figure_doc(q=10.0, replicates=1e3, seed=42.0, ns_grid=[4.0], group={"size": 3.0})
+        cfg = parse_config(doc)
+        assert (cfg.q, cfg.replicates, cfg.seed, cfg.ns_grid) == (10, 1000, 42, (4,))
+        assert cfg.group.size == 3
+
     def test_group_indices(self):
         cfg = parse_config(figure_doc(group={"indices": [2, 5, 9]}))
-        assert cfg.group().indices == (2, 5, 9)
+        assert cfg.group.indices == (2, 5, 9)
 
 
 class TestCmdEstimate:
@@ -146,9 +193,11 @@ class TestCmdEstimate:
         assert report["stderr"] <= 1e-12
         assert report["tail_hat"] == 1.0
 
-    def test_rejects_zero_reserve(self):
-        with pytest.raises(ConfigError, match="reserve"):
-            cmd_estimate(parse_config(degenerate_doc(reserves=0.0)))
+    def test_rejects_zero_reserve(self, tmp_path, capsys):
+        rc, out, err = run_main(tmp_path, capsys, "estimate", degenerate_doc(reserves=0.0))
+        assert rc == 2
+        assert out == ""
+        assert "reserve" in err
 
     def test_two_value_scheme_needs_ns(self):
         cfg = parse_config(figure_doc(group={"size": 10}, replicates=10_000))
@@ -180,7 +229,7 @@ class TestCmdSweep:
             "seed": 3,
             "ns_grid": [2],
         }
-        rows = cmd_sweep(parse_config(doc))
+        rows = [SweepRow(**r) for r in cmd_sweep(parse_config(doc))]
         assert len(rows) == 1 and rows[0].qsize == 1
         est_doc = dict(doc, group={"size": 1})
         est_doc["premiums"] = {"low": 0.95, "high": 1.05, "ns": 2}
@@ -189,7 +238,7 @@ class TestCmdSweep:
 
     def test_rows_cover_grid(self):
         cfg = parse_config(figure_doc(replicates=500, ns_grid=[4, 6]))
-        rows = cmd_sweep(cfg)
+        rows = [SweepRow(**r) for r in cmd_sweep(cfg)]
         assert len(rows) == 20
         assert {r.ns for r in rows} == {4, 6}
         assert [r.qsize for r in rows if r.ns == 4] == list(range(1, 11))
@@ -298,7 +347,7 @@ class TestOutputFormats:
         assert lines[2] == '1.5,"say ""hi"""'
 
     def test_svg_well_formed_and_complete(self):
-        rows = [r.as_dict() for r in make_rows([0.5, 0.4, 0.45, 0.6, 0.8])]
+        rows = [asdict(r) for r in make_rows([0.5, 0.4, 0.45, 0.6, 0.8])]
         svg = sweep_svg(rows)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
@@ -347,6 +396,15 @@ class TestMainEntryPoint:
                 ("few-configs", {"approx_mode": "sampled", "m_configs": 5}),
                 ("closed-form-sbm", {"approx_mode": "closed_form", "network": SBM_2X1}),
             )
+        ]
+        + [
+            pytest.param(command, extra, id=name)
+            for name, command, extra in (
+                ("table-one-replicate", "table", dict(TABLE_2X2, replicates=1)),
+                ("oracle-one-network", "oracle", {"outer_networks": 1}),
+                ("oracle-no-paths", "oracle", {"inner_paths": 0}),
+                ("oracle-endless-horizon", "oracle", ENDLESS_HORIZON),
+            )
         ],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, extra):
@@ -358,6 +416,19 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, field, extra",
+        [pytest.param(*case, id=f"{case[1]}-{i}") for i, case in enumerate(NAMED_FIELD_INPUTS)],
+    )
+    def test_rejected_field_is_named(self, tmp_path, capsys, command, field, extra):
+        doc = degenerate_doc(q=2, d=2, premiums=[1.05, 1.1])
+        doc.update(extra)
+        rc, out, err = run_main(tmp_path, capsys, command, doc)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"{field} must " in err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_rejects_nonpositive_thread_flag(self, tmp_path, capsys, threads):
@@ -504,3 +575,27 @@ class TestMainEntryPoint:
         assert rc == 0
         report = json.loads(out.read_text())
         assert set(report) == {"psi_hat", "stderr", "tail_hat"}
+
+
+class TestGoldenOutput:
+    """stdout of every command in both formats, and the sweep SVG, pinned
+    byte for byte on the tiny configs in ``tests/golden/<command>/``.
+
+    Each file is the output of ``ruinnet <command> --config
+    tests/golden/<command>/config.json --format <csv|json>`` (for sweep
+    also ``--svg tests/golden/sweep/plot.svg``).  Rewrite a file only for
+    an output change that is meant.
+    """
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "table", "oracle"])
+    def test_stdout_matches_golden(self, tmp_path, capsys, command, fmt_name):
+        case = GOLDEN / command
+        args = [command, "--config", str(case / "config.json"), "--format", fmt_name]
+        if command == "sweep":
+            args += ["--svg", str(tmp_path / "plot.svg")]
+        assert main(args) == 0
+        expected = (case / f"stdout.{fmt_name}").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        if command == "sweep":
+            assert (tmp_path / "plot.svg").read_bytes() == (case / "plot.svg").read_bytes()
