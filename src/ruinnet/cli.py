@@ -10,7 +10,8 @@ Subcommands:
 ``COMMANDS`` maps each subcommand to its help text, runner, output fields,
 CSV comment, and whether it prints one row or many; ``main`` builds the
 parser from it and prints every result in one step.  A ``ValueError`` from
-the config or from any library call is caught once, in ``main``: exit 2.
+the config, from any library call or from writing ``--out``/``--svg`` is
+caught once, in ``main``: exit 2.
 
 Exit codes: 0 success, 2 configuration error, 3 oracle mismatch.
 """
@@ -141,15 +142,6 @@ class ExperimentConfig:
         return RiskParams(lam=self.lam, c=c, mu=self.mu, u=self.reserves)
 
 
-def _broadcast(value, length: int, name: str) -> np.ndarray:
-    if isinstance(value, (int, float)):
-        return np.full(length, float(value))
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (length,):
-        raise ConfigError(f"{name} must be a scalar or a vector of length {length}")
-    return arr
-
-
 def _integer(value, name: str, cap: Optional[int] = None) -> int:
     """``value`` as an int: an integer or an integral float such as ``1e5``,
     never a bool, and at most ``cap`` when one is given."""
@@ -164,15 +156,35 @@ def _integer(value, name: str, cap: Optional[int] = None) -> int:
     return n
 
 
+def _real(value, name: str, vector: bool = False):
+    """``value`` as a float: a JSON number, never a bool, a string or null.
+    With ``vector``, (nested) lists of numbers too, as a float array."""
+    if vector and isinstance(value, (list, tuple)):
+        return np.asarray([_real(x, name, vector) for x in value], dtype=np.float64)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _broadcast(value, length: int, name: str) -> np.ndarray:
+    arr = _real(value, name, vector=True)
+    if np.ndim(arr) == 0:
+        return np.full(length, arr)
+    if arr.shape != (length,):
+        raise ConfigError(f"{name} must be a scalar or a vector of length {length}")
+    return arr
+
+
 def _parse_network(spec, q: int, d: int) -> BlockModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("network must be an object with a 'kind' field")
     kind = spec["kind"]
     try:
         if kind == "bernoulli":
-            return BlockModel.bernoulli(float(spec["p"]))
+            return BlockModel.bernoulli(_real(spec["p"], "network.p"))
         if kind == "sbm":
-            model = BlockModel(w=spec["w"], v=spec["v"], p=spec["p"])
+            w, v, p = (_real(spec[key], f"network.{key}", vector=True) for key in "wvp")
+            model = BlockModel(w=w, v=v, p=p)
             if "K" in spec and _integer(spec["K"], "network.K") != model.K:
                 raise ConfigError(f"K={spec['K']} does not match w of length {model.K}")
             if "L" in spec and _integer(spec["L"], "network.L") != model.L:
@@ -187,16 +199,15 @@ def _parse_network(spec, q: int, d: int) -> BlockModel:
 
 def _parse_premiums(spec, d: int) -> PremiumSpec:
     if isinstance(spec, (list, tuple)):
-        vec = tuple(float(x) for x in spec)
-        if len(vec) != d:
+        vec = _real(spec, "premiums", vector=True)
+        if vec.shape != (d,):
             raise ConfigError(f"premium vector must have length {d}")
-        return PremiumSpec(vector=vec)
+        return PremiumSpec(vector=tuple(vec.tolist()))
     if isinstance(spec, dict):
-        try:
-            low = float(spec["low"])
-            high = float(spec["high"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("two-value premiums need numeric 'low' and 'high'") from exc
+        if "low" not in spec or "high" not in spec:
+            raise ConfigError("two-value premiums need numeric 'low' and 'high'")
+        low = _real(spec["low"], "premiums.low")
+        high = _real(spec["high"], "premiums.high")
         ns = spec.get("ns")
         ns = None if ns is None else _integer(ns, "premiums.ns")
         return PremiumSpec(low=low, high=high, ns=ns)
@@ -243,9 +254,9 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     try:
         q = _integer(doc["q"], "q")
         d = _integer(doc["d"], "d")
-        lam = float(doc.get("lambda", doc.get("lam", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid or missing q/d/lambda: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"missing q/d: {exc}") from exc
+    lam = _real(doc.get("lambda", doc.get("lam", 1.0)), "lambda")
     if q < 1 or d < 1:
         raise ConfigError("q and d must be at least 1")
     if "premiums" not in doc:
@@ -298,7 +309,7 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
         seed=seed,
         threads=threads,
         ns_grid=ns_grid,
-        horizon=float(doc.get("horizon", 1000.0)),
+        horizon=_real(doc.get("horizon", 1000.0), "horizon"),
         outer_networks=_integer(
             doc.get("outer_networks", 200), "outer_networks", MAX_OUTER_NETWORKS
         ),
@@ -525,8 +536,11 @@ def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -559,17 +573,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
         result = command.run(load_config(args.config, overrides))
+        if args.format == "json":
+            text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        else:
+            rows = result if command.many else [result]
+            text = render_csv(command.fields, rows, comment=command.comment)
+        # the plot first, so that a failed write leaves stdout empty
+        if getattr(args, "svg", None):
+            _write_text(args.svg, sweep_svg(result))
+        _write_text(args.out, text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.format == "json":
-        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    else:
-        rows = result if command.many else [result]
-        text = render_csv(command.fields, rows, comment=command.comment)
-    _write_text(args.out, text)
-    if getattr(args, "svg", None):
-        _write_text(args.svg, sweep_svg(result))
     if args.command == "oracle":
         status = "PASS" if result["pass"] else "FAIL"
         print(

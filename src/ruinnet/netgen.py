@@ -155,6 +155,13 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     return 1.0 - np.prod((1.0 - model.p) ** m[..., :, None], axis=-2)
 
 
+def _connect_for_group(model: BlockModel, size_q: int, rng: np.random.Generator, n: int):
+    """:func:`connect_given_counts` of ``n`` draws of the group's agent-type counts
+    ``m ~ Multinomial(size_q, w)``: ``(n, L)``, or ``(1, L)`` (nothing drawn) if ``K == 1``."""
+    m = rng.multinomial(int(size_q), model.w, size=n) if model.K > 1 else [[int(size_q)]]
+    return connect_given_counts(model, m)
+
+
 def sample_configurations(
     model: BlockModel,
     size_q: int,
@@ -164,33 +171,22 @@ def sample_configurations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw collapsed type configurations of a group of ``size_q`` agents.
 
-    A configuration is the group's agent-type counts
-    ``m ~ Multinomial(size_q, w)`` together with the object counts per
-    (class, object type) ``n_g ~ Multinomial(d_g, v)`` for a partition of
-    the objects into classes of sizes ``class_sizes``.  Given it, the
-    group-connection indicators are independent, with probability
-    :func:`connect_given_counts` for an object of type ``l``.  Agent-type
-    counts are drawn only when ``K > 1`` and object counts only when
-    ``L > 1``; otherwise nothing is drawn and the axis has length 1.
+    A configuration is the group's agent-type counts ``m`` together with
+    the object counts per (class, object type) ``n_g ~ Multinomial(d_g, v)``
+    for a partition of the objects into classes of sizes ``class_sizes``.
+    Given it, the group-connection indicators are independent.
 
     Returns:
-        ``(connect, counts)``: connection probabilities of shape
-        ``(replicates, L)`` (``(1, L)`` when ``K == 1``) and integer object
-        counts of shape ``(replicates, G, L)`` (``(1, G, 1)`` when ``L == 1``),
-        where ``G = len(class_sizes)``.  Both broadcast to ``replicates`` rows.
+        ``(connect, counts)``: :func:`_connect_for_group` and integer object
+        counts of shape ``(replicates, G, L)`` (``(1, G, 1)``, nothing drawn,
+        when ``L == 1``), ``G = len(class_sizes)``; both broadcast to ``replicates`` rows.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     n = int(replicates)
-    if model.K > 1:
-        connect = connect_given_counts(model, rng.multinomial(int(size_q), model.w, size=n))
-    else:
-        # every group has agent-type counts (size_q,): nothing to draw
-        connect = 1.0 - (1.0 - model.p) ** int(size_q)
+    connect = _connect_for_group(model, size_q, rng, n)
     if model.L > 1:
-        counts = rng.multinomial(sizes, model.v, size=(n, sizes.size))
-    else:
-        counts = sizes[None, :, None]
-    return connect, counts
+        return connect, rng.multinomial(sizes, model.v, size=(n, sizes.size))
+    return connect, sizes[None, :, None]
 
 
 def sample_group_counts(
@@ -202,17 +198,19 @@ def sample_group_counts(
 ) -> np.ndarray:
     """Counts of group-connected objects per class, for any blockmodel.
 
-    Draws collapsed configurations with :func:`sample_configurations`, then
-    the number of connected objects of class ``g`` as
-    ``sum_l Binomial(n_gl, connect_l)``.  This is exact in distribution:
-    the law of the counts equals that of the full type + graph + indicator
-    pipeline, which never needs to be materialised.  On a one-type model it
-    is the single draw ``rng.binomial(class_sizes, 1 - (1-p)**size_q)``.
+    Draws the group's agent-type counts ``m`` (only when ``K > 1``), then
+    the connected count of class ``g`` as one ``Binomial(d_g, pbar(m))``,
+    ``pbar(m) = sum_l v_l connect_l(m)``: given ``m``, object types are iid
+    and edges independent, so each object connects independently with
+    probability ``pbar(m)``.  The law equals that of the full type + graph
+    + indicator pipeline, and no object type is drawn.  On a one-type
+    model it is the single draw ``rng.binomial(class_sizes, 1 - (1-p)**size_q)``.
 
     Returns:
         Integer array of shape ``(replicates, len(class_sizes))``.
     """
-    connect, counts = sample_configurations(model, size_q, class_sizes, rng, replicates)
-    if model.L == 1:
-        return rng.binomial(counts[:, :, 0], connect, size=(int(replicates), counts.shape[1]))
-    return rng.binomial(counts, connect[:, None, :]).sum(axis=2)
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    n = int(replicates)
+    # v sums to 1 only within rounding, so pbar may exceed 1 by an ulp
+    pbar = np.minimum(_connect_for_group(model, size_q, rng, n) @ model.v, 1.0)
+    return rng.binomial(sizes, pbar[:, None], size=(n, sizes.size))

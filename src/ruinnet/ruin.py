@@ -100,15 +100,16 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
 
 
 def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
-    """PK-ratio sampler on collapsed configurations: per-class counts of
-    connected objects from :func:`netgen.sample_group_counts`."""
+    """PK-ratio sampler on per-class counts of connected objects from
+    :func:`netgen.sample_group_counts`: the group's agent-type counts, then
+    one binomial per class, so a replicate holds ``G`` cells."""
     ratio, _, sizes = object_classes(params)
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
         counts = netgen.sample_group_counts(model, group.size, sizes, rng, n)
         return _pk_from_counts(params.lam, counts, ratio)
 
-    return lambda rng, n: netgen._in_chunks(chunk, rng, n, sizes.size * model.L)
+    return lambda rng, n: netgen._in_chunks(chunk, rng, n, sizes.size)
 
 
 def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
@@ -167,9 +168,9 @@ def estimate(
     it contributes :func:`psi_summand` to ``psi`` and the indicator of a
     ratio below 1 (a disconnected group has ratio 0) to ``tail``.  The
     default sampler draws the ratio in collapsed form for every
-    blockmodel: the group's agent-type counts, the object counts per
-    (premium class, object type), and binomial counts of connected objects
-    (:func:`netgen.sample_group_counts`).  ``method="graph"`` samples the
+    blockmodel: the group's agent-type counts, then one binomial count of
+    connected objects per premium class (:func:`netgen.sample_group_counts`);
+    no object type is drawn.  ``method="graph"`` samples the
     full network (types and edges) instead; it is the reference with the
     same law on a different stream.  Output is bit-identical for fixed
     ``(base_seed, B, method)`` regardless of ``threads``.

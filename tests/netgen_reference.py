@@ -1,8 +1,8 @@
 """Reference group indicators and group-connection probabilities.
 
 The package never materialises the group's indicator vector or the
-marginal connection probability: it draws per-class counts from
-collapsed configurations (:func:`ruinnet.netgen.sample_group_counts`).
+marginal connection probability: it draws the group's agent-type counts,
+then one binomial count per class (:func:`ruinnet.netgen.sample_group_counts`).
 These are the per-object and closed-form quantities the tests check that
 sampler, and the full graph pipeline, against.
 """

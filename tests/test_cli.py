@@ -90,8 +90,8 @@ TABLE_2X2 = {"premiums": {"low": 0.95, "high": 1.05}, "ns_grid": [1]}
 #: the expected claims per path, ``oracle`` never returns.
 ENDLESS_HORIZON = {"premiums": [3.0, 3.0], "horizon": 1e30}
 
-#: ``(command, field, overrides)``: one non-integral, boolean or too large
-#: value on ``degenerate_doc(q=2, d=2, ...)`` and the field the error names.
+#: ``(command, field, overrides)``: one non-integral, boolean, string or too
+#: large value on ``degenerate_doc(q=2, d=2, ...)`` and the field the error names.
 NAMED_FIELD_INPUTS = [
     ("estimate", "q", {"q": 2.5}),
     ("estimate", "d", {"d": 2.5}),
@@ -109,6 +109,19 @@ NAMED_FIELD_INPUTS = [
     ("oracle", "outer_networks", {"outer_networks": 3.5}),
     ("oracle", "inner_paths", {"inner_paths": 2.5}),
     ("oracle", "horizon", ENDLESS_HORIZON),
+    ("estimate", "lambda", {"lambda": True}),
+    ("estimate", "mu", {"mu": True}),
+    ("estimate", "horizon", {"horizon": True}),
+    ("estimate", "network.p", {"network": {"kind": "bernoulli", "p": True}}),
+    ("estimate", "reserves", {"reserves": [1.0, True]}),
+    ("estimate", "premiums", {"premiums": [1.05, "1.1"]}),
+    ("estimate", "horizon", {"horizon": "1000"}),
+    ("estimate", "network.v", {"network": dict(SBM_2X1, v=[True])}),
+    ("estimate", "network.p", {"network": dict(SBM_2X1, p=[[0.4], [True]])}),
+    ("sweep", "lambda", dict(SWEEP_2X2, **{"lambda": "1.5"})),
+    ("sweep", "premiums.low", dict(SWEEP_2X2, premiums={"low": "0.95", "high": 1.05})),
+    ("sweep", "premiums.high", dict(SWEEP_2X2, premiums={"low": 0.95, "high": True})),
+    ("sweep", "network.w", dict(SWEEP_2X2, network=dict(SBM_2X1, w=[True, False]))),
 ]
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -429,6 +442,22 @@ class TestMainEntryPoint:
         assert out == ""
         assert err.startswith("error: ")
         assert f"{field} must " in err
+
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            ("estimate", "--out", degenerate_doc()),
+            ("sweep", "--svg", degenerate_doc(q=2, d=2, **SWEEP_2X2)),
+        ],
+    )
+    def test_unwritable_output_exits_2_naming_the_path(self, tmp_path, capsys, command, flag, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        target = tmp_path / "missing_dir" / "result"
+        assert self.run([command, "--config", str(cfg_path), flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_rejects_nonpositive_thread_flag(self, tmp_path, capsys, threads):

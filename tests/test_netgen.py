@@ -253,6 +253,26 @@ class TestCollapsedKernel:
         )
         assert not sample_group_counts(empty, 3, sizes, stream(2, 1), 500).any()
 
+    def test_type_probabilities_summing_above_one_by_rounding(self):
+        # v passes validation within 1e-12 of 1, so sum_l v_l * 1 exceeds 1
+        model = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5 + 1e-13], p=np.ones((2, 2)))
+        sizes = np.array([3, 4])
+        counts = sample_group_counts(model, 2, sizes, stream(2, 2), 100)
+        np.testing.assert_array_equal(counts, np.tile(sizes, (100, 1)))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_draws_agent_counts_then_one_binomial(self, name):
+        # the stream holds the agent-type counts (when K > 1) and one
+        # binomial per class, and no object type
+        model = KERNEL_CASES[name]
+        sizes = np.array([5, 0, 7])
+        got = sample_group_counts(model, 3, sizes, stream(4, 1), 300)
+        rng = stream(4, 1)
+        m = rng.multinomial(3, model.w, size=300) if model.K > 1 else np.array([[3]])
+        pbar = (1.0 - np.prod((1.0 - model.p) ** m[:, :, None], axis=1)) @ model.v
+        want = rng.binomial(sizes, pbar[:, None], size=(300, 3))
+        np.testing.assert_array_equal(got, want)
+
 
 class TestFastPaths:
     def test_requires_one_type_model(self):

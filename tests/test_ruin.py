@@ -1,6 +1,5 @@
 """Tests for the Pollaczek-Khintchine ratio and the Monte-Carlo estimators."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ruin_reference import pk_value
-from ruinnet.model import AgentSubset, RiskParams, object_classes, proportional_r
+from ruin_reference import exhaustive_graph_psi, pk_value
+from ruinnet.model import AgentSubset, RiskParams, object_classes
 from ruinnet.netgen import BlockModel
 from ruinnet.streams import BLOCK_SIZE
 from ruinnet.ruin import (
@@ -178,15 +177,7 @@ class TestEstimatePsi:
             params = RiskParams(lam=1.0, c=c, mu=mu, u=rng.uniform(0.2, 1.5, q))
             k = int(rng.integers(1, q + 1))
             group = AgentSubset.prefix(k)
-            r_q = proportional_r(params, group)
-            reserve = float(params.u[group.zero_based()].sum())
-            exact = 0.0
-            for bits in itertools.product((0, 1), repeat=q * d):
-                inc = np.array(bits, dtype=bool).reshape(q, d)
-                n_edges = int(inc.sum())
-                prob = edge_p**n_edges * (1 - edge_p) ** (q * d - n_edges)
-                ind = inc[group.zero_based()].any(axis=0)
-                exact += prob * psi_summand(pk_value(ind, params), r_q, reserve)
+            exact = exhaustive_graph_psi(params, edge_p, group)
             est = estimate_psi(params, BlockModel.bernoulli(edge_p), group, 100_000, 7)
             assert abs(est.mean - exact) < 5 * max(est.stderr, 1e-9)
 
