@@ -20,11 +20,10 @@ from .model import (
     RiskParams,
     WeightMatrix,
     build_weights,
-    classical_ruin,
     proportional_r,
 )
 from .netgen import BipartiteGraph, BlockModel, TypeAssignment, sample_graph, sample_types
-from .pathsim import PathConfig, oracle_psi, ruin_frequency, simulate_ruin_path
+from .pathsim import PathConfig, oracle_psi, simulate_ruin_path
 from .ruin import EstimateWithCI, RuinEstimate, estimate, estimate_psi, estimate_tail, psi_summand
 from .streams import StreamKey, stream
 
@@ -44,7 +43,6 @@ __all__ = [
     "TypeAssignment",
     "WeightMatrix",
     "build_weights",
-    "classical_ruin",
     "estimate",
     "estimate_psi",
     "estimate_tail",
@@ -54,7 +52,6 @@ __all__ = [
     "phase_classify",
     "proportional_r",
     "psi_summand",
-    "ruin_frequency",
     "sample_graph",
     "sample_types",
     "simulate_ruin_path",

@@ -48,8 +48,8 @@ DEFAULT_NS_GRID = (3, 4, 5, 6)
 # before they sample anything, so a count must bound that list.
 MAX_REPLICATES = 2**32  # at most 2**20 replicate blocks
 MAX_M_CONFIGS = 2**32  # at most 2**20 configuration blocks
-MAX_OUTER_NETWORKS = 2**20  # one task per network
-MAX_INNER_PATHS = 2**20  # one path list per network
+MAX_OUTER_NETWORKS = 2**20  # one task per block of 256 networks
+MAX_INNER_PATHS = 2**20  # one network block runs inner_paths path batches
 # An oracle path that never ruins simulates every claim up to the horizon,
 # lam * d * horizon of them on average.
 MAX_CLAIMS_PER_PATH = 2**20

@@ -1,5 +1,5 @@
-"""Risk-model parameters, proportional loss-sharing weights, and the
-classical exponential-claims ruin formula.
+"""Risk-model parameters, the premium-class partition of the objects, and
+proportional loss-sharing weights.
 
 Each object (insured risk) carries a premium rate ``c_j`` and a mean claim
 size ``mu_j``; claims arrive at a common Poisson intensity ``lam``.  A group
@@ -167,6 +167,36 @@ def proportional_r(params: RiskParams, group: AgentSubset) -> float:
     return float(params.mu.min()) / (params.q - group.size + 1)
 
 
+def proportional_weights(
+    incidence: np.ndarray, group: AgentSubset, params: RiskParams, r_q: float
+) -> np.ndarray:
+    """Proportional loss-sharing weights of one incidence matrix or a stack of them.
+
+    ``incidence`` has shape ``(..., q, d)``; every agent connected to object
+    ``j`` carries the share ``r_q / (n_j * mu_j)``, where ``n_j`` counts the
+    group members connected to ``j`` in the same matrix, and an object with
+    no group connection gets an all-zero column (0/0 := 0).  The result has
+    the shape of ``incidence``.
+
+    Raises:
+        ValueError: If a column sum exceeds ``1 + COLUMN_SUM_TOL``, which
+            signals an invalid ``r_q``.
+    """
+    inc = np.asarray(incidence, dtype=bool)
+    group_degree = inc[..., group.zero_based(), :].sum(axis=-2)
+    connected = group_degree > 0
+    share = np.zeros(group_degree.shape)
+    share[connected] = r_q / (group_degree * params.mu)[connected]
+    A = inc.astype(np.float64) * share[..., None, :]
+    col = A.sum(axis=-2)
+    if (col > 1.0 + COLUMN_SUM_TOL).any():
+        worst = float(col.max())
+        raise ValueError(
+            f"column sum {worst:.6g} exceeds 1: scaling constant r_q={r_q:.6g} is too large"
+        )
+    return A
+
+
 def build_weights(
     graph: "BipartiteGraph",
     group: AgentSubset,
@@ -179,7 +209,8 @@ def build_weights(
     ``r_q / (n_j * mu_j)`` where ``n_j`` counts the group members connected
     to ``j``; objects with no group connection get an all-zero column
     (0/0 := 0).  Note the per-column share applies to *every* agent
-    connected to ``j``, so column sums run over all agents.
+    connected to ``j``, so column sums run over all agents.  The arithmetic
+    is :func:`proportional_weights`.
 
     Args:
         graph: Realised bipartite incidence.
@@ -200,34 +231,5 @@ def build_weights(
     group.validate_for(params.q)
     if r_q is None:
         r_q = proportional_r(params, group)
-    inc = graph.incidence
-    group_degree = inc[group.zero_based()].sum(axis=0)
-    connected = group_degree > 0
-    share = np.zeros(params.d)
-    share[connected] = r_q / (group_degree[connected] * params.mu[connected])
-    A = inc.astype(np.float64) * share[None, :]
-    col = A.sum(axis=0)
-    if (col > 1.0 + COLUMN_SUM_TOL).any():
-        worst = float(col.max())
-        raise ValueError(
-            f"column sum {worst:.6g} exceeds 1: scaling constant r_q={r_q:.6g} is too large"
-        )
+    A = proportional_weights(graph.incidence, group, params, float(r_q))
     return WeightMatrix(A=A, r_q=float(r_q))
-
-
-def classical_ruin(lam: float, mu_j: float, c_j: float, u: float) -> float:
-    """Ruin probability of a single agent fully insuring a single object
-    with exponential claims: ``rho * exp(-(c - lam*mu) * u / (c * mu))``,
-    or 1 when ``rho = lam*mu/c >= 1``.
-
-    Used as a closed-form oracle for the degenerate one-agent, one-object
-    network.
-    """
-    if not (lam > 0 and mu_j > 0 and c_j > 0):
-        raise ValueError("lam, mu_j and c_j must be positive")
-    if u < 0:
-        raise ValueError("reserve u must be nonnegative")
-    rho = lam * mu_j / c_j
-    if rho >= 1.0:
-        return 1.0
-    return rho * math.exp(-(c_j - lam * mu_j) * u / (c_j * mu_j))

@@ -140,9 +140,28 @@ def sample_graph(model: BlockModel, types: TypeAssignment, rng: np.random.Genera
     """Draw edges independently with probability ``p[s(i), t(j)]`` given the types."""
     if types.s.max(initial=0) >= model.K or types.t.max(initial=0) >= model.L:
         raise ValueError("type assignment out of range for this model")
-    pm = model.p[types.s[:, None], types.t[None, :]]
-    inc = rng.random(pm.shape) < pm
-    return BipartiteGraph(incidence=inc)
+    return BipartiteGraph(incidence=_draw_edges(model, types.s, types.t, rng))
+
+
+def _draw_edges(model: BlockModel, s: np.ndarray, t: np.ndarray, rng: np.random.Generator):
+    """One uniform per (agent, object) pair of each network, compared with
+    ``p[s(i), t(j)]``; ``s`` is ``(..., q)``, ``t`` is ``(..., d)``."""
+    pm = model.p[s[..., :, None], t[..., None, :]]
+    return rng.random(pm.shape) < pm
+
+
+def sample_incidence(
+    model: BlockModel, q: int, d: int, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Incidence matrices of ``n`` independent networks, shape ``(n, q, d)``.
+
+    Draws the agent types of every network, then their object types, then
+    the edges.  A single network (``n = 1``) reads the stream as
+    :func:`sample_types` followed by :func:`sample_graph` does.
+    """
+    s = _draw_types(rng, model.w, (n, q))
+    t = _draw_types(rng, model.v, (n, d))
+    return _draw_edges(model, s, t, rng)
 
 
 def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:

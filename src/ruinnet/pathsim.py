@@ -7,8 +7,15 @@ losses minus premium inflow, and ruin is the deficit reaching the group's
 total reserve.  The claim processes of the group's exposed objects are
 simulated as their superposition: one Poisson process of rate
 ``lam * (number of exposed objects)`` whose claims each hit a uniformly
-drawn exposed object.  One path is one stream and one loop that stops at
-the first ruin.
+drawn exposed object.
+
+One kernel, :func:`simulate_ruin_batch`, runs a batch of at most
+:data:`PATH_BATCH` paths from one stream as ``(rows x _CLAIM_CHUNK)``
+arrays, chunk by chunk, until every path has either crossed its reserve
+or passed the horizon.  A one-row batch is :func:`simulate_ruin_path`.
+The nested oracle :func:`oracle_psi` draws its networks in fixed blocks
+and runs each block's paths through the kernel in batches, one stream
+per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
 carries any exposure, so checking ruin only at claim epochs is exact.
@@ -23,15 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AgentSubset, RiskParams, WeightMatrix, build_weights
-from .netgen import BipartiteGraph, BlockModel, sample_graph, sample_types
+from .model import AgentSubset, RiskParams, WeightMatrix, proportional_r, proportional_weights
+from .netgen import BipartiteGraph, BlockModel, sample_incidence
 from .ruin import EstimateWithCI
 from .streams import (
     ORACLE_NET_DOMAIN,
     ORACLE_PATH_DOMAIN,
-    PATH_DOMAIN,
     StreamKey,
-    map_indexed,
+    _run_tasks,
     pairwise_sum,
     stream,
 )
@@ -39,6 +45,19 @@ from .streams import (
 #: Claims are drawn in fixed chunks so that extending the horizon replays
 #: the same claim prefix (keeps ruin monotone in the horizon per seed).
 _CLAIM_CHUNK = 256
+
+#: Most paths one kernel call runs.  It bounds the kernel's arrays (a few
+#: ``PATH_BATCH x _CLAIM_CHUNK`` floats), and it fixes which stream each
+#: oracle path draws from, so it is not configurable at runtime.
+PATH_BATCH = 256
+
+#: Networks drawn from one stream by :func:`oracle_psi`; one block is one task.
+NETWORK_BLOCK = 256
+
+
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -50,74 +69,112 @@ class PathConfig:
     group: AgentSubset
     weights: WeightMatrix
     horizon: float = 1000.0
-    replicates: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be finite and positive")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        _check_horizon(self.horizon)
         if self.graph.q != self.params.q or self.graph.d != self.params.d:
             raise ValueError("graph dimensions do not match parameters")
         self.group.validate_for(self.params.q)
+
+    def exposure(self) -> np.ndarray:
+        """The group's share of each object's losses (length ``d``)."""
+        return self.weights.A[self.group.zero_based()].sum(axis=0)
+
+    def total_reserve(self) -> float:
+        """The group's pooled initial reserve."""
+        return float(self.params.u[self.group.zero_based()].sum())
+
+
+def simulate_ruin_batch(
+    params: RiskParams,
+    exposure: np.ndarray,
+    total_reserve: float,
+    horizon: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Ruin flags of a batch of independent surplus paths drawn from ``rng``.
+
+    Row ``i`` of ``exposure`` (shape ``(rows, d)``, ``rows <= PATH_BATCH``)
+    is the group's share of each object's losses on path ``i``.  Its
+    claims form one Poisson process of rate ``lam * n_i`` (``n_i`` exposed
+    objects); each claim hits a uniformly drawn exposed object ``j`` and
+    adds ``exposure_ij * Exp(mean mu_j)`` to the deficit.  Each chunk draws,
+    for every row still in the batch, ``_CLAIM_CHUNK`` gap uniforms, then
+    object marks (only for rows with more than one exposed object), then
+    size uniforms.
+
+    A row leaves the batch at its first crossing of ``total_reserve``, and
+    its flag is whether that crossing's epoch is within the horizon; it
+    never leaves for passing the horizon.  The batch stops once no row
+    still in it is before the horizon, so the claims drawn do not depend on
+    the horizon and a longer horizon replays them: flags are monotone in
+    the horizon.  A row without exposure draws nothing and never ruins; a
+    zero ``total_reserve`` is ruin at time zero.
+    """
+    exposure = np.asarray(exposure, dtype=np.float64)
+    if exposure.ndim != 2 or exposure.shape[0] > PATH_BATCH:
+        raise ValueError(f"exposure must have shape (rows, d) with at most {PATH_BATCH} rows")
+    if total_reserve <= 0.0:
+        return np.ones(exposure.shape[0], dtype=bool)  # deficit starts at zero
+    flags = np.zeros(exposure.shape[0], dtype=bool)
+    active = exposure > 0
+    count = active.sum(axis=1)
+    live = np.flatnonzero(count)
+    if live.size == 0:
+        return flags
+    # each live row's exposed objects first, in index order
+    order = np.argsort(~active[live], axis=1, kind="stable")[:, : count.max()]
+    weight = np.take_along_axis(exposure[live], order, axis=1)
+    mean = params.mu[order]
+    drift = (weight * params.c[order]).sum(axis=1)
+    count = count[live]
+    rate = params.lam * count
+    t = np.zeros(live.size)
+    cum_jumps = np.zeros(live.size)
+    while True:
+        shape = (live.size, _CLAIM_CHUNK)
+        gaps = -np.log1p(-rng.random(shape)) / rate[:, None]
+        marks = np.zeros(shape, dtype=np.int64)
+        several = count > 1
+        # integers(1) would draw no bits either; skipping it only saves time
+        if several.any():
+            high = count[several]
+            # a scalar bound draws the same bits as the broadcast one, several times faster
+            bound = high[0] if (high == high[0]).all() else high[:, None]
+            marks[several] = rng.integers(bound, size=(high.size, shape[1]))
+        sizes = -np.take_along_axis(mean, marks, axis=1) * np.log1p(-rng.random(shape))
+        jumps = np.take_along_axis(weight, marks, axis=1) * sizes
+        epochs = t[:, None] + np.cumsum(gaps, axis=1)
+        deficit = cum_jumps[:, None] + np.cumsum(jumps, axis=1) - drift[:, None] * epochs
+        hit = deficit >= total_reserve
+        crossed = hit.any(axis=1)
+        first = hit[crossed].argmax(axis=1)
+        flags[live[crossed]] = epochs[crossed, first] <= horizon
+        stay = ~crossed
+        if not (epochs[stay, -1] <= horizon).any():
+            return flags
+        cum_jumps = cum_jumps[stay] + jumps[stay].sum(axis=1)
+        t = epochs[stay, -1]
+        live, count, rate = live[stay], count[stay], rate[stay]
+        weight, mean, drift = weight[stay], mean[stay], drift[stay]
 
 
 def simulate_ruin_path(cfg: PathConfig, key: StreamKey) -> bool:
     """Simulate one surplus path; True iff the group deficit ever reaches
     the total reserve within the horizon.
 
-    The claims of the exposed objects form one Poisson process of rate
-    ``lam * (number of exposed objects)``; each claim hits a uniformly
-    drawn exposed object ``j`` and adds ``exposure_j * Exp(mean mu_j)`` to
-    the deficit.  The path draws from ``key.child(j0)`` with ``j0`` its
-    first exposed object, chunk by chunk: gap uniforms, object marks (only
-    when more than one object is exposed), then size uniforms.  With a
-    single exposed object this is that object's own claim process.
+    A one-row :func:`simulate_ruin_batch` on the stream ``key.child(j0)``,
+    ``j0`` the first exposed object.  With a single exposed object this is
+    that object's own claim process.
     """
-    rows = cfg.group.zero_based()
-    exposure = cfg.weights.A[rows].sum(axis=0)
-    total_reserve = float(cfg.params.u[rows].sum())
-    if total_reserve <= 0.0:
-        return True  # deficit starts at zero: ruin at time zero
+    exposure = cfg.exposure()
+    total_reserve = cfg.total_reserve()
     active = np.flatnonzero(exposure > 0)
     if active.size == 0:
-        return False
-    weight = exposure[active]
-    mean = cfg.params.mu[active]
-    drift = float((weight * cfg.params.c[active]).sum())
-    rate = cfg.params.lam * active.size
+        return total_reserve <= 0.0
     rng = key.child(int(active[0])).generator()
-    t = 0.0
-    cum_jumps = 0.0
-    while True:
-        gaps = -np.log1p(-rng.random(_CLAIM_CHUNK)) / rate
-        # integers(1) would draw no bits either; skipping it only saves time
-        marks = rng.integers(active.size, size=_CLAIM_CHUNK) if active.size > 1 else 0
-        jumps = weight[marks] * (-mean[marks] * np.log1p(-rng.random(_CLAIM_CHUNK)))
-        epochs = t + np.cumsum(gaps)
-        keep = int((epochs <= cfg.horizon).sum())
-        deficit = cum_jumps + np.cumsum(jumps[:keep]) - drift * epochs[:keep]
-        if (deficit >= total_reserve).any():
-            return True
-        if keep < _CLAIM_CHUNK:
-            return False
-        cum_jumps += float(jumps.sum())
-        t = float(epochs[-1])
-
-
-def ruin_frequency(cfg: PathConfig, base_seed: int, threads: int = 1) -> EstimateWithCI:
-    """Fraction of ruined paths over ``cfg.replicates`` independent paths."""
-    root = StreamKey(int(base_seed), (PATH_DOMAIN,))
-
-    def one(r: int) -> float:
-        return float(simulate_ruin_path(cfg, root.child(r)))
-
-    flags = map_indexed(cfg.replicates, one, threads)
-    n = cfg.replicates
-    phat = pairwise_sum(flags) / n
-    return EstimateWithCI(
-        mean=phat, stderr=math.sqrt(max(0.0, phat * (1.0 - phat) / n)), replicates=n
-    )
+    flags = simulate_ruin_batch(cfg.params, exposure[None], total_reserve, cfg.horizon, rng)
+    return bool(flags[0])
 
 
 def oracle_psi(
@@ -137,34 +194,45 @@ def oracle_psi(
     networks estimates the ruin probability from below (horizon
     truncation); the standard error comes from the spread of the
     per-network fractions.
+
+    Networks come in blocks of :data:`NETWORK_BLOCK`; block ``k`` draws its
+    incidence matrices from the stream ``(base_seed, ORACLE_NET_DOMAIN, k)``
+    and one task runs it.  The block's paths, network by network, are cut
+    into batches of :data:`PATH_BATCH`, and batch ``b`` runs on the stream
+    ``(base_seed, ORACLE_PATH_DOMAIN, k, b)``.  The result is bit-identical
+    for any ``threads``, and a longer horizon replays every path's claims.
     """
     group.validate_for(params.q)
+    _check_horizon(horizon)
     if outer_networks < 2:
         raise ValueError("need at least two outer network samples")
     if inner_paths < 1:
         raise ValueError("need at least one inner path")
-    total_reserve = float(params.u[group.zero_based()].sum())
+    rows = group.zero_based()
+    total_reserve = float(params.u[rows].sum())
     if not total_reserve > 0:
         raise ValueError("total reserve must be positive")
+    r_q = proportional_r(params, group)
 
-    def one_network(n: int) -> float:
-        rng = stream(base_seed, ORACLE_NET_DOMAIN, n)
-        types = sample_types(model, params.q, params.d, rng)
-        graph = sample_graph(model, types, rng)
-        weights = build_weights(graph, group, params)
-        cfg = PathConfig(
-            params=params,
-            graph=graph,
-            group=group,
-            weights=weights,
-            horizon=horizon,
-            replicates=inner_paths,
-        )
-        root = StreamKey(int(base_seed), (ORACLE_PATH_DOMAIN, n))
-        ruined = [float(simulate_ruin_path(cfg, root.child(r))) for r in range(inner_paths)]
-        return pairwise_sum(ruined) / inner_paths
+    def block(k: int, lo: int, hi: int) -> np.ndarray:
+        """Ruined-path counts of networks ``lo .. hi-1``."""
+        rng = stream(base_seed, ORACLE_NET_DOMAIN, k)
+        incidence = sample_incidence(model, params.q, params.d, rng, hi - lo)
+        exposure = proportional_weights(incidence, group, params, r_q)[:, rows, :].sum(axis=1)
+        ruined = np.zeros(hi - lo, dtype=np.int64)
+        paths = (hi - lo) * inner_paths
+        for b, start in enumerate(range(0, paths, PATH_BATCH)):
+            network = np.arange(start, min(start + PATH_BATCH, paths)) // inner_paths
+            rng = stream(base_seed, ORACLE_PATH_DOMAIN, k, b)
+            flags = simulate_ruin_batch(params, exposure[network], total_reserve, horizon, rng)
+            ruined += np.bincount(network[flags], minlength=hi - lo)
+        return ruined
 
-    fractions = np.asarray(map_indexed(outer_networks, one_network, threads))
+    tasks = [
+        (k, lo, min(lo + NETWORK_BLOCK, int(outer_networks)))
+        for k, lo in enumerate(range(0, int(outer_networks), NETWORK_BLOCK))
+    ]
+    fractions = np.concatenate(_run_tasks(block, tasks, threads)) / inner_paths
     mean = pairwise_sum(fractions) / outer_networks
     var = float(((fractions - mean) ** 2).sum()) / (outer_networks - 1)
     return EstimateWithCI(

@@ -123,10 +123,7 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     G = ratio.size
 
     def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
-        s = netgen._draw_types(rng, model.w, (m, params.q))
-        t = netgen._draw_types(rng, model.v, (m, params.d))
-        pm = model.p[s[:, :, None], t[:, None, :]]
-        edges = rng.random((m, params.q, params.d)) < pm
+        edges = netgen.sample_incidence(model, params.q, params.d, rng, m)
         ind = edges[:, rows, :].any(axis=1)
         cell = np.arange(m)[:, None] * G + cls  # (replicate, class) of each indicator
         counts = np.bincount(cell[ind], minlength=m * G).reshape(m, G)

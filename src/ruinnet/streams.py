@@ -97,11 +97,6 @@ def map_blocks(n: int, fn: Callable[[int, int, int], object], threads: int = 1) 
     return _run_tasks(fn, tasks, threads)
 
 
-def map_indexed(n: int, fn: Callable[[int], object], threads: int = 1) -> list:
-    """Apply ``fn(i)`` for ``i`` in ``[0, n)``, collecting results in index order."""
-    return _run_tasks(fn, [(i,) for i in range(int(n))], threads)
-
-
 def block_totals(
     n: int,
     domain: int,

@@ -1,11 +1,13 @@
-"""Reference per-object safety loadings.
+"""Reference per-object safety loadings and the classical ruin formula.
 
 The package keys objects by their premium-to-claim ratio ``c_j/mu_j``
 (:func:`ruinnet.model.object_classes`); these per-object loadings are the
 reference that the per-object mixture statistics in
-``approx_reference`` are written in.
+``approx_reference`` are written in.  :func:`classical_ruin` is the
+closed-form oracle of the degenerate one-agent, one-object network.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,3 +28,17 @@ def compute_loadings(params: RiskParams) -> LoadingVector:
     rho = params.lam * params.mu / params.c
     xi = params.c / (params.lam * params.mu)
     return LoadingVector(rho=rho, xi=xi)
+
+
+def classical_ruin(lam: float, mu_j: float, c_j: float, u: float) -> float:
+    """Ruin probability of a single agent fully insuring a single object
+    with exponential claims: ``rho * exp(-(c - lam*mu) * u / (c * mu))``,
+    or 1 when ``rho = lam*mu/c >= 1``."""
+    if not (lam > 0 and mu_j > 0 and c_j > 0):
+        raise ValueError("lam, mu_j and c_j must be positive")
+    if u < 0:
+        raise ValueError("reserve u must be nonnegative")
+    rho = lam * mu_j / c_j
+    if rho >= 1.0:
+        return 1.0
+    return rho * math.exp(-(c_j - lam * mu_j) * u / (c_j * mu_j))

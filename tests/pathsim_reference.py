@@ -1,4 +1,5 @@
-"""Reference path simulator with one claim stream per exposed object.
+"""Reference path simulator with one claim stream per exposed object,
+and the ruin frequency of one fixed network.
 
 Object ``j`` draws its own claim epochs and sizes up to the horizon from
 ``key.child(j)``; the claims of all objects are merged by epoch and the
@@ -9,10 +10,38 @@ process instead; with one exposed object both give the same flag for the
 same key, and with several they agree in distribution.
 """
 
+import math
+
 import numpy as np
 
-from ruinnet.pathsim import _CLAIM_CHUNK, PathConfig
-from ruinnet.streams import StreamKey
+from ruinnet.pathsim import _CLAIM_CHUNK, PATH_BATCH, PathConfig, simulate_ruin_batch
+from ruinnet.ruin import EstimateWithCI
+from ruinnet.streams import PATH_DOMAIN, StreamKey, stream
+
+
+def ruin_flags(cfg: PathConfig, paths: int, base_seed: int) -> np.ndarray:
+    """Ruin flags of ``paths`` independent paths on ``cfg``: batch ``k`` of
+    :data:`PATH_BATCH` paths runs on the stream ``(base_seed, PATH_DOMAIN, k)``."""
+    exposure = cfg.exposure()
+    flags = [
+        simulate_ruin_batch(
+            cfg.params,
+            np.broadcast_to(exposure, (min(PATH_BATCH, paths - lo), exposure.size)),
+            cfg.total_reserve(),
+            cfg.horizon,
+            stream(base_seed, PATH_DOMAIN, k),
+        )
+        for k, lo in enumerate(range(0, paths, PATH_BATCH))
+    ]
+    return np.concatenate(flags)
+
+
+def ruin_frequency(cfg: PathConfig, paths: int, base_seed: int) -> EstimateWithCI:
+    """Fraction of ruined paths among :func:`ruin_flags`, with its binomial error."""
+    phat = int(ruin_flags(cfg, paths, base_seed).sum()) / paths
+    return EstimateWithCI(
+        mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / paths), replicates=paths
+    )
 
 
 def _claims_upto(rng, lam, mu_j, horizon):

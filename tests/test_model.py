@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_reference import compute_loadings
+from model_reference import classical_ruin, compute_loadings
 from ruinnet.model import (
     AgentSubset,
     RiskParams,
     build_weights,
-    classical_ruin,
     proportional_r,
+    proportional_weights,
 )
 from ruinnet.netgen import BipartiteGraph
 
@@ -172,6 +172,27 @@ class TestBuildWeights:
             wm = build_weights(BipartiteGraph(inc), AgentSubset.prefix(k), p)
             col = wm.column_sums()
             assert (col >= 0).all() and (col <= 1.0 + 1e-12).all()
+
+    def test_stack_matches_each_network(self):
+        # one formula: a stack of incidence matrices gives each matrix's weights, bit for bit
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            q, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            p = make_params(rng.uniform(0.5, 2.0, d), rng.uniform(0.2, 3.0, d), q=q)
+            group = AgentSubset.prefix(int(rng.integers(1, q + 1)))
+            stack = rng.random((7, q, d)) < rng.uniform(0.0, 1.0)
+            r_q = proportional_r(p, group)
+            weights = proportional_weights(stack, group, p, r_q)
+            assert weights.shape == stack.shape
+            for inc, A in zip(stack, weights):
+                np.testing.assert_array_equal(A, build_weights(BipartiteGraph(inc), group, p).A)
+
+    def test_stack_checks_every_column(self):
+        p = make_params([1.0], [1.0], q=2)
+        stack = np.zeros((3, 2, 1), dtype=bool)
+        stack[2] = True  # only the last network saturates its column
+        with pytest.raises(ValueError, match="r_q"):
+            proportional_weights(stack, AgentSubset.prefix(2), p, 1.5)
 
 
 class TestClassicalRuin:

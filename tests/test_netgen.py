@@ -18,6 +18,7 @@ from ruinnet.netgen import (
     sample_configurations,
     sample_graph,
     sample_group_counts,
+    sample_incidence,
     sample_types,
 )
 from ruinnet.streams import stream
@@ -99,6 +100,25 @@ class TestSampleGraph:
         np.testing.assert_array_equal(g1.incidence, g2.incidence)
         g3 = sample_graph(m, types, stream(3, 2))
         assert (g1.incidence != g3.incidence).any()
+
+
+class TestSampleIncidence:
+    def test_one_network_reads_types_then_graph(self):
+        rng = np.random.default_rng(8)
+        for case in range(20):
+            m = random_model(rng)
+            q, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            a = stream(case, 4)
+            graph = sample_graph(m, sample_types(m, q, d, a), a)
+            stack = sample_incidence(m, q, d, stream(case, 4), 1)
+            np.testing.assert_array_equal(stack, graph.incidence[None])
+
+    def test_networks_are_independent_draws(self):
+        # every network's edges at rate p, and the networks differ
+        stack = sample_incidence(BlockModel.bernoulli(0.3), 4, 5, stream(6, 0), 2000)
+        assert stack.shape == (2000, 4, 5)
+        assert abs(stack.mean() - 0.3) < 6 * (0.3 * 0.7 / stack.size) ** 0.5
+        assert (stack[0] != stack[1:]).any(axis=(1, 2)).mean() > 0.9
 
 
 class TestGroupIndicators:

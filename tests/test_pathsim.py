@@ -5,15 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from pathsim_reference import simulate_ruin_path_per_object
-from ruinnet.model import AgentSubset, RiskParams, WeightMatrix, build_weights, classical_ruin
+from exact_reference import exact_law
+from model_reference import classical_ruin
+from pathsim_reference import ruin_flags, ruin_frequency, simulate_ruin_path_per_object
+from ruinnet.model import AgentSubset, RiskParams, WeightMatrix, build_weights
 from ruinnet.netgen import BipartiteGraph, BlockModel
-from ruinnet.pathsim import PathConfig, oracle_psi, ruin_frequency, simulate_ruin_path
+from ruinnet.pathsim import (
+    NETWORK_BLOCK,
+    PATH_BATCH,
+    PathConfig,
+    oracle_psi,
+    simulate_ruin_batch,
+    simulate_ruin_path,
+)
 from ruinnet.ruin import estimate_psi
 from ruinnet.streams import StreamKey
 
 
-def single_object_config(c=1.05, u=1.0, horizon=1000.0, replicates=1):
+def single_object_config(c=1.05, u=1.0, horizon=1000.0):
     params = RiskParams(lam=1.0, c=[c], mu=[1.0], u=[u])
     graph = BipartiteGraph(np.ones((1, 1), dtype=bool))
     group = AgentSubset.prefix(1)
@@ -23,7 +32,6 @@ def single_object_config(c=1.05, u=1.0, horizon=1000.0, replicates=1):
         group=group,
         weights=build_weights(graph, group, params),
         horizon=horizon,
-        replicates=replicates,
     )
 
 
@@ -63,13 +71,13 @@ class TestSimulateRuinPath:
         )
 
     def test_certain_ruin_under_negative_loading(self):
-        cfg = single_object_config(c=0.95, u=0.01, horizon=10_000.0, replicates=10_000)
-        freq = ruin_frequency(cfg, base_seed=101)
+        cfg = single_object_config(c=0.95, u=0.01, horizon=10_000.0)
+        freq = ruin_frequency(cfg, paths=10_000, base_seed=101)
         assert freq.mean >= 0.99
 
     def test_matches_classical_formula(self):
-        cfg = single_object_config(c=1.05, u=1.0, horizon=1000.0, replicates=20_000)
-        freq = ruin_frequency(cfg, base_seed=7)
+        cfg = single_object_config(c=1.05, u=1.0, horizon=1000.0)
+        freq = ruin_frequency(cfg, paths=20_000, base_seed=7)
         target = classical_ruin(1.0, 1.0, 1.05, 1.0)
         # one-sided truncation bias (~0.007 at this horizon) plus 3-sigma noise
         assert freq.mean <= target + 3 * freq.stderr
@@ -96,13 +104,41 @@ class TestSimulateRuinPath:
         runs = {}
         for name, params in (("bad", params_bad), ("good", params_good)):
             weights = build_weights(graph, group, params)
-            cfg = PathConfig(params, graph, group, weights, horizon=500.0, replicates=500)
-            runs[name] = ruin_frequency(cfg, base_seed=19).mean
+            cfg = PathConfig(params, graph, group, weights, horizon=500.0)
+            runs[name] = ruin_frequency(cfg, paths=500, base_seed=19).mean
         assert runs["bad"] > 0.95
         assert runs["good"] < 0.2
 
+    def test_batch_flags_monotone_in_horizon(self):
+        # several kernel batches of multi-object paths: each path's claims are
+        # replayed by a longer horizon, so no path that ruins can stop ruining
+        base = one_agent_config([0.2, 0.5, 0.9], c=[1.3, 1.1, 0.4], mu=[3.0, 1.0, 0.25])
+        paths = 3 * PATH_BATCH - 100
+        outcomes = []
+        for horizon in (2.0, 10.0, 60.0, 300.0):
+            cfg = PathConfig(base.params, base.graph, base.group, base.weights, horizon=horizon)
+            outcomes.append(ruin_flags(cfg, paths, base_seed=17))
+        for shorter, longer in zip(outcomes, outcomes[1:]):
+            assert not (shorter & ~longer).any()
+            assert (longer & ~shorter).any()
+
+    def test_batch_rows_without_exposure_never_ruin(self):
+        params = RiskParams(lam=1.0, c=[0.5, 0.5], mu=[1.0, 1.0], u=[0.1])
+        exposure = np.zeros((PATH_BATCH, 2))
+        exposure[::2] = [0.5, 0.5]  # every other row exposed, under negative loading
+        flags = simulate_ruin_batch(params, exposure, 0.1, 500.0, np.random.default_rng(3))
+        assert not flags[1::2].any()
+        assert flags[::2].all()
+
+    def test_batch_rejects_more_rows_than_a_batch(self):
+        params = RiskParams(lam=1.0, c=[1.0], mu=[1.0], u=[1.0])
+        with pytest.raises(ValueError, match="rows"):
+            simulate_ruin_batch(
+                params, np.ones((PATH_BATCH + 1, 1)), 1.0, 10.0, np.random.default_rng(0)
+            )
+
     def test_deterministic_per_key(self):
-        cfg = single_object_config(replicates=1)
+        cfg = single_object_config()
         flags1 = [simulate_ruin_path(cfg, StreamKey(9, (2, r))) for r in range(100)]
         flags2 = [simulate_ruin_path(cfg, StreamKey(9, (2, r))) for r in range(100)]
         assert flags1 == flags2
@@ -191,6 +227,28 @@ class TestOraclePsi:
         with pytest.raises(ValueError, match="reserve"):
             oracle_psi(zero_reserve, model, group, 100.0, 2, 10, 0)
 
+    def test_rejects_bad_horizon(self):
+        params = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[1.0])
+        model = BlockModel.bernoulli(1.0)
+        group = AgentSubset.prefix(1)
+        for horizon in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                oracle_psi(params, model, group, horizon, 2, 1, base_seed=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_oracle_workload_against_exact_law(self, seed):
+        # the benchmark's oracle model; the premiums keep the horizon bias
+        # (exact - oracle, about 0.003 here) well inside the sampling error
+        params = RiskParams(lam=1.0, c=[0.95, 1.15], mu=[1.0, 1.0], u=[1.0, 1.0])
+        model = BlockModel.bernoulli(0.5)
+        group = AgentSubset.prefix(2)
+        exact = exact_law(params, model, group).psi
+        oracle = oracle_psi(
+            params, model, group,
+            horizon=1000.0, outer_networks=1200, inner_paths=5, base_seed=seed,
+        )
+        assert abs(oracle.mean - exact) <= 4 * oracle.stderr, (oracle, exact)
+
     def test_thread_count_never_changes_result(self):
         params = RiskParams(lam=1.0, c=[0.95, 1.05], mu=[1.0, 1.0], u=[1.0, 1.0])
         model = BlockModel.bernoulli(0.5)
@@ -199,3 +257,20 @@ class TestOraclePsi:
         a = oracle_psi(params, model, group, **kwargs, threads=1)
         b = oracle_psi(params, model, group, **kwargs, threads=4)
         assert a == b
+
+    def test_thread_count_never_changes_result_across_blocks_and_batches(self):
+        # a partial last network block, and networks whose paths span
+        # batches; a sparse network leaves most paths unexposed, which keeps
+        # the test fast
+        params = RiskParams(lam=1.0, c=[0.95, 1.05], mu=[1.0, 1.0], u=[1.0, 1.0])
+        model = BlockModel.bernoulli(0.1)
+        group = AgentSubset.prefix(1)
+        kwargs = dict(
+            horizon=3.0,
+            outer_networks=NETWORK_BLOCK + 5,
+            inner_paths=PATH_BATCH + 3,
+            base_seed=37,
+        )
+        results = [oracle_psi(params, model, group, **kwargs, threads=t) for t in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert 0.0 < results[0].mean < 1.0

@@ -3,7 +3,7 @@
 import pytest
 
 from ruinnet import streams
-from ruinnet.streams import BLOCK_SIZE, map_blocks, map_indexed
+from ruinnet.streams import BLOCK_SIZE, _run_tasks, map_blocks
 
 
 class InlinePool:
@@ -47,23 +47,24 @@ class TestPoolSize:
         assert pool.created == [3]
         assert out == [(k, k * BLOCK_SIZE, (k + 1) * BLOCK_SIZE) for k in range(3)]
 
-    def test_clamped_to_index_count(self, pool):
-        assert map_indexed(4, lambda i: i * i, threads=10_000) == [0, 1, 4, 9]
+    def test_clamped_to_task_count(self, pool):
+        assert _run_tasks(lambda i: i * i, [(i,) for i in range(4)], threads=10_000) == [0, 1, 4, 9]
         assert pool.created == [4]
 
     def test_no_pool_for_one_task_or_thread(self, pool):
         assert map_blocks(BLOCK_SIZE, lambda k, lo, hi: hi, threads=8) == [BLOCK_SIZE]
-        assert map_indexed(5, lambda i: i, threads=1) == [0, 1, 2, 3, 4]
-        assert map_indexed(0, lambda i: i, threads=4) == []
+        assert _run_tasks(lambda i: i, [(i,) for i in range(5)], threads=1) == [0, 1, 2, 3, 4]
+        assert _run_tasks(lambda i: i, [], threads=4) == []
+        assert map_blocks(0, lambda k, lo, hi: k, threads=4) == []
         assert pool.created == []
 
     def test_thread_count_kept_below_task_count(self, pool):
-        map_indexed(6, lambda i: i, threads=2)
+        _run_tasks(lambda i: i, [(i,) for i in range(6)], threads=2)
         assert pool.created == [2]
 
     def test_clamped_to_cpu_count(self, pool, monkeypatch):
         monkeypatch.setattr(streams.os, "cpu_count", lambda: 3)
-        assert map_indexed(8, lambda i: i, threads=10_000) == list(range(8))
+        assert map_blocks(8 * BLOCK_SIZE, lambda k, lo, hi: k, threads=10_000) == list(range(8))
         assert pool.created == [3]
 
     def test_unknown_cpu_count_runs_inline(self, pool, monkeypatch):
