@@ -142,8 +142,9 @@ def simulate_ruin_batch(
             # a scalar bound draws the same bits as the broadcast one, several times faster
             bound = high[0] if (high == high[0]).all() else high[:, None]
             marks[several] = rng.integers(bound, size=(high.size, shape[1]))
-        sizes = -np.take_along_axis(mean, marks, axis=1) * np.log1p(-rng.random(shape))
-        jumps = np.take_along_axis(weight, marks, axis=1) * sizes
+        pick = marks + np.arange(0, weight.size, weight.shape[1])[:, None]  # flat index
+        sizes = -mean.take(pick) * np.log1p(-rng.random(shape))
+        jumps = weight.take(pick) * sizes
         epochs = t[:, None] + np.cumsum(gaps, axis=1)
         deficit = cum_jumps[:, None] + np.cumsum(jumps, axis=1) - drift[:, None] * epochs
         hit = deficit >= total_reserve
