@@ -15,15 +15,9 @@ from .approx import (
     normal_positive_prob,
     phase_classify,
 )
-from .model import (
-    AgentSubset,
-    RiskParams,
-    WeightMatrix,
-    build_weights,
-    proportional_r,
-)
-from .netgen import BipartiteGraph, BlockModel, TypeAssignment, sample_graph, sample_types
-from .pathsim import PathConfig, oracle_psi, simulate_ruin_path
+from .model import AgentSubset, RiskParams, proportional_r
+from .netgen import BlockModel
+from .pathsim import oracle_psi
 from .ruin import EstimateWithCI, RuinEstimate, estimate, estimate_psi, estimate_tail, psi_summand
 from .streams import StreamKey, stream
 
@@ -32,17 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentSubset",
     "ApproxResult",
-    "BipartiteGraph",
     "BlockModel",
     "EstimateWithCI",
-    "PathConfig",
     "PhaseVerdict",
     "RiskParams",
     "RuinEstimate",
     "StreamKey",
-    "TypeAssignment",
-    "WeightMatrix",
-    "build_weights",
     "estimate",
     "estimate_psi",
     "estimate_tail",
@@ -52,9 +41,6 @@ __all__ = [
     "phase_classify",
     "proportional_r",
     "psi_summand",
-    "sample_graph",
-    "sample_types",
-    "simulate_ruin_path",
     "stream",
     "__version__",
 ]

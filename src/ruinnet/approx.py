@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import lgamma
 from typing import Iterator, Optional
 
@@ -48,7 +48,7 @@ INDETERMINATE = "INDETERMINATE"
 
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
-MODE_CLOSED_FORM = "closed_form"
+MODE_AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,6 @@ def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
     for dg in n_classes_sizes:
         terms *= math.comb(int(dg) + model.L - 1, model.L - 1)
     return terms
-
-
-def exact_enumerable(params: RiskParams, model: BlockModel, group: AgentSubset) -> bool:
-    """Whether exact mode can enumerate this instance within the term cap."""
-    _, _, sizes = object_classes(params)
-    return exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
 
 
 def _enumerate_collapsed(
@@ -266,8 +260,9 @@ def mixture_probability(
         model: Network model.
         group: Agent group; only its size matters (agents are exchangeable).
         mode: ``exact`` (collapsed enumeration), ``sampled`` (Monte Carlo
-            over collapsed configurations), or ``closed_form`` (exact mode
-            restricted to one-type models, where it has a single term).
+            over collapsed configurations), or ``auto``: exact when it has at
+            most :data:`MAX_EXACT_TERMS` terms, sampled otherwise.  A
+            one-type model always has a single term.
         m_configs: Sampled-mode configuration count (>= 100).
         base_seed: Sampled-mode stream seed.
         threads: Worker threads (never affects the result).
@@ -275,10 +270,9 @@ def mixture_probability(
     group.validate_for(params.q)
     ratio, _, sizes = object_classes(params)
     xi_vals = ratio / params.lam
-    if mode == MODE_CLOSED_FORM:
-        if not model.is_bernoulli:
-            raise ValueError("closed_form mode requires a one-type model")
-        return replace(_exact(model, group, xi_vals, sizes), mode=MODE_CLOSED_FORM)
+    if mode == MODE_AUTO:
+        enumerable = exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
+        mode = MODE_EXACT if enumerable else MODE_SAMPLED
     if mode == MODE_EXACT:
         return _exact(model, group, xi_vals, sizes)
     if mode == MODE_SAMPLED:

@@ -330,27 +330,6 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
     return parse_config(doc, overrides)
 
 
-def _approx_point(cfg: ExperimentConfig, params: RiskParams, group: AgentSubset):
-    """Pick the approximation mode for a sweep/estimate point."""
-    mode = cfg.approx_mode
-    if mode == "auto":
-        if cfg.network.is_bernoulli:
-            mode = approx.MODE_CLOSED_FORM
-        elif approx.exact_enumerable(params, cfg.network, group):
-            mode = approx.MODE_EXACT
-        else:
-            mode = approx.MODE_SAMPLED
-    return approx.mixture_probability(
-        params,
-        cfg.network,
-        group,
-        mode=mode,
-        m_configs=cfg.m_configs,
-        base_seed=cfg.seed,
-        threads=cfg.threads,
-    )
-
-
 def cmd_estimate(cfg: ExperimentConfig) -> dict:
     """Ruin and tail estimates for the configured group."""
     group = cfg.group or AgentSubset.prefix(cfg.q)
@@ -376,7 +355,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
         for k in range(1, cfg.q + 1):
             group = AgentSubset.prefix(k)
             est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
-            ap = _approx_point(cfg, params, group)
+            ap = approx.mixture_probability(
+                params, cfg.network, group, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
+            )
             psi = est.psi
             row = SweepRow(
                 qsize=k,
@@ -406,7 +387,7 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
-        ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_CLOSED_FORM)
+        ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_EXACT)
         tail = estimate_tail(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
         rows.append(
             {
@@ -425,6 +406,8 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
     """Cross-validate the ruin estimator against direct path simulation."""
     if cfg.q * cfg.d > 100:
         raise ConfigError("oracle mode limited to small instances (q*d <= 100)")
+    if not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
+        raise ConfigError(f"horizon must be finite and positive, got {cfg.horizon:g}")
     params = cfg.risk_params()
     if params.lam * params.d * cfg.horizon > MAX_CLAIMS_PER_PATH:
         raise ConfigError(

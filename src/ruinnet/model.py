@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .netgen import BipartiteGraph
 
 #: Floating-point slack allowed on the column-sum condition of the
 #: weighted adjacency matrix.
@@ -115,32 +112,6 @@ class AgentSubset:
             raise ValueError(f"agent index {self.indices[-1]} exceeds agent count {q}")
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Weighted adjacency of the bipartite network under proportional sharing.
-
-    ``A[i, j]`` is the share of object ``j``'s loss carried by agent ``i``.
-    Every column sum lies in ``[0, 1]`` (up to :data:`COLUMN_SUM_TOL`).
-    """
-
-    A: np.ndarray
-    r_q: float
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("weight matrix must be two-dimensional")
-        if (A < 0).any():
-            raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "r_q", float(self.r_q))
-        if not self.r_q > 0:
-            raise ValueError("scaling constant r_q must be positive")
-
-    def column_sums(self) -> np.ndarray:
-        return self.A.sum(axis=0)
-
-
 def object_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition the objects into classes of equal premium-to-claim ratio ``c_j/mu_j``.
 
@@ -196,40 +167,3 @@ def proportional_weights(
         )
     return A
 
-
-def build_weights(
-    graph: "BipartiteGraph",
-    group: AgentSubset,
-    params: RiskParams,
-    r_q: Optional[float] = None,
-) -> WeightMatrix:
-    """Proportional loss-sharing weights for a realised network.
-
-    Agents in ``group`` that insure object ``j`` each carry the share
-    ``r_q / (n_j * mu_j)`` where ``n_j`` counts the group members connected
-    to ``j``; objects with no group connection get an all-zero column
-    (0/0 := 0).  Note the per-column share applies to *every* agent
-    connected to ``j``, so column sums run over all agents.  The arithmetic
-    is :func:`proportional_weights`.
-
-    Args:
-        graph: Realised bipartite incidence.
-        group: The agent group.
-        params: Model parameters (supplies ``mu`` and the dimensions).
-        r_q: Optional custom scaling constant; defaults to
-            :func:`proportional_r`.
-
-    Returns:
-        The validated :class:`WeightMatrix`.
-
-    Raises:
-        ValueError: If a column sum exceeds ``1 + COLUMN_SUM_TOL``, which
-            signals an invalid custom ``r_q``.
-    """
-    if graph.q != params.q or graph.d != params.d:
-        raise ValueError("graph dimensions do not match parameters")
-    group.validate_for(params.q)
-    if r_q is None:
-        r_q = proportional_r(params, group)
-    A = proportional_weights(graph.incidence, group, params, float(r_q))
-    return WeightMatrix(A=A, r_q=float(r_q))

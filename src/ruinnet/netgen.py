@@ -4,6 +4,10 @@ Agents and objects carry latent types; an edge between agent ``i`` and
 object ``j`` appears independently with probability ``p[s(i), t(j)]``
 given the types.  The one-type special case is a bipartite Bernoulli
 graph.  Type labels are 0-based indices into the type-probability vectors.
+
+:func:`sample_incidence` draws whole networks; the estimator and the
+approximation draw only what they need of one (:func:`sample_group_counts`,
+:func:`sample_configurations`).
 """
 
 from __future__ import annotations
@@ -73,43 +77,6 @@ class BlockModel:
         return self.K == 1 and self.L == 1
 
 
-@dataclass(frozen=True)
-class TypeAssignment:
-    """Realised types: ``s[i]`` for agents, ``t[j]`` for objects (0-based labels)."""
-
-    s: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=np.int64))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.int64))
-        if self.s.ndim != 1 or self.t.ndim != 1:
-            raise ValueError("type assignments must be one-dimensional")
-        if (self.s < 0).any() or (self.t < 0).any():
-            raise ValueError("type labels must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Realised bipartite incidence between ``q`` agents and ``d`` objects."""
-
-    incidence: np.ndarray
-
-    def __post_init__(self):
-        inc = np.asarray(self.incidence, dtype=bool)
-        if inc.ndim != 2:
-            raise ValueError("incidence must be a q x d boolean matrix")
-        object.__setattr__(self, "incidence", inc)
-
-    @property
-    def q(self) -> int:
-        return self.incidence.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.incidence.shape[1]
-
-
 def _in_chunks(fn, rng: np.random.Generator, n: int, cells_per_row: int) -> np.ndarray:
     """``fn(rng, rows)`` over consecutive chunks of ``n`` rows, concatenated
     along the last axis, each chunk holding at most ``_CHUNK_CELLS`` cells.
@@ -127,41 +94,19 @@ def _draw_types(rng: np.random.Generator, probs: np.ndarray, size) -> np.ndarray
     return rng.choice(probs.size, size=size, p=probs)
 
 
-def sample_types(model: BlockModel, q: int, d: int, rng: np.random.Generator) -> TypeAssignment:
-    """Draw iid agent types from ``w`` and object types from ``v``."""
-    if q < 1 or d < 1:
-        raise ValueError("need at least one agent and one object")
-    s = _draw_types(rng, model.w, int(q))
-    t = _draw_types(rng, model.v, int(d))
-    return TypeAssignment(s=s, t=t)
-
-
-def sample_graph(model: BlockModel, types: TypeAssignment, rng: np.random.Generator) -> BipartiteGraph:
-    """Draw edges independently with probability ``p[s(i), t(j)]`` given the types."""
-    if types.s.max(initial=0) >= model.K or types.t.max(initial=0) >= model.L:
-        raise ValueError("type assignment out of range for this model")
-    return BipartiteGraph(incidence=_draw_edges(model, types.s, types.t, rng))
-
-
-def _draw_edges(model: BlockModel, s: np.ndarray, t: np.ndarray, rng: np.random.Generator):
-    """One uniform per (agent, object) pair of each network, compared with
-    ``p[s(i), t(j)]``; ``s`` is ``(..., q)``, ``t`` is ``(..., d)``."""
-    pm = model.p[s[..., :, None], t[..., None, :]]
-    return rng.random(pm.shape) < pm
-
-
 def sample_incidence(
     model: BlockModel, q: int, d: int, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """Incidence matrices of ``n`` independent networks, shape ``(n, q, d)``.
 
-    Draws the agent types of every network, then their object types, then
-    the edges.  A single network (``n = 1``) reads the stream as
-    :func:`sample_types` followed by :func:`sample_graph` does.
+    Draws the agent types of every network, then their object types (each
+    only when there is more than one type), then one uniform per (agent,
+    object) pair, compared with ``p[s(i), t(j)]``.
     """
     s = _draw_types(rng, model.w, (n, q))
     t = _draw_types(rng, model.v, (n, d))
-    return _draw_edges(model, s, t, rng)
+    pm = model.p[s[..., :, None], t[..., None, :]]
+    return rng.random(pm.shape) < pm
 
 
 def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:

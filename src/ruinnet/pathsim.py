@@ -12,10 +12,9 @@ drawn exposed object.
 One kernel, :func:`simulate_ruin_batch`, runs a batch of at most
 :data:`PATH_BATCH` paths from one stream as ``(rows x _CLAIM_CHUNK)``
 arrays, chunk by chunk, until every path has either crossed its reserve
-or passed the horizon.  A one-row batch is :func:`simulate_ruin_path`.
-The nested oracle :func:`oracle_psi` draws its networks in fixed blocks
-and runs each block's paths through the kernel in batches, one stream
-per batch.
+or passed the horizon.  The nested oracle :func:`oracle_psi` draws its
+networks in fixed blocks and runs each block's paths through the kernel
+in batches, one stream per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
 carries any exposure, so checking ruin only at claim epochs is exact.
@@ -26,21 +25,13 @@ reported here a lower bound on the infinite-horizon probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AgentSubset, RiskParams, WeightMatrix, proportional_r, proportional_weights
-from .netgen import BipartiteGraph, BlockModel, sample_incidence
+from .model import AgentSubset, RiskParams, proportional_r, proportional_weights
+from .netgen import BlockModel, sample_incidence
 from .ruin import EstimateWithCI
-from .streams import (
-    ORACLE_NET_DOMAIN,
-    ORACLE_PATH_DOMAIN,
-    StreamKey,
-    _run_tasks,
-    pairwise_sum,
-    stream,
-)
+from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, _run_tasks, pairwise_sum, stream
 
 #: Claims are drawn in fixed chunks so that extending the horizon replays
 #: the same claim prefix (keeps ruin monotone in the horizon per seed).
@@ -53,36 +44,6 @@ PATH_BATCH = 256
 
 #: Networks drawn from one stream by :func:`oracle_psi`; one block is one task.
 NETWORK_BLOCK = 256
-
-
-def _check_horizon(horizon: float) -> None:
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and positive")
-
-
-@dataclass(frozen=True)
-class PathConfig:
-    """A fixed network instance to simulate paths on."""
-
-    params: RiskParams
-    graph: BipartiteGraph
-    group: AgentSubset
-    weights: WeightMatrix
-    horizon: float = 1000.0
-
-    def __post_init__(self):
-        _check_horizon(self.horizon)
-        if self.graph.q != self.params.q or self.graph.d != self.params.d:
-            raise ValueError("graph dimensions do not match parameters")
-        self.group.validate_for(self.params.q)
-
-    def exposure(self) -> np.ndarray:
-        """The group's share of each object's losses (length ``d``)."""
-        return self.weights.A[self.group.zero_based()].sum(axis=0)
-
-    def total_reserve(self) -> float:
-        """The group's pooled initial reserve."""
-        return float(self.params.u[self.group.zero_based()].sum())
 
 
 def simulate_ruin_batch(
@@ -160,24 +121,6 @@ def simulate_ruin_batch(
         weight, mean, drift = weight[stay], mean[stay], drift[stay]
 
 
-def simulate_ruin_path(cfg: PathConfig, key: StreamKey) -> bool:
-    """Simulate one surplus path; True iff the group deficit ever reaches
-    the total reserve within the horizon.
-
-    A one-row :func:`simulate_ruin_batch` on the stream ``key.child(j0)``,
-    ``j0`` the first exposed object.  With a single exposed object this is
-    that object's own claim process.
-    """
-    exposure = cfg.exposure()
-    total_reserve = cfg.total_reserve()
-    active = np.flatnonzero(exposure > 0)
-    if active.size == 0:
-        return total_reserve <= 0.0
-    rng = key.child(int(active[0])).generator()
-    flags = simulate_ruin_batch(cfg.params, exposure[None], total_reserve, cfg.horizon, rng)
-    return bool(flags[0])
-
-
 def oracle_psi(
     params: RiskParams,
     model: BlockModel,
@@ -204,7 +147,8 @@ def oracle_psi(
     for any ``threads``, and a longer horizon replays every path's claims.
     """
     group.validate_for(params.q)
-    _check_horizon(horizon)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
     if outer_networks < 2:
         raise ValueError("need at least two outer network samples")
     if inner_paths < 1:

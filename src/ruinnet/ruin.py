@@ -136,7 +136,7 @@ def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, B: 
     group.validate_for(params.q)
     if B < 2:
         raise ValueError("need at least two replicates for a standard error")
-    if method in ("auto", "collapsed"):
+    if method == "collapsed":
         return _collapsed_sampler(params, model, group)
     if method == "graph":
         return _graph_sampler(params, model, group)
@@ -156,7 +156,7 @@ def estimate(
     B: int,
     base_seed: int,
     threads: int = 1,
-    method: str = "auto",
+    method: str = "collapsed",
 ) -> RuinEstimate:
     """Monte-Carlo estimates of the group ruin probability and of the tail
     ``P(PK ratio < 1)``, read from the same PK draws in one pass.
@@ -179,8 +179,7 @@ def estimate(
         B: Replicate count, at least 2.
         base_seed: Base seed of the replicate streams.
         threads: Worker threads (does not affect the result).
-        method: ``auto`` (= ``collapsed``) | ``collapsed`` | ``graph``
-            sampling backend.
+        method: ``collapsed`` | ``graph`` sampling backend.
 
     Raises:
         ValueError: On ``B < 2`` or zero total reserve.
@@ -209,7 +208,7 @@ def estimate_psi(
     B: int,
     base_seed: int,
     threads: int = 1,
-    method: str = "auto",
+    method: str = "collapsed",
 ) -> EstimateWithCI:
     """Monte-Carlo estimate of the group ruin probability: the ``psi``
     field of :func:`estimate`, with the same arguments and errors."""
@@ -223,7 +222,7 @@ def estimate_tail(
     B: int,
     base_seed: int,
     threads: int = 1,
-    method: str = "auto",
+    method: str = "collapsed",
 ) -> EstimateWithCI:
     """Monte-Carlo frequency of realisations with PK ratio below 1.
 

@@ -4,7 +4,8 @@ The package never materialises the group's indicator vector or the
 marginal connection probability: it draws the group's agent-type counts,
 then one binomial count per class (:func:`ruinnet.netgen.sample_group_counts`).
 These are the per-object and closed-form quantities the tests check that
-sampler, and the full graph pipeline, against.
+sampler, and the incidence matrices of :func:`ruinnet.netgen.sample_incidence`,
+against.
 """
 
 import itertools
@@ -12,17 +13,18 @@ import itertools
 import numpy as np
 
 from ruinnet.model import AgentSubset
-from ruinnet.netgen import BipartiteGraph, BlockModel
+from ruinnet.netgen import BlockModel
 
 #: Largest number of terms the enumerated connection-probability oracle
 #: will expand (K^|Q| * L).
 MAX_ENUM_TERMS = 10_000_000
 
 
-def group_indicators(graph: BipartiteGraph, group: AgentSubset) -> np.ndarray:
-    """Boolean vector: object ``j`` is connected to some agent of ``group``."""
-    group.validate_for(graph.q)
-    return graph.incidence[group.zero_based()].any(axis=0)
+def group_indicators(incidence: np.ndarray, group: AgentSubset) -> np.ndarray:
+    """Object ``j`` is connected to some agent of ``group``: a boolean vector
+    per ``q x d`` incidence matrix, shape ``(..., d)`` for ``(..., q, d)``."""
+    group.validate_for(incidence.shape[-2])
+    return incidence[..., group.zero_based(), :].any(axis=-2)
 
 
 def connect_prob(model: BlockModel, size_q: int) -> float:

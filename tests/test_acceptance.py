@@ -15,10 +15,9 @@ import pytest
 
 from ruin_reference import pk_value
 from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, cmd_sweep, main, parse_config
-from ruinnet.model import AgentSubset, RiskParams, build_weights
-from ruinnet.netgen import BipartiteGraph, BlockModel
-from pathsim_reference import ruin_frequency
-from ruinnet.pathsim import PathConfig
+from ruinnet.model import AgentSubset, RiskParams
+from ruinnet.netgen import BlockModel
+from pathsim_reference import group_exposure, ruin_frequency
 from ruinnet.ruin import estimate_psi, estimate_tail
 from ruinnet.approx import mixture_probability
 
@@ -44,7 +43,7 @@ def test_criterion_1_table_bound():
     bounds = []
     for ns in TABLE_NS:
         params, model, group = table_setting(ns)
-        bounds.append(mixture_probability(params, model, group, mode="closed_form").stein_bound)
+        bounds.append(mixture_probability(params, model, group, mode="exact").stein_bound)
     elapsed = time.perf_counter() - start
     ok = all(abs(b - 0.040) <= 0.001 for b in bounds) and elapsed < 1.0
     report(
@@ -60,7 +59,7 @@ def test_criterion_2_table_approximation():
     worst = 0.0
     for ns, target in zip(TABLE_NS, TABLE_APPROX):
         params, model, group = table_setting(ns)
-        prob = mixture_probability(params, model, group, mode="closed_form").probability
+        prob = mixture_probability(params, model, group, mode="exact").probability
         worst = max(worst, abs(prob - target))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.005 and elapsed < 1.0
@@ -72,7 +71,7 @@ def test_criterion_3_table_estimate():
     rows = []
     for ns in TABLE_NS:
         params, model, group = table_setting(ns)
-        ap = mixture_probability(params, model, group, mode="closed_form")
+        ap = mixture_probability(params, model, group, mode="exact")
         est = estimate_tail(params, model, group, B=1000, base_seed=42, threads=1)
         tol = ap.stein_bound + 2 * est.stderr
         rows.append((ns, abs(est.mean - ap.probability), tol))
@@ -137,15 +136,8 @@ def test_criterion_5_degenerate_closed_form():
     model = BlockModel.bernoulli(1.0)
     group = AgentSubset.prefix(1)
     est = estimate_psi(params, model, group, B=1000, base_seed=42)
-    graph = BipartiteGraph(np.ones((1, 1), dtype=bool))
-    cfg = PathConfig(
-        params=params,
-        graph=graph,
-        group=group,
-        weights=build_weights(graph, group, params),
-        horizon=1000.0,
-    )
-    freq = ruin_frequency(cfg, paths=100_000, base_seed=42)
+    exposure, total_reserve = group_exposure(params, np.ones((1, 1)), group)
+    freq = ruin_frequency(params, exposure, total_reserve, 1000.0, paths=100_000, base_seed=42)
     ok = (
         abs(est.mean - 0.90810) <= 1e-5
         and est.stderr <= 1e-12
@@ -203,7 +195,7 @@ def test_criterion_7_bound_rate():
         size_q = int(round(d**beta))
         params, model, group = table_setting(d // 2, d=d, size_q=size_q, beta=beta)
         bounds.append(
-            mixture_probability(params, model, group, mode="closed_form").stein_bound
+            mixture_probability(params, model, group, mode="exact").stein_bound
         )
     ratios = [b / a for a, b in zip(bounds, bounds[1:])]
     ok = all(abs(r - 0.5) <= 0.05 for r in ratios)

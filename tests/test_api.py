@@ -9,17 +9,12 @@ import ruinnet
 PUBLIC = {
     "AgentSubset",
     "ApproxResult",
-    "BipartiteGraph",
     "BlockModel",
     "EstimateWithCI",
-    "PathConfig",
     "PhaseVerdict",
     "RiskParams",
     "RuinEstimate",
     "StreamKey",
-    "TypeAssignment",
-    "WeightMatrix",
-    "build_weights",
     "estimate",
     "estimate_psi",
     "estimate_tail",
@@ -29,9 +24,6 @@ PUBLIC = {
     "phase_classify",
     "proportional_r",
     "psi_summand",
-    "sample_graph",
-    "sample_types",
-    "simulate_ruin_path",
     "stream",
     "__version__",
 }

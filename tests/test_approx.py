@@ -167,29 +167,48 @@ class TestNormalPositiveProb:
 class TestMixtureProbability:
     def test_table_row_49900(self):
         params, model, group = table_params(49_900)
-        res = mixture_probability(params, model, group, mode="closed_form")
+        res = mixture_probability(params, model, group, mode="exact")
         assert res.probability == pytest.approx(0.650, abs=1e-3)
         assert res.stein_bound == pytest.approx(0.040, abs=1e-3)
 
     def test_table_row_50000_exact_half(self):
         params, model, group = table_params(50_000)
-        res = mixture_probability(params, model, group, mode="closed_form")
+        res = mixture_probability(params, model, group, mode="exact")
         assert res.probability == 0.5
 
-    def test_closed_form_requires_one_type(self):
-        m = BlockModel(w=[0.5, 0.5], v=[1.0], p=[[0.3], [0.7]])
-        p = RiskParams(lam=1.0, c=[0.95, 1.05], mu=[1.0, 1.0], u=[1.0, 1.0])
-        with pytest.raises(ValueError, match="one-type"):
-            mixture_probability(p, m, AgentSubset.prefix(2), mode="closed_form")
-
     def test_exact_agrees_with_closed_form(self):
+        # a one-type model has one configuration: the paper's closed form,
+        # summed here over the two premium classes
         for ns in (49_000, 49_900, 50_500):
             params, model, group = table_params(ns)
-            cf = mixture_probability(params, model, group, mode="closed_form")
             ex = mixture_probability(params, model, group, mode="exact")
-            assert cf.mode == "closed_form" and cf.config_count == 1
-            assert abs(cf.probability - ex.probability) <= 1e-12
-            assert abs(cf.stein_bound - ex.stein_bound) <= 1e-12
+            assert ex.mode == "exact" and ex.config_count == 1
+            pc = p_of_config(model, [0] * group.size, 0)
+            xm = np.array([0.95, 1.05]) - 1.0
+            n = np.array([ns, params.d - ns])
+            var = (xm * xm * n * pc * (1 - pc)).sum()
+            raw3 = (np.abs(xm) ** 3 * n * (pc * (1 - pc) ** 3 + (1 - pc) * pc**3)).sum()
+            cf = normal_positive_prob((xm * n * pc).sum(), var)
+            assert abs(cf - ex.probability) <= 1e-12
+            assert abs(9.4 * raw3 / var**1.5 - ex.stein_bound) <= 1e-12
+
+    def test_auto_is_exact_under_the_term_cap_and_sampled_above(self):
+        # a one-type model always has a single term
+        table = table_params(49_900)
+        assert mixture_probability(*table, mode="auto") == mixture_probability(*table, mode="exact")
+        group = AgentSubset.prefix(2)
+        small = RiskParams(lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05], mu=np.ones(5), u=np.ones(3))
+        model = BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.3, 0.5], [0.8, 0.2]])
+        auto = mixture_probability(small, model, group, mode="auto")
+        assert auto.mode == "exact"
+        assert auto == mixture_probability(small, model, group, mode="exact")
+        # 40 distinct loadings with L = 2: 3 * 2^40 collapsed terms
+        c = np.random.default_rng(0).uniform(0.8, 1.2, 40)
+        large = RiskParams(lam=1.0, c=c, mu=np.ones(40), u=np.ones(2))
+        kwargs = dict(m_configs=500, base_seed=3)
+        auto = mixture_probability(large, model, group, mode="auto", **kwargs)
+        assert auto.mode == "sampled"
+        assert auto == mixture_probability(large, model, group, mode="sampled", **kwargs)
 
     def test_sampled_agrees_with_exact(self):
         params = RiskParams(
@@ -270,7 +289,7 @@ class TestMixtureProbability:
             c[: d // 2] = 0.95
             params = RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.ones(100))
             model = BlockModel.bernoulli(d**-beta)
-            res = mixture_probability(params, model, AgentSubset.prefix(100), mode="closed_form")
+            res = mixture_probability(params, model, AgentSubset.prefix(100), mode="exact")
             bounds.append(res.stein_bound)
         target = 2 ** (-(1 - beta) / 2)
         for a, b in zip(bounds, bounds[1:]):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ruinnet import cli
 from ruinnet.cli import (
     FLAT,
     MAX_INNER_PATHS,
@@ -299,6 +300,16 @@ class TestCmdOracle:
         with pytest.raises(ConfigError, match="small instances"):
             cmd_oracle(parse_config(doc))
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_bad_horizon_exits_2_before_the_estimator(self, tmp_path, capsys, monkeypatch, horizon):
+        def never(*args, **kwargs):
+            raise AssertionError("estimate_psi ran before the horizon was checked")
+
+        monkeypatch.setattr(cli, "estimate_psi", never)
+        rc, out, err = run_main(tmp_path, capsys, "oracle", degenerate_doc(horizon=horizon))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: horizon must be finite and positive")
+
 
 class TestClassifyShape:
     def test_needs_four_points(self):
@@ -408,6 +419,7 @@ class TestMainEntryPoint:
                 ("unknown-mode", {"approx_mode": "bogus"}),
                 ("few-configs", {"approx_mode": "sampled", "m_configs": 5}),
                 ("closed-form-sbm", {"approx_mode": "closed_form", "network": SBM_2X1}),
+                ("closed-form", {"approx_mode": "closed_form"}),  # exact's alias, gone
             )
         ]
         + [

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import classical_ruin, compute_loadings
-from ruinnet.model import (
-    AgentSubset,
-    RiskParams,
-    build_weights,
-    proportional_r,
-    proportional_weights,
-)
-from ruinnet.netgen import BipartiteGraph
+from ruinnet.model import AgentSubset, RiskParams, proportional_r, proportional_weights
 
 
 def make_params(c, mu, q=1, lam=1.0, u=None):
@@ -129,34 +122,39 @@ class TestProportionalR:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def weights(inc, group, p):
+    """:func:`proportional_weights` at the group's default scaling constant."""
+    return proportional_weights(inc, group, p, proportional_r(p, group))
+
+
 class TestBuildWeights:
+    """Proportional weights of one incidence matrix, and of a stack of them."""
+
     def test_saturated_column(self):
         # two agents both insuring the object, full group: shares 1/2 each
         p = make_params([1.0], [1.0], q=2)
-        graph = BipartiteGraph(np.ones((2, 1), dtype=bool))
-        wm = build_weights(graph, AgentSubset.prefix(2), p)
-        np.testing.assert_allclose(wm.A, [[0.5], [0.5]])
-        assert wm.column_sums()[0] == pytest.approx(1.0, abs=1e-12)
+        A = weights(np.ones((2, 1)), AgentSubset.prefix(2), p)
+        np.testing.assert_allclose(A, [[0.5], [0.5]])
+        assert A.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unconnected_column_is_zero(self):
         p = make_params([1.0, 1.0], [1.0, 1.0], q=2)
         inc = np.array([[True, False], [True, False]])
-        wm = build_weights(BipartiteGraph(inc), AgentSubset.prefix(2), p)
-        np.testing.assert_array_equal(wm.A[:, 1], [0.0, 0.0])
+        A = weights(inc, AgentSubset.prefix(2), p)
+        np.testing.assert_array_equal(A[:, 1], [0.0, 0.0])
 
     def test_single_agent_share(self):
         p = make_params([1.0], [1.0], q=10)
         inc = np.zeros((10, 1), dtype=bool)
         inc[0, 0] = True
-        wm = build_weights(BipartiteGraph(inc), AgentSubset.prefix(1), p)
-        assert wm.A[0, 0] == pytest.approx(0.1)
-        assert wm.column_sums()[0] <= 1.0
+        A = weights(inc, AgentSubset.prefix(1), p)
+        assert A[0, 0] == pytest.approx(0.1)
+        assert A.sum(axis=0)[0] <= 1.0
 
     def test_rejects_oversized_custom_r(self):
         p = make_params([1.0], [1.0], q=2)
-        graph = BipartiteGraph(np.ones((2, 1), dtype=bool))
         with pytest.raises(ValueError, match="r_q"):
-            build_weights(graph, AgentSubset.prefix(2), p, r_q=1.5)
+            proportional_weights(np.ones((2, 1)), AgentSubset.prefix(2), p, 1.5)
 
     def test_column_sums_always_within_unit(self):
         # every sampled graph and group satisfies the column-sum condition
@@ -169,8 +167,9 @@ class TestBuildWeights:
             )
             inc = rng.random((q, d)) < rng.uniform(0.0, 1.0)
             k = int(rng.integers(1, q + 1))
-            wm = build_weights(BipartiteGraph(inc), AgentSubset.prefix(k), p)
-            col = wm.column_sums()
+            A = weights(inc, AgentSubset.prefix(k), p)
+            col = A.sum(axis=0)
+            assert (A >= 0).all()
             assert (col >= 0).all() and (col <= 1.0 + 1e-12).all()
 
     def test_stack_matches_each_network(self):
@@ -181,11 +180,10 @@ class TestBuildWeights:
             p = make_params(rng.uniform(0.5, 2.0, d), rng.uniform(0.2, 3.0, d), q=q)
             group = AgentSubset.prefix(int(rng.integers(1, q + 1)))
             stack = rng.random((7, q, d)) < rng.uniform(0.0, 1.0)
-            r_q = proportional_r(p, group)
-            weights = proportional_weights(stack, group, p, r_q)
-            assert weights.shape == stack.shape
-            for inc, A in zip(stack, weights):
-                np.testing.assert_array_equal(A, build_weights(BipartiteGraph(inc), group, p).A)
+            stacked = weights(stack, group, p)
+            assert stacked.shape == stack.shape
+            for inc, A in zip(stack, stacked):
+                np.testing.assert_array_equal(A, weights(inc, group, p))
 
     def test_stack_checks_every_column(self):
         p = make_params([1.0], [1.0], q=2)

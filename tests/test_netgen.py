@@ -13,13 +13,10 @@ from netgen_reference import (
 )
 from ruinnet.model import AgentSubset
 from ruinnet.netgen import (
-    BipartiteGraph,
     BlockModel,
     sample_configurations,
-    sample_graph,
     sample_group_counts,
     sample_incidence,
-    sample_types,
 )
 from ruinnet.streams import stream
 
@@ -61,57 +58,55 @@ class TestBlockModel:
 
 
 class TestSampleTypes:
+    # types show through edges that are certain for one type and impossible for the other
     def test_degenerate_single_type(self):
+        # one agent and one object type: the stream holds the edge uniforms only
         m = BlockModel.bernoulli(0.5)
-        types = sample_types(m, 5, 7, stream(0, 1))
-        assert (types.s == 0).all() and (types.t == 0).all()
+        stack = sample_incidence(m, 5, 7, stream(0, 1), 3)
+        np.testing.assert_array_equal(stack, stream(0, 1).random((3, 5, 7)) < 0.5)
 
     def test_point_mass(self):
-        m = BlockModel(w=[1.0, 0.0], v=[1.0], p=[[0.5], [0.5]])
-        types = sample_types(m, 50, 3, stream(0, 2))
-        assert (types.s == 0).all()
+        m = BlockModel(w=[1.0, 0.0], v=[1.0], p=[[1.0], [0.0]])
+        assert sample_incidence(m, 50, 3, stream(0, 2), 1).all()
 
     def test_binomial_concentration(self):
-        m = BlockModel(w=[0.5, 0.5], v=[1.0], p=[[0.5], [0.5]])
-        types = sample_types(m, 100_000, 1, stream(7, 3))
-        frac = (types.s == 0).mean()
+        m = BlockModel(w=[0.5, 0.5], v=[1.0], p=[[1.0], [0.0]])
+        frac = sample_incidence(m, 100_000, 1, stream(7, 3), 1).mean()
         assert abs(frac - 0.5) < 0.01
 
 
 class TestSampleGraph:
     def test_empty_and_complete(self):
-        types = sample_types(BlockModel.bernoulli(0.5), 4, 5, stream(1, 0))
-        empty = sample_graph(BlockModel.bernoulli(0.0), types, stream(1, 1))
-        full = sample_graph(BlockModel.bernoulli(1.0), types, stream(1, 2))
-        assert not empty.incidence.any()
-        assert full.incidence.all()
+        empty = sample_incidence(BlockModel.bernoulli(0.0), 4, 5, stream(1, 1), 1)
+        full = sample_incidence(BlockModel.bernoulli(1.0), 4, 5, stream(1, 2), 1)
+        assert not empty.any()
+        assert full.all()
 
     def test_edge_count_concentration(self):
         m = BlockModel.bernoulli(0.5)
-        types = sample_types(m, 100, 100, stream(2, 0))
-        graph = sample_graph(m, types, stream(2, 1))
-        assert abs(int(graph.incidence.sum()) - 5000) < 300  # 6 sigma
+        graph = sample_incidence(m, 100, 100, stream(2, 1), 1)
+        assert abs(int(graph.sum()) - 5000) < 300  # 6 sigma
 
     def test_bit_identical_for_same_stream(self):
         m = random_model(np.random.default_rng(5))
-        types = sample_types(m, 30, 40, stream(3, 0))
-        g1 = sample_graph(m, types, stream(3, 1))
-        g2 = sample_graph(m, types, stream(3, 1))
-        np.testing.assert_array_equal(g1.incidence, g2.incidence)
-        g3 = sample_graph(m, types, stream(3, 2))
-        assert (g1.incidence != g3.incidence).any()
+        g1 = sample_incidence(m, 30, 40, stream(3, 1), 1)
+        g2 = sample_incidence(m, 30, 40, stream(3, 1), 1)
+        np.testing.assert_array_equal(g1, g2)
+        g3 = sample_incidence(m, 30, 40, stream(3, 2), 1)
+        assert (g1 != g3).any()
 
 
 class TestSampleIncidence:
-    def test_one_network_reads_types_then_graph(self):
+    def test_reads_agent_types_then_object_types_then_edges(self):
         rng = np.random.default_rng(8)
         for case in range(20):
             m = random_model(rng)
-            q, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            q, d, n = (int(x) for x in rng.integers(1, 6, size=3))
             a = stream(case, 4)
-            graph = sample_graph(m, sample_types(m, q, d, a), a)
-            stack = sample_incidence(m, q, d, stream(case, 4), 1)
-            np.testing.assert_array_equal(stack, graph.incidence[None])
+            s = a.choice(m.K, size=(n, q), p=m.w) if m.K > 1 else np.zeros((n, q), int)
+            t = a.choice(m.L, size=(n, d), p=m.v) if m.L > 1 else np.zeros((n, d), int)
+            want = a.random((n, q, d)) < m.p[s[:, :, None], t[:, None, :]]
+            np.testing.assert_array_equal(sample_incidence(m, q, d, stream(case, 4), n), want)
 
     def test_networks_are_independent_draws(self):
         # every network's edges at rate p, and the networks differ
@@ -123,17 +118,17 @@ class TestSampleIncidence:
 
 class TestGroupIndicators:
     def test_empty_graph(self):
-        g = BipartiteGraph(np.zeros((3, 4), dtype=bool))
+        g = np.zeros((3, 4), dtype=bool)
         assert not group_indicators(g, AgentSubset.prefix(2)).any()
 
     def test_single_agent_row(self):
-        g = BipartiteGraph(np.array([[1, 0, 1], [1, 1, 1]], dtype=bool))
+        g = np.array([[1, 0, 1], [1, 1, 1]], dtype=bool)
         np.testing.assert_array_equal(
             group_indicators(g, AgentSubset((1,))), [True, False, True]
         )
 
     def test_max_over_group(self):
-        g = BipartiteGraph(np.array([[1, 0], [0, 1]], dtype=bool))
+        g = np.array([[1, 0], [0, 1]], dtype=bool)
         np.testing.assert_array_equal(
             group_indicators(g, AgentSubset.prefix(2)), [True, True]
         )
@@ -181,9 +176,7 @@ class TestConnectProb:
         R = 10_000
         hits = 0
         for r in range(R):
-            rng = stream(77, 4, r)
-            types = sample_types(m, 3, 1, rng)
-            graph = sample_graph(m, types, rng)
+            graph = sample_incidence(m, 3, 1, stream(77, 4, r), 1)[0]
             hits += int(group_indicators(graph, group)[0])
         p = connect_prob(m, 2)
         assert abs(hits / R - p) < 4 * np.sqrt(p * (1 - p) / R)
@@ -315,9 +308,8 @@ class TestFastPaths:
         counts_fast = sample_group_counts(m, 2, np.array([d]), stream(9, 0), R)[:, 0]
         counts_graph = np.empty(R, dtype=int)
         for r in range(R):
-            rng = stream(9, 1, r)
-            types = sample_types(m, 2, d, rng)
-            counts_graph[r] = group_indicators(sample_graph(m, types, rng), group).sum()
+            graph = sample_incidence(m, 2, d, stream(9, 1, r), 1)[0]
+            counts_graph[r] = group_indicators(graph, group).sum()
         # both empirical pmfs must match Binomial(d, pc) bin by bin
         from math import comb
 
@@ -337,8 +329,7 @@ class TestFastPaths:
         counts_fast = sample_group_counts(m, 2, sizes, stream(10, 0), R)
         counts_graph = np.empty((R, 2), dtype=int)
         for r in range(R):
-            rng = stream(10, 1, r)
-            ind = group_indicators(sample_graph(m, sample_types(m, 3, 4, rng), rng), group)
+            ind = group_indicators(sample_incidence(m, 3, 4, stream(10, 1, r), 1)[0], group)
             counts_graph[r] = ind[:1].sum(), ind[1:].sum()
         pmf = exact_count_pmf(m, 2, sizes)
         assert_matches_pmf(counts_fast, pmf)

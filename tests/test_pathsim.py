@@ -7,89 +7,59 @@ import pytest
 
 from exact_reference import exact_law
 from model_reference import classical_ruin
-from pathsim_reference import ruin_flags, ruin_frequency, simulate_ruin_path_per_object
-from ruinnet.model import AgentSubset, RiskParams, WeightMatrix, build_weights
-from ruinnet.netgen import BipartiteGraph, BlockModel
-from ruinnet.pathsim import (
-    NETWORK_BLOCK,
-    PATH_BATCH,
-    PathConfig,
-    oracle_psi,
-    simulate_ruin_batch,
-    simulate_ruin_path,
+from pathsim_reference import (
+    group_exposure,
+    ruin_flags,
+    ruin_frequency,
+    ruin_path,
+    simulate_ruin_path_per_object,
 )
+from ruinnet.model import AgentSubset, RiskParams
+from ruinnet.netgen import BlockModel
+from ruinnet.pathsim import NETWORK_BLOCK, PATH_BATCH, oracle_psi, simulate_ruin_batch
 from ruinnet.ruin import estimate_psi
 from ruinnet.streams import StreamKey
 
 
-def single_object_config(c=1.05, u=1.0, horizon=1000.0):
+def single_object(c=1.05, u=1.0):
+    """``(params, exposure, total reserve)`` of one agent insuring one object."""
     params = RiskParams(lam=1.0, c=[c], mu=[1.0], u=[u])
-    graph = BipartiteGraph(np.ones((1, 1), dtype=bool))
-    group = AgentSubset.prefix(1)
-    return PathConfig(
-        params=params,
-        graph=graph,
-        group=group,
-        weights=build_weights(graph, group, params),
-        horizon=horizon,
-    )
+    return (params, *group_exposure(params, np.ones((1, 1)), AgentSubset.prefix(1)))
 
 
-def one_agent_config(exposure, c, mu, lam=1.0, u=1.0, horizon=200.0):
+def one_agent(exposure, c, mu, lam=1.0, u=1.0):
     """A one-agent group carrying share ``exposure[j]`` of object ``j``."""
-    share = np.asarray(exposure, dtype=float)[None, :]
     params = RiskParams(lam=lam, c=c, mu=mu, u=[u])
-    return PathConfig(
-        params,
-        BipartiteGraph(share > 0),
-        AgentSubset.prefix(1),
-        WeightMatrix(A=share, r_q=1.0),
-        horizon=horizon,
-    )
-
-
-class TestPathConfig:
-    def test_rejects_bad_horizon(self):
-        params = RiskParams(lam=1.0, c=[1.0], mu=[1.0], u=[1.0])
-        graph = BipartiteGraph(np.ones((1, 1), dtype=bool))
-        group = AgentSubset.prefix(1)
-        weights = build_weights(graph, group, params)
-        for horizon in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                PathConfig(params, graph, group, weights, horizon=horizon)
+    return params, np.asarray(exposure, dtype=float), float(u)
 
 
 class TestSimulateRuinPath:
     def test_no_exposure_never_ruins(self):
         params = RiskParams(lam=1.0, c=[0.5, 0.5], mu=[1.0, 1.0], u=[1.0, 1.0])
-        graph = BipartiteGraph(np.zeros((2, 2), dtype=bool))
-        group = AgentSubset.prefix(2)
-        weights = build_weights(graph, group, params)
-        cfg = PathConfig(params, graph, group, weights, horizon=100.0)
+        case = group_exposure(params, np.zeros((2, 2)), AgentSubset.prefix(2))
         assert not any(
-            simulate_ruin_path(cfg, StreamKey(0, (5, r))) for r in range(200)
+            ruin_path(params, *case, 100.0, StreamKey(0, (5, r))) for r in range(200)
         )
 
     def test_certain_ruin_under_negative_loading(self):
-        cfg = single_object_config(c=0.95, u=0.01, horizon=10_000.0)
-        freq = ruin_frequency(cfg, paths=10_000, base_seed=101)
+        case = single_object(c=0.95, u=0.01)
+        freq = ruin_frequency(*case, 10_000.0, paths=10_000, base_seed=101)
         assert freq.mean >= 0.99
 
     def test_matches_classical_formula(self):
-        cfg = single_object_config(c=1.05, u=1.0, horizon=1000.0)
-        freq = ruin_frequency(cfg, paths=20_000, base_seed=7)
+        case = single_object(c=1.05, u=1.0)
+        freq = ruin_frequency(*case, 1000.0, paths=20_000, base_seed=7)
         target = classical_ruin(1.0, 1.0, 1.05, 1.0)
         # one-sided truncation bias (~0.007 at this horizon) plus 3-sigma noise
         assert freq.mean <= target + 3 * freq.stderr
         assert abs(freq.mean - target) < 0.01
 
     def test_monotone_in_horizon_per_seed(self):
-        base = single_object_config(c=1.1, u=0.5)
+        case = single_object(c=1.1, u=0.5)
         outcomes = []
         for horizon in (5.0, 20.0, 80.0):
-            cfg = single_object_config(c=1.1, u=0.5, horizon=horizon)
             outcomes.append(
-                [simulate_ruin_path(cfg, StreamKey(3, (1, r))) for r in range(400)]
+                [ruin_path(*case, horizon, StreamKey(3, (1, r))) for r in range(400)]
             )
         for shorter, longer in zip(outcomes, outcomes[1:]):
             assert all(l or not s for s, l in zip(shorter, longer))
@@ -99,25 +69,22 @@ class TestSimulateRuinPath:
         # profitable ones with high reserve: ruin rare
         params_bad = RiskParams(lam=1.0, c=[0.8, 0.8], mu=[1.0, 1.0], u=[0.5, 0.5])
         params_good = RiskParams(lam=1.0, c=[1.6, 1.6], mu=[1.0, 1.0], u=[3.0, 3.0])
-        graph = BipartiteGraph(np.ones((2, 2), dtype=bool))
         group = AgentSubset.prefix(2)
         runs = {}
         for name, params in (("bad", params_bad), ("good", params_good)):
-            weights = build_weights(graph, group, params)
-            cfg = PathConfig(params, graph, group, weights, horizon=500.0)
-            runs[name] = ruin_frequency(cfg, paths=500, base_seed=19).mean
+            case = group_exposure(params, np.ones((2, 2)), group)
+            runs[name] = ruin_frequency(params, *case, 500.0, paths=500, base_seed=19).mean
         assert runs["bad"] > 0.95
         assert runs["good"] < 0.2
 
     def test_batch_flags_monotone_in_horizon(self):
         # several kernel batches of multi-object paths: each path's claims are
         # replayed by a longer horizon, so no path that ruins can stop ruining
-        base = one_agent_config([0.2, 0.5, 0.9], c=[1.3, 1.1, 0.4], mu=[3.0, 1.0, 0.25])
+        case = one_agent([0.2, 0.5, 0.9], c=[1.3, 1.1, 0.4], mu=[3.0, 1.0, 0.25])
         paths = 3 * PATH_BATCH - 100
-        outcomes = []
-        for horizon in (2.0, 10.0, 60.0, 300.0):
-            cfg = PathConfig(base.params, base.graph, base.group, base.weights, horizon=horizon)
-            outcomes.append(ruin_flags(cfg, paths, base_seed=17))
+        outcomes = [
+            ruin_flags(*case, horizon, paths, base_seed=17) for horizon in (2.0, 10.0, 60.0, 300.0)
+        ]
         for shorter, longer in zip(outcomes, outcomes[1:]):
             assert not (shorter & ~longer).any()
             assert (longer & ~shorter).any()
@@ -138,17 +105,17 @@ class TestSimulateRuinPath:
             )
 
     def test_deterministic_per_key(self):
-        cfg = single_object_config()
-        flags1 = [simulate_ruin_path(cfg, StreamKey(9, (2, r))) for r in range(100)]
-        flags2 = [simulate_ruin_path(cfg, StreamKey(9, (2, r))) for r in range(100)]
+        case = single_object()
+        flags1 = [ruin_path(*case, 1000.0, StreamKey(9, (2, r))) for r in range(100)]
+        flags2 = [ruin_path(*case, 1000.0, StreamKey(9, (2, r))) for r in range(100)]
         assert flags1 == flags2
 
 
 class TestMergedClaimStream:
     def test_fixed_keys_regression(self):
         # survivors among 200 fixed keys, as the per-object simulator gave them
-        cfg = single_object_config(c=1.05, u=1.0)
-        survivors = [r for r in range(200) if not simulate_ruin_path(cfg, StreamKey(9, (2, r)))]
+        case = single_object(c=1.05, u=1.0)
+        survivors = [r for r in range(200) if not ruin_path(*case, 1000.0, StreamKey(9, (2, r)))]
         assert survivors == [
             14, 20, 22, 33, 34, 38, 42, 44, 50, 54, 59, 67, 78, 109, 140, 142, 149, 150, 163, 176
         ]
@@ -159,17 +126,16 @@ class TestMergedClaimStream:
             d = int(rng.integers(1, 5))
             exposure = np.zeros(d)
             exposure[rng.integers(d)] = rng.uniform(0.1, 1.0)
-            cfg = one_agent_config(
+            path = one_agent(
                 exposure,
                 c=rng.uniform(0.2, 2.0, d),
                 mu=rng.uniform(0.2, 2.0, d),
                 lam=float(rng.uniform(0.5, 2.0)),
                 u=float(rng.uniform(0.1, 3.0)),
-                horizon=float(rng.uniform(1.0, 300.0)),
-            )
+            ) + (float(rng.uniform(1.0, 300.0)),)
             for r in range(25):
                 key = StreamKey(case, (7, r))
-                assert simulate_ruin_path(cfg, key) == simulate_ruin_path_per_object(cfg, key)
+                assert ruin_path(*path, key) == simulate_ruin_path_per_object(*path, key)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -180,10 +146,12 @@ class TestMergedClaimStream:
         ],
     )
     def test_several_objects_agree_with_reference_in_distribution(self, kwargs):
-        cfg = one_agent_config(**kwargs)
+        path = one_agent(**kwargs) + (200.0,)
         n = 4000
-        merged = sum(simulate_ruin_path(cfg, StreamKey(1, (r,))) for r in range(n)) / n
-        reference = sum(simulate_ruin_path_per_object(cfg, StreamKey(2, (r,))) for r in range(n)) / n
+        merged = sum(ruin_path(*path, StreamKey(1, (r,))) for r in range(n)) / n
+        reference = sum(
+            simulate_ruin_path_per_object(*path, StreamKey(2, (r,))) for r in range(n)
+        ) / n
         se = math.hypot(*(math.sqrt(p * (1 - p) / n) for p in (merged, reference)))
         assert 0.1 < reference < 0.9
         assert abs(merged - reference) < 4 * se
