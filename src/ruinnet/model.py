@@ -166,4 +166,3 @@ def proportional_weights(
             f"column sum {worst:.6g} exceeds 1: scaling constant r_q={r_q:.6g} is too large"
         )
     return A
-
