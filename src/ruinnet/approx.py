@@ -50,6 +50,9 @@ MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
 MODE_AUTO = "auto"
 
+#: Fewest configurations sampled mode accepts.
+MIN_SAMPLED_CONFIGS = 100
+
 
 @dataclass(frozen=True)
 class ApproxResult:
@@ -214,8 +217,8 @@ def _sampled(
     class, object type)), summarised by :func:`_stats_from_counts` exactly
     as exact mode summarises an enumerated one.
     """
-    if m_configs < 100:
-        raise ValueError("sampled mode needs at least 100 configurations")
+    if m_configs < MIN_SAMPLED_CONFIGS:
+        raise ValueError(f"sampled mode needs at least {MIN_SAMPLED_CONFIGS} configurations")
 
     def configs(rng: np.random.Generator, rows: int) -> np.ndarray:
         connect, counts = sample_configurations(model, group.size, sizes, rng, rows)
@@ -268,7 +271,7 @@ def mixture_probability(
         threads: Worker threads (never affects the result).
     """
     group.validate_for(params.q)
-    ratio, _, sizes = object_classes(params)
+    ratio, sizes = object_classes(params)
     xi_vals = ratio / params.lam
     if mode == MODE_AUTO:
         enumerable = exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
@@ -298,7 +301,7 @@ def phase_classify(
     if not 0.0 < beta < 1.0:
         raise ValueError("density exponent beta must lie in (0, 1)")
     group.validate_for(params.q)
-    ratio, _, sizes = object_classes(params)
+    ratio, sizes = object_classes(params)
     xi_vals = ratio / params.lam
     if np.any(xi_vals == 1.0):
         warnings.warn(

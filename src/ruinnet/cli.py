@@ -43,6 +43,7 @@ EXIT_ORACLE = 3
 SEED_ENV_VAR = "RUINNET_SEED"
 DEFAULT_SEED = 42
 DEFAULT_NS_GRID = (3, 4, 5, 6)
+APPROX_MODES = (approx.MODE_EXACT, approx.MODE_SAMPLED, approx.MODE_AUTO)
 
 # Caps on the sample counts: the schedulers build one task list per count
 # before they sample anything, so a count must bound that list.
@@ -290,6 +291,19 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
 
+    approx_mode = doc.get("approx_mode", approx.MODE_AUTO)
+    if not isinstance(approx_mode, str) or approx_mode not in APPROX_MODES:
+        raise ConfigError(
+            f"approx_mode must be one of {', '.join(map(repr, APPROX_MODES))}, "
+            f"got {approx_mode!r}"
+        )
+    m_configs = _integer(doc.get("m_configs", 10_000), "m_configs", MAX_M_CONFIGS)
+    if approx_mode == approx.MODE_SAMPLED and m_configs < approx.MIN_SAMPLED_CONFIGS:
+        raise ConfigError(
+            f"m_configs must be at least {approx.MIN_SAMPLED_CONFIGS} in sampled mode, "
+            f"got {m_configs}"
+        )
+
     ns_grid = doc.get("ns_grid")
     if ns_grid is not None:
         ns_grid = tuple(_integer(x, "ns_grid") for x in ns_grid)
@@ -314,8 +328,8 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
             doc.get("outer_networks", 200), "outer_networks", MAX_OUTER_NETWORKS
         ),
         inner_paths=_integer(doc.get("inner_paths", 500), "inner_paths", MAX_INNER_PATHS),
-        approx_mode=str(doc.get("approx_mode", "auto")),
-        m_configs=_integer(doc.get("m_configs", 10_000), "m_configs", MAX_M_CONFIGS),
+        approx_mode=approx_mode,
+        m_configs=m_configs,
     )
 
 

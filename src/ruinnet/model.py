@@ -112,19 +112,20 @@ class AgentSubset:
             raise ValueError(f"agent index {self.indices[-1]} exceeds agent count {q}")
 
 
-def object_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def object_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray]:
     """Partition the objects into classes of equal premium-to-claim ratio ``c_j/mu_j``.
 
     The ratio is all that the PK ratio (``ruin``) and the loading
-    ``xi_j = (c_j/mu_j)/lam`` (``approx``) need of an object.
+    ``xi_j = (c_j/mu_j)/lam`` (``approx``) need of an object.  Every value
+    of ``c/mu`` is one of the ratios, so ``np.searchsorted(ratio, c/mu)``
+    gives an object's class index.
 
     Returns:
-        ``(ratio, cls, sizes)``: the ascending ratio of each class, the class
-        index of each object, and the number of objects in each class.
+        ``(ratio, sizes)``: the ascending ratio of each class and the number
+        of objects in each class.
     """
-    ratio, cls = np.unique(params.c / params.mu, return_inverse=True)
-    sizes = np.bincount(cls, minlength=ratio.size).astype(np.int64)
-    return ratio, cls, sizes
+    ratio, sizes = np.unique(params.c / params.mu, return_counts=True)
+    return ratio, sizes.astype(np.int64)
 
 
 def proportional_r(params: RiskParams, group: AgentSubset) -> float:

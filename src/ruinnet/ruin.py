@@ -103,7 +103,7 @@ def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset
     """PK-ratio sampler on per-class counts of connected objects from
     :func:`netgen.sample_group_counts`: the group's agent-type counts, then
     one binomial per class, so a replicate holds ``G`` cells."""
-    ratio, _, sizes = object_classes(params)
+    ratio, sizes = object_classes(params)
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
         counts = netgen.sample_group_counts(model, group.size, sizes, rng, n)
@@ -119,7 +119,8 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     different stream, and ``q * d`` cells per replicate.
     """
     rows = group.zero_based()
-    ratio, cls, _ = object_classes(params)
+    ratio, _ = object_classes(params)
+    cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
     G = ratio.size
 
     def chunk(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -43,10 +43,6 @@ class StreamKey:
     base_seed: int
     path: tuple[int, ...] = ()
 
-    def child(self, *steps: int) -> "StreamKey":
-        """Derive a sub-address by appending path components."""
-        return StreamKey(self.base_seed, self.path + tuple(int(s) for s in steps))
-
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.base_seed), spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))

@@ -67,7 +67,7 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
 def exact_law(params: RiskParams, model: BlockModel, group: AgentSubset) -> ExactLaw:
     """Exact ``psi``, its second moment and the tail for a group of ``params``."""
     group.validate_for(params.q)
-    ratio, _, sizes = object_classes(params)
+    ratio, sizes = object_classes(params)
     shape = tuple(int(dg) + 1 for dg in sizes)
     if prod(shape) > MAX_LATTICE:
         raise ValueError(f"count lattice of {prod(shape)} points exceeds {MAX_LATTICE}")

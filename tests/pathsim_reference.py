@@ -9,7 +9,7 @@ matrix.  :func:`ruin_path` runs one path as a one-row
 
 :func:`simulate_ruin_path_per_object` is the reference simulator with one
 claim stream per exposed object: object ``j`` draws its own claim epochs
-and sizes up to the horizon from ``key.child(j)``; the claims of all
+and sizes up to the horizon from the stream ``key.path + (j,)``; the claims of all
 objects are merged by epoch and the deficit is checked at every claim.  A
 path with a single exposed object takes a chunked loop that stops at the
 first ruin.  The kernel simulates the superposed claim process instead;
@@ -37,13 +37,13 @@ def group_exposure(params: RiskParams, incidence, group: AgentSubset) -> tuple[n
 
 
 def ruin_path(params, exposure, total_reserve, horizon, key: StreamKey) -> bool:
-    """One path on the stream ``key.child(j0)``, ``j0`` the first exposed
+    """One path on the stream ``key.path + (j0,)``, ``j0`` the first exposed
     object.  With a single exposed object this is that object's own claim
     process."""
     active = np.flatnonzero(exposure > 0)
     if active.size == 0:
         return total_reserve <= 0.0
-    rng = key.child(int(active[0])).generator()
+    rng = StreamKey(key.base_seed, key.path + (int(active[0]),)).generator()
     return bool(simulate_ruin_batch(params, exposure[None], total_reserve, horizon, rng)[0])
 
 
@@ -105,7 +105,7 @@ def simulate_ruin_path_per_object(params, exposure, total_reserve, horizon, key)
 
     if active.size == 1:
         j = int(active[0])
-        rng = key.child(j).generator()
+        rng = StreamKey(key.base_seed, key.path + (j,)).generator()
         a = float(exposure[j])
         t = 0.0
         cum_jumps = 0.0
@@ -125,7 +125,7 @@ def simulate_ruin_path_per_object(params, exposure, total_reserve, horizon, key)
     all_times = []
     all_jumps = []
     for j in active:
-        rng = key.child(int(j)).generator()
+        rng = StreamKey(key.base_seed, key.path + (int(j),)).generator()
         epochs, amounts = _claims_upto(rng, params.lam, float(params.mu[j]), horizon)
         all_times.append(epochs)
         all_jumps.append(exposure[j] * amounts)

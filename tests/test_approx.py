@@ -124,7 +124,8 @@ class TestMixtureStats:
             s = rng.integers(0, model.K, int(rng.integers(1, 5)))
             t = rng.integers(0, model.L, d)
             ref = mixture_stats(params, compute_loadings(params), model, s, t)
-            ratio, cls, _ = object_classes(params)
+            ratio, _ = object_classes(params)
+            cls = np.searchsorted(ratio, params.c / params.mu)
             counts = np.zeros((ratio.size, model.L))
             np.add.at(counts, (cls, t), 1)
             connect = connect_given_counts(model, np.bincount(s, minlength=model.K))

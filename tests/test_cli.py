@@ -20,6 +20,7 @@ from ruinnet.cli import (
     S_SHAPE,
     U_SHAPE,
     ConfigError,
+    TABLE_FIELDS,
     SweepRow,
     classify_shape,
     cmd_estimate,
@@ -262,6 +263,30 @@ class TestCmdSweep:
                 assert r.log10_psi == pytest.approx(math.log10(r.psi_hat))
 
 
+    @pytest.mark.parametrize(
+        "field, extra",
+        [
+            pytest.param("approx_mode", {"approx_mode": "bogus"}, id="unknown"),
+            pytest.param("approx_mode", {"approx_mode": 3}, id="non-string"),
+            pytest.param("approx_mode", {"approx_mode": ["exact"]}, id="list"),
+            pytest.param(
+                "m_configs", {"approx_mode": "sampled", "m_configs": 99}, id="few-configs"
+            ),
+        ],
+    )
+    def test_bad_approx_mode_exits_2_before_the_estimator(
+        self, tmp_path, capsys, monkeypatch, field, extra
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("estimate ran before approx_mode was checked")
+
+        monkeypatch.setattr(cli, "estimate", never)
+        doc = degenerate_doc(q=2, d=2, **SWEEP_2X2, **extra)
+        rc, out, err = run_main(tmp_path, capsys, "sweep", doc)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {field} must ")
+
+
 class TestCmdTable:
     def test_requires_bernoulli_and_grid(self):
         doc = figure_doc(
@@ -285,6 +310,52 @@ class TestCmdTable:
         # anything connects, and disconnection also counts
         assert rows[0]["approximation"] >= 0.999
         assert rows[0]["estimate"] == 1.0
+
+
+    def test_paper_scale_rows_are_pinned(self):
+        # README's d = 100000 table at 200 replicates, pinned to the rows this
+        # configuration gave when object_classes still built a per-object
+        # class index.  The relative tolerance only absorbs libm differences
+        # between platforms; ns and the frequency estimate are exact.
+        doc = {
+            "lambda": 1.0,
+            "q": 100,
+            "d": 100000,
+            "premiums": {"low": 0.95, "high": 1.05},
+            "mu": 1.0,
+            "reserves": 1.0,
+            "network": {"kind": "bernoulli", "p": 0.0031622776601683794},
+            "group": {"size": 100},
+            "replicates": 200,
+            "seed": 42,
+            "ns_grid": [49000, 49500, 49900, 50000, 50100, 50500, 51000],
+        }
+        # (ns, bound, approximation, estimate, stderr, abs_difference)
+        expected = [
+            (49000, 0.040402011884276265, 0.9999434748860316,
+             1.0, 0.0, 5.652511396836424e-05),
+            (49500, 0.040402011884276265, 0.9732190882721042,
+             0.965, 0.012995191418367032, 0.008219088272104269),
+            (49900, 0.040402011884276265, 0.650278580597777,
+             0.725, 0.031573327350787724, 0.07472141940222299),
+            (50000, 0.04040201188427628, 0.5,
+             0.525, 0.035311117229563836, 0.025000000000000022),
+            (50100, 0.040402011884276265, 0.349721419402223,
+             0.355, 0.033836001536824645, 0.005278580597776972),
+            (50500, 0.040402011884276265, 0.026780911727895804,
+             0.02, 0.009899494936611665, 0.006780911727895803),
+            (51000, 0.040402011884276265, 5.6525113968381944e-05,
+             0.0, 0.0, 5.6525113968381944e-05),
+        ]
+        rows = cmd_table(parse_config(doc))
+        assert [tuple(r) for r in rows] == [TABLE_FIELDS] * len(expected)
+        tight = dict(rel=1e-12, abs=1e-15)
+        for row, (ns, bound, approximation, estimate, stderr, diff) in zip(rows, expected):
+            assert (row["ns"], row["estimate"]) == (ns, estimate)
+            assert row["bound"] == pytest.approx(bound, **tight)
+            assert row["approximation"] == pytest.approx(approximation, **tight)
+            assert row["stderr"] == pytest.approx(stderr, **tight)
+            assert row["abs_difference"] == pytest.approx(diff, **tight)
 
 
 class TestCmdOracle:
@@ -417,6 +488,8 @@ class TestMainEntryPoint:
             pytest.param("sweep", dict(SWEEP_2X2, **extra), id=f"sweep-{name}")
             for name, extra in (
                 ("unknown-mode", {"approx_mode": "bogus"}),
+                ("non-string-mode", {"approx_mode": 3}),
+                ("null-mode", {"approx_mode": None}),
                 ("few-configs", {"approx_mode": "sampled", "m_configs": 5}),
                 ("closed-form-sbm", {"approx_mode": "closed_form", "network": SBM_2X1}),
                 ("closed-form", {"approx_mode": "closed_form"}),  # exact's alias, gone

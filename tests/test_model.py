@@ -1,7 +1,8 @@
-"""Tests for risk parameters, loadings, proportional weights, and the
-classical ruin formula."""
+"""Tests for risk parameters, the premium-class partition, loadings,
+proportional weights, and the classical ruin formula."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import classical_ruin, compute_loadings
-from ruinnet.model import AgentSubset, RiskParams, proportional_r, proportional_weights
+from ruinnet.model import (
+    AgentSubset,
+    RiskParams,
+    object_classes,
+    proportional_r,
+    proportional_weights,
+)
 
 
 def make_params(c, mu, q=1, lam=1.0, u=None):
@@ -63,6 +70,53 @@ class TestAgentSubset:
             AgentSubset((0, 1))
         with pytest.raises(ValueError):
             AgentSubset.prefix(2).validate_for(1)
+
+
+class TestObjectClasses:
+    ONE_ULP = [1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)), 1.0]
+
+    @staticmethod
+    def check(c, mu):
+        params = make_params(c, mu)
+        ratio, sizes = object_classes(params)
+        # independent reference: each object's own c_j / mu_j, counted in a dict
+        ref = Counter(float(cj) / float(mj) for cj, mj in zip(params.c, params.mu))
+        assert sizes.dtype == np.int64
+        assert (np.diff(ratio) > 0).all()
+        assert dict(zip(ratio.tolist(), sizes.tolist())) == ref
+        # the graph sampler's class index: every object lands on its own ratio, bit for bit
+        values = params.c / params.mu
+        cls = np.searchsorted(ratio, values)
+        assert (ratio[cls].view(np.int64) == values.view(np.int64)).all()
+        return ratio, sizes
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            d = int(rng.integers(1, 60))
+            if rng.random() < 0.5:  # few distinct ratios, many ties
+                c, mu = rng.choice([0.9, 1.0, 1.1, 2.2], d), rng.choice([0.5, 1.0, 2.0], d)
+            else:
+                c, mu = rng.uniform(0.1, 3.0, d), rng.uniform(0.1, 3.0, d)
+            self.check(c, mu)
+
+    def test_one_object(self):
+        ratio, sizes = self.check([1.05], [0.5])
+        assert ratio.tolist() == [2.1] and sizes.tolist() == [1]
+
+    def test_all_equal(self):
+        # the same ratio reached from different premiums and claim sizes
+        ratio, sizes = self.check([0.5, 1.0, 2.0, 1.0], [0.5, 1.0, 2.0, 1.0])
+        assert ratio.tolist() == [1.0] and sizes.tolist() == [4]
+
+    def test_all_distinct(self):
+        ratio, sizes = self.check(np.linspace(0.5, 1.5, 37)[::-1], 1.0)
+        assert ratio.size == 37 and (sizes == 1).all()
+
+    def test_ratios_one_ulp_apart_stay_separate(self):
+        ratio, sizes = self.check(self.ONE_ULP, 1.0)
+        assert ratio.tolist() == sorted(set(self.ONE_ULP))
+        assert sizes.tolist() == [1, 2, 1]
 
 
 class TestLoadings:

@@ -55,7 +55,8 @@ class TestPKValue:
             d = int(rng.integers(1, 10))
             c, mu = rng.choice([0.9, 1.0, 1.2], d), rng.choice([0.5, 1.0, 2.0], d)
             params = RiskParams(lam=float(rng.uniform(0.5, 2.0)), c=c, mu=mu, u=[1.0])
-            ratio, cls, _ = object_classes(params)
+            ratio, _ = object_classes(params)
+            cls = np.searchsorted(ratio, params.c / params.mu)
             ind = rng.random((20, d)) < 0.5
             counts = np.stack([np.bincount(cls[row], minlength=ratio.size) for row in ind])
             got = _pk_from_counts(params.lam, counts, ratio)
