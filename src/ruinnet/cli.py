@@ -292,7 +292,7 @@ def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"threads must be at least 1, got {threads}")
 
     approx_mode = doc.get("approx_mode", approx.MODE_AUTO)
-    if not isinstance(approx_mode, str) or approx_mode not in APPROX_MODES:
+    if approx_mode not in APPROX_MODES:
         raise ConfigError(
             f"approx_mode must be one of {', '.join(map(repr, APPROX_MODES))}, "
             f"got {approx_mode!r}"

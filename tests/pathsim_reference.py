@@ -9,10 +9,10 @@ matrix.  :func:`ruin_path` runs one path as a one-row
 
 :func:`simulate_ruin_path_per_object` is the reference simulator with one
 claim stream per exposed object: object ``j`` draws its own claim epochs
-and sizes up to the horizon from the stream ``key.path + (j,)``; the claims of all
-objects are merged by epoch and the deficit is checked at every claim.  A
-path with a single exposed object takes a chunked loop that stops at the
-first ruin.  The kernel simulates the superposed claim process instead;
+and sizes up to the horizon from the stream ``key.path + (j,)``; the
+claims of all objects are merged by epoch and the deficit is checked at
+every claim.  A path with a single exposed object takes a chunked loop
+that stops at the first ruin.  The kernel simulates the superposed claim process instead;
 with one exposed object both give the same flag for the same key, and with
 several they agree in distribution.
 """
