@@ -18,7 +18,7 @@ from .approx import (
 from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel
 from .pathsim import oracle_psi
-from .ruin import EstimateWithCI, RuinEstimate, estimate, estimate_psi, estimate_tail, psi_summand
+from .ruin import EstimateWithCI, RuinEstimate, estimate, estimate_psi, psi_summand
 from .streams import StreamKey, stream
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "StreamKey",
     "estimate",
     "estimate_psi",
-    "estimate_tail",
     "mixture_probability",
     "normal_positive_prob",
     "oracle_psi",

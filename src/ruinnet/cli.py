@@ -25,7 +25,7 @@ import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .model import AgentSubset, RiskParams
 from .netgen import BlockModel
 from .output import fmt, render_csv, sweep_svg
 from .pathsim import oracle_psi
-from .ruin import estimate, estimate_psi, estimate_tail
+from .ruin import estimate, estimate_psi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,8 +82,6 @@ class PremiumSpec:
         if self.vector is not None:
             if ns_override is not None:
                 raise ConfigError("cannot override ns with an explicit premium vector")
-            if len(self.vector) != d:
-                raise ConfigError(f"premium vector must have length {d}")
             return np.asarray(self.vector, dtype=np.float64)
         ns = self.ns if ns_override is None else int(ns_override)
         if ns is None:
@@ -143,6 +141,44 @@ class ExperimentConfig:
         return RiskParams(lam=self.lam, c=c, mu=self.mu, u=self.reserves)
 
 
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """How one config key is read: ``read(value, name, arg)``, on ``default`` when
+    the key is absent (``REQUIRED``: it must be given; ``None``: null stays ``None``).
+    A string ``arg`` names an earlier key, whose value is passed in its place."""
+
+    read: Callable
+    default: object = REQUIRED
+    arg: object = None
+
+
+def _read(spec, keys: dict, prefix: str = "") -> dict:
+    """Every key of ``keys`` read from the JSON object ``spec``.  A key of
+    ``spec`` that ``keys`` lacks is an error that names the closest known key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{prefix[:-1]} must be a JSON object")
+    for name in spec:
+        if name not in keys:
+            import difflib  # only on this error path: loading a config never pays for it
+
+            close = difflib.get_close_matches(name, keys, n=1)
+            hint = f" (did you mean '{prefix}{close[0]}'?)" if close else ""
+            raise ConfigError(f"unknown config key '{prefix}{name}'{hint}")
+    out = {}
+    for name, key in keys.items():
+        value = spec.get(name, key.default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing '{prefix}{name}'")
+        if value is None and key.default is None:
+            out[name] = None
+        else:
+            arg = out[key.arg] if isinstance(key.arg, str) else key.arg
+            out[name] = key.read(value, prefix + name, arg)
+    return out
+
+
 def _integer(value, name: str, cap: Optional[int] = None) -> int:
     """``value`` as an int: an integer or an integral float such as ``1e5``,
     never a bool, and at most ``cap`` when one is given."""
@@ -157,6 +193,20 @@ def _integer(value, name: str, cap: Optional[int] = None) -> int:
     return n
 
 
+def _at_least(value, name: str, low: int) -> int:
+    n = _integer(value, name)
+    if n < low:
+        raise ConfigError(f"{name} must be at least {low}, got {n}")
+    return n
+
+
+def _integers(value, name: str, _=None) -> tuple[int, ...]:
+    out = tuple(_integer(x, name) for x in value)
+    if not out:
+        raise ConfigError(f"{name} must not be empty")
+    return out
+
+
 def _real(value, name: str, vector: bool = False):
     """``value`` as a float: a JSON number, never a bool, a string or null.
     With ``vector``, (nested) lists of numbers too, as a float array."""
@@ -167,7 +217,7 @@ def _real(value, name: str, vector: bool = False):
     return float(value)
 
 
-def _broadcast(value, length: int, name: str) -> np.ndarray:
+def _broadcast(value, name: str, length: int) -> np.ndarray:
     arr = _real(value, name, vector=True)
     if np.ndim(arr) == 0:
         return np.full(length, arr)
@@ -176,161 +226,111 @@ def _broadcast(value, length: int, name: str) -> np.ndarray:
     return arr
 
 
-def _parse_network(spec, q: int, d: int) -> BlockModel:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("network must be an object with a 'kind' field")
-    kind = spec["kind"]
-    try:
-        if kind == "bernoulli":
-            return BlockModel.bernoulli(_real(spec["p"], "network.p"))
-        if kind == "sbm":
-            w, v, p = (_real(spec[key], f"network.{key}", vector=True) for key in "wvp")
-            model = BlockModel(w=w, v=v, p=p)
-            if "K" in spec and _integer(spec["K"], "network.K") != model.K:
-                raise ConfigError(f"K={spec['K']} does not match w of length {model.K}")
-            if "L" in spec and _integer(spec["L"], "network.L") != model.L:
-                raise ConfigError(f"L={spec['L']} does not match v of length {model.L}")
-            return model
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid network spec: {exc}") from exc
-    raise ConfigError(f"unknown network kind {kind!r}")
+def _choice(value, name: str, allowed: tuple[str, ...]) -> str:
+    if value not in allowed:
+        raise ConfigError(f"{name} must be one of {', '.join(map(repr, allowed))}, got {value!r}")
+    return value
 
 
-def _parse_premiums(spec, d: int) -> PremiumSpec:
-    if isinstance(spec, (list, tuple)):
-        vec = _real(spec, "premiums", vector=True)
-        if vec.shape != (d,):
-            raise ConfigError(f"premium vector must have length {d}")
-        return PremiumSpec(vector=tuple(vec.tolist()))
+VECTOR = Key(_real, arg=True)
+
+#: The keys of each network kind, besides ``kind``.
+NETWORK_KEYS = {
+    "bernoulli": {"p": Key(_real)},
+    "sbm": dict(w=VECTOR, v=VECTOR, p=VECTOR, K=Key(_integer, None), L=Key(_integer, None)),
+}
+PREMIUM_KEYS = {"low": Key(_real), "high": Key(_real), "ns": Key(_integer, None)}
+GROUP_KEYS = {"size": Key(_integer, None), "indices": Key(_integers, None)}
+
+
+def _parse_network(spec, name: str, _=None) -> BlockModel:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    spec = dict(spec)
+    kind = _choice(spec.pop("kind", None), f"{name}.kind", tuple(NETWORK_KEYS))
+    net = _read(spec, NETWORK_KEYS[kind], f"{name}.")
+    if kind == "bernoulli":
+        return BlockModel.bernoulli(net["p"])
+    model = BlockModel(w=net["w"], v=net["v"], p=net["p"])
+    for key, size, of in (("K", model.K, "w"), ("L", model.L, "v")):
+        if net[key] not in (None, size):
+            raise ConfigError(f"{key}={net[key]} does not match {of} of length {size}")
+    return model
+
+
+def _parse_premiums(spec, name: str, d: int) -> PremiumSpec:
     if isinstance(spec, dict):
-        if "low" not in spec or "high" not in spec:
-            raise ConfigError("two-value premiums need numeric 'low' and 'high'")
-        low = _real(spec["low"], "premiums.low")
-        high = _real(spec["high"], "premiums.high")
-        ns = spec.get("ns")
-        ns = None if ns is None else _integer(ns, "premiums.ns")
-        return PremiumSpec(low=low, high=high, ns=ns)
-    raise ConfigError("premiums must be a vector or a {low, high, ns} object")
+        return PremiumSpec(**_read(spec, PREMIUM_KEYS, f"{name}."))
+    vec = _real(spec, name, vector=True)
+    if np.shape(vec) != (d,):
+        raise ConfigError(f"{name} must be a {{low, high, ns}} object or a vector of length {d}")
+    return PremiumSpec(vector=tuple(vec.tolist()))
 
 
-def _parse_group(group, q: int) -> AgentSubset:
+def _parse_group(spec, name: str, q: int) -> AgentSubset:
     """The agents a ``group`` spec selects, checked against ``q``."""
-    if not isinstance(group, dict):
-        raise ConfigError("group must be an object with 'size' or 'indices'")
-    if "indices" in group:
-        subset = AgentSubset(tuple(_integer(i, "group.indices") for i in group["indices"]))
-    elif "size" in group:
-        size = _integer(group["size"], "group.size")
-        if size > q:
-            raise ConfigError(f"group size {size} exceeds agent count {q}")
-        subset = AgentSubset.prefix(size)
-    else:
-        raise ConfigError("group must contain 'size' or 'indices'")
+    size, indices = _read(spec, GROUP_KEYS, f"{name}.").values()
+    if (size is None) == (indices is None):
+        raise ConfigError("group must contain exactly one of 'size' and 'indices'")
+    if size is not None and size > q:
+        raise ConfigError(f"group size {size} exceeds agent count {q}")
+    subset = AgentSubset(indices) if size is None else AgentSubset.prefix(size)
     subset.validate_for(q)
     return subset
+
+
+#: Every top-level key, in reading order.
+KEYS = {
+    "q": Key(_at_least, arg=1),
+    "d": Key(_at_least, arg=1),
+    "lambda": Key(_real, 1.0),
+    "premiums": Key(_parse_premiums, arg="d"),
+    "mu": Key(_broadcast, 1.0, "d"),
+    "reserves": Key(_broadcast, 0.0, "q"),
+    "network": Key(_parse_network),
+    "group": Key(_parse_group, None, "q"),
+    "replicates": Key(_integer, 1000, MAX_REPLICATES),
+    "seed": Key(_at_least, arg=0),
+    "threads": Key(_at_least, 1, 1),
+    "ns_grid": Key(_integers, None),
+    "horizon": Key(_real, 1000.0),
+    "outer_networks": Key(_integer, 200, MAX_OUTER_NETWORKS),
+    "inner_paths": Key(_integer, 500, MAX_INNER_PATHS),
+    "approx_mode": Key(_choice, approx.MODE_AUTO, APPROX_MODES),
+    "m_configs": Key(_integer, 10_000, MAX_M_CONFIGS),
+}
 
 
 def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a validated configuration from a JSON document plus overrides.
 
-    Seed precedence: override flag, then file value, then the
-    ``RUINNET_SEED`` environment variable, then 42.
+    A key outside ``KEYS``, or outside the table of the object that holds
+    it, is an error.  Seed precedence: override flag, then file value,
+    then the ``RUINNET_SEED`` environment variable, then 42.
 
     Raises:
-        ConfigError: On any invalid or missing field.
+        ConfigError: On any invalid, missing or unknown field.
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
+    doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     try:
-        return _parse_config(doc, overrides or {})
+        if doc.get("seed") is None:
+            doc["seed"] = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+    try:
+        cfg = _read(doc, KEYS)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _parse_config(doc: dict, overrides: dict) -> ExperimentConfig:
-    try:
-        q = _integer(doc["q"], "q")
-        d = _integer(doc["d"], "d")
-    except KeyError as exc:
-        raise ConfigError(f"missing q/d: {exc}") from exc
-    lam = _real(doc.get("lambda", doc.get("lam", 1.0)), "lambda")
-    if q < 1 or d < 1:
-        raise ConfigError("q and d must be at least 1")
-    if "premiums" not in doc:
-        raise ConfigError("missing 'premiums'")
-    if "network" not in doc:
-        raise ConfigError("missing 'network'")
-
-    group = doc.get("group")
-
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = doc.get("seed")
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-    seed = DEFAULT_SEED if seed is None else _integer(seed, "seed")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-
-    replicates = overrides.get("replicates")
-    if replicates is None:
-        replicates = doc.get("replicates", 1000)
-    threads = overrides.get("threads")
-    if threads is None:
-        threads = doc.get("threads", 1)
-    threads = _integer(threads, "threads")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-
-    approx_mode = doc.get("approx_mode", approx.MODE_AUTO)
-    if approx_mode not in APPROX_MODES:
+    mode, m = cfg["approx_mode"], cfg["m_configs"]
+    if mode != approx.MODE_EXACT and m < approx.MIN_SAMPLED_CONFIGS:
         raise ConfigError(
-            f"approx_mode must be one of {', '.join(map(repr, APPROX_MODES))}, "
-            f"got {approx_mode!r}"
+            f"m_configs must be at least {approx.MIN_SAMPLED_CONFIGS} in {mode} mode, got {m}"
         )
-    m_configs = _integer(doc.get("m_configs", 10_000), "m_configs", MAX_M_CONFIGS)
-    if approx_mode == approx.MODE_SAMPLED and m_configs < approx.MIN_SAMPLED_CONFIGS:
-        raise ConfigError(
-            f"m_configs must be at least {approx.MIN_SAMPLED_CONFIGS} in sampled mode, "
-            f"got {m_configs}"
-        )
-
-    ns_grid = doc.get("ns_grid")
-    if ns_grid is not None:
-        ns_grid = tuple(_integer(x, "ns_grid") for x in ns_grid)
-        if not ns_grid:
-            raise ConfigError("ns_grid must not be empty")
-
-    return ExperimentConfig(
-        lam=lam,
-        q=q,
-        d=d,
-        premiums=_parse_premiums(doc["premiums"], d),
-        mu=_broadcast(doc.get("mu", 1.0), d, "mu"),
-        reserves=_broadcast(doc.get("reserves", 0.0), q, "reserves"),
-        network=_parse_network(doc["network"], q, d),
-        group=None if group is None else _parse_group(group, q),
-        replicates=_integer(replicates, "replicates", MAX_REPLICATES),
-        seed=seed,
-        threads=threads,
-        ns_grid=ns_grid,
-        horizon=_real(doc.get("horizon", 1000.0), "horizon"),
-        outer_networks=_integer(
-            doc.get("outer_networks", 200), "outer_networks", MAX_OUTER_NETWORKS
-        ),
-        inner_paths=_integer(doc.get("inner_paths", 500), "inner_paths", MAX_INNER_PATHS),
-        approx_mode=approx_mode,
-        m_configs=m_configs,
-    )
+    return ExperimentConfig(lam=cfg.pop("lambda"), **cfg)
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -402,7 +402,7 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
         ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_EXACT)
-        tail = estimate_tail(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+        tail = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads).tail
         rows.append(
             {
                 "ns": int(ns),
@@ -567,7 +567,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     overrides = {k: getattr(args, k) for k in ("seed", "replicates", "threads")}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
         result = command.run(load_config(args.config, overrides))
         if args.format == "json":

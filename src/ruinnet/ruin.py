@@ -8,7 +8,8 @@ network Pollaczek-Khintchine ratio
 with the convention 0/0 := 0.  A realisation with ``P >= 1`` implies
 certain group ruin; with ``P < 1`` the group ruins with probability
 ``P * exp(-(1-P) * U / r)`` where ``U`` is the group's total reserve and
-``r`` the proportional-weight scaling constant.  Averaging that summand
+``r`` the proportional-weight scaling constant (``P`` itself at ``U = 0``,
+the classical ``psi(0) = lam*mu/c`` for one object).  Averaging that summand
 over network replicates estimates the group ruin probability, and the
 frequency of ``P < 1`` estimates the tail probability driving the phase
 transition; :func:`estimate` reads both from the same draws.
@@ -174,7 +175,7 @@ def estimate(
     ``(base_seed, B, method)`` regardless of ``threads``.
 
     Args:
-        params: Risk parameters; the group's total reserve must be positive.
+        params: Risk parameters; the group's total reserve may be zero.
         model: Network model.
         group: Agent group.
         B: Replicate count, at least 2.
@@ -183,12 +184,10 @@ def estimate(
         method: ``collapsed`` | ``graph`` sampling backend.
 
     Raises:
-        ValueError: On ``B < 2`` or zero total reserve.
+        ValueError: On ``B < 2``.
     """
     sampler = _make_sampler(params, model, group, B, method)
     total_reserve = float(params.u[group.zero_based()].sum())
-    if not total_reserve > 0:
-        raise ValueError("total reserve must be positive")
     r_q = proportional_r(params, group)
 
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
@@ -214,28 +213,3 @@ def estimate_psi(
     """Monte-Carlo estimate of the group ruin probability: the ``psi``
     field of :func:`estimate`, with the same arguments and errors."""
     return estimate(params, model, group, B, base_seed, threads, method).psi
-
-
-def estimate_tail(
-    params: RiskParams,
-    model: BlockModel,
-    group: AgentSubset,
-    B: int,
-    base_seed: int,
-    threads: int = 1,
-    method: str = "collapsed",
-) -> EstimateWithCI:
-    """Monte-Carlo frequency of realisations with PK ratio below 1.
-
-    The tail-only pass: the same draws and value as ``estimate(...).tail``,
-    without the ruin summand, so the group's total reserve may be zero.  A
-    disconnected group has ratio 0 and counts toward the event.  The
-    standard error is the binomial ``sqrt(phat*(1-phat)/B)``.
-    """
-    sampler = _make_sampler(params, model, group, B, method)
-
-    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray]:
-        return (sampler(rng, n) < 1.0,)
-
-    (below,) = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
-    return _frequency(below, B)

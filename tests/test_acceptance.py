@@ -18,7 +18,7 @@ from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, cmd_sweep, m
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from pathsim_reference import group_exposure, ruin_frequency
-from ruinnet.ruin import estimate_psi, estimate_tail
+from ruinnet.ruin import estimate, estimate_psi
 from ruinnet.approx import mixture_probability
 
 TABLE_NS = (49_000, 49_500, 49_900, 50_000, 50_100, 50_500, 51_000)
@@ -72,7 +72,7 @@ def test_criterion_3_table_estimate():
     for ns in TABLE_NS:
         params, model, group = table_setting(ns)
         ap = mixture_probability(params, model, group, mode="exact")
-        est = estimate_tail(params, model, group, B=1000, base_seed=42, threads=1)
+        est = estimate(params, model, group, B=1000, base_seed=42, threads=1).tail
         tol = ap.stein_bound + 2 * est.stderr
         rows.append((ns, abs(est.mean - ap.probability), tol))
     elapsed = time.perf_counter() - start

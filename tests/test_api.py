@@ -17,7 +17,6 @@ PUBLIC = {
     "StreamKey",
     "estimate",
     "estimate_psi",
-    "estimate_tail",
     "mixture_probability",
     "normal_positive_prob",
     "oracle_psi",

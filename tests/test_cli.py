@@ -3,6 +3,7 @@ the shape classifier."""
 
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -201,6 +202,69 @@ class TestParseConfig:
         assert cfg.group.indices == (2, 5, 9)
 
 
+#: ``(overrides, stderr)``: one key outside the table, at the top level or
+#: inside an object, on ``degenerate_doc()``, and the error it gives.
+UNKNOWN_KEY_INPUTS = [
+    ({"replicatess": 5}, "unknown config key 'replicatess' (did you mean 'replicates'?)"),
+    ({"lam": 1.0}, "unknown config key 'lam' (did you mean 'lambda'?)"),
+    ({"zzz": 1}, "unknown config key 'zzz'"),
+    (
+        {"network": {"kind": "bernoulli", "p": 1.0, "pp": 0.5}},
+        "unknown config key 'network.pp' (did you mean 'network.p'?)",
+    ),
+    (
+        {"network": {"kind": "bernoulli", "p": 1.0, "w": [1.0]}},
+        "unknown config key 'network.w'",
+    ),
+    (
+        {"network": dict(SBM_2X1, KK=2)},
+        "unknown config key 'network.KK' (did you mean 'network.K'?)",
+    ),
+    (
+        {"premiums": {"low": 0.95, "high": 1.05, "ns": 1, "hihg": 1.1}},
+        "unknown config key 'premiums.hihg' (did you mean 'premiums.high'?)",
+    ),
+    ({"group": {"sise": 1}}, "unknown config key 'group.sise' (did you mean 'group.size'?)"),
+    (
+        {"group": {"size": 1, "indices": [1]}},
+        "group must contain exactly one of 'size' and 'indices'",
+    ),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [pytest.param(*case, id=f"unknown-{i}") for i, case in enumerate(UNKNOWN_KEY_INPUTS)],
+    )
+    def test_exits_2_naming_the_closest_key_before_the_estimator(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("estimate ran on a config with an unknown key")
+
+        monkeypatch.setattr(cli, "estimate", never)
+        rc, out, err = run_main(tmp_path, capsys, "estimate", degenerate_doc(**extra))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_every_readme_config_parses_and_the_field_lists_match_the_table(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            parse_config(json.loads(block))
+        integers = {cli._integer, cli._at_least, cli._integers}
+        reals = {cli._real, cli._broadcast, cli._parse_premiums}
+        tables = [("", cli.KEYS), ("premiums.", cli.PREMIUM_KEYS), ("group.", cli.GROUP_KEYS)]
+        tables += [("network.", keys) for keys in cli.NETWORK_KEYS.values()]
+        keys = [(prefix + name, k.read) for prefix, table in tables for name, k in table.items()]
+        for kind, readers in (("Integer", integers), ("Real", reals)):
+            listed = re.search(rf"^- {kind} fields \(([^)]*)\)", readme, flags=re.M).group(1)
+            assert set(re.findall(r"`([^`]+)`", listed)) == {
+                name for name, read in keys if read in readers
+            }, kind
+
+
 class TestCmdEstimate:
     def test_degenerate_closed_form(self):
         report = cmd_estimate(parse_config(degenerate_doc()))
@@ -208,11 +272,10 @@ class TestCmdEstimate:
         assert report["stderr"] <= 1e-12
         assert report["tail_hat"] == 1.0
 
-    def test_rejects_zero_reserve(self, tmp_path, capsys):
+    def test_zero_reserve_exits_0(self, tmp_path, capsys):
         rc, out, err = run_main(tmp_path, capsys, "estimate", degenerate_doc(reserves=0.0))
-        assert rc == 2
-        assert out == ""
-        assert "reserve" in err
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1].startswith("0.952381,0,1")
 
     def test_two_value_scheme_needs_ns(self):
         cfg = parse_config(figure_doc(group={"size": 10}, replicates=10_000))
@@ -272,6 +335,12 @@ class TestCmdSweep:
             pytest.param(
                 "m_configs", {"approx_mode": "sampled", "m_configs": 99}, id="few-configs"
             ),
+            # auto picks sampled mode only for some points, and exact on this
+            # Bernoulli network, so it ran at any m_configs
+            pytest.param(
+                "m_configs", {"approx_mode": "auto", "m_configs": 99}, id="auto-few-configs"
+            ),
+            pytest.param("m_configs", {"m_configs": 5}, id="default-mode-few-configs"),
         ],
     )
     def test_bad_approx_mode_exits_2_before_the_estimator(
@@ -470,7 +539,7 @@ class TestMainEntryPoint:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(degenerate_doc(reserves=0.0)))
+        cfg_path.write_text(json.dumps(degenerate_doc(reserves=-1.0)))
         rc = self.run(["estimate", "--config", str(cfg_path)])
         assert rc == 2
         assert "reserve" in capsys.readouterr().err

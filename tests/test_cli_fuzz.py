@@ -1,9 +1,11 @@
 """Fuzz test of the CLI boundary.
 
-Each example starts from a small valid document for one command and
-replaces one field with an odd JSON value.  Whatever the value, ``main``
-must return 0, 2 or 3 and never raise; a configuration error (2) leaves
-stdout empty and says ``error: ...`` on stderr.
+Each example starts from a small valid document for one command and sets
+one key of the config tables (``cli.KEYS`` and the tables of the premium,
+group and network objects) to an odd JSON value.  Whatever the value,
+``main`` must return 0, 2 or 3 and never raise; a configuration error (2)
+leaves stdout empty and says ``error: ...`` on stderr.  A second property
+misspells one key of the document: that always exits 2, naming the key.
 
 Only non-positive or non-numeric values are drawn, so no example can ask
 for a huge replicate, network or path count.
@@ -15,12 +17,22 @@ import io
 import json
 import math
 import os
+import string
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ruinnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
+from ruinnet.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_ORACLE,
+    GROUP_KEYS,
+    KEYS,
+    NETWORK_KEYS,
+    PREMIUM_KEYS,
+    main,
+)
 
 SBM = {"kind": "sbm", "w": [0.5, 0.5], "v": [1.0], "p": [[0.4], [0.7]]}
 
@@ -86,14 +98,39 @@ VALID = {
 }
 
 
-def _field_paths(doc: dict) -> list[tuple[str, ...]]:
-    """Every top-level key, and every key of a nested object."""
-    paths = []
-    for key, value in doc.items():
-        paths.append((key,))
-        if isinstance(value, dict):
-            paths.extend((key, inner) for inner in value)
-    return paths
+def _known_keys(doc: dict, path: tuple[str, ...]) -> tuple[str, ...]:
+    """The keys of the table that holds ``path`` in ``doc``."""
+    if len(path) == 1:
+        return tuple(KEYS)
+    if path[0] == "network":
+        return ("kind", *NETWORK_KEYS[doc["network"]["kind"]])
+    return tuple({"premiums": PREMIUM_KEYS, "group": GROUP_KEYS}[path[0]])
+
+
+#: Every key path of the config tables.
+KEY_PATHS = (
+    [(key,) for key in KEYS]
+    + [("premiums", key) for key in PREMIUM_KEYS]
+    + [("group", key) for key in GROUP_KEYS]
+    + [("network", key) for key in sorted({"kind"}.union(*NETWORK_KEYS.values()))]
+)
+
+#: A valid object for a nested path whose object the document holds in
+#: another form (a premium vector, a Bernoulli network) or not at all.
+OBJECTS = {"premiums": {"low": 0.95, "high": 1.05, "ns": 1}, "network": dict(SBM, K=2, L=1)}
+
+
+def _set(doc: dict, path: tuple[str, ...], value) -> None:
+    """Set ``path`` of ``doc`` to ``value``; a group gets only that key."""
+    if len(path) == 1:
+        doc[path[0]] = value
+    elif path[0] == "group":
+        doc["group"] = {path[1]: value}
+    else:
+        obj, key = path
+        if not isinstance(doc.get(obj), dict) or key not in doc[obj]:
+            doc[obj] = copy.deepcopy(OBJECTS[obj])
+        doc[obj][key] = value
 
 
 SMALL = st.one_of(st.none(), st.integers(-3, 6), st.floats(-2.0, 2.0), st.text(max_size=2))
@@ -112,12 +149,34 @@ ODD_VALUES = st.one_of(
 def odd_documents(draw):
     command = draw(st.sampled_from(sorted(VALID)))
     doc = copy.deepcopy(VALID[command])
-    path = draw(st.sampled_from(_field_paths(doc)))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = draw(ODD_VALUES)
+    _set(doc, draw(st.sampled_from(KEY_PATHS)), draw(ODD_VALUES))
     return command, doc
+
+
+@st.composite
+def misspelt_documents(draw):
+    """A valid document with one key misspelt by one edit: a character
+    inserted, deleted, replaced, or swapped with the next one.  ``kind`` is
+    left alone: it picks the network's table, so a misspelt one reads as a
+    missing kind."""
+    command = draw(st.sampled_from(sorted(VALID)))
+    doc = copy.deepcopy(VALID[command])
+    paths = [(key,) for key in doc]
+    paths += [(key, inner) for key, obj in doc.items() if isinstance(obj, dict) for inner in obj]
+    path = draw(st.sampled_from([p for p in paths if p[-1] != "kind"]))
+    key = path[-1]
+    i = draw(st.integers(0, len(key)))
+    c = draw(st.sampled_from(string.ascii_letters + "_"))
+    bad = draw(
+        st.sampled_from(
+            [key[:i] + c + key[i:], key[:i] + key[i + 1 :], key[:i] + c + key[i + 1 :]]
+            + [key[:i] + key[i + 1 : i + 2] + key[i : i + 1] + key[i + 2 :]]
+        )
+    )
+    assume(bad not in _known_keys(doc, path))
+    target = doc if len(path) == 1 else doc[path[0]]
+    target[bad] = target.pop(key)
+    return command, doc, ".".join(path[:-1] + (bad,))
 
 
 def _run(command: str, doc: dict) -> tuple[int, str, str]:
@@ -147,3 +206,12 @@ def test_one_odd_field_never_escapes_main(case):
     if rc == EXIT_CONFIG:
         assert out == ""
         assert err.startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(misspelt_documents())
+def test_misspelt_key_exits_2_naming_it(case):
+    command, doc, name = case
+    rc, out, err = _run(command, doc)
+    assert (rc, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: unknown config key '{name}'")

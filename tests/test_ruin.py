@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from model_reference import classical_ruin
 from ruin_reference import exhaustive_graph_psi, pk_value
 from ruinnet.model import AgentSubset, RiskParams, object_classes
 from ruinnet.netgen import BlockModel
@@ -16,7 +17,6 @@ from ruinnet.ruin import (
     _pk_from_counts,
     estimate,
     estimate_psi,
-    estimate_tail,
     psi_summand,
 )
 
@@ -104,11 +104,6 @@ class TestEstimatePsi:
         est = estimate_psi(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 500, 3)
         assert est.mean == 1.0 and est.stderr == 0.0
 
-    def test_rejects_zero_reserve(self):
-        p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        with pytest.raises(ValueError, match="reserve"):
-            estimate_psi(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 10, 0)
-
     def test_rejects_tiny_replicate_count(self):
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[1.0])
         with pytest.raises(ValueError, match="replicate"):
@@ -140,7 +135,7 @@ class TestEstimatePsi:
         m = BlockModel.bernoulli(0.5)
         g = AgentSubset.prefix(5)
         psi = estimate_psi(p, m, g, 30_000, 11)
-        tail = estimate_tail(p, m, g, 30_000, 11)
+        tail = estimate(p, m, g, 30_000, 11).tail
         assert psi.mean >= (1.0 - tail.mean) - 1e-12
 
     def test_methods_agree_in_distribution(self):
@@ -154,9 +149,9 @@ class TestEstimatePsi:
         )
         for p, m, k in cases:
             g = AgentSubset.prefix(k)
-            for estimate in (estimate_psi, estimate_tail):
-                a = estimate(p, m, g, 40_000, 13, method="collapsed")
-                b = estimate(p, m, g, 40_000, 13, method="graph")
+            collapsed = estimate(p, m, g, 40_000, 13, method="collapsed")
+            graph = estimate(p, m, g, 40_000, 13, method="graph")
+            for a, b in ((collapsed.psi, graph.psi), (collapsed.tail, graph.tail)):
                 assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
 
     def test_sbm_thread_count_never_changes_result(self):
@@ -201,41 +196,42 @@ class TestEstimate:
         args = (two_class_params(4, 10), model, AgentSubset.prefix(3), B, 5)
         est = estimate(*args, threads=threads, method=method)
         assert est.psi == estimate_psi(*args, method=method)
-        assert est.tail == estimate_tail(*args, method=method)
+        assert est.tail == estimate(*args, method=method).tail
         assert est.replicates == B
         assert 0.0 < est.tail.mean < 1.0
 
-    def test_zero_reserve_rejected_but_tail_only_pass_accepts_it(self):
+    def test_zero_reserve_gives_the_classical_formula(self):
+        # one agent certainly insuring one object: psi(0) = lam*mu/c; the
+        # tolerance only absorbs the rounding of the mean of 100 equal summands
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        m, g = BlockModel.bernoulli(1.0), AgentSubset.prefix(1)
-        with pytest.raises(ValueError, match="reserve"):
-            estimate(p, m, g, 100, 0)
-        assert estimate_tail(p, m, g, 100, 0).mean == 1.0
+        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 100, 0)
+        assert est.psi.mean == pytest.approx(classical_ruin(1.0, 1.0, 1.05, 0.0), rel=1e-15)
+        assert est.psi.stderr <= 1e-12
 
 
 class TestEstimateTail:
     def test_all_ruinous_premiums_never_below_one(self):
         # with every object ruinous and edges certain, the ratio is always > 1
         p = RiskParams(lam=1.0, c=[0.95, 0.95], mu=[1.0, 1.0], u=[1.0])
-        est = estimate_tail(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 2000, 0)
+        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 2000, 0).tail
         assert est.mean == 0.0
 
     def test_disconnection_counts_toward_event(self):
         # ratio 0 on disconnection, which lies below 1
         p = RiskParams(lam=1.0, c=[0.95, 0.95], mu=[1.0, 1.0], u=[1.0])
-        est = estimate_tail(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(1), 100_000, 1)
+        est = estimate(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(1), 100_000, 1).tail
         assert est.mean == pytest.approx(0.25, abs=4 * est.stderr + 1e-12)
 
     def test_binomial_stderr(self):
         p = two_class_params(5, 10)
-        est = estimate_tail(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(3), 10_000, 2)
+        est = estimate(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(3), 10_000, 2).tail
         assert est.stderr == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.replicates)
         )
 
     def test_zero_reserve_allowed(self):
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        est = estimate_tail(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 100, 0)
+        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 100, 0).tail
         assert est.mean == 1.0
 
 
