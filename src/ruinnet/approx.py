@@ -18,14 +18,20 @@ The per-configuration sums collapse over exchangeable coordinates: agent
 types enter only through their multiset, and objects of equal loading
 enter only through per-type counts, which keeps exact enumeration feasible
 far beyond the raw configuration space.
+
+Exact mode enumerates these configurations as arrays (:func:`_configurations`),
+sampled mode draws them, and one evaluator (:func:`_terms`) turns each into
+its tail probability, bound term and point-mass weight.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from math import lgamma
 from typing import Iterator, Optional
 
@@ -52,6 +58,9 @@ MODE_AUTO = "auto"
 
 #: Fewest configurations sampled mode accepts.
 MIN_SAMPLED_CONFIGS = 100
+
+#: Count cells (configurations x classes x object types) of one exact-mode chunk.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,32 +94,34 @@ class PhaseVerdict:
     beta: float
 
 
-def normal_positive_prob(mean: float, variance: float) -> float:
-    """P(N(mean, variance) > 0), i.e. Phi(mean/sqrt(variance)).
-
-    Evaluated through the complementary error function (absolute error
-    below 1e-12 over the whole range).  A zero variance denotes a point
-    mass at ``mean``.
+def normal_positive_prob(mean, variance):
+    """P(N(mean, variance) > 0) elementwise, with the bits of the scalar
+    ``0.5 * erfc(-mean / sqrt(2 * variance))`` (numpy's division and square
+    root are correctly rounded; erfc's absolute error is below 1e-12).  A
+    zero variance denotes a point mass at ``mean``.  Scalars give a float.
     """
-    if variance < 0:
+    mean, variance = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
+    if (variance < 0).any():
         raise ValueError("variance must be nonnegative")
-    if variance == 0.0:
-        return 1.0 if mean > 0 else 0.0
-    return 0.5 * math.erfc(-mean / math.sqrt(2.0 * variance))
+    point = variance == 0.0
+    # a point mass is standardised by 1, and its value set below
+    z = -mean / np.sqrt(2.0 * variance + point)
+    prob = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
+    prob = prob.reshape(z.shape)
+    np.copyto(prob, mean > 0, where=point)
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def _stats_from_counts(
     xi_vals: np.ndarray, counts_gl: np.ndarray, p_l: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, variance, raw third-moment sum) from per-(class, object-type) counts.
-
-    ``counts_gl`` has shape ``(..., G, L)`` and the connection probabilities
-    ``p_l`` shape ``(..., L)``; leading axes broadcast, one result per
-    configuration.
-    """
+    """(mean, variance, raw third-moment sum) from per-(class, object-type) counts
+    ``counts_gl`` of shape ``(..., G, L)`` and connection probabilities ``p_l``
+    of shape ``(..., L)``; leading axes broadcast, one result per configuration."""
     xm = xi_vals - 1.0
-    s2 = p_l * (1.0 - p_l)
-    h = p_l * (1.0 - p_l) ** 3 + (1.0 - p_l) * p_l**3
+    q_l = 1.0 - p_l
+    s2 = p_l * q_l
+    h = p_l * q_l**3 + q_l * p_l**3
 
     def per_class(x: np.ndarray) -> np.ndarray:
         return (counts_gl @ x[..., None])[..., 0]
@@ -121,32 +132,36 @@ def _stats_from_counts(
     return mean, var, raw3
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _terms(weight, mean, var, raw3) -> tuple[np.ndarray, ...]:
+    """Each configuration's tail probability, bound term and point-mass
+    weight, times its ``weight``.  ``var ** 1.5`` is libm's ``pow``, and a
+    point mass gets an infinite root, which zeroes its bound term."""
+    point = var == 0.0
+    root = np.fromiter(map(pow, var.tolist(), itertools.repeat(1.5)), np.float64, var.size)
+    root[point] = np.inf
+    bound = weight * BOUND_CONSTANT * raw3 / root
+    return weight * normal_positive_prob(mean, var), bound, weight * point
 
 
-def _multinomial_weight(counts, probs: np.ndarray) -> float:
-    n = sum(counts)
-    log_w = lgamma(n + 1)
-    for m, pr in zip(counts, probs):
-        if m == 0:
-            continue
-        if pr == 0.0:
-            return 0.0
-        log_w += m * math.log(pr) - lgamma(m + 1)
-    return math.exp(log_w)
-
-
-def _weighted_compositions(total: int, probs: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
-    """Type counts of ``total`` iid draws from ``probs``, with their positive
-    multinomial weights."""
-    weighted = ((c, _multinomial_weight(c, probs)) for c in _compositions(int(total), probs.size))
-    return [(counts, weight) for counts, weight in weighted if weight > 0.0]
+def _compositions(total: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Type counts of ``total`` iid draws from ``probs`` with positive
+    multinomial weight, first type slowest, and those weights (log, exp and
+    lgamma in Python floats)."""
+    k, end = probs.size, total + probs.size - 1
+    log_p = [math.log(pr) if pr > 0.0 else -math.inf for pr in probs.tolist()]
+    counts, weights = [], []
+    # combinations() copies its pool, so one type draws from an empty one
+    for cut in itertools.combinations(range(end if k > 1 else 0), k - 1):
+        row = [hi - lo - 1 for lo, hi in zip((-1, *cut), (*cut, end))]
+        log_w = lgamma(total + 1)
+        for m, lp in zip(row, log_p):
+            if m:
+                log_w += m * lp - lgamma(m + 1)
+        weight = math.exp(log_w)
+        if weight > 0.0:
+            counts.append(row)
+            weights.append(weight)
+    return np.array(counts, dtype=np.int64), np.array(weights)
 
 
 def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
@@ -157,20 +172,34 @@ def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
     return terms
 
 
-def _enumerate_collapsed(
+def _configurations(
     model: BlockModel, xi_vals: np.ndarray, sizes: np.ndarray, size_q: int
-) -> Iterator[tuple[float, float, float, float]]:
-    """Yield ``(weight, mean, variance, raw3)`` over collapsed configurations."""
-    per_class = [_weighted_compositions(dg, model.v) for dg in sizes]
-    for m_counts, w_agent in _weighted_compositions(size_q, model.w):
-        p_l = connect_given_counts(model, np.asarray(m_counts, dtype=np.int64))
-        for combo in itertools.product(*per_class):
-            weight = w_agent
-            for _, w_comp in combo:
-                weight *= w_comp
-            counts_gl = np.asarray([comp for comp, _ in combo], dtype=np.float64)
-            mean, var, raw3 = _stats_from_counts(xi_vals, counts_gl, p_l)
-            yield weight, float(mean), float(var), float(raw3)
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """``(weight, mean, variance, raw3)`` arrays of the collapsed configurations,
+    in chunks of at most ``_CHUNK_CELLS`` count cells: one agent-type
+    composition (slowest) and one object-type composition per class, with
+    the product of their weights, summarised as sampled mode summarises
+    drawn ones."""
+    agents, weight_a = _compositions(int(size_q), model.w)
+    connect = connect_given_counts(model, agents)
+    classes = [_compositions(int(dg), model.v) for dg in sizes]
+    counts, weight_c = map(np.concatenate, zip(*classes))
+    counts = counts.astype(np.float64)
+    n = [len(w) for _, w in classes]
+    per_agent = math.prod(n)
+    # class g's composition in configuration t is row (t // stride_g) % n_g + offset_g
+    strides = [per_agent // math.prod(n[: g + 1]) for g in range(len(n))]
+    stride, radix, offset = np.array([strides, n, [sum(n[:g]) for g in range(len(n))]])
+    total = len(agents) * per_agent
+    step = max(1, _CHUNK_CELLS // (sizes.size * model.L))
+    for lo in range(0, total, step):
+        t = np.arange(lo, min(lo + step, total))
+        a = t // per_agent
+        rows = t[:, None] // stride % radix + offset
+        weight = weight_a[a]
+        for row in rows.T:
+            weight = weight * weight_c[row]
+        yield (weight, *_stats_from_counts(xi_vals, counts[rows], connect[a]))
 
 
 def _exact(
@@ -182,23 +211,14 @@ def _exact(
             f"exact mode would enumerate {terms} configurations "
             f"(limit {MAX_EXACT_TERMS}); use sampled mode"
         )
-    prob = bound = deg_weight = 0.0
+    totals = [0.0, 0.0, 0.0]  # summed term by term: sum() compensates on Python >= 3.12
     count = 0
-    for weight, mean, var, raw3 in _enumerate_collapsed(model, xi_vals, sizes, group.size):
-        count += 1
-        if var == 0.0:
-            prob += weight * (1.0 if mean > 0 else 0.0)
-            deg_weight += weight
-        else:
-            prob += weight * normal_positive_prob(mean, var)
-            bound += weight * BOUND_CONSTANT * raw3 / var**1.5
-    return ApproxResult(
-        probability=min(prob, 1.0),
-        stein_bound=bound,
-        mode=MODE_EXACT,
-        config_count=count,
-        degenerate_weight=deg_weight,
-    )
+    for weight, mean, var, raw3 in _configurations(model, xi_vals, sizes, group.size):
+        parts = _terms(weight, mean, var, raw3)
+        totals = [reduce(operator.add, part.tolist(), t) for t, part in zip(totals, parts)]
+        count += weight.size
+    prob, bound, deg_weight = totals
+    return ApproxResult(min(prob, 1.0), bound, MODE_EXACT, count, degenerate_weight=deg_weight)
 
 
 def _sampled(
@@ -210,13 +230,9 @@ def _sampled(
     base_seed: int,
     threads: int,
 ) -> ApproxResult:
-    """Monte Carlo over collapsed configurations.
-
-    Each configuration is one draw of :func:`netgen.sample_configurations`
-    (the group's agent-type counts and the object counts per (loading
-    class, object type)), summarised by :func:`_stats_from_counts` exactly
-    as exact mode summarises an enumerated one.
-    """
+    """Monte Carlo over collapsed configurations: draws of
+    :func:`netgen.sample_configurations`, each summarised as exact mode
+    summarises an enumerated one, with weight 1."""
     if m_configs < MIN_SAMPLED_CONFIGS:
         raise ValueError(f"sampled mode needs at least {MIN_SAMPLED_CONFIGS} configurations")
 
@@ -225,26 +241,16 @@ def _sampled(
         return np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (3, rows))
 
     def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
-        mean_v, var_v, raw3_v = _in_chunks(configs, rng, rows, sizes.size * model.L)
-        pos = var_v > 0.0
-        prob_v = np.where(pos, 0.0, (mean_v > 0).astype(np.float64))
-        prob_v[pos] = [normal_positive_prob(mv, vv) for mv, vv in zip(mean_v[pos], var_v[pos])]
-        bound_v = np.zeros(rows)
-        bound_v[pos] = BOUND_CONSTANT * raw3_v[pos] / var_v[pos] ** 1.5
-        return prob_v, prob_v * prob_v, bound_v, ~pos
+        stats = _in_chunks(configs, rng, rows, sizes.size * model.L)
+        prob_v, bound_v, point_v = _terms(1.0, *stats)
+        return prob_v, prob_v * prob_v, bound_v, point_v
 
     total, total_sq, total_bound, degenerate = block_totals(
         m_configs, APPROX_DOMAIN, base_seed, draw, threads
     )
     probability, stderr = mean_stderr(total, total_sq, m_configs)
-    return ApproxResult(
-        probability=probability,
-        stein_bound=total_bound / m_configs,
-        mode=MODE_SAMPLED,
-        config_count=int(m_configs),
-        sampling_stderr=stderr,
-        degenerate_weight=degenerate / m_configs,
-    )
+    bound, point_weight = total_bound / m_configs, degenerate / m_configs
+    return ApproxResult(probability, bound, MODE_SAMPLED, int(m_configs), stderr, point_weight)
 
 
 def mixture_probability(
@@ -283,10 +289,6 @@ def mixture_probability(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
-
-
 def phase_classify(
     params: RiskParams, model: BlockModel, group: AgentSubset, beta: float
 ) -> PhaseVerdict:
@@ -311,15 +313,12 @@ def phase_classify(
         )
     if model.is_bernoulli:
         # class-collapsed sum so that perfectly balanced loadings cancel exactly
-        sign = _sign(float(((xi_vals - 1.0) * sizes).sum()) / params.d)
+        sign = int(np.sign(float(((xi_vals - 1.0) * sizes).sum()) / params.d))
     else:
         if exact_term_count(model, group.size, sizes) > MAX_EXACT_TERMS:
             raise ValueError("too many configurations to classify exactly")
-        signs = {
-            _sign(mean)
-            for weight, mean, _, _ in _enumerate_collapsed(model, xi_vals, sizes, group.size)
-            if weight > 0.0
-        }
-        sign = signs.pop() if len(signs) == 1 else 0
+        configs = _configurations(model, xi_vals, sizes, group.size)
+        signs = {s for weight, mean, _, _ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
+        sign = int(signs.pop()) if len(signs) == 1 else 0
     verdict = TAIL_TO_ONE if sign > 0 else TAIL_TO_ZERO if sign < 0 else INDETERMINATE
     return PhaseVerdict(limit_mean_sign=sign, verdict=verdict, beta=float(beta))

@@ -201,6 +201,8 @@ def _at_least(value, name: str, low: int) -> int:
 
 
 def _integers(value, name: str, _=None) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
     out = tuple(_integer(x, name) for x in value)
     if not out:
         raise ConfigError(f"{name} must not be empty")

@@ -31,7 +31,7 @@ import numpy as np
 from .model import AgentSubset, RiskParams, proportional_r, proportional_weights
 from .netgen import BlockModel, sample_incidence
 from .ruin import EstimateWithCI
-from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, _run_tasks, pairwise_sum, stream
+from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, map_blocks, pairwise_sum, stream
 
 #: Claims are drawn in fixed chunks so that extending the horizon replays
 #: the same claim prefix (keeps ruin monotone in the horizon per seed).
@@ -141,8 +141,9 @@ def oracle_psi(
 
     Networks come in blocks of :data:`NETWORK_BLOCK`; block ``k`` draws its
     incidence matrices from the stream ``(base_seed, ORACLE_NET_DOMAIN, k)``
-    and one task runs it.  The block's paths, network by network, are cut
-    into batches of :data:`PATH_BATCH`, and batch ``b`` runs on the stream
+    and one :func:`streams.map_blocks` task runs it.  The block's paths,
+    network by network, are cut into batches of :data:`PATH_BATCH`, and
+    batch ``b`` runs on the stream
     ``(base_seed, ORACLE_PATH_DOMAIN, k, b)``.  The result is bit-identical
     for any ``threads``, and a longer horizon replays every path's claims.
     """
@@ -173,11 +174,8 @@ def oracle_psi(
             ruined += np.bincount(network[flags], minlength=hi - lo)
         return ruined
 
-    tasks = [
-        (k, lo, min(lo + NETWORK_BLOCK, int(outer_networks)))
-        for k, lo in enumerate(range(0, int(outer_networks), NETWORK_BLOCK))
-    ]
-    fractions = np.concatenate(_run_tasks(block, tasks, threads)) / inner_paths
+    blocks = map_blocks(outer_networks, block, threads, NETWORK_BLOCK)
+    fractions = np.concatenate(blocks) / inner_paths
     mean = pairwise_sum(fractions) / outer_networks
     var = float(((fractions - mean) ** 2).sum()) / (outer_networks - 1)
     return EstimateWithCI(

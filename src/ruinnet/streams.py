@@ -81,15 +81,15 @@ def _run_tasks(fn: Callable, tasks: list[tuple], threads: int) -> list:
         return [f.result() for f in futures]
 
 
-def map_blocks(n: int, fn: Callable[[int, int, int], object], threads: int = 1) -> list:
-    """Apply ``fn(block_index, start, stop)`` over the replicate blocks of ``[0, n)``.
+def map_blocks(
+    n: int, fn: Callable[[int, int, int], object], threads: int = 1, width: int = BLOCK_SIZE
+) -> list:
+    """Apply ``fn(block_index, start, stop)`` over the blocks of ``width``
+    items of ``[0, n)``: the replicate blocks unless another width is given.
 
     Results are returned in block order regardless of ``threads``.
     """
-    tasks = [
-        (k, s, min(s + BLOCK_SIZE, int(n)))
-        for k, s in enumerate(range(0, int(n), BLOCK_SIZE))
-    ]
+    tasks = [(k, s, min(s + width, int(n))) for k, s in enumerate(range(0, int(n), width))]
     return _run_tasks(fn, tasks, threads)
 
 

@@ -16,7 +16,7 @@ from math import lgamma, log, prod
 
 import numpy as np
 
-from ruinnet.approx import _weighted_compositions
+from ruinnet.approx import _compositions
 from ruinnet.model import AgentSubset, RiskParams, object_classes, proportional_r
 from ruinnet.netgen import BlockModel, connect_given_counts
 from ruinnet.ruin import _pk_from_counts, psi_summand
@@ -81,7 +81,8 @@ def exact_law(params: RiskParams, model: BlockModel, group: AgentSubset) -> Exac
     else:
         summand = np.full(pk.size, np.nan)
     psi = psi_sq = tail = 0.0
-    for m, weight in _weighted_compositions(group.size, model.w):
+    agents, weights = _compositions(group.size, model.w)
+    for m, weight in zip(agents, weights.tolist()):
         pbar = min(float(connect_given_counts(model, m) @ model.v), 1.0)
         pmf = np.ones(1)
         for dg in sizes:

@@ -3,6 +3,8 @@ phase classifier."""
 
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from approx_reference import MixtureStats, mixture_stats, p_of_config
+from approx_reference import MixtureStats, exact_by_loop, mixture_stats, p_of_config
 from model_reference import compute_loadings
 from ruin_reference import pk_value
 from ruinnet.approx import (
@@ -154,6 +156,32 @@ class TestNormalPositiveProb:
     def test_complement_identity(self, m, v):
         total = normal_positive_prob(m, v) + normal_positive_prob(-m, v)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_elementwise_bits_match_scalar_formula(self):
+        # numpy's division and square root are correctly rounded, so each
+        # element has the bits of the scalar formula
+        rng = np.random.default_rng(11)
+        mean = rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-3, 3, 2000)
+        var = 10.0 ** rng.uniform(-6, 6, 2000)
+        # |z| above 30: erfc is 0 or 2 in double precision
+        far = rng.uniform(1.0, 100.0, 200)
+        mean = np.r_[mean, 31.0 * np.sqrt(2.0 * far), -31.0 * np.sqrt(2.0 * far)]
+        var = np.r_[var, far, far]
+        got = normal_positive_prob(mean, var)
+        want = [0.5 * math.erfc(-m / math.sqrt(2.0 * v)) for m, v in zip(mean, var)]
+        assert got.tolist() == want
+        assert set(got[-400:].tolist()) == {0.0, 1.0}
+
+    def test_elementwise_point_masses_and_shapes(self):
+        mean, var = np.array([[0.5, -0.5], [0.0, 2.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])
+        got = normal_positive_prob(mean, var)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[1.0, 0.0], [0.0, 0.5 * math.erfc(-2.0 / math.sqrt(2.0))]]
+        scalar = normal_positive_prob(0.3, 2.0)
+        assert type(scalar) is float
+        assert scalar == 0.5 * math.erfc(-0.3 / math.sqrt(4.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            normal_positive_prob(np.zeros(3), np.array([1.0, -1.0, 1.0]))
 
     def test_high_accuracy_reference(self):
         # spot values from the complementary error function at full precision
@@ -371,6 +399,102 @@ def exact_tail_by_edge_enumeration(params, model, group, q):
                 if pr > 0.0 and pk_value(edges.any(axis=0), params) < 1.0:
                     total += pr
     return total
+
+
+def random_exact_instance(rng):
+    """A random small blockmodel (``random_sbm``, with a zero type
+    probability one time in four), a group of 1-4 agents and 1-4 loading
+    classes over at most 8 objects."""
+    model = random_sbm(rng)
+    if rng.random() < 0.25 and model.K + model.L > 2:
+        w, v = model.w.copy(), model.v.copy()
+        probs = w if w.size > 1 else v
+        probs[rng.integers(probs.size)] = 0.0
+        probs /= probs.sum()
+        model = BlockModel(w=w, v=v, p=model.p)
+    q = int(rng.integers(1, 5))
+    n_classes = int(rng.integers(1, 5))
+    ratios = rng.choice([0.8, 0.9, 1.1, 1.25], n_classes, replace=False)
+    d = int(rng.integers(n_classes, 9))
+    labels = np.r_[np.arange(n_classes), rng.integers(0, n_classes, d - n_classes)]
+    mu = rng.choice([0.5, 1.0, 2.0], d)
+    lam = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 2.0))
+    params = RiskParams(lam=lam, c=ratios[labels] * mu, mu=mu, u=np.ones(q))
+    return params, model, AgentSubset.prefix(int(rng.integers(1, q + 1)))
+
+
+class TestExactAgainstReferenceLoop:
+    """Exact mode's array enumeration against the per-configuration loop of
+    ``approx_reference``."""
+
+    def test_matches_loop_on_random_blockmodels(self):
+        rng = np.random.default_rng(2024)
+        degenerate = zero_types = 0
+        classes = set()
+        for _ in range(30):
+            params, model, group = random_exact_instance(rng)
+            classes.add(object_classes(params)[0].size)
+            ref = exact_by_loop(params, model, group)
+            got = mixture_probability(params, model, group, mode="exact")
+            assert got.config_count == ref.config_count
+            assert got.probability == pytest.approx(ref.probability, rel=1e-12)
+            assert got.stein_bound == pytest.approx(ref.stein_bound, rel=1e-12)
+            assert got.degenerate_weight == pytest.approx(ref.degenerate_weight, rel=1e-12)
+            degenerate += got.degenerate_weight > 0.0
+            zero_types += bool((model.w == 0.0).any() or (model.v == 0.0).any())
+            if not model.is_bernoulli:  # a Bernoulli verdict reads no configuration
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    verdict = phase_classify(params, model, group, 0.5)
+                assert verdict.limit_mean_sign == ref.mean_sign
+        # the instances cover every class count, point masses and zero-weight
+        # compositions
+        assert classes == {1, 2, 3, 4}
+        assert degenerate >= 3
+        assert zero_types >= 3
+
+    def test_one_object_type_keeps_the_loops_bits(self):
+        # with one object type every count product is exact, so a
+        # configuration has the loop's bits for any number of classes, and
+        # the totals too: summed term by term in the loop's order
+        rng = np.random.default_rng(5)
+        model = BlockModel(w=[0.5, 0.3, 0.2], v=[1.0], p=[[0.3], [0.7], [0.05]])
+        for d in (2, 9, 20):
+            c = rng.uniform(0.8, 1.2, d)
+            params = RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.ones(6))
+            ref = exact_by_loop(params, model, AgentSubset.prefix(6))
+            got = mixture_probability(params, model, AgentSubset.prefix(6), mode="exact")
+            assert (got.probability, got.stein_bound, got.degenerate_weight) == (
+                ref.probability,
+                ref.stein_bound,
+                ref.degenerate_weight,
+            )
+
+    def test_memory_stays_bounded_at_scale(self):
+        # 6 agents and 30 objects in two classes of 15 on the 3x3 blockmodel
+        # of the benchmark's sbm workload: 517 888 configurations
+        script = """
+import resource
+import numpy as np
+from ruinnet.approx import mixture_probability
+from ruinnet.model import AgentSubset, RiskParams
+from ruinnet.netgen import BlockModel
+off = 0.05
+model = BlockModel(w=[0.5, 0.3, 0.2], v=[0.5, 0.3, 0.2],
+                   p=[[0.3, off, off], [off, 0.3, off], [off, off, 0.3]])
+params = RiskParams(lam=1.0, c=np.r_[np.full(15, 0.95), np.full(15, 1.05)],
+                    mu=np.ones(30), u=np.ones(6))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = mixture_probability(params, model, AgentSubset.prefix(6), mode="exact")
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(res.config_count, grown)
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout.split()
+        count, grown_kb = int(out[0]), int(out[1])  # ru_maxrss is in KiB on Linux
+        assert count == 517_888
+        assert grown_kb <= 32 * 1024
 
 
 class TestEnumerationOracle:

@@ -548,13 +548,13 @@ class TestMainEntryPoint:
         assert self.run(["estimate", "--config", "/nonexistent.json"]) == 2
 
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, message",
         [
-            pytest.param("estimate", extra, id=f"extra{i}")
+            pytest.param("estimate", extra, "", id=f"extra{i}")
             for i, extra in enumerate(BAD_ESTIMATE_INPUTS)
         ]
         + [
-            pytest.param("sweep", dict(SWEEP_2X2, **extra), id=f"sweep-{name}")
+            pytest.param("sweep", dict(SWEEP_2X2, **extra), "", id=f"sweep-{name}")
             for name, extra in (
                 ("unknown-mode", {"approx_mode": "bogus"}),
                 ("non-string-mode", {"approx_mode": 3}),
@@ -565,16 +565,40 @@ class TestMainEntryPoint:
             )
         ]
         + [
-            pytest.param(command, extra, id=name)
+            pytest.param(command, extra, "", id=name)
             for name, command, extra in (
                 ("table-one-replicate", "table", dict(TABLE_2X2, replicates=1)),
                 ("oracle-one-network", "oracle", {"outer_networks": 1}),
                 ("oracle-no-paths", "oracle", {"inner_paths": 0}),
                 ("oracle-endless-horizon", "oracle", ENDLESS_HORIZON),
             )
+        ]
+        + [
+            # a list field given a scalar or a string is named, not iterated
+            pytest.param(command, extra, message, id=name)
+            for name, command, extra, message in (
+                (
+                    "ns_grid-scalar",
+                    "sweep",
+                    dict(SWEEP_2X2, ns_grid=5),
+                    "ns_grid must be a list of integers, got 5",
+                ),
+                (
+                    "indices-scalar",
+                    "estimate",
+                    {"group": {"indices": 5}},
+                    "group.indices must be a list of integers, got 5",
+                ),
+                (
+                    "indices-string",
+                    "estimate",
+                    {"group": {"indices": "12"}},
+                    "group.indices must be a list of integers, got '12'",
+                ),
+            )
         ],
     )
-    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, extra):
+    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, extra, message):
         cfg_path = tmp_path / "cfg.json"
         doc = degenerate_doc(q=2, d=2, premiums=[1.05, 1.1])
         doc.update(extra)
@@ -583,6 +607,7 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "command, field, extra",

@@ -67,6 +67,12 @@ class TestPoolSize:
         assert map_blocks(8 * BLOCK_SIZE, lambda k, lo, hi: k, threads=10_000) == list(range(8))
         assert pool.created == [3]
 
+    def test_block_width(self, pool):
+        # the oracle's network blocks: a width other than BLOCK_SIZE, ragged last block
+        out = map_blocks(600, lambda k, lo, hi: (k, lo, hi), threads=2, width=256)
+        assert out == [(0, 0, 256), (1, 256, 512), (2, 512, 600)]
+        assert pool.created == [2]
+
     def test_unknown_cpu_count_runs_inline(self, pool, monkeypatch):
         monkeypatch.setattr(streams.os, "cpu_count", lambda: None)
         assert map_blocks(2 * BLOCK_SIZE, lambda k, lo, hi: k, threads=4) == [0, 1]
