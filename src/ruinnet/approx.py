@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import AgentSubset, RiskParams, object_classes
+from .model import AgentSubset, RiskParams
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
 from .streams import APPROX_DOMAIN, block_totals, mean_stderr
 
@@ -277,8 +277,8 @@ def mixture_probability(
         threads: Worker threads (never affects the result).
     """
     group.validate_for(params.q)
-    ratio, sizes = object_classes(params)
-    xi_vals = ratio / params.lam
+    sizes = params.class_sizes
+    xi_vals = params.class_ratio / params.lam
     if mode == MODE_AUTO:
         enumerable = exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
         mode = MODE_EXACT if enumerable else MODE_SAMPLED
@@ -303,8 +303,8 @@ def phase_classify(
     if not 0.0 < beta < 1.0:
         raise ValueError("density exponent beta must lie in (0, 1)")
     group.validate_for(params.q)
-    ratio, sizes = object_classes(params)
-    xi_vals = ratio / params.lam
+    sizes = params.class_sizes
+    xi_vals = params.class_ratio / params.lam
     if np.any(xi_vals == 1.0):
         warnings.warn(
             "some objects have zero loading excess (xi == 1); the phase "

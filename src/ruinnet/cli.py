@@ -388,6 +388,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
                 stein_bound=ap.stein_bound,
             )
             rows.append(asdict(row))
+        del params  # so that the next point's RiskParams is built without this one's arrays
     return rows
 
 
@@ -405,6 +406,7 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
         params = cfg.risk_params(ns_override=ns)
         ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_EXACT)
         tail = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads).tail
+        del params  # so that the next row's RiskParams is built without this row's arrays
         rows.append(
             {
                 "ns": int(ns),

@@ -10,7 +10,7 @@ every column of the weighted adjacency matrix sums to at most one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,12 +40,21 @@ class RiskParams:
         c: Premium rate per object, length ``d`` (all > 0).
         mu: Mean claim size per object, length ``d`` (all > 0).
         u: Initial reserve per agent, length ``q`` (all >= 0).
+        class_ratio: The distinct ``c_j/mu_j`` in ascending order, one per
+            premium class; ``np.searchsorted(class_ratio, c/mu)`` gives each
+            object's class.
+        class_sizes: The number of objects in each class (``int64``).
+
+    An object enters the PK ratio (``ruin``) and its loading
+    ``xi_j = (c_j/mu_j)/lam`` (``approx``) only through ``c_j/mu_j``.
     """
 
     lam: float
     c: np.ndarray
     mu: np.ndarray
     u: np.ndarray
+    class_ratio: np.ndarray = field(init=False, repr=False, compare=False)
+    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
@@ -62,6 +71,13 @@ class RiskParams:
             raise ValueError("reserves must be nonnegative")
         if self.u.size < 1 or self.c.size < 1:
             raise ValueError("need at least one agent and one object")
+        with np.errstate(over="ignore"):
+            values = self.c / self.mu
+        if not np.isfinite(values).all():
+            raise ValueError("every premium-to-claim ratio c/mu must be finite")
+        ratio, sizes = np.unique(values, return_counts=True)
+        object.__setattr__(self, "class_ratio", ratio)
+        object.__setattr__(self, "class_sizes", sizes.astype(np.int64))
 
     @property
     def q(self) -> int:
@@ -110,22 +126,6 @@ class AgentSubset:
     def validate_for(self, q: int) -> None:
         if self.indices[-1] > q:
             raise ValueError(f"agent index {self.indices[-1]} exceeds agent count {q}")
-
-
-def object_classes(params: RiskParams) -> tuple[np.ndarray, np.ndarray]:
-    """Partition the objects into classes of equal premium-to-claim ratio ``c_j/mu_j``.
-
-    The ratio is all that the PK ratio (``ruin``) and the loading
-    ``xi_j = (c_j/mu_j)/lam`` (``approx``) need of an object.  Every value
-    of ``c/mu`` is one of the ratios, so ``np.searchsorted(ratio, c/mu)``
-    gives an object's class index.
-
-    Returns:
-        ``(ratio, sizes)``: the ascending ratio of each class and the number
-        of objects in each class.
-    """
-    ratio, sizes = np.unique(params.c / params.mu, return_counts=True)
-    return ratio, sizes.astype(np.int64)
 
 
 def proportional_r(params: RiskParams, group: AgentSubset) -> float:

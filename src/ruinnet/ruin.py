@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netgen
-from .model import AgentSubset, RiskParams, object_classes, proportional_r
+from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel
 from .streams import RUIN_DOMAIN, block_totals, mean_stderr
 
@@ -86,7 +86,7 @@ def psi_summand(pk, r_q: float, total_reserve: float):
 
 def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     """PK ratios of replicates given as counts of connected objects per
-    :func:`model.object_classes` class, 0 for a disconnected group.
+    premium class (:attr:`RiskParams.class_ratio`), 0 for a disconnected group.
 
     Both samplers pass freshly allocated integer counts through this
     arithmetic, so a configuration gives the same bits (and the same side
@@ -104,7 +104,7 @@ def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset
     """PK-ratio sampler on per-class counts of connected objects from
     :func:`netgen.sample_group_counts`: the group's agent-type counts, then
     one binomial per class, so a replicate holds ``G`` cells."""
-    ratio, sizes = object_classes(params)
+    ratio, sizes = params.class_ratio, params.class_sizes
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
         counts = netgen.sample_group_counts(model, group.size, sizes, rng, n)
@@ -120,7 +120,7 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     different stream, and ``q * d`` cells per replicate.
     """
     rows = group.zero_based()
-    ratio, _ = object_classes(params)
+    ratio = params.class_ratio
     cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
     G = ratio.size
 

@@ -70,27 +70,23 @@ def pairwise_sum(values) -> float:
     return float(x[0])
 
 
-def _run_tasks(fn: Callable, tasks: list[tuple], threads: int) -> list:
-    """``fn(*task)`` for every task, in task order, on at most
-    ``min(threads, len(tasks), os.cpu_count())`` worker threads."""
-    workers = min(int(threads), len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 def map_blocks(
     n: int, fn: Callable[[int, int, int], object], threads: int = 1, width: int = BLOCK_SIZE
 ) -> list:
     """Apply ``fn(block_index, start, stop)`` over the blocks of ``width``
     items of ``[0, n)``: the replicate blocks unless another width is given.
 
-    Results are returned in block order regardless of ``threads``.
+    The blocks run on at most ``min(threads, block count, os.cpu_count())``
+    worker threads, and the results come back in block order whatever
+    ``threads`` is.
     """
     tasks = [(k, s, min(s + width, int(n))) for k, s in enumerate(range(0, int(n), width))]
-    return _run_tasks(fn, tasks, threads)
+    workers = min(int(threads), len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 def block_totals(

@@ -19,7 +19,7 @@ import numpy as np
 
 from model_reference import LoadingVector
 from ruinnet.approx import BOUND_CONSTANT, _stats_from_counts
-from ruinnet.model import AgentSubset, RiskParams, object_classes
+from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
 
 
@@ -140,8 +140,7 @@ class LoopResult:
 
 def exact_by_loop(params: RiskParams, model: BlockModel, group: AgentSubset) -> LoopResult:
     """Exact-mode mixture approximation, one configuration at a time."""
-    ratio, sizes = object_classes(params)
-    xi_vals = ratio / params.lam
+    xi_vals, sizes = params.class_ratio / params.lam, params.class_sizes
     prob = bound = deg_weight = 0.0
     count = 0
     signs = set()

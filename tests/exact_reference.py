@@ -17,7 +17,7 @@ from math import lgamma, log, prod
 import numpy as np
 
 from ruinnet.approx import _compositions
-from ruinnet.model import AgentSubset, RiskParams, object_classes, proportional_r
+from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel, connect_given_counts
 from ruinnet.ruin import _pk_from_counts, psi_summand
 
@@ -30,8 +30,8 @@ class ExactLaw:
     """Exact moments of one replicate of :func:`ruinnet.ruin.estimate`.
 
     ``psi`` and ``psi_sq`` are the first two moments of the ruin summand
-    (``nan`` when the group's total reserve is zero); ``tail`` is
-    ``P(PK ratio < 1)``.
+    (of ``min(PK ratio, 1)`` when the group's total reserve is zero);
+    ``tail`` is ``P(PK ratio < 1)``.
     """
 
     psi: float
@@ -67,19 +67,16 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
 def exact_law(params: RiskParams, model: BlockModel, group: AgentSubset) -> ExactLaw:
     """Exact ``psi``, its second moment and the tail for a group of ``params``."""
     group.validate_for(params.q)
-    ratio, sizes = object_classes(params)
+    sizes = params.class_sizes
     shape = tuple(int(dg) + 1 for dg in sizes)
     if prod(shape) > MAX_LATTICE:
         raise ValueError(f"count lattice of {prod(shape)} points exceeds {MAX_LATTICE}")
     # every per-class count vector, row-major over the lattice
     counts = np.ascontiguousarray(np.indices(shape).reshape(len(shape), -1).T, dtype=np.int64)
-    pk = _pk_from_counts(params.lam, counts, ratio)
+    pk = _pk_from_counts(params.lam, counts, params.class_ratio)
     below = (pk < 1.0).astype(np.float64)
     total_reserve = float(params.u[group.zero_based()].sum())
-    if total_reserve > 0:
-        summand = psi_summand(pk, proportional_r(params, group), total_reserve)
-    else:
-        summand = np.full(pk.size, np.nan)
+    summand = psi_summand(pk, proportional_r(params, group), total_reserve)
     psi = psi_sq = tail = 0.0
     agents, weights = _compositions(group.size, model.w)
     for m, weight in zip(agents, weights.tolist()):

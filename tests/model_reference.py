@@ -1,8 +1,8 @@
 """Reference per-object safety loadings and the classical ruin formula.
 
 The package keys objects by their premium-to-claim ratio ``c_j/mu_j``
-(:func:`ruinnet.model.object_classes`); these per-object loadings are the
-reference that the per-object mixture statistics in
+(:attr:`ruinnet.model.RiskParams.class_ratio`); these per-object loadings
+are the reference that the per-object mixture statistics in
 ``approx_reference`` are written in.  :func:`classical_ruin` is the
 closed-form oracle of the degenerate one-agent, one-object network.
 """

@@ -24,7 +24,7 @@ from ruinnet.approx import (
     normal_positive_prob,
     phase_classify,
 )
-from ruinnet.model import AgentSubset, RiskParams, object_classes
+from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
 from ruinnet.streams import BLOCK_SIZE
 
@@ -126,7 +126,7 @@ class TestMixtureStats:
             s = rng.integers(0, model.K, int(rng.integers(1, 5)))
             t = rng.integers(0, model.L, d)
             ref = mixture_stats(params, compute_loadings(params), model, s, t)
-            ratio, _ = object_classes(params)
+            ratio = params.class_ratio
             cls = np.searchsorted(ratio, params.c / params.mu)
             counts = np.zeros((ratio.size, model.L))
             np.add.at(counts, (cls, t), 1)
@@ -433,7 +433,7 @@ class TestExactAgainstReferenceLoop:
         classes = set()
         for _ in range(30):
             params, model, group = random_exact_instance(rng)
-            classes.add(object_classes(params)[0].size)
+            classes.add(params.class_ratio.size)
             ref = exact_by_loop(params, model, group)
             got = mixture_probability(params, model, group, mode="exact")
             assert got.config_count == ref.config_count

@@ -380,12 +380,27 @@ class TestCmdTable:
         assert rows[0]["approximation"] >= 0.999
         assert rows[0]["estimate"] == 1.0
 
+    def test_one_class_partition_per_row(self, monkeypatch):
+        # the estimator and the approximation share the parameters' premium
+        # classes: one np.unique per ns, not one per caller
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        rows = cmd_table(parse_config(figure_doc(ns_grid=[0, 5, 10], replicates=200)))
+        assert len(rows) == 3
+        assert len(calls) == 3
+
 
     def test_paper_scale_rows_are_pinned(self):
         # README's d = 100000 table at 200 replicates, pinned to the rows this
-        # configuration gave when object_classes still built a per-object
-        # class index.  The relative tolerance only absorbs libm differences
-        # between platforms; ns and the frequency estimate are exact.
+        # configuration gave when the premium classes still came with a
+        # per-object class index.  The relative tolerance only absorbs libm
+        # differences between platforms; ns and the frequency estimate are exact.
         doc = {
             "lambda": 1.0,
             "q": 100,
@@ -595,6 +610,19 @@ class TestMainEntryPoint:
                     {"group": {"indices": "12"}},
                     "group.indices must be a list of integers, got '12'",
                 ),
+            )
+        ]
+        + [
+            # finite premiums and claim sizes whose ratio overflows: rejected
+            # with the parameters, before any estimator runs, and without a warning
+            pytest.param(
+                command, dict(extra, mu=[1e-300, 1.0]), "c/mu must be finite", id=f"{command}-ratio"
+            )
+            for command, extra in (
+                ("estimate", {"premiums": [1e300, 1.0]}),
+                ("oracle", {"premiums": [1e300, 1.0]}),
+                ("sweep", dict(SWEEP_2X2, premiums={"low": 1e300, "high": 1.0})),
+                ("table", dict(TABLE_2X2, premiums={"low": 1e300, "high": 1.0})),
             )
         ],
     )

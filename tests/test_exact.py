@@ -76,13 +76,19 @@ class TestAgainstEnumeration:
             assert law.psi == pytest.approx(exhaustive_graph_psi(params, edge_p, group), abs=1e-12)
             assert law.psi**2 <= law.psi_sq + 1e-15 and law.psi_sq <= law.psi + 1e-15
 
-    def test_zero_reserve_gives_tail_only(self):
+    def test_zero_reserve_gives_capped_pk(self):
         params = RiskParams(lam=1.0, c=np.array([0.9, 1.2]), mu=np.ones(2), u=np.zeros(2))
         law = exact_law(params, BlockModel.bernoulli(0.5), AgentSubset.prefix(2))
-        assert np.isnan(law.psi)
-        # each object connects with probability 3/4; PK >= 1 only when the
-        # 0.9 object connects alone
-        assert law.tail == pytest.approx(1.0 - 0.75 * 0.25, abs=1e-15)
+        # each object connects with probability 3/4.  PK is 0 when neither
+        # connects, 1/0.9 when the 0.9 object connects alone, 1/1.2 when the
+        # 1.2 object does, and 2/2.1 when both do; psi is E[min(PK, 1)]
+        alone = 0.75 * 0.25
+        assert law.psi == pytest.approx(alone * 1.0 + alone / 1.2 + 0.75**2 * 2 / 2.1, abs=1e-15)
+        assert law.psi_sq == pytest.approx(
+            alone * 1.0 + alone / 1.2**2 + 0.75**2 * (2 / 2.1) ** 2, abs=1e-15
+        )
+        # PK >= 1 only when the 0.9 object connects alone
+        assert law.tail == pytest.approx(1.0 - alone, abs=1e-15)
 
     def test_lattice_is_capped(self):
         params = RiskParams(lam=1.0, c=np.ones(MAX_LATTICE), mu=np.ones(MAX_LATTICE), u=[1.0])
@@ -90,10 +96,10 @@ class TestAgainstEnumeration:
             exact_law(params, BlockModel.bernoulli(0.5), AgentSubset.prefix(1))
 
 
-def sbm_workload_params(ns=50, d=100, q=6):
+def sbm_workload_params(ns=50, d=100, q=6, reserve=1.0):
     c = np.full(d, 1.05)
     c[:ns] = 0.95
-    return RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.ones(q))
+    return RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.full(q, reserve))
 
 
 SBM_WORKLOAD = BlockModel(
@@ -111,6 +117,17 @@ class TestEstimateAgainstExactLaw:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_sbm_workload_sweep(self, seed):
         params = sbm_workload_params()
+        for size in range(1, 7):
+            group = AgentSubset.prefix(size)
+            law = exact_law(params, SBM_WORKLOAD, group)
+            est = estimate(params, SBM_WORKLOAD, group, 8192, seed)
+            assert abs(law.z_psi(est.psi.mean, 8192)) <= 4, (size, est.psi, law)
+            assert abs(law.z_tail(est.tail.mean, 8192)) <= 4, (size, est.tail, law)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_zero_reserve(self, seed):
+        # psi is E[min(PK, 1)] when the group holds no reserve
+        params = sbm_workload_params(reserve=0.0)
         for size in range(1, 7):
             group = AgentSubset.prefix(size)
             law = exact_law(params, SBM_WORKLOAD, group)

@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import classical_ruin, compute_loadings
-from ruinnet.model import (
-    AgentSubset,
-    RiskParams,
-    object_classes,
-    proportional_r,
-    proportional_weights,
-)
+from ruinnet.model import AgentSubset, RiskParams, proportional_r, proportional_weights
 
 
 def make_params(c, mu, q=1, lam=1.0, u=None):
@@ -45,12 +39,27 @@ class TestRiskParams:
         with pytest.raises(ValueError):
             RiskParams(**kwargs)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["lam", "c", "mu", "u"])
-    def test_rejects_non_finite(self, field, bad):
-        kwargs = dict(lam=1.0, c=[1.0, 1.1], mu=[1.0, 1.0], u=[1.0, 2.0])
-        kwargs[field] = bad if field == "lam" else [1.0, bad]
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param({name: bad if name == "lam" else [1.0, bad]}, "finite", id=f"{name}-{bad}")
+            for name in ("lam", "c", "mu", "u")
+            for bad in (math.nan, math.inf)
+        ]
+        + [
+            # finite, positive premiums and claim sizes whose ratio overflows;
+            # the division itself must not warn (pytest turns that into an error)
+            pytest.param(dict(c=c, mu=mu), "c/mu must be finite", id=name)
+            for name, c, mu in (
+                ("ratio-overflow", [1e300, 1.0], [1e-300, 1.0]),
+                ("ratio-subnormal-mu", [1.0, 2.0], [1.0, 1e-308]),
+                ("ratio-large-c", [1e308, 1e308], [0.5, 1.0]),
+            )
+        ],
+    )
+    def test_rejects_non_finite(self, fields, message):
+        kwargs = {**dict(lam=1.0, c=[1.0, 1.1], mu=[1.0, 1.0], u=[1.0, 2.0]), **fields}
+        with pytest.raises(ValueError, match=message):
             RiskParams(**kwargs)
 
 
@@ -78,7 +87,7 @@ class TestObjectClasses:
     @staticmethod
     def check(c, mu):
         params = make_params(c, mu)
-        ratio, sizes = object_classes(params)
+        ratio, sizes = params.class_ratio, params.class_sizes
         # independent reference: each object's own c_j / mu_j, counted in a dict
         ref = Counter(float(cj) / float(mj) for cj, mj in zip(params.c, params.mu))
         assert sizes.dtype == np.int64

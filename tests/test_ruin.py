@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from model_reference import classical_ruin
 from ruin_reference import exhaustive_graph_psi, pk_value
-from ruinnet.model import AgentSubset, RiskParams, object_classes
+from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from ruinnet.streams import BLOCK_SIZE
 from ruinnet.ruin import (
@@ -55,7 +55,7 @@ class TestPKValue:
             d = int(rng.integers(1, 10))
             c, mu = rng.choice([0.9, 1.0, 1.2], d), rng.choice([0.5, 1.0, 2.0], d)
             params = RiskParams(lam=float(rng.uniform(0.5, 2.0)), c=c, mu=mu, u=[1.0])
-            ratio, _ = object_classes(params)
+            ratio = params.class_ratio
             cls = np.searchsorted(ratio, params.c / params.mu)
             ind = rng.random((20, d)) < 0.5
             counts = np.stack([np.bincount(cls[row], minlength=ratio.size) for row in ind])

@@ -3,7 +3,7 @@
 import pytest
 
 from ruinnet import streams
-from ruinnet.streams import BLOCK_SIZE, _run_tasks, map_blocks
+from ruinnet.streams import BLOCK_SIZE, map_blocks
 
 
 class InlinePool:
@@ -48,18 +48,18 @@ class TestPoolSize:
         assert out == [(k, k * BLOCK_SIZE, (k + 1) * BLOCK_SIZE) for k in range(3)]
 
     def test_clamped_to_task_count(self, pool):
-        assert _run_tasks(lambda i: i * i, [(i,) for i in range(4)], threads=10_000) == [0, 1, 4, 9]
+        assert map_blocks(4, lambda k, lo, hi: k * k, threads=10_000, width=1) == [0, 1, 4, 9]
         assert pool.created == [4]
 
     def test_no_pool_for_one_task_or_thread(self, pool):
         assert map_blocks(BLOCK_SIZE, lambda k, lo, hi: hi, threads=8) == [BLOCK_SIZE]
-        assert _run_tasks(lambda i: i, [(i,) for i in range(5)], threads=1) == [0, 1, 2, 3, 4]
-        assert _run_tasks(lambda i: i, [], threads=4) == []
+        assert map_blocks(5, lambda k, lo, hi: k, threads=1, width=1) == [0, 1, 2, 3, 4]
+        assert map_blocks(0, lambda k, lo, hi: k, threads=4, width=1) == []
         assert map_blocks(0, lambda k, lo, hi: k, threads=4) == []
         assert pool.created == []
 
     def test_thread_count_kept_below_task_count(self, pool):
-        _run_tasks(lambda i: i, [(i,) for i in range(6)], threads=2)
+        assert map_blocks(6, lambda k, lo, hi: k, threads=2, width=1) == list(range(6))
         assert pool.created == [2]
 
     def test_clamped_to_cpu_count(self, pool, monkeypatch):
