@@ -10,6 +10,7 @@ every column of the weighted adjacency matrix sums to at most one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -18,6 +19,11 @@ import numpy as np
 #: Floating-point slack allowed on the column-sum condition of the
 #: weighted adjacency matrix.
 COLUMN_SUM_TOL = 1e-12
+
+#: The smallest positive normal float.  Below it, a ratio ``c/mu`` lets
+#: the PK ratio overflow, and a mean claim size lets the ruin summand's
+#: scale ``r_q`` underflow.
+NORMAL_MIN = sys.float_info.min
 
 
 def _as_vector(x, name: str, length: Optional[int] = None) -> np.ndarray:
@@ -29,6 +35,38 @@ def _as_vector(x, name: str, length: Optional[int] = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _premium_classes(c: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(c / mu, return_counts=True)``, bit for bit, with ``int64``
+    sizes, dividing once per run of equal ``(c_j, mu_j)``.
+
+    A run has one ratio, so only the run heads are divided and sorted, and a
+    class's size is the total length of its runs.  On a blocked premium
+    vector, such as the two-value scheme, that is a few boolean passes and
+    divisions instead of a sort of ``d`` ratios.
+    """
+    head = np.empty(c.size, dtype=bool)
+    head[0] = True
+    np.not_equal(c[1:], c[:-1], out=head[1:])
+    head[1:] |= mu[1:] != mu[:-1]
+    starts = np.flatnonzero(head)
+    values = c[starts]
+    with np.errstate(over="ignore", under="ignore"):
+        values /= mu[starts]
+    if starts.size < c.size:  # a run longer than one object: its length moves with its ratio
+        order = values.argsort()
+        values, lengths = values[order], np.diff(starts, append=c.size)[order]
+    else:  # every run is one object, and an in-place sort is cheaper than an argsort
+        values.sort()
+        lengths = None
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    firsts = np.flatnonzero(first)
+    if lengths is None:
+        return values[firsts], np.diff(firsts, append=values.size)
+    return values[firsts], np.add.reduceat(lengths, firsts)
 
 
 @dataclass(frozen=True)
@@ -46,7 +84,13 @@ class RiskParams:
         class_sizes: The number of objects in each class (``int64``).
 
     An object enters the PK ratio (``ruin``) and its loading
-    ``xi_j = (c_j/mu_j)/lam`` (``approx``) only through ``c_j/mu_j``.
+    ``xi_j = (c_j/mu_j)/lam`` (``approx``) only through ``c_j/mu_j``.  The
+    constructor builds the partition from the runs of equal ``(c_j, mu_j)``,
+    dividing once per run, so a blocked premium vector costs no array of
+    ``d`` ratios.  It rejects parameters with which the estimator's
+    arithmetic would leave the float range: a ``c/mu`` or ``mu`` below the
+    smallest normal float, a ``c/mu`` that overflows, and an overflowing
+    ``lam/min(c/mu)``, ``lam*d``, ``d*max(c/mu)`` or ``sum(u)*q/min(mu)``.
     """
 
     lam: float
@@ -71,13 +115,35 @@ class RiskParams:
             raise ValueError("reserves must be nonnegative")
         if self.u.size < 1 or self.c.size < 1:
             raise ValueError("need at least one agent and one object")
-        with np.errstate(over="ignore"):
-            values = self.c / self.mu
-        if not np.isfinite(values).all():
+        ratio, sizes = _premium_classes(self.c, self.mu)
+        low, high = float(ratio[0]), float(ratio[-1])
+        if not high < math.inf:
             raise ValueError("every premium-to-claim ratio c/mu must be finite")
-        ratio, sizes = np.unique(values, return_counts=True)
+        if not low >= NORMAL_MIN:
+            raise ValueError(
+                f"every premium-to-claim ratio c/mu must be at least {NORMAL_MIN:.6g}, "
+                f"got {low:.6g}"
+            )
+        # lam*n / (n ratios summed) for n <= d connected objects: none of the three may overflow
+        if not max(self.lam / low, self.lam * self.d, self.d * high) < math.inf:
+            raise ValueError(
+                "lam/min(c/mu), lam*d and d*max(c/mu), which bound the PK ratio, "
+                "its numerator and its denominator, must be finite"
+            )
+        # the ruin summand's scale r_q = min(mu)/(q - |group| + 1), and its decay reserve/r_q
+        mu_min = float(self.mu.min())
+        if not mu_min >= NORMAL_MIN:
+            raise ValueError(
+                f"every mean claim size must be at least {NORMAL_MIN:.6g}, got {mu_min:.6g}"
+            )
+        with np.errstate(over="ignore"):
+            reserve = float(self.u.sum())
+        if not reserve * self.q / mu_min < math.inf:
+            raise ValueError(
+                "sum(u) * q / min(mu), which bounds the ruin summand's decay, must be finite"
+            )
         object.__setattr__(self, "class_ratio", ratio)
-        object.__setattr__(self, "class_sizes", sizes.astype(np.int64))
+        object.__setattr__(self, "class_sizes", sizes)
 
     @property
     def q(self) -> int:

@@ -94,7 +94,7 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
     differently for an array that starts at an unaligned offset, such as
     a slice.
     """
-    total = counts.sum(axis=1)
+    total = np.einsum("ij->i", counts)  # exact integers, faster than sum(axis=1)
     out = np.zeros(counts.shape[0])
     np.divide(lam * total, counts @ ratio, out=out, where=total > 0)
     return out

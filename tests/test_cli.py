@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ruinnet import cli
+from ruinnet import cli, model
 from ruinnet.cli import (
     FLAT,
     MAX_INNER_PATHS,
@@ -382,15 +382,15 @@ class TestCmdTable:
 
     def test_one_class_partition_per_row(self, monkeypatch):
         # the estimator and the approximation share the parameters' premium
-        # classes: one np.unique per ns, not one per caller
+        # classes: one partition per ns, not one per caller
         calls = []
-        unique = np.unique
+        partition = model._premium_classes
 
-        def counting_unique(*args, **kwargs):
+        def counting_partition(*args, **kwargs):
             calls.append(1)
-            return unique(*args, **kwargs)
+            return partition(*args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(model, "_premium_classes", counting_partition)
         rows = cmd_table(parse_config(figure_doc(ns_grid=[0, 5, 10], replicates=200)))
         assert len(rows) == 3
         assert len(calls) == 3
@@ -624,6 +624,18 @@ class TestMainEntryPoint:
                 ("sweep", dict(SWEEP_2X2, premiums={"low": 1e300, "high": 1.0})),
                 ("table", dict(TABLE_2X2, premiums={"low": 1e300, "high": 1.0})),
             )
+        ]
+        + [
+            # a ratio that underflows to 0, or is subnormal: rejected before
+            # the PK ratio divides by it
+            pytest.param(
+                command,
+                dict(extra, premiums=[1e-300, 1.0], mu=[mu, 1.0]),
+                "c/mu must be at least",
+                id=f"{command}-ratio-{name}",
+            )
+            for command, extra in (("estimate", {}), ("oracle", {}))
+            for name, mu in (("zero", 1e300), ("subnormal", 1e10))
         ],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, command, extra, message):

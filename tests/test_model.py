@@ -2,6 +2,8 @@
 proportional weights, and the classical ruin formula."""
 
 import math
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +13,11 @@ from hypothesis import strategies as st
 
 from model_reference import classical_ruin, compute_loadings
 from ruinnet.model import AgentSubset, RiskParams, proportional_r, proportional_weights
+from ruinnet.netgen import BlockModel
+from ruinnet.ruin import estimate
+
+#: Any positive finite float, subnormals included.
+POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
 
 
 def make_params(c, mu, q=1, lam=1.0, u=None):
@@ -55,12 +62,45 @@ class TestRiskParams:
                 ("ratio-subnormal-mu", [1.0, 2.0], [1.0, 1e-308]),
                 ("ratio-large-c", [1e308, 1e308], [0.5, 1.0]),
             )
+        ]
+        + [
+            # a ratio that underflows to 0 or is subnormal, and the PK ratio's
+            # value, numerator, denominator or the summand's decay overflowing
+            pytest.param(fields, message, id=name)
+            for name, fields, message in (
+                ("ratio-zero", dict(c=[1e-300, 1.0], mu=[1e300, 1.0]), "c/mu must be at least"),
+                ("ratio-subnormal", dict(c=[1e-300, 1.0], mu=[1e10, 1.0]), "c/mu must be at least"),
+                ("pk-overflow", dict(lam=1e10, c=[1e-300, 1.0]), "bound the PK ratio"),
+                ("pk-numerator", dict(lam=1e308), "bound the PK ratio"),
+                ("pk-denominator", dict(c=[1e308, 1e308]), "bound the PK ratio"),
+                ("mu-subnormal", dict(c=[1e-310, 1e-310], mu=[1e-310, 1e-310]), "claim size"),
+                ("reserve-decay", dict(u=[1e308, 1e308]), "summand's decay"),
+            )
         ],
     )
     def test_rejects_non_finite(self, fields, message):
         kwargs = {**dict(lam=1.0, c=[1.0, 1.1], mu=[1.0, 1.0], u=[1.0, 2.0]), **fields}
         with pytest.raises(ValueError, match=message):
             RiskParams(**kwargs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        lam=POSITIVE,
+        objects=st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1, max_size=4),
+        u=st.floats(0.0, sys.float_info.max),
+        size=st.integers(1, 2),
+        p=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_accepted_extremes_estimate_without_warning(self, lam, objects, u, size, p):
+        # parameters the constructor accepts never make numpy warn in the
+        # estimator (pytest turns a RuntimeWarning into an error)
+        c, mu = zip(*objects)
+        try:
+            params = RiskParams(lam=lam, c=c, mu=mu, u=[u, u])
+        except ValueError:
+            return
+        est = estimate(params, BlockModel.bernoulli(p), AgentSubset.prefix(size), 64, 1)
+        assert 0.0 <= est.psi.mean <= 1.0 and 0.0 <= est.tail.mean <= 1.0
 
 
 class TestAgentSubset:
@@ -108,6 +148,41 @@ class TestObjectClasses:
             else:
                 c, mu = rng.uniform(0.1, 3.0, d), rng.uniform(0.1, 3.0, d)
             self.check(c, mu)
+
+    def test_blocked_shuffled_and_paired_vectors(self):
+        # runs of equal (c, mu): the two-value scheme's blocks, the same
+        # objects shuffled into many short runs, and runs of exactly two
+        rng = np.random.default_rng(72)
+        for _ in range(100):
+            d = int(rng.integers(1, 60))
+            ns = int(rng.integers(0, d + 1))
+            blocked = np.where(np.arange(d) < ns, 0.95, 1.05)
+            self.check(blocked, 1.0)
+            self.check(rng.permutation(blocked), 1.0)
+            self.check(blocked, np.where(np.arange(d) < d // 2, 0.5, 2.0))
+            pairs = np.repeat(rng.choice([0.9, 1.0, 1.1, 2.2], d), 2)
+            self.check(pairs, np.repeat(rng.choice([0.5, 1.0, 2.0], d), 2))
+            self.check(np.repeat(rng.uniform(0.1, 3.0, d), 2), 1.0)
+
+    def test_paper_scale_blocked_vector_matches_unique(self):
+        d = 100_000
+        params = make_params(np.where(np.arange(d) < d // 2 + 17, 0.95, 1.05), 1.0)
+        ratio, sizes = np.unique(params.c / params.mu, return_counts=True)
+        assert params.class_ratio.tobytes() == ratio.tobytes()
+        assert params.class_sizes.dtype == np.int64
+        assert params.class_sizes.tolist() == sizes.tolist() == [d // 2 + 17, d // 2 - 17]
+
+    def test_blocked_vector_needs_no_array_of_d_floats(self):
+        # the partition of a blocked vector allocates less than one float per object
+        d = 100_000
+        c, mu, u = np.where(np.arange(d) < d // 2, 0.95, 1.05), np.ones(d), np.ones(100)
+        tracemalloc.start()
+        try:
+            RiskParams(lam=1.0, c=c, mu=mu, u=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d
 
     def test_one_object(self):
         ratio, sizes = self.check([1.05], [0.5])

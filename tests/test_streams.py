@@ -1,9 +1,10 @@
-"""Tests for block scheduling and its worker-pool size."""
+"""Tests for block scheduling, its worker-pool size, and the block sums."""
 
+import numpy as np
 import pytest
 
 from ruinnet import streams
-from ruinnet.streams import BLOCK_SIZE, map_blocks
+from ruinnet.streams import BLOCK_SIZE, block_totals, map_blocks, pairwise_sum, stream
 
 
 class InlinePool:
@@ -77,3 +78,35 @@ class TestPoolSize:
         monkeypatch.setattr(streams.os, "cpu_count", lambda: None)
         assert map_blocks(2 * BLOCK_SIZE, lambda k, lo, hi: k, threads=4) == [0, 1]
         assert pool.created == []
+
+
+def tree_sum(values) -> float:
+    """Reference: the pairwise tree over one 1-D array, one level at a time."""
+    level = [float(v) for v in values] or [0.0]
+    while len(level) & (len(level) - 1):
+        level.append(0.0)
+    while len(level) > 1:
+        level = [a + b for a, b in zip(level[0::2], level[1::2])]
+    return level[0]
+
+
+class TestBlockSums:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100, 4096, 5000])
+    def test_pairwise_sum_is_the_fixed_tree(self, n):
+        values = np.random.default_rng(n).lognormal(0.0, 3.0, n)
+        assert pairwise_sum(values) == tree_sum(values)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_totals_match_per_array_trees(self, threads):
+        # three arrays per block, a bool among them, and a ragged last block
+        def draw(rng, rows):
+            x = rng.lognormal(0.0, 2.0, rows)
+            return x, x * x, x < 1.0
+
+        n = 2 * BLOCK_SIZE + 123
+        parts = [
+            [tree_sum(a) for a in draw(stream(9, 77, k), min(BLOCK_SIZE, n - lo))]
+            for k, lo in enumerate(range(0, n, BLOCK_SIZE))
+        ]
+        expected = [tree_sum(column) for column in zip(*parts)]
+        assert block_totals(n, 77, 9, draw, threads) == expected
