@@ -54,18 +54,12 @@ def _premium_classes(c: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndar
     values = c[starts]
     with np.errstate(over="ignore", under="ignore"):
         values /= mu[starts]
-    if starts.size < c.size:  # a run longer than one object: its length moves with its ratio
-        order = values.argsort()
-        values, lengths = values[order], np.diff(starts, append=c.size)[order]
-    else:  # every run is one object, and an in-place sort is cheaper than an argsort
-        values.sort()
-        lengths = None
+    order = values.argsort()
+    values, lengths = values[order], np.diff(starts, append=c.size)[order]
     first = np.empty(values.size, dtype=bool)
     first[0] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
     firsts = np.flatnonzero(first)
-    if lengths is None:
-        return values[firsts], np.diff(firsts, append=values.size)
     return values[firsts], np.add.reduceat(lengths, firsts)
 
 

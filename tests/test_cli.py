@@ -382,19 +382,24 @@ class TestCmdTable:
 
     def test_one_class_partition_per_row(self, monkeypatch):
         # the estimator and the approximation share the parameters' premium
-        # classes: one partition per ns, not one per caller
-        calls = []
-        partition = model._premium_classes
+        # classes: one partition per ns, not one per caller, and no caller
+        # builds its own with np.unique
+        calls = {"partition": 0, "unique": 0}
+        partition, unique = model._premium_classes, np.unique
 
         def counting_partition(*args, **kwargs):
-            calls.append(1)
+            calls["partition"] += 1
             return partition(*args, **kwargs)
 
+        def counting_unique(*args, **kwargs):
+            calls["unique"] += 1
+            return unique(*args, **kwargs)
+
         monkeypatch.setattr(model, "_premium_classes", counting_partition)
+        monkeypatch.setattr(np, "unique", counting_unique)
         rows = cmd_table(parse_config(figure_doc(ns_grid=[0, 5, 10], replicates=200)))
         assert len(rows) == 3
-        assert len(calls) == 3
-
+        assert calls == {"partition": 3, "unique": 0}
 
     def test_paper_scale_rows_are_pinned(self):
         # README's d = 100000 table at 200 replicates, pinned to the rows this
