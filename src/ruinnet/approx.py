@@ -19,9 +19,10 @@ types enter only through their multiset, and objects of equal loading
 enter only through per-type counts, which keeps exact enumeration feasible
 far beyond the raw configuration space.
 
-Exact mode enumerates these configurations as arrays (:func:`_configurations`),
-sampled mode draws them, and one evaluator (:func:`_terms`) turns each into
-its tail probability, bound term and point-mass weight.
+Exact mode and the phase classifier enumerate these configurations as
+arrays (:func:`_configurations`), sampled mode draws them, and one evaluator
+(:func:`_terms`) turns each into its tail probability, bound term and
+point-mass weight.
 """
 
 from __future__ import annotations
@@ -179,38 +180,33 @@ def _configurations(
     in chunks of at most ``_CHUNK_CELLS`` count cells: one agent-type
     composition (slowest) and one object-type composition per class, with
     the product of their weights, summarised as sampled mode summarises
-    drawn ones."""
+    drawn ones.  More than :data:`MAX_EXACT_TERMS` configurations is a
+    ``ValueError``."""
+    terms = exact_term_count(model, size_q, sizes)
+    if terms > MAX_EXACT_TERMS:
+        raise ValueError(
+            f"exact enumeration would need {terms} configurations (limit "
+            f"{MAX_EXACT_TERMS}); only mixture_probability's sampled mode can take more"
+        )
     agents, weight_a = _compositions(int(size_q), model.w)
     connect = connect_given_counts(model, agents)
-    classes = [_compositions(int(dg), model.v) for dg in sizes]
-    counts, weight_c = map(np.concatenate, zip(*classes))
-    counts = counts.astype(np.float64)
-    n = [len(w) for _, w in classes]
-    per_agent = math.prod(n)
-    # class g's composition in configuration t is row (t // stride_g) % n_g + offset_g
-    strides = [per_agent // math.prod(n[: g + 1]) for g in range(len(n))]
-    stride, radix, offset = np.array([strides, n, [sum(n[:g]) for g in range(len(n))]])
-    total = len(agents) * per_agent
+    counts, weights = zip(*(_compositions(int(dg), model.v) for dg in sizes))
+    counts = [c.astype(np.float64) for c in counts]
+    shape = (len(agents), *map(len, weights))
+    total = math.prod(shape)
     step = max(1, _CHUNK_CELLS // (sizes.size * model.L))
     for lo in range(0, total, step):
-        t = np.arange(lo, min(lo + step, total))
-        a = t // per_agent
-        rows = t[:, None] // stride % radix + offset
+        a, *rows = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
         weight = weight_a[a]
-        for row in rows.T:
-            weight = weight * weight_c[row]
-        yield (weight, *_stats_from_counts(xi_vals, counts[rows], connect[a]))
+        for w, row in zip(weights, rows):
+            weight = weight * w[row]
+        chunk = np.stack([c[row] for c, row in zip(counts, rows)], axis=1)
+        yield (weight, *_stats_from_counts(xi_vals, chunk, connect[a]))
 
 
 def _exact(
     model: BlockModel, group: AgentSubset, xi_vals: np.ndarray, sizes: np.ndarray
 ) -> ApproxResult:
-    terms = exact_term_count(model, group.size, sizes)
-    if terms > MAX_EXACT_TERMS:
-        raise ValueError(
-            f"exact mode would enumerate {terms} configurations "
-            f"(limit {MAX_EXACT_TERMS}); use sampled mode"
-        )
     totals = [0.0, 0.0, 0.0]  # summed term by term: sum() compensates on Python >= 3.12
     count = 0
     for weight, mean, var, raw3 in _configurations(model, xi_vals, sizes, group.size):
@@ -295,10 +291,15 @@ def phase_classify(
     """Asymptotic verdict for the tail probability in the moderately dense
     regime (edge probabilities of order ``d**-beta`` with ``beta`` in (0,1)).
 
-    For one-type models the verdict follows the sign of the average
-    loading excess ``mean(xi - 1)``; in general each collapsed
-    configuration's scaled mean must have a common strict sign, otherwise
-    the phase is indeterminate.
+    Every collapsed configuration of positive weight must give the mean
+    loading excess ``sum_j (xi_j - 1) p(c_j)`` one strict sign, otherwise
+    the phase is indeterminate.  A one-type model has one configuration, so
+    its verdict is the sign of ``sum_j (xi_j - 1)`` when ``p > 0``, and
+    indeterminate when ``p = 0``.
+
+    Raises:
+        ValueError: If ``beta`` is outside (0, 1), or there are more than
+            :data:`MAX_EXACT_TERMS` configurations.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("density exponent beta must lie in (0, 1)")
@@ -311,14 +312,8 @@ def phase_classify(
             "classification assumes loadings bounded away from 1",
             stacklevel=2,
         )
-    if model.is_bernoulli:
-        # class-collapsed sum so that perfectly balanced loadings cancel exactly
-        sign = int(np.sign(float(((xi_vals - 1.0) * sizes).sum()) / params.d))
-    else:
-        if exact_term_count(model, group.size, sizes) > MAX_EXACT_TERMS:
-            raise ValueError("too many configurations to classify exactly")
-        configs = _configurations(model, xi_vals, sizes, group.size)
-        signs = {s for weight, mean, _, _ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
-        sign = int(signs.pop()) if len(signs) == 1 else 0
+    configs = _configurations(model, xi_vals, sizes, group.size)
+    signs = {s for weight, mean, _, _ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
+    sign = int(signs.pop()) if len(signs) == 1 else 0
     verdict = TAIL_TO_ONE if sign > 0 else TAIL_TO_ZERO if sign < 0 else INDETERMINATE
     return PhaseVerdict(limit_mean_sign=sign, verdict=verdict, beta=float(beta))

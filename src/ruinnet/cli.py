@@ -239,7 +239,7 @@ VECTOR = Key(_real, arg=True)
 #: The keys of each network kind, besides ``kind``.
 NETWORK_KEYS = {
     "bernoulli": {"p": Key(_real)},
-    "sbm": dict(w=VECTOR, v=VECTOR, p=VECTOR, K=Key(_integer, None), L=Key(_integer, None)),
+    "sbm": dict(w=VECTOR, v=VECTOR, p=VECTOR),
 }
 PREMIUM_KEYS = {"low": Key(_real), "high": Key(_real), "ns": Key(_integer, None)}
 GROUP_KEYS = {"size": Key(_integer, None), "indices": Key(_integers, None)}
@@ -253,11 +253,7 @@ def _parse_network(spec, name: str, _=None) -> BlockModel:
     net = _read(spec, NETWORK_KEYS[kind], f"{name}.")
     if kind == "bernoulli":
         return BlockModel.bernoulli(net["p"])
-    model = BlockModel(w=net["w"], v=net["v"], p=net["p"])
-    for key, size, of in (("K", model.K, "w"), ("L", model.L, "v")):
-        if net[key] not in (None, size):
-            raise ConfigError(f"{key}={net[key]} does not match {of} of length {size}")
-    return model
+    return BlockModel(w=net["w"], v=net["v"], p=net["p"])
 
 
 def _parse_premiums(spec, name: str, d: int) -> PremiumSpec:

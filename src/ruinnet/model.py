@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -170,10 +170,6 @@ class AgentSubset:
     def prefix(cls, k: int) -> "AgentSubset":
         """The subset {1, ..., k}."""
         return cls(tuple(range(1, int(k) + 1)))
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "AgentSubset":
-        return cls(tuple(indices))
 
     @property
     def size(self) -> int:

@@ -442,11 +442,10 @@ class TestExactAgainstReferenceLoop:
             assert got.degenerate_weight == pytest.approx(ref.degenerate_weight, rel=1e-12)
             degenerate += got.degenerate_weight > 0.0
             zero_types += bool((model.w == 0.0).any() or (model.v == 0.0).any())
-            if not model.is_bernoulli:  # a Bernoulli verdict reads no configuration
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    verdict = phase_classify(params, model, group, 0.5)
-                assert verdict.limit_mean_sign == ref.mean_sign
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                verdict = phase_classify(params, model, group, 0.5)
+            assert verdict.limit_mean_sign == ref.mean_sign
         # the instances cover every class count, point masses and zero-weight
         # compositions
         assert classes == {1, 2, 3, 4}
@@ -552,6 +551,21 @@ class TestPhaseClassify:
         params = RiskParams(lam=1.0, c=[0.9, 1.1], mu=[1.0, 1.0], u=[1.0])
         v = phase_classify(params, model, AgentSubset.prefix(1), 0.5)
         assert v.verdict == INDETERMINATE and v.limit_mean_sign == 0
+
+    def test_no_connection_is_indeterminate(self):
+        # with p = 0 no object can connect, so the mean loading excess is 0
+        params = RiskParams(lam=1.0, c=[0.95, 0.95, 1.05], mu=np.ones(3), u=[1.0])
+        v = phase_classify(params, BlockModel.bernoulli(0.0), AgentSubset.prefix(1), 0.5)
+        assert v.verdict == INDETERMINATE and v.limit_mean_sign == 0
+
+    def test_rejects_unenumerable(self):
+        # the model and loadings of TestMixtureProbability.test_exact_rejects_unenumerable
+        rng = np.random.default_rng(0)
+        d = 40
+        params = RiskParams(lam=1.0, c=rng.uniform(0.8, 1.2, d), mu=np.ones(d), u=[1.0])
+        model = BlockModel(w=[1.0], v=[0.5, 0.5], p=[[0.3, 0.6]])
+        with pytest.raises(ValueError, match="configurations"):
+            phase_classify(params, model, AgentSubset.prefix(1), 0.5)
 
     def test_general_model_common_sign(self):
         model = BlockModel(w=[0.5, 0.5], v=[1.0], p=[[0.3], [0.6]])

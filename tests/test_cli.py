@@ -105,8 +105,8 @@ NAMED_FIELD_INPUTS = [
     ("estimate", "premiums.ns", {"premiums": {"low": 0.95, "high": 1.05, "ns": 1.5}}),
     ("estimate", "group.size", {"group": {"size": 1.5}}),
     ("estimate", "group.indices", {"group": {"indices": [1.5]}}),
-    ("estimate", "network.K", {"network": dict(SBM_2X1, K=2.5)}),
-    ("estimate", "network.L", {"network": dict(SBM_2X1, L=True)}),
+    ("estimate", "network.kind", {"network": dict(SBM_2X1, kind="ring")}),
+    ("sweep", "approx_mode", dict(SWEEP_2X2, approx_mode="fast")),
     ("sweep", "ns_grid", dict(SWEEP_2X2, ns_grid=[1.5])),
     ("sweep", "m_configs", dict(SWEEP_2X2, m_configs=200.5)),
     ("oracle", "outer_networks", {"outer_networks": 3.5}),
@@ -172,8 +172,6 @@ class TestParseConfig:
         doc = figure_doc(
             network={
                 "kind": "sbm",
-                "K": 2,
-                "L": 1,
                 "w": [0.5, 0.5],
                 "v": [1.0],
                 "p": [[0.4], [0.6]],
@@ -217,8 +215,8 @@ UNKNOWN_KEY_INPUTS = [
         "unknown config key 'network.w'",
     ),
     (
-        {"network": dict(SBM_2X1, KK=2)},
-        "unknown config key 'network.KK' (did you mean 'network.K'?)",
+        {"network": dict(SBM_2X1, vv=[1.0])},
+        "unknown config key 'network.vv' (did you mean 'network.v'?)",
     ),
     (
         {"premiums": {"low": 0.95, "high": 1.05, "ns": 1, "hihg": 1.1}},
@@ -229,6 +227,7 @@ UNKNOWN_KEY_INPUTS = [
         {"group": {"size": 1, "indices": [1]}},
         "group must contain exactly one of 'size' and 'indices'",
     ),
+    ({"network": dict(SBM_2X1, K=2)}, "unknown config key 'network.K'"),
 ]
 
 

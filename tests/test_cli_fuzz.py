@@ -117,7 +117,7 @@ KEY_PATHS = (
 
 #: A valid object for a nested path whose object the document holds in
 #: another form (a premium vector, a Bernoulli network) or not at all.
-OBJECTS = {"premiums": {"low": 0.95, "high": 1.05, "ns": 1}, "network": dict(SBM, K=2, L=1)}
+OBJECTS = {"premiums": {"low": 0.95, "high": 1.05, "ns": 1}, "network": SBM}
 
 
 def _set(doc: dict, path: tuple[str, ...], value) -> None:
