@@ -138,7 +138,8 @@ def _terms(weight, mean, var, raw3) -> tuple[np.ndarray, ...]:
     weight, times its ``weight``.  ``var ** 1.5`` is libm's ``pow``, and a
     point mass gets an infinite root, which zeroes its bound term."""
     point = var == 0.0
-    root = np.fromiter(map(pow, var.tolist(), itertools.repeat(1.5)), np.float64, var.size)
+    root = np.fromiter(map(pow, var.ravel().tolist(), itertools.repeat(1.5)), np.float64, var.size)
+    root = root.reshape(var.shape)
     root[point] = np.inf
     bound = weight * BOUND_CONSTANT * raw3 / root
     return weight * normal_positive_prob(mean, var), bound, weight * point
@@ -219,34 +220,55 @@ def _exact(
 
 def _sampled(
     model: BlockModel,
-    group: AgentSubset,
+    group_sizes,
     xi_vals: np.ndarray,
     sizes: np.ndarray,
     m_configs: int,
     base_seed: int,
     threads: int,
-) -> ApproxResult:
-    """Monte Carlo over collapsed configurations: draws of
-    :func:`netgen.sample_configurations`, each summarised as exact mode
-    summarises an enumerated one, with weight 1."""
+) -> list[ApproxResult]:
+    """Monte Carlo over collapsed configurations of nested groups of
+    ``group_sizes`` agents: draws of :func:`netgen.sample_configurations`,
+    each group's summarised as exact mode summarises an enumerated one,
+    with weight 1.  One result per group."""
     if m_configs < MIN_SAMPLED_CONFIGS:
         raise ValueError(f"sampled mode needs at least {MIN_SAMPLED_CONFIGS} configurations")
+    J = len(group_sizes)
 
     def configs(rng: np.random.Generator, rows: int) -> np.ndarray:
-        connect, counts = sample_configurations(model, group.size, sizes, rng, rows)
-        return np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (3, rows))
+        connect, counts = sample_configurations(model, group_sizes, sizes, rng, rows)
+        stats = _stats_from_counts(xi_vals, counts[:, None], connect)
+        return np.broadcast_to(np.stack(stats, axis=-1), (rows, J, 3))
 
     def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
-        stats = _in_chunks(configs, rng, rows, sizes.size * model.L)
-        prob_v, bound_v, point_v = _terms(1.0, *stats)
+        # per group, the counts per (class, object type) and the edge powers
+        # per (agent type, object type); one group keeps the cap of G * L cells
+        # while K <= G
+        stats = _in_chunks(configs, rng, rows, J * max(sizes.size, model.K) * model.L)
+        prob_v, bound_v, point_v = _terms(1.0, *np.moveaxis(stats, -1, 0))
         return prob_v, prob_v * prob_v, bound_v, point_v
 
-    total, total_sq, total_bound, degenerate = block_totals(
-        m_configs, APPROX_DOMAIN, base_seed, draw, threads
-    )
-    probability, stderr = mean_stderr(total, total_sq, m_configs)
-    bound, point_weight = total_bound / m_configs, degenerate / m_configs
-    return ApproxResult(probability, bound, MODE_SAMPLED, int(m_configs), stderr, point_weight)
+    totals = block_totals(m_configs, APPROX_DOMAIN, base_seed, draw, threads)
+    results = []
+    for total, total_sq, total_bound, degenerate in zip(*totals):
+        probability, stderr = mean_stderr(float(total), float(total_sq), m_configs)
+        bound, point_weight = float(total_bound) / m_configs, float(degenerate) / m_configs
+        results.append(
+            ApproxResult(probability, bound, MODE_SAMPLED, int(m_configs), stderr, point_weight)
+        )
+    return results
+
+
+def choose_mode(model: BlockModel, size_q: int, class_sizes: np.ndarray, mode: str) -> str:
+    """The mode :func:`mixture_probability` runs for a group of ``size_q``
+    agents: ``exact`` or ``sampled`` as given, and for ``auto`` exact when it
+    has at most :data:`MAX_EXACT_TERMS` terms, sampled otherwise."""
+    if mode == MODE_AUTO:
+        enumerable = exact_term_count(model, size_q, class_sizes) <= MAX_EXACT_TERMS
+        return MODE_EXACT if enumerable else MODE_SAMPLED
+    if mode in (MODE_EXACT, MODE_SAMPLED):
+        return mode
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def mixture_probability(
@@ -275,14 +297,48 @@ def mixture_probability(
     group.validate_for(params.q)
     sizes = params.class_sizes
     xi_vals = params.class_ratio / params.lam
-    if mode == MODE_AUTO:
-        enumerable = exact_term_count(model, group.size, sizes) <= MAX_EXACT_TERMS
-        mode = MODE_EXACT if enumerable else MODE_SAMPLED
-    if mode == MODE_EXACT:
+    if choose_mode(model, group.size, sizes, mode) == MODE_EXACT:
         return _exact(model, group, xi_vals, sizes)
-    if mode == MODE_SAMPLED:
-        return _sampled(model, group, xi_vals, sizes, m_configs, base_seed, threads)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _sampled(model, [group.size], xi_vals, sizes, m_configs, base_seed, threads)[0]
+
+
+@dataclass(frozen=True)
+class PrefixApprox:
+    """Sampled-mode approximations of nested groups, one
+    :class:`ApproxResult` each, read from the same configurations."""
+
+    results: tuple[ApproxResult, ...]
+    mode = MODE_SAMPLED
+
+    @property
+    def config_count(self) -> int:
+        """Configurations summed over the groups, as one
+        :func:`mixture_probability` call per group would report them."""
+        return sum(r.config_count for r in self.results)
+
+
+def sampled_prefixes(
+    params: RiskParams,
+    model: BlockModel,
+    group_sizes,
+    m_configs: int = 10_000,
+    base_seed: int = 0,
+    threads: int = 1,
+) -> PrefixApprox:
+    """:func:`mixture_probability`'s sampled mode for groups of each of the
+    increasing ``group_sizes``, from one pass over nested configurations.
+
+    The groups share their first agents' types and the object counts
+    (:func:`netgen.sample_configurations`), so each group's result has the
+    law of its own sampled-mode call, and the errors of different groups
+    are positively correlated.  One group gives that call's bits.
+    """
+    AgentSubset.prefix(max(group_sizes)).validate_for(params.q)
+    xi_vals = params.class_ratio / params.lam
+    results = _sampled(
+        model, group_sizes, xi_vals, params.class_sizes, m_configs, base_seed, threads
+    )
+    return PrefixApprox(tuple(results))
 
 
 def phase_classify(

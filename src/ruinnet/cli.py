@@ -34,7 +34,7 @@ from .model import AgentSubset, RiskParams
 from .netgen import BlockModel
 from .output import fmt, render_csv, sweep_svg
 from .pathsim import oracle_psi
-from .ruin import estimate, estimate_psi
+from .ruin import estimate, estimate_prefixes, estimate_psi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -355,21 +355,42 @@ def cmd_estimate(cfg: ExperimentConfig) -> dict:
 
 def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Sweep the group size 1..q for every ns in the grid: one
-    :class:`SweepRow`, as a dict, per point."""
+    :class:`SweepRow`, as a dict, per point.
+
+    Per ns, one nested estimator pass serves every group size, and one
+    sampled-mode pass every size that sampled mode takes; each exact-mode
+    point is its own enumeration.  The points of one ns share their draws,
+    so the errors of neighbouring group sizes are positively correlated.
+    """
     if cfg.group is not None:
         raise ConfigError("sweep ranges over group sizes; leave 'group' unset")
     if not cfg.premiums.is_two_value:
         raise ConfigError("sweep requires the two-value premium scheme")
     grid = cfg.ns_grid or DEFAULT_NS_GRID
+    sizes = range(1, cfg.q + 1)
     rows = []
     for ns in grid:
         params = cfg.risk_params(ns_override=ns)
-        for k in range(1, cfg.q + 1):
-            group = AgentSubset.prefix(k)
-            est = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
-            ap = approx.mixture_probability(
-                params, cfg.network, group, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
-            )
+        estimates = estimate_prefixes(
+            params, cfg.network, sizes, cfg.replicates, cfg.seed, cfg.threads
+        ).estimates
+        sampled = [
+            k
+            for k in sizes
+            if approx.choose_mode(cfg.network, k, params.class_sizes, cfg.approx_mode)
+            == approx.MODE_SAMPLED
+        ]
+        coupled = {}
+        if sampled:
+            results = approx.sampled_prefixes(
+                params, cfg.network, sampled, cfg.m_configs, cfg.seed, cfg.threads
+            ).results
+            coupled = dict(zip(sampled, results))
+        for k, est in zip(sizes, estimates):
+            ap = coupled.get(k)
+            if ap is None:
+                group = AgentSubset.prefix(k)
+                ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_EXACT)
             psi = est.psi
             row = SweepRow(
                 qsize=k,

@@ -6,8 +6,11 @@ given the types.  The one-type special case is a bipartite Bernoulli
 graph.  Type labels are 0-based indices into the type-probability vectors.
 
 :func:`sample_incidence` draws whole networks; the estimator and the
-approximation draw only what they need of one (:func:`sample_group_counts`,
-:func:`sample_configurations`).
+approximation draw only what they need of one (:func:`sample_prefix_counts`,
+:func:`sample_configurations`).  Both take nested groups of agents, such as
+the prefix groups of a sweep, and one draw serves every group: the agents
+are drawn layer by layer and the objects once.  A single group is the
+one-layer case.
 """
 
 from __future__ import annotations
@@ -79,13 +82,13 @@ class BlockModel:
 
 def _in_chunks(fn, rng: np.random.Generator, n: int, cells_per_row: int) -> np.ndarray:
     """``fn(rng, rows)`` over consecutive chunks of ``n`` rows, concatenated
-    along the last axis, each chunk holding at most ``_CHUNK_CELLS`` cells.
+    along the first axis, each chunk holding at most ``_CHUNK_CELLS`` cells.
 
     Chunks draw one after another from ``rng``, so a draw that consumes
     the stream row by row is the same however it is split.
     """
     cap = max(1, _CHUNK_CELLS // max(1, int(cells_per_row)))
-    return np.concatenate([fn(rng, min(cap, n - lo)) for lo in range(0, n, cap)], axis=-1)
+    return np.concatenate([fn(rng, min(cap, n - lo)) for lo in range(0, n, cap)])
 
 
 def _draw_types(rng: np.random.Generator, probs: np.ndarray, size) -> np.ndarray:
@@ -119,62 +122,102 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     return 1.0 - np.prod((1.0 - model.p) ** m[..., :, None], axis=-2)
 
 
-def _connect_for_group(model: BlockModel, size_q: int, rng: np.random.Generator, n: int):
-    """:func:`connect_given_counts` of ``n`` draws of the group's agent-type counts
-    ``m ~ Multinomial(size_q, w)``: ``(n, L)``, or ``(1, L)`` (nothing drawn) if ``K == 1``."""
-    m = rng.multinomial(int(size_q), model.w, size=n) if model.K > 1 else [[int(size_q)]]
-    return connect_given_counts(model, m)
+def _prefix_agent_counts(
+    model: BlockModel, group_sizes, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Agent-type counts of nested groups of increasing ``group_sizes``.
+
+    The agents are drawn layer by layer: the ``group_sizes[j] -
+    group_sizes[j-1]`` agents that group ``j`` adds get ``Multinomial(layer
+    size, w)`` type counts, and a group's counts sum its layers'.  Returns
+    ``(n, J, K)``, or ``(1, J, 1)`` (nothing drawn) if ``K == 1``.  With one
+    group it draws the bits of ``rng.multinomial(size, w, size=n)``.
+    """
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes[0] < 1 or (sizes[1:] <= sizes[:-1]).any():
+        raise ValueError(f"group sizes must be positive and increasing, got {sizes.tolist()}")
+    if model.K == 1:
+        return sizes[None, :, None]
+    layers = sizes.copy()
+    layers[1:] -= sizes[:-1]
+    return np.cumsum(rng.multinomial(layers, model.w, size=(n, sizes.size)), axis=1)
 
 
 def sample_configurations(
     model: BlockModel,
-    size_q: int,
+    group_sizes,
     class_sizes: np.ndarray,
     rng: np.random.Generator,
     replicates: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw collapsed type configurations of a group of ``size_q`` agents.
+    """Draw collapsed type configurations of nested groups of ``group_sizes`` agents.
 
-    A configuration is the group's agent-type counts ``m`` together with
+    A configuration is a group's agent-type counts ``m`` together with
     the object counts per (class, object type) ``n_g ~ Multinomial(d_g, v)``
     for a partition of the objects into classes of sizes ``class_sizes``.
-    Given it, the group-connection indicators are independent.
+    Given it, the group-connection indicators are independent.  The groups
+    share their first agents (:func:`_prefix_agent_counts`) and the object
+    counts, and each group's configuration has the law of a single group's.
 
     Returns:
-        ``(connect, counts)``: :func:`_connect_for_group` and integer object
-        counts of shape ``(replicates, G, L)`` (``(1, G, 1)``, nothing drawn,
-        when ``L == 1``), ``G = len(class_sizes)``; both broadcast to ``replicates`` rows.
+        ``(connect, counts)``: :func:`connect_given_counts` of each group's
+        agent-type counts, ``(replicates, J, L)`` (``(1, J, L)``, nothing
+        drawn, when ``K == 1``), and integer object counts of shape
+        ``(replicates, G, L)`` (``(1, G, 1)``, nothing drawn, when ``L == 1``),
+        ``G = len(class_sizes)``; both broadcast to ``replicates`` rows.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     n = int(replicates)
-    connect = _connect_for_group(model, size_q, rng, n)
+    connect = connect_given_counts(model, _prefix_agent_counts(model, group_sizes, rng, n))
     if model.L > 1:
         return connect, rng.multinomial(sizes, model.v, size=(n, sizes.size))
     return connect, sizes[None, :, None]
 
 
-def sample_group_counts(
+def sample_prefix_counts(
     model: BlockModel,
-    size_q: int,
+    group_sizes,
     class_sizes: np.ndarray,
     rng: np.random.Generator,
     replicates: int,
 ) -> np.ndarray:
-    """Counts of group-connected objects per class, for any blockmodel.
+    """Counts of objects connected to each of nested groups, per class, for
+    any blockmodel.
 
-    Draws the group's agent-type counts ``m`` (only when ``K > 1``), then
-    the connected count of class ``g`` as one ``Binomial(d_g, pbar(m))``,
-    ``pbar(m) = sum_l v_l connect_l(m)``: given ``m``, object types are iid
-    and edges independent, so each object connects independently with
-    probability ``pbar(m)``.  The law equals that of the full type + graph
-    + indicator pipeline, and no object type is drawn.  On a one-type
-    model it is the single draw ``rng.binomial(class_sizes, 1 - (1-p)**size_q)``.
+    Draws the groups' agent-type counts layer by layer
+    (:func:`_prefix_agent_counts`).  Given group ``j``'s counts ``m``,
+    object types are iid and edges independent, so each object connects to
+    the group independently with probability ``pbar_j = sum_l v_l
+    connect_l(m)``, and first connects to layer ``j`` with probability
+    ``pbar_j - pbar_{j-1}``.  So the objects of class ``g`` are counted by
+    their first layer in one ``Multinomial(d_g, .)`` with a last cell for
+    "none", and cumulative sums over the layers give every group's
+    connected count.  Each group's counts have the law of the full type +
+    graph + indicator pipeline, no object type is drawn, and within a
+    replicate the counts never decrease from one group to the next.  One
+    group's two-cell multinomial draws the bits of the single binomial
+    ``rng.binomial(class_sizes, pbar)``; on a one-type model ``pbar = 1 -
+    (1-p)**size_q``.
 
     Returns:
-        Integer array of shape ``(replicates, len(class_sizes))``.
+        A fresh C-contiguous integer array of shape
+        ``(replicates, len(group_sizes), len(class_sizes))``.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     n = int(replicates)
+    connect = connect_given_counts(model, _prefix_agent_counts(model, group_sizes, rng, n))
     # v sums to 1 only within rounding, so pbar may exceed 1 by an ulp
-    pbar = np.minimum(_connect_for_group(model, size_q, rng, n) @ model.v, 1.0)
-    return rng.binomial(sizes, pbar[:, None], size=(n, sizes.size))
+    pbar = np.minimum(connect @ model.v, 1.0)
+    # pow can round a larger group's pbar an ulp below a smaller one's
+    np.maximum.accumulate(pbar, axis=1, out=pbar)
+    J = pbar.shape[1]
+    # the cells pbar_j - pbar_{j-1} and 1 - pbar_J: np.diff's bits, without
+    # the concatenation its prepend and append make
+    cells = np.empty((pbar.shape[0], J + 1))
+    cells[:, :J] = pbar
+    cells[:, J] = 1.0
+    np.subtract(cells[:, 1:], cells[:, :-1], out=cells[:, 1:])
+    first = rng.multinomial(sizes, cells[:, None, :], size=(n, sizes.size))
+    counts = np.empty((n, J, sizes.size), dtype=np.int64)
+    np.cumsum(first[..., :-1], axis=2, out=counts.transpose(0, 2, 1))
+    return counts

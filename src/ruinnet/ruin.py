@@ -12,7 +12,9 @@ certain group ruin; with ``P < 1`` the group ruins with probability
 the classical ``psi(0) = lam*mu/c`` for one object).  Averaging that summand
 over network replicates estimates the group ruin probability, and the
 frequency of ``P < 1`` estimates the tail probability driving the phase
-transition; :func:`estimate` reads both from the same draws.
+transition; :func:`estimate` reads both from the same draws, and
+:func:`estimate_prefixes` reads them for nested prefix groups from one
+nested draw.
 """
 
 from __future__ import annotations
@@ -75,10 +77,15 @@ def psi_summand(pk, r_q: float, total_reserve: float):
         raise ValueError("r_q must be positive")
     if total_reserve < 0:
         raise ValueError("total reserve must be nonnegative")
+    return _summand(pk, total_reserve / r_q)
+
+
+def _summand(pk, decay):
+    """:func:`psi_summand` given ``decay = total_reserve / r_q``: a float,
+    or one per column of a ``(replicates, groups)`` array of ratios."""
     pk = np.asarray(pk, dtype=np.float64)
     if (pk < 0).any():
         raise ValueError("pk must be nonnegative")
-    decay = total_reserve / r_q
     capped = np.minimum(pk, 1.0)
     out = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
     return float(out) if out.ndim == 0 else out
@@ -100,23 +107,27 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
     return out
 
 
-def _collapsed_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
-    """PK-ratio sampler on per-class counts of connected objects from
-    :func:`netgen.sample_group_counts`: the group's agent-type counts, then
-    one binomial per class, so a replicate holds ``G`` cells."""
+def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):
+    """PK-ratio sampler of nested prefix groups on per-class counts of
+    connected objects from :func:`netgen.sample_prefix_counts`: the groups'
+    agent-type counts layer by layer, then one multinomial per class.
+    Returns ``(rows, len(group_sizes))`` ratios."""
     ratio, sizes = params.class_ratio, params.class_sizes
+    J = len(group_sizes)
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = netgen.sample_group_counts(model, group.size, sizes, rng, n)
-        return _pk_from_counts(params.lam, counts, ratio)
+        counts = netgen.sample_prefix_counts(model, group_sizes, sizes, rng, n)
+        return _pk_from_counts(params.lam, counts.reshape(n * J, sizes.size), ratio).reshape(n, J)
 
-    return lambda rng, n: netgen._in_chunks(chunk, rng, n, sizes.size)
+    # the largest arrays per replicate: counts per group and class, and
+    # the edge powers per group and (agent type, object type)
+    return lambda rng, n: netgen._in_chunks(chunk, rng, n, J * max(sizes.size, model.K * model.L))
 
 
 def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
     """PK-ratio sampler through the full type + graph + indicator pipeline.
 
-    The reference implementation of :func:`_collapsed_sampler`: same law,
+    The reference implementation of :func:`_prefix_sampler`: same law,
     different stream, and ``q * d`` cells per replicate.
     """
     rows = group.zero_based()
@@ -129,17 +140,22 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
         ind = edges[:, rows, :].any(axis=1)
         cell = np.arange(m)[:, None] * G + cls  # (replicate, class) of each indicator
         counts = np.bincount(cell[ind], minlength=m * G).reshape(m, G)
-        return _pk_from_counts(params.lam, counts, ratio)
+        return _pk_from_counts(params.lam, counts, ratio)[:, None]
 
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, params.q * params.d)
 
 
-def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, B: int, method: str):
-    group.validate_for(params.q)
+def _validate(params: RiskParams, groups: list[AgentSubset], B: int) -> None:
+    for group in groups:
+        group.validate_for(params.q)
     if B < 2:
         raise ValueError("need at least two replicates for a standard error")
+
+
+def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, B: int, method: str):
+    _validate(params, [group], B)
     if method == "collapsed":
-        return _collapsed_sampler(params, model, group)
+        return _prefix_sampler(params, model, [group.size])
     if method == "graph":
         return _graph_sampler(params, model, group)
     raise ValueError(f"unknown sampling method {method!r}")
@@ -149,6 +165,31 @@ def _frequency(total: float, B: int) -> EstimateWithCI:
     """Frequency ``total / B`` with the binomial error ``sqrt(phat*(1-phat)/B)``."""
     phat = total / B
     return EstimateWithCI(mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / B), replicates=int(B))
+
+
+def _run(
+    sampler, groups: list[AgentSubset], params: RiskParams, B: int, base_seed: int, threads: int
+) -> list[RuinEstimate]:
+    """One :class:`RuinEstimate` per group, from one pass of ``B`` draws of
+    ``sampler``: PK ratios of shape ``(rows, len(groups))``."""
+    decay = np.array(
+        [float(params.u[g.zero_based()].sum()) / proportional_r(params, g) for g in groups]
+    )
+
+    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+        pk = sampler(rng, n)
+        if len(groups) == 1:
+            pk = pk[:, 0]  # a 1-D array sums faster, with the same bits
+        psi = _summand(pk, decay)
+        return psi, psi * psi, pk < 1.0
+
+    totals = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
+    out = []
+    for total, total_sq, below in zip(*(t.reshape(-1).tolist() for t in totals)):
+        mean, stderr = mean_stderr(total, total_sq, B)
+        psi = EstimateWithCI(mean=mean, stderr=stderr, replicates=int(B))
+        out.append(RuinEstimate(psi=psi, tail=_frequency(below, B)))
+    return out
 
 
 def estimate(
@@ -168,11 +209,12 @@ def estimate(
     ratio below 1 (a disconnected group has ratio 0) to ``tail``.  The
     default sampler draws the ratio in collapsed form for every
     blockmodel: the group's agent-type counts, then one binomial count of
-    connected objects per premium class (:func:`netgen.sample_group_counts`);
-    no object type is drawn.  ``method="graph"`` samples the
-    full network (types and edges) instead; it is the reference with the
-    same law on a different stream.  Output is bit-identical for fixed
-    ``(base_seed, B, method)`` regardless of ``threads``.
+    connected objects per premium class (the one-group case of
+    :func:`netgen.sample_prefix_counts`); no object type is drawn.
+    ``method="graph"`` samples the full network (types and edges)
+    instead; it is the reference with the same law on a different stream.
+    Output is bit-identical for fixed ``(base_seed, B, method)`` regardless
+    of ``threads``.
 
     Args:
         params: Risk parameters; the group's total reserve may be zero.
@@ -187,18 +229,48 @@ def estimate(
         ValueError: On ``B < 2``.
     """
     sampler = _make_sampler(params, model, group, B, method)
-    total_reserve = float(params.u[group.zero_based()].sum())
-    r_q = proportional_r(params, group)
+    return _run(sampler, [group], params, B, base_seed, threads)[0]
 
-    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-        pk = sampler(rng, n)
-        psi = psi_summand(pk, r_q, total_reserve)
-        return psi, psi * psi, pk < 1.0
 
-    total, total_sq, below = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
-    mean, stderr = mean_stderr(total, total_sq, B)
-    psi = EstimateWithCI(mean=mean, stderr=stderr, replicates=int(B))
-    return RuinEstimate(psi=psi, tail=_frequency(below, B))
+@dataclass(frozen=True)
+class PrefixEstimates:
+    """The estimates of nested prefix groups, one :class:`RuinEstimate` each,
+    read from the same draws."""
+
+    estimates: tuple[RuinEstimate, ...]
+
+    @property
+    def replicates(self) -> int:
+        """Replicates summed over the groups, as one :func:`estimate` call
+        per group would report them."""
+        return sum(e.replicates for e in self.estimates)
+
+
+def estimate_prefixes(
+    params: RiskParams,
+    model: BlockModel,
+    group_sizes,
+    B: int,
+    base_seed: int,
+    threads: int = 1,
+) -> PrefixEstimates:
+    """:func:`estimate` for each prefix group ``{1, ..., k}``, ``k`` in the
+    increasing ``group_sizes``, from one pass over nested draws.
+
+    Each replicate draws every group's connected counts at once
+    (:func:`netgen.sample_prefix_counts`): the groups share their first
+    agents and their objects.  Each group's estimate has the law of its
+    :func:`estimate`, and the errors of different groups are positively
+    correlated.  One group gives :func:`estimate`'s bits.  Output is
+    bit-identical for fixed ``(base_seed, B)`` regardless of ``threads``.
+
+    Raises:
+        ValueError: On ``B < 2``, or sizes that are not increasing within ``1..q``.
+    """
+    groups = [AgentSubset.prefix(k) for k in group_sizes]
+    _validate(params, groups, B)
+    sampler = _prefix_sampler(params, model, group_sizes)
+    return PrefixEstimates(tuple(_run(sampler, groups, params, B, base_seed, threads)))
 
 
 def estimate_psi(

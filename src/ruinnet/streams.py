@@ -53,6 +53,18 @@ def stream(base_seed: int, *path: int) -> np.random.Generator:
     return StreamKey(int(base_seed), tuple(int(p) for p in path)).generator()
 
 
+def _tree(x: np.ndarray) -> np.ndarray:
+    """The fixed pairwise tree over the first axis of a nonempty float array:
+    one sum per column of a 2-D array, each with the bits of that column's
+    1-D tree (the tree adds whole rows, element by element)."""
+    n = 1 << int(x.shape[0] - 1).bit_length()
+    if n != x.shape[0]:
+        x = np.concatenate([x, np.zeros((n - x.shape[0], *x.shape[1:]))])
+    while x.shape[0] > 1:
+        x = x[0::2] + x[1::2]
+    return x[0]
+
+
 def pairwise_sum(values) -> float:
     """Sum ``values`` with a fixed binary tree over index order.
 
@@ -60,14 +72,7 @@ def pairwise_sum(values) -> float:
     is independent of how the values were produced or scheduled.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    if x.size == 0:
-        return 0.0
-    n = 1 << int(x.size - 1).bit_length()
-    if n != x.size:
-        x = np.concatenate([x, np.zeros(n - x.size)])
-    while x.size > 1:
-        x = x[0::2] + x[1::2]
-    return float(x[0])
+    return float(_tree(x)) if x.size else 0.0
 
 
 def map_blocks(
@@ -95,21 +100,23 @@ def block_totals(
     base_seed: int,
     draw: Callable[[np.random.Generator, int], tuple],
     threads: int = 1,
-) -> list[float]:
-    """Total over ``n`` replicates of each array that ``draw(rng, rows)`` returns.
+) -> list:
+    """Total over ``n`` replicates of each array that ``draw(rng, rows)``
+    returns: a float (``np.float64``) for a ``(rows,)`` array, and an array
+    of column totals for a ``(rows, m)`` array.
 
     Block ``k`` makes one ``draw`` call on the stream
-    ``(base_seed, domain, k)`` for its rows, and every total is a
-    pairwise-tree sum within the block and then across blocks, so the
-    result is independent of ``threads``.
+    ``(base_seed, domain, k)`` for its rows.  Each array is summed over its
+    rows by one pairwise tree, within the block and then across blocks, so
+    every column total has the bits of its own :func:`pairwise_sum` and is
+    independent of ``threads``.
     """
 
-    def work(k: int, lo: int, hi: int) -> list[float]:
+    def work(k: int, lo: int, hi: int) -> list[np.ndarray]:
         rng = stream(base_seed, domain, k)
-        return [pairwise_sum(values) for values in draw(rng, hi - lo)]
+        return [_tree(np.asarray(a, dtype=np.float64)) for a in draw(rng, hi - lo)]
 
-    parts = map_blocks(n, work, threads)
-    return [pairwise_sum(column) for column in zip(*parts)]
+    return [_tree(np.array(column)) for column in zip(*map_blocks(n, work, threads))]
 
 
 def mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:

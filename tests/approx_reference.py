@@ -7,7 +7,8 @@ The package summarises a configuration from its collapsed counts
 the agent- and object-type labels themselves.  :func:`exact_by_loop`
 walks the configurations one at a time, each with its own multinomial
 weight, normal tail and bound term, where the package enumerates them as
-arrays.
+arrays.  :func:`sampled_one_group` is sampled mode for one group as a
+single-group draw, block by block, where the package draws nested groups.
 """
 
 import itertools
@@ -18,9 +19,10 @@ from math import lgamma
 import numpy as np
 
 from model_reference import LoadingVector
-from ruinnet.approx import BOUND_CONSTANT, _stats_from_counts
+from ruinnet.approx import BOUND_CONSTANT, _stats_from_counts, _terms
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
+from ruinnet.streams import APPROX_DOMAIN, BLOCK_SIZE, mean_stderr, pairwise_sum, stream
 
 
 @dataclass(frozen=True)
@@ -161,3 +163,30 @@ def exact_by_loop(params: RiskParams, model: BlockModel, group: AgentSubset) -> 
         degenerate_weight=deg_weight,
         mean_sign=signs.pop() if len(signs) == 1 else 0,
     )
+
+
+def sampled_one_group(
+    params: RiskParams, model: BlockModel, size_q: int, m_configs: int, base_seed: int
+) -> tuple[float, ...]:
+    """``(probability, stein_bound, sampling_stderr, degenerate_weight)`` of
+    sampled mode for one group: each block draws ``Multinomial(size_q, w)``
+    agent-type counts (when ``K > 1``) and then ``Multinomial(d_g, v)``
+    object counts per class (when ``L > 1``), with no group axis, and sums
+    each term with a pairwise tree of its own."""
+    sizes, xi_vals = params.class_sizes, params.class_ratio / params.lam
+    blocks = []
+    for k, lo in enumerate(range(0, m_configs, BLOCK_SIZE)):
+        rows = min(BLOCK_SIZE, m_configs - lo)
+        rng = stream(base_seed, APPROX_DOMAIN, k)
+        m = rng.multinomial(size_q, model.w, size=rows) if model.K > 1 else [[size_q]]
+        connect = connect_given_counts(model, m)
+        if model.L > 1:
+            counts = rng.multinomial(sizes, model.v, size=(rows, sizes.size))
+        else:
+            counts = sizes[None, :, None]
+        stats = np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (3, rows))
+        prob, bound, point = _terms(1.0, *stats)
+        blocks.append([pairwise_sum(a) for a in (prob, prob * prob, bound, point)])
+    total, total_sq, bound, point = (pairwise_sum(column) for column in zip(*blocks))
+    probability, stderr = mean_stderr(total, total_sq, m_configs)
+    return probability, bound / m_configs, stderr, point / m_configs

@@ -11,6 +11,7 @@ count vector goes through :func:`ruinnet.ruin._pk_from_counts`, so a tie at
 1 falls on the side the samplers put it.
 """
 
+import math
 from dataclasses import dataclass
 from math import lgamma, log, prod
 
@@ -19,10 +20,16 @@ import numpy as np
 from ruinnet.approx import _compositions
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel, connect_given_counts
-from ruinnet.ruin import _pk_from_counts, psi_summand
+from ruinnet.ruin import RuinEstimate, _pk_from_counts, psi_summand
 
 #: Largest count lattice ``prod_g (d_g + 1)`` the evaluator sums over.
 MAX_LATTICE = 1_000_000
+
+#: Fewest expected rare outcomes, ``B * tail * (1 - tail)``, for a z test on the tail.
+MIN_RARE_EXPECTED = 10.0
+
+#: One-sided probability of a Poisson count bound: that of ``z > 4``.
+RARE_LEVEL = 3.2e-5
 
 
 @dataclass(frozen=True)
@@ -88,3 +95,39 @@ def exact_law(params: RiskParams, model: BlockModel, group: AgentSubset) -> Exac
         psi_sq += weight * float(pmf @ (summand * summand))
         tail += weight * float(pmf @ below)
     return ExactLaw(psi=psi, psi_sq=psi_sq, tail=tail)
+
+
+def poisson_tails(mean: float, count: int) -> tuple[float, float]:
+    """``(P(X <= count), P(X >= count))`` for ``X ~ Poisson(mean)``."""
+    pmf = [math.exp(-mean)]
+    for i in range(1, count + 1):
+        pmf.append(pmf[-1] * mean / i)
+    below = sum(pmf)
+    return min(1.0, below), max(0.0, 1.0 - below + pmf[-1])
+
+
+def assert_agrees(law: ExactLaw, est: RuinEstimate, replicates: int, note=None) -> None:
+    """``psi`` and ``tail`` of ``est`` against the exact law, at the level of
+    ``|z| <= 4``.
+
+    The tail takes the z test when ``B * tail * (1 - tail)`` is at least
+    :data:`MIN_RARE_EXPECTED`.  Otherwise the count of the rare outcome
+    (hits ``PK < 1`` or misses) gets a two-sided Poisson bound: a normal
+    approximation misreads a single hit of a tail of 1e-7 as z = 8.  When
+    the hits are rare, ``psi`` is checked against them instead: its summand
+    is exactly 1 on every replicate with ``PK >= 1``, so ``B * (1 - psi)``
+    is at most the hit count.
+    """
+    B, tail = replicates, law.tail
+    rare_hits = B * tail * (1.0 - tail) < MIN_RARE_EXPECTED and tail < 0.5
+    if B * tail * (1.0 - tail) >= MIN_RARE_EXPECTED:
+        assert abs(law.z_tail(est.tail.mean, B)) <= 4, (note, est.tail, law)
+    else:
+        hits = round(est.tail.mean * B)
+        rare, count = (tail, hits) if rare_hits else (1.0 - tail, B - hits)
+        low, high = poisson_tails(B * rare, count)
+        assert min(low, high) >= RARE_LEVEL, (note, est.tail, law, count)
+    if rare_hits:
+        assert B * (1.0 - est.psi.mean) <= hits + 1e-6, (note, est.psi, est.tail)
+    else:
+        assert abs(law.z_psi(est.psi.mean, B)) <= 4, (note, est.psi, law)

@@ -2,7 +2,8 @@
 
 The package never materialises the group's indicator vector or the
 marginal connection probability: it draws the group's agent-type counts,
-then one binomial count per class (:func:`ruinnet.netgen.sample_group_counts`).
+then per class one multinomial of the objects by the first nested group
+they connect to (:func:`ruinnet.netgen.sample_prefix_counts`).
 These are the per-object and closed-form quantities the tests check that
 sampler, and the incidence matrices of :func:`ruinnet.netgen.sample_incidence`,
 against.
@@ -73,3 +74,15 @@ def sample_group_indicators(
         raise ValueError("direct indicator sampling requires a one-type model")
     pc = connect_prob(model, size_q)
     return rng.random(int(d)) < pc
+
+
+def one_group_counts(
+    model: BlockModel, size_q: int, class_sizes, rng: np.random.Generator, replicates: int
+) -> np.ndarray:
+    """One group's connected counts per class, drawn as the single binomial
+    the nested draw reduces to: the agent-type counts (when ``K > 1``), then
+    one ``Binomial(d_g, pbar)`` per class.  Shape ``(replicates, G)``."""
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    m = rng.multinomial(size_q, model.w, size=replicates) if model.K > 1 else np.array([[size_q]])
+    pbar = np.minimum((1.0 - np.prod((1.0 - model.p) ** m[:, :, None], axis=1)) @ model.v, 1.0)
+    return rng.binomial(sizes, pbar[:, None], size=(replicates, sizes.size))

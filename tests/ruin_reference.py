@@ -3,15 +3,19 @@ and the exact ruin probability of a Bernoulli network by graph enumeration.
 
 The package computes the ratio from counts of connected objects per
 ``c/mu`` class (:func:`ruinnet.ruin._pk_from_counts`); this takes the
-indicator of every object.
+indicator of every object.  :func:`estimate_one_group` is the estimator
+for one group as a single binomial per class, with no group axis.
 """
 
 import itertools
 
 import numpy as np
 
+from netgen_reference import one_group_counts
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
-from ruinnet.ruin import psi_summand
+from ruinnet.netgen import BlockModel
+from ruinnet.ruin import _pk_from_counts, psi_summand
+from ruinnet.streams import BLOCK_SIZE, RUIN_DOMAIN, mean_stderr, pairwise_sum, stream
 
 
 def pk_value(indicators, params: RiskParams) -> float:
@@ -39,3 +43,25 @@ def exhaustive_graph_psi(params: RiskParams, edge_p: float, group: AgentSubset) 
         ind = inc[group.zero_based()].any(axis=0)
         exact += prob * psi_summand(pk_value(ind, params), r_q, reserve)
     return exact
+
+
+def estimate_one_group(
+    params: RiskParams, model: BlockModel, size_q: int, B: int, base_seed: int
+) -> tuple[float, float, float]:
+    """``(psi, psi_stderr, tail)`` of the collapsed estimator for the prefix
+    group of ``size_q`` agents: each block draws the group's counts as
+    :func:`netgen_reference.one_group_counts`, and each term is summed with
+    a pairwise tree of its own."""
+    group = AgentSubset.prefix(size_q)
+    r_q, reserve = proportional_r(params, group), float(params.u[group.zero_based()].sum())
+    blocks = []
+    for k, lo in enumerate(range(0, B, BLOCK_SIZE)):
+        rows = min(BLOCK_SIZE, B - lo)
+        rng = stream(base_seed, RUIN_DOMAIN, k)
+        counts = one_group_counts(model, size_q, params.class_sizes, rng, rows)
+        pk = _pk_from_counts(params.lam, counts, params.class_ratio)
+        psi = psi_summand(pk, r_q, reserve)
+        blocks.append([pairwise_sum(a) for a in (psi, psi * psi, pk < 1.0)])
+    total, total_sq, below = (pairwise_sum(column) for column in zip(*blocks))
+    psi, stderr = mean_stderr(total, total_sq, B)
+    return psi, stderr, below / B

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from approx_reference import MixtureStats, exact_by_loop, mixture_stats, p_of_config
+from approx_reference import (
+    MixtureStats,
+    exact_by_loop,
+    mixture_stats,
+    p_of_config,
+    sampled_one_group,
+)
 from model_reference import compute_loadings
 from ruin_reference import pk_value
 from ruinnet.approx import (
@@ -23,6 +29,7 @@ from ruinnet.approx import (
     mixture_probability,
     normal_positive_prob,
     phase_classify,
+    sampled_prefixes,
 )
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
@@ -421,6 +428,60 @@ def random_exact_instance(rng):
     lam = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 2.0))
     params = RiskParams(lam=lam, c=ratios[labels] * mu, mu=mu, u=np.ones(q))
     return params, model, AgentSubset.prefix(int(rng.integers(1, q + 1)))
+
+
+class TestSampledPrefixes:
+    """Sampled mode over nested groups from one pass of configurations."""
+
+    PARAMS = RiskParams(
+        lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05, 0.95], mu=np.ones(6), u=np.ones(4)
+    )
+    MODEL = BlockModel(
+        w=[0.5, 0.3, 0.2],
+        v=[0.5, 0.3, 0.2],
+        p=[[0.3, 0.05, 0.05], [0.05, 0.3, 0.05], [0.05, 0.05, 0.3]],
+    )
+
+    def test_agrees_with_exact_mode(self):
+        # an enumerable 3x3 blockmodel: each group within 4 sampling errors
+        coupled = sampled_prefixes(self.PARAMS, self.MODEL, [1, 2, 3, 4], 50_000, 8)
+        assert coupled.mode == "sampled" and coupled.config_count == 4 * 50_000
+        for size, sa in zip([1, 2, 3, 4], coupled.results):
+            ex = mixture_probability(self.PARAMS, self.MODEL, AgentSubset.prefix(size), "exact")
+            assert abs(sa.probability - ex.probability) <= 4 * sa.sampling_stderr, size
+            assert sa.stein_bound == pytest.approx(ex.stein_bound, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            MODEL,
+            BlockModel(w=[0.6, 0.4], v=[1.0], p=[[0.3], [0.8]]),
+            BlockModel(w=[1.0], v=[0.3, 0.7], p=[[0.3, 0.8]]),
+            BlockModel.bernoulli(0.4),
+        ],
+        ids=["sbm", "agent_types_only", "object_types_only", "bernoulli"],
+    )
+    def test_one_group_keeps_the_single_group_bits(self, model):
+        # two full blocks and a ragged one
+        m_configs = 2 * BLOCK_SIZE + 77
+        for size in (1, 3):
+            want = sampled_one_group(self.PARAMS, model, size, m_configs, 5)
+            for threads in (1, 2):
+                got = mixture_probability(
+                    self.PARAMS, model, AgentSubset.prefix(size), "sampled", m_configs, 5, threads
+                )
+                assert (
+                    got.probability, got.stein_bound, got.sampling_stderr, got.degenerate_weight
+                ) == want
+                nested = sampled_prefixes(self.PARAMS, model, [size], m_configs, 5, threads)
+                assert nested.results == (got,)
+
+    def test_thread_count_never_changes_result(self):
+        results = [
+            sampled_prefixes(self.PARAMS, self.MODEL, [2, 3, 4], 2 * BLOCK_SIZE + 5, 6, threads)
+            for threads in (1, 2, 3)
+        ]
+        assert results[0] == results[1] == results[2]
 
 
 class TestExactAgainstReferenceLoop:

@@ -93,39 +93,50 @@ TABLE_2X2 = {"premiums": {"low": 0.95, "high": 1.05}, "ns_grid": [1]}
 #: the expected claims per path, ``oracle`` never returns.
 ENDLESS_HORIZON = {"premiums": [3.0, 3.0], "horizon": 1e30}
 
-#: ``(command, field, overrides)``: one non-integral, boolean, string or too
-#: large value on ``degenerate_doc(q=2, d=2, ...)`` and the field the error names.
-NAMED_FIELD_INPUTS = [
-    ("estimate", "q", {"q": 2.5}),
-    ("estimate", "d", {"d": 2.5}),
-    ("estimate", "seed", {"seed": True}),
-    ("estimate", "seed", {"seed": 1.5}),
-    ("estimate", "replicates", {"replicates": 1000.9}),
-    ("estimate", "threads", {"threads": 1.9}),
-    ("estimate", "premiums.ns", {"premiums": {"low": 0.95, "high": 1.05, "ns": 1.5}}),
-    ("estimate", "group.size", {"group": {"size": 1.5}}),
-    ("estimate", "group.indices", {"group": {"indices": [1.5]}}),
-    ("estimate", "network.kind", {"network": dict(SBM_2X1, kind="ring")}),
-    ("sweep", "approx_mode", dict(SWEEP_2X2, approx_mode="fast")),
-    ("sweep", "ns_grid", dict(SWEEP_2X2, ns_grid=[1.5])),
-    ("sweep", "m_configs", dict(SWEEP_2X2, m_configs=200.5)),
-    ("oracle", "outer_networks", {"outer_networks": 3.5}),
-    ("oracle", "inner_paths", {"inner_paths": 2.5}),
-    ("oracle", "horizon", ENDLESS_HORIZON),
-    ("estimate", "lambda", {"lambda": True}),
-    ("estimate", "mu", {"mu": True}),
-    ("estimate", "horizon", {"horizon": True}),
-    ("estimate", "network.p", {"network": {"kind": "bernoulli", "p": True}}),
-    ("estimate", "reserves", {"reserves": [1.0, True]}),
-    ("estimate", "premiums", {"premiums": [1.05, "1.1"]}),
-    ("estimate", "horizon", {"horizon": "1000"}),
-    ("estimate", "network.v", {"network": dict(SBM_2X1, v=[True])}),
-    ("estimate", "network.p", {"network": dict(SBM_2X1, p=[[0.4], [True]])}),
-    ("sweep", "lambda", dict(SWEEP_2X2, **{"lambda": "1.5"})),
-    ("sweep", "premiums.low", dict(SWEEP_2X2, premiums={"low": "0.95", "high": 1.05})),
-    ("sweep", "premiums.high", dict(SWEEP_2X2, premiums={"low": 0.95, "high": True})),
-    ("sweep", "network.w", dict(SWEEP_2X2, network=dict(SBM_2X1, w=[True, False]))),
-]
+#: Test id -> ``(command, field, overrides)``: one non-integral, boolean,
+#: string or too large value on ``degenerate_doc(q=2, d=2, ...)`` and the
+#: field the error names.  An id is a fixed name, so adding or deleting a
+#: case renames no other; the ids that end in a number keep the names they
+#: were first tracked under, and a new case is named by its field and value.
+NAMED_FIELD_INPUTS = {
+    "q-0": ("estimate", "q", {"q": 2.5}),
+    "d-1": ("estimate", "d", {"d": 2.5}),
+    "seed-2": ("estimate", "seed", {"seed": True}),
+    "seed-3": ("estimate", "seed", {"seed": 1.5}),
+    "replicates-4": ("estimate", "replicates", {"replicates": 1000.9}),
+    "threads-5": ("estimate", "threads", {"threads": 1.9}),
+    "premiums.ns-6": (
+        "estimate", "premiums.ns", {"premiums": {"low": 0.95, "high": 1.05, "ns": 1.5}}
+    ),
+    "group.size-7": ("estimate", "group.size", {"group": {"size": 1.5}}),
+    "group.indices-8": ("estimate", "group.indices", {"group": {"indices": [1.5]}}),
+    "network.kind-9": ("estimate", "network.kind", {"network": dict(SBM_2X1, kind="ring")}),
+    "approx_mode-10": ("sweep", "approx_mode", dict(SWEEP_2X2, approx_mode="fast")),
+    "ns_grid-11": ("sweep", "ns_grid", dict(SWEEP_2X2, ns_grid=[1.5])),
+    "m_configs-12": ("sweep", "m_configs", dict(SWEEP_2X2, m_configs=200.5)),
+    "outer_networks-13": ("oracle", "outer_networks", {"outer_networks": 3.5}),
+    "inner_paths-14": ("oracle", "inner_paths", {"inner_paths": 2.5}),
+    "horizon-15": ("oracle", "horizon", ENDLESS_HORIZON),
+    "lambda-16": ("estimate", "lambda", {"lambda": True}),
+    "mu-17": ("estimate", "mu", {"mu": True}),
+    "horizon-18": ("estimate", "horizon", {"horizon": True}),
+    "network.p-19": ("estimate", "network.p", {"network": {"kind": "bernoulli", "p": True}}),
+    "reserves-20": ("estimate", "reserves", {"reserves": [1.0, True]}),
+    "premiums-21": ("estimate", "premiums", {"premiums": [1.05, "1.1"]}),
+    "horizon-22": ("estimate", "horizon", {"horizon": "1000"}),
+    "network.v-23": ("estimate", "network.v", {"network": dict(SBM_2X1, v=[True])}),
+    "network.p-24": ("estimate", "network.p", {"network": dict(SBM_2X1, p=[[0.4], [True]])}),
+    "lambda-25": ("sweep", "lambda", dict(SWEEP_2X2, **{"lambda": "1.5"})),
+    "premiums.low-26": (
+        "sweep", "premiums.low", dict(SWEEP_2X2, premiums={"low": "0.95", "high": 1.05})
+    ),
+    "premiums.high-27": (
+        "sweep", "premiums.high", dict(SWEEP_2X2, premiums={"low": 0.95, "high": True})
+    ),
+    "network.w-28": (
+        "sweep", "network.w", dict(SWEEP_2X2, network=dict(SBM_2X1, w=[True, False]))
+    ),
+}
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -200,41 +211,49 @@ class TestParseConfig:
         assert cfg.group.indices == (2, 5, 9)
 
 
-#: ``(overrides, stderr)``: one key outside the table, at the top level or
-#: inside an object, on ``degenerate_doc()``, and the error it gives.
-UNKNOWN_KEY_INPUTS = [
-    ({"replicatess": 5}, "unknown config key 'replicatess' (did you mean 'replicates'?)"),
-    ({"lam": 1.0}, "unknown config key 'lam' (did you mean 'lambda'?)"),
-    ({"zzz": 1}, "unknown config key 'zzz'"),
-    (
+#: Test id -> ``(overrides, stderr)``: one key outside the table, at the top
+#: level or inside an object, on ``degenerate_doc()``, and the error it gives.
+#: The ids are fixed names, as in :data:`NAMED_FIELD_INPUTS`; a new case is
+#: named by its key.
+UNKNOWN_KEY_INPUTS = {
+    "unknown-0": (
+        {"replicatess": 5},
+        "unknown config key 'replicatess' (did you mean 'replicates'?)",
+    ),
+    "unknown-1": ({"lam": 1.0}, "unknown config key 'lam' (did you mean 'lambda'?)"),
+    "unknown-2": ({"zzz": 1}, "unknown config key 'zzz'"),
+    "unknown-3": (
         {"network": {"kind": "bernoulli", "p": 1.0, "pp": 0.5}},
         "unknown config key 'network.pp' (did you mean 'network.p'?)",
     ),
-    (
+    "unknown-4": (
         {"network": {"kind": "bernoulli", "p": 1.0, "w": [1.0]}},
         "unknown config key 'network.w'",
     ),
-    (
+    "unknown-5": (
         {"network": dict(SBM_2X1, vv=[1.0])},
         "unknown config key 'network.vv' (did you mean 'network.v'?)",
     ),
-    (
+    "unknown-6": (
         {"premiums": {"low": 0.95, "high": 1.05, "ns": 1, "hihg": 1.1}},
         "unknown config key 'premiums.hihg' (did you mean 'premiums.high'?)",
     ),
-    ({"group": {"sise": 1}}, "unknown config key 'group.sise' (did you mean 'group.size'?)"),
-    (
+    "unknown-7": (
+        {"group": {"sise": 1}},
+        "unknown config key 'group.sise' (did you mean 'group.size'?)",
+    ),
+    "unknown-8": (
         {"group": {"size": 1, "indices": [1]}},
         "group must contain exactly one of 'size' and 'indices'",
     ),
-    ({"network": dict(SBM_2X1, K=2)}, "unknown config key 'network.K'"),
-]
+    "unknown-9": ({"network": dict(SBM_2X1, K=2)}, "unknown config key 'network.K'"),
+}
 
 
 class TestUnknownKeys:
     @pytest.mark.parametrize(
         "extra, message",
-        [pytest.param(*case, id=f"unknown-{i}") for i, case in enumerate(UNKNOWN_KEY_INPUTS)],
+        [pytest.param(*case, id=name) for name, case in UNKNOWN_KEY_INPUTS.items()],
     )
     def test_exits_2_naming_the_closest_key_before_the_estimator(
         self, tmp_path, capsys, monkeypatch, extra, message
@@ -313,6 +332,42 @@ class TestCmdSweep:
         report = cmd_estimate(parse_config(est_doc))
         assert rows[0].psi_hat == report["psi_hat"]
 
+    def test_one_nested_pass_per_ns(self, monkeypatch):
+        # auto mode on 3 agent and 3 object types, two classes of 24 (then 20
+        # and 28) objects: exact for groups of 1 and 2 (up to 6 * 105 625
+        # configurations), sampled from 3 agents (10 * 105 625 > 1e6)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args[2] if name != "exact" else args[2].size))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "estimate_prefixes", spy("estimate", cli.estimate_prefixes))
+        monkeypatch.setattr(
+            cli.approx, "sampled_prefixes", spy("sampled", cli.approx.sampled_prefixes)
+        )
+        monkeypatch.setattr(
+            cli.approx, "mixture_probability", spy("exact", cli.approx.mixture_probability)
+        )
+        doc = dict(
+            figure_doc(q=4, d=48, replicates=500, ns_grid=[24, 20], m_configs=200),
+            network={
+                "kind": "sbm",
+                "w": [0.5, 0.3, 0.2],
+                "v": [0.5, 0.3, 0.2],
+                "p": [[0.3, 0.05, 0.05], [0.05, 0.3, 0.05], [0.05, 0.05, 0.3]],
+            },
+        )
+        rows = cmd_sweep(parse_config(doc))
+        assert [r["qsize"] for r in rows] == [1, 2, 3, 4] * 2
+        per_ns = [
+            ("estimate", range(1, 5)), ("sampled", [3, 4]), ("exact", 1), ("exact", 2)
+        ]
+        assert calls == per_ns * 2
+
     def test_rows_cover_grid(self):
         cfg = parse_config(figure_doc(replicates=500, ns_grid=[4, 6]))
         rows = [SweepRow(**r) for r in cmd_sweep(cfg)]
@@ -349,6 +404,7 @@ class TestCmdSweep:
             raise AssertionError("estimate ran before approx_mode was checked")
 
         monkeypatch.setattr(cli, "estimate", never)
+        monkeypatch.setattr(cli, "estimate_prefixes", never)
         doc = degenerate_doc(q=2, d=2, **SWEEP_2X2, **extra)
         rc, out, err = run_main(tmp_path, capsys, "sweep", doc)
         assert (rc, out) == (2, "")
@@ -655,7 +711,7 @@ class TestMainEntryPoint:
 
     @pytest.mark.parametrize(
         "command, field, extra",
-        [pytest.param(*case, id=f"{case[1]}-{i}") for i, case in enumerate(NAMED_FIELD_INPUTS)],
+        [pytest.param(*case, id=name) for name, case in NAMED_FIELD_INPUTS.items()],
     )
     def test_rejected_field_is_named(self, tmp_path, capsys, command, field, extra):
         doc = degenerate_doc(q=2, d=2, premiums=[1.05, 1.1])
@@ -763,23 +819,36 @@ class TestMainEntryPoint:
         ET.parse(svg)  # well-formed XML
 
     def test_byte_identical_across_threads(self, tmp_path):
-        doc = figure_doc(replicates=5000, ns_grid=[4])
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"rows_{threads}.csv"
-            rc = self.run(
-                [
-                    "sweep",
-                    "--config", str(cfg_path),
-                    "--out", str(out),
-                    "--threads", threads,
-                ]
-            )
-            assert rc == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        # the figure setting, and a blockmodel whose points all run sampled
+        # mode (two blocks of replicates, three of configurations)
+        sbm = dict(
+            figure_doc(q=4, d=8, replicates=5000, ns_grid=[3, 4]),
+            network={
+                "kind": "sbm",
+                "w": [0.5, 0.3, 0.2],
+                "v": [0.5, 0.3, 0.2],
+                "p": [[0.3, 0.05, 0.05], [0.05, 0.3, 0.05], [0.05, 0.05, 0.3]],
+            },
+            approx_mode="sampled",
+            m_configs=2 * 4096 + 50,
+        )
+        for name, doc in (("figure", figure_doc(replicates=5000, ns_grid=[4])), ("sbm", sbm)):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(doc))
+            outputs = []
+            for threads in ("1", "4"):
+                out = tmp_path / f"{name}_{threads}.csv"
+                rc = self.run(
+                    [
+                        "sweep",
+                        "--config", str(cfg_path),
+                        "--out", str(out),
+                        "--threads", threads,
+                    ]
+                )
+                assert rc == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], name
 
     def test_seed_override_changes_output(self, tmp_path):
         doc = figure_doc(replicates=2000, ns_grid=[4])

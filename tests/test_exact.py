@@ -2,17 +2,18 @@
 Monte-Carlo estimator against the exact law."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from exact_reference import MAX_LATTICE, exact_law
+from exact_reference import MAX_LATTICE, assert_agrees, exact_law, poisson_tails
 from ruin_reference import exhaustive_graph_psi
 from ruinnet.cli import load_config
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
-from ruinnet.ruin import estimate
+from ruinnet.ruin import EstimateWithCI, RuinEstimate, estimate, estimate_prefixes
 from test_acceptance import exact_tail
 
 GOLDEN_ESTIMATE = Path(__file__).parent / "golden" / "estimate" / "config.json"
@@ -170,3 +171,56 @@ class TestEstimateAgainstExactLaw:
         out = json.loads((GOLDEN_ESTIMATE.parent / "stdout.json").read_text())
         assert abs(law.z_psi(out["psi_hat"], cfg.replicates)) <= 4
         assert abs(law.z_tail(out["tail_hat"], cfg.replicates)) <= 4
+
+
+class TestPrefixEstimatesAgainstExactLaw:
+    """Every group of one nested draw within the exact law's bounds
+    (:func:`exact_reference.assert_agrees`).  The seeds are fixed in
+    advance; one call's groups share their draws, so their errors are
+    positively correlated."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_workload(self, seed):
+        # every (ns, k) point of the benchmark's sweep: q = d = 10, p = 0.5
+        model = BlockModel.bernoulli(0.5)
+        for ns in (3, 4, 5, 6):
+            params = sbm_workload_params(ns=ns, d=10, q=10)
+            estimates = estimate_prefixes(params, model, range(1, 11), 100_000, seed).estimates
+            for size, est in enumerate(estimates, start=1):
+                law = exact_law(params, model, AgentSubset.prefix(size))
+                assert_agrees(law, est, 100_000, (ns, size))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sbm_workload(self, seed):
+        params = sbm_workload_params()
+        estimates = estimate_prefixes(params, SBM_WORKLOAD, range(1, 7), 8192, seed).estimates
+        for size, est in enumerate(estimates, start=1):
+            law = exact_law(params, SBM_WORKLOAD, AgentSubset.prefix(size))
+            assert_agrees(law, est, 8192, size)
+
+    def test_rare_tail_takes_the_poisson_bound(self):
+        # ns = 6, k = 9 of the sweep: a tail of 1.5e-7, so B * tail is 0.015
+        params = sbm_workload_params(ns=6, d=10, q=10)
+        law = exact_law(params, BlockModel.bernoulli(0.5), AgentSubset.prefix(9))
+        assert 1e-7 < law.tail < 2e-7
+        # two hits are still within the bound (P = 1.1e-4), three are not
+        # (5e-7); psi may fall below 1 by at most one per hit
+        cases = [(0, 0.0, True), (1, 0.5, True), (2, 1.0, True), (3, 1.0, False), (1, 1.5, False)]
+        for hits, deficit, agrees in cases:
+            psi = EstimateWithCI(1.0 - deficit / 1e5, 0.0, 100_000)
+            tail = EstimateWithCI(hits / 1e5, 0.0, 100_000)
+            if hits:  # a normal approximation rejects even one hit
+                assert abs(law.z_tail(tail.mean, 100_000)) > 4
+            if agrees:
+                assert_agrees(law, RuinEstimate(psi, tail), 100_000)
+            else:
+                with pytest.raises(AssertionError):
+                    assert_agrees(law, RuinEstimate(psi, tail), 100_000)
+
+    @pytest.mark.parametrize("mean, count", [(0.5, 0), (3.0, 2), (7.5, 12), (15.0, 4)])
+    def test_poisson_tails(self, mean, count):
+        k = np.arange(200)
+        pmf = np.exp(k * np.log(mean) - mean - np.array([math.lgamma(i + 1) for i in k]))
+        low, high = poisson_tails(mean, count)
+        assert low == pytest.approx(pmf[: count + 1].sum(), rel=1e-12)
+        assert high == pytest.approx(pmf[count:].sum(), rel=1e-9)

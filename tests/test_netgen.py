@@ -9,16 +9,24 @@ from netgen_reference import (
     connect_prob,
     connect_prob_enumerated,
     group_indicators,
+    one_group_counts,
     sample_group_indicators,
 )
 from ruinnet.model import AgentSubset
 from ruinnet.netgen import (
     BlockModel,
+    connect_given_counts,
     sample_configurations,
-    sample_group_counts,
     sample_incidence,
+    sample_prefix_counts,
 )
 from ruinnet.streams import stream
+
+
+def group_counts(model, size_q, class_sizes, rng, replicates):
+    """One group's connected counts per class: the one-group case of
+    :func:`sample_prefix_counts`, shape ``(replicates, len(class_sizes))``."""
+    return sample_prefix_counts(model, [size_q], class_sizes, rng, replicates)[:, 0]
 
 
 def random_model(rng, K=None, L=None):
@@ -229,7 +237,7 @@ class TestCollapsedKernel:
         # groups of one agent and of all q = 3 agents, four objects in two classes
         model = KERNEL_CASES[name]
         sizes = np.array([1, 3])
-        counts = sample_group_counts(model, size_q, sizes, stream(41, size_q), 20_000)
+        counts = group_counts(model, size_q, sizes, stream(41, size_q), 20_000)
         assert counts.shape == (20_000, 2)
         assert_matches_pmf(counts, exact_count_pmf(model, size_q, sizes))
 
@@ -241,20 +249,20 @@ class TestCollapsedKernel:
             size_q = int(rng.integers(1, 200))
             sizes = rng.integers(0, 10_000, int(rng.integers(1, 5)))
             n = int(rng.integers(1, 3000))
-            got = sample_group_counts(m, size_q, sizes, stream(i, 8), n)
+            got = group_counts(m, size_q, sizes, stream(i, 8), n)
             want = stream(i, 8).binomial(sizes, connect_prob(m, size_q), size=(n, sizes.size))
             np.testing.assert_array_equal(got, want)
 
     def test_draws_only_the_needed_types(self):
         sizes = np.array([2, 5])
         connect, counts = sample_configurations(
-            BlockModel.bernoulli(0.3), 4, sizes, stream(0, 9), 100
+            BlockModel.bernoulli(0.3), [4], sizes, stream(0, 9), 100
         )
-        assert connect.shape == (1, 1) and counts.shape == (1, 2, 1)
+        assert connect.shape == (1, 1, 1) and counts.shape == (1, 2, 1)
         connect, counts = sample_configurations(
-            KERNEL_CASES["sbm"], 4, sizes, stream(0, 9), 100
+            KERNEL_CASES["sbm"], [4], sizes, stream(0, 9), 100
         )
-        assert connect.shape == (100, 2) and counts.shape == (100, 2, 2)
+        assert connect.shape == (100, 1, 2) and counts.shape == (100, 2, 2)
         np.testing.assert_array_equal(counts.sum(axis=2), np.broadcast_to(sizes, (100, 2)))
 
     def test_certain_and_impossible_edges(self):
@@ -262,15 +270,15 @@ class TestCollapsedKernel:
         full = BlockModel(w=[0.5, 0.5], v=[0.2, 0.8], p=np.ones((2, 2)))
         empty = BlockModel(w=[0.5, 0.5], v=[0.2, 0.8], p=np.zeros((2, 2)))
         np.testing.assert_array_equal(
-            sample_group_counts(full, 3, sizes, stream(2, 0), 500), np.tile(sizes, (500, 1))
+            group_counts(full, 3, sizes, stream(2, 0), 500), np.tile(sizes, (500, 1))
         )
-        assert not sample_group_counts(empty, 3, sizes, stream(2, 1), 500).any()
+        assert not group_counts(empty, 3, sizes, stream(2, 1), 500).any()
 
     def test_type_probabilities_summing_above_one_by_rounding(self):
         # v passes validation within 1e-12 of 1, so sum_l v_l * 1 exceeds 1
         model = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5 + 1e-13], p=np.ones((2, 2)))
         sizes = np.array([3, 4])
-        counts = sample_group_counts(model, 2, sizes, stream(2, 2), 100)
+        counts = group_counts(model, 2, sizes, stream(2, 2), 100)
         np.testing.assert_array_equal(counts, np.tile(sizes, (100, 1)))
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -279,12 +287,8 @@ class TestCollapsedKernel:
         # binomial per class, and no object type
         model = KERNEL_CASES[name]
         sizes = np.array([5, 0, 7])
-        got = sample_group_counts(model, 3, sizes, stream(4, 1), 300)
-        rng = stream(4, 1)
-        m = rng.multinomial(3, model.w, size=300) if model.K > 1 else np.array([[3]])
-        pbar = (1.0 - np.prod((1.0 - model.p) ** m[:, :, None], axis=1)) @ model.v
-        want = rng.binomial(sizes, pbar[:, None], size=(300, 3))
-        np.testing.assert_array_equal(got, want)
+        got = group_counts(model, 3, sizes, stream(4, 1), 300)
+        np.testing.assert_array_equal(got, one_group_counts(model, 3, sizes, stream(4, 1), 300))
 
 
 class TestFastPaths:
@@ -305,7 +309,7 @@ class TestFastPaths:
         group = AgentSubset.prefix(2)
         d, R = 6, 4000
         pc = connect_prob(m, 2)
-        counts_fast = sample_group_counts(m, 2, np.array([d]), stream(9, 0), R)[:, 0]
+        counts_fast = group_counts(m, 2, np.array([d]), stream(9, 0), R)[:, 0]
         counts_graph = np.empty(R, dtype=int)
         for r in range(R):
             graph = sample_incidence(m, 2, d, stream(9, 1, r), 1)[0]
@@ -326,7 +330,7 @@ class TestFastPaths:
         group = AgentSubset((2, 3))
         sizes = np.array([1, 3])
         R = 4000
-        counts_fast = sample_group_counts(m, 2, sizes, stream(10, 0), R)
+        counts_fast = group_counts(m, 2, sizes, stream(10, 0), R)
         counts_graph = np.empty((R, 2), dtype=int)
         for r in range(R):
             ind = group_indicators(sample_incidence(m, 3, 4, stream(10, 1, r), 1)[0], group)
@@ -334,3 +338,72 @@ class TestFastPaths:
         pmf = exact_count_pmf(m, 2, sizes)
         assert_matches_pmf(counts_fast, pmf)
         assert_matches_pmf(counts_graph, pmf)
+
+
+class TestPrefixCounts:
+    """The nested draw of every prefix group's connected counts."""
+
+    def test_counts_rise_with_the_group_and_stay_within_the_class(self):
+        rng = np.random.default_rng(12)
+        sizes = np.array([0, 3, 7])
+        for i in range(30):
+            model = random_model(rng)
+            got = sample_prefix_counts(model, [1, 2, 5, 6], sizes, stream(i, 3), 500)
+            assert got.shape == (500, 4, 3) and got.dtype == np.int64
+            assert got.flags.c_contiguous
+            assert (got[:, 0] >= 0).all() and (np.diff(got, axis=1) >= 0).all()
+            assert (got <= sizes).all()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_each_group_matches_exact_pmf(self, name):
+        model = KERNEL_CASES[name]
+        sizes = np.array([1, 3])
+        counts = sample_prefix_counts(model, [1, 3], sizes, stream(43, 1), 20_000)
+        for j, size_q in enumerate([1, 3]):
+            assert_matches_pmf(counts[:, j], exact_count_pmf(model, size_q, sizes))
+
+    def test_one_group_is_one_binomial_draw(self):
+        rng = np.random.default_rng(5)
+        for i in range(50):
+            model = random_model(rng)
+            size_q = int(rng.integers(1, 30))
+            sizes = rng.integers(0, 2_000, int(rng.integers(1, 4)))
+            n = int(rng.integers(1, 3000))
+            got = sample_prefix_counts(model, [size_q], sizes, stream(i, 6), n)
+            want = one_group_counts(model, size_q, sizes, stream(i, 6), n)
+            np.testing.assert_array_equal(got[:, 0], want)
+
+    def test_certain_impossible_and_rounded_edges(self):
+        sizes = np.array([4, 6])
+        full = BlockModel(w=[0.5, 0.5], v=[0.2, 0.8], p=np.ones((2, 2)))
+        empty = BlockModel(w=[0.5, 0.5], v=[0.2, 0.8], p=np.zeros((2, 2)))
+        # v passes validation within 1e-12 of 1, so sum_l v_l * 1 exceeds 1
+        rounded = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5 + 1e-13], p=np.ones((2, 2)))
+        for model in (full, rounded):
+            got = sample_prefix_counts(model, [1, 3], sizes, stream(2, 0), 500)
+            np.testing.assert_array_equal(got, np.broadcast_to(sizes, (500, 2, 2)))
+        assert not sample_prefix_counts(empty, [1, 3], sizes, stream(2, 1), 500).any()
+
+    @pytest.mark.parametrize("group_sizes", [[], [0], [2, 2], [3, 1]])
+    def test_rejects_sizes_that_do_not_increase(self, group_sizes):
+        with pytest.raises(ValueError, match="increasing"):
+            sample_prefix_counts(KERNEL_CASES["sbm"], group_sizes, [3], stream(0, 0), 10)
+
+
+class TestPrefixConfigurations:
+    def test_groups_share_their_first_agents_and_the_objects(self):
+        # layer type counts drawn in order, then one object draw per class
+        model = KERNEL_CASES["sbm"]
+        sizes = np.array([2, 5])
+        connect, counts = sample_configurations(model, [1, 3, 4], sizes, stream(3, 3), 200)
+        rng = stream(3, 3)
+        layers = rng.multinomial([1, 2, 1], model.w, size=(200, 3))
+        want = connect_given_counts(model, np.cumsum(layers, axis=1))
+        np.testing.assert_array_equal(connect, want)
+        np.testing.assert_array_equal(counts, rng.multinomial(sizes, model.v, size=(200, 2)))
+
+    def test_one_group_draws_the_bits_of_one_multinomial(self):
+        model = KERNEL_CASES["sbm"]
+        connect, _ = sample_configurations(model, [4], np.array([3]), stream(3, 4), 300)
+        m = stream(3, 4).multinomial(4, model.w, size=300)
+        np.testing.assert_array_equal(connect[:, 0], connect_given_counts(model, m))

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from model_reference import classical_ruin
-from ruin_reference import exhaustive_graph_psi, pk_value
+from ruin_reference import estimate_one_group, exhaustive_graph_psi, pk_value
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from ruinnet.streams import BLOCK_SIZE
@@ -16,6 +16,7 @@ from ruinnet.ruin import (
     EstimateWithCI,
     _pk_from_counts,
     estimate,
+    estimate_prefixes,
     estimate_psi,
     psi_summand,
 )
@@ -207,6 +208,38 @@ class TestEstimate:
         est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 100, 0)
         assert est.psi.mean == pytest.approx(classical_ruin(1.0, 1.0, 1.05, 0.0), rel=1e-15)
         assert est.psi.stderr <= 1e-12
+
+
+class TestEstimatePrefixes:
+    @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
+    def test_one_group_is_one_binomial_per_class(self, model):
+        # estimate and a one-size estimate_prefixes give the bits of the
+        # single-binomial draw; uneven reserves, and a ragged last block
+        params = RiskParams(lam=1.0, c=[0.9, 1.1, 0.95, 1.2], mu=np.ones(4), u=[0.2, 1.0, 3.0])
+        B = 2 * BLOCK_SIZE + 9
+        for size in (1, 2, 3):
+            est = estimate(params, model, AgentSubset.prefix(size), B, 4)
+            assert (est.psi.mean, est.psi.stderr, est.tail.mean) == estimate_one_group(
+                params, model, size, B, 4
+            )
+            assert estimate_prefixes(params, model, [size], B, 4).estimates == (est,)
+
+    @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
+    def test_thread_count_never_changes_result(self, model):
+        args = (two_class_params(4, 10), model, [1, 2, 4, 7], 3 * BLOCK_SIZE + 17, 5)
+        results = [estimate_prefixes(*args, threads=threads) for threads in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert results[0].replicates == 4 * (3 * BLOCK_SIZE + 17)
+        assert [e.replicates for e in results[0].estimates] == [3 * BLOCK_SIZE + 17] * 4
+
+    def test_rejects_bad_groups_and_replicates(self):
+        params = two_class_params(4, 10, q=3)
+        with pytest.raises(ValueError, match="exceeds"):
+            estimate_prefixes(params, SBM, [1, 4], 100, 0)
+        with pytest.raises(ValueError, match="two replicates"):
+            estimate_prefixes(params, SBM, [1, 2], 1, 0)
+        with pytest.raises(ValueError, match="increasing"):
+            estimate_prefixes(params, SBM, [2, 1], 100, 0)
 
 
 class TestEstimateTail:

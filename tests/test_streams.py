@@ -110,3 +110,23 @@ class TestBlockSums:
         ]
         expected = [tree_sum(column) for column in zip(*parts)]
         assert block_totals(n, 77, 9, draw, threads) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_totals_stack_2d_columns(self, threads):
+        # a (rows, 4) array, a bool (rows, 2) array and a 1-D array per
+        # block, and a ragged last block: each column has the bits of its
+        # own per-block and across-block trees
+        def draw(rng, rows):
+            x = rng.lognormal(0.0, 2.0, (rows, 4))
+            return x, x[:, :2] < 1.0, x[:, 3] * x[:, 3]
+
+        n = 3 * BLOCK_SIZE + 321
+        parts = []
+        for k, lo in enumerate(range(0, n, BLOCK_SIZE)):
+            x, below, sq = draw(stream(4, 78, k), min(BLOCK_SIZE, n - lo))
+            columns = [*x.T, *below.T, sq]
+            parts.append([tree_sum(c) for c in columns])
+        expected = [tree_sum(column) for column in zip(*parts)]
+        x, below, sq = block_totals(n, 78, 4, draw, threads)
+        assert x.shape == (4,) and below.shape == (2,) and isinstance(sq, float)
+        assert [*x.tolist(), *below.tolist(), sq] == expected
