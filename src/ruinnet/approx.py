@@ -56,6 +56,8 @@ INDETERMINATE = "INDETERMINATE"
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
 MODE_AUTO = "auto"
+#: The modes :func:`mixture_probability` and :func:`mixture_prefixes` take.
+MODES = (MODE_EXACT, MODE_SAMPLED, MODE_AUTO)
 
 #: Fewest configurations sampled mode accepts.
 MIN_SAMPLED_CONFIGS = 100
@@ -205,12 +207,10 @@ def _configurations(
         yield (weight, *_stats_from_counts(xi_vals, chunk, connect[a]))
 
 
-def _exact(
-    model: BlockModel, group: AgentSubset, xi_vals: np.ndarray, sizes: np.ndarray
-) -> ApproxResult:
+def _exact(model: BlockModel, size_q: int, xi_vals: np.ndarray, sizes: np.ndarray) -> ApproxResult:
     totals = [0.0, 0.0, 0.0]  # summed term by term: sum() compensates on Python >= 3.12
     count = 0
-    for weight, mean, var, raw3 in _configurations(model, xi_vals, sizes, group.size):
+    for weight, mean, var, raw3 in _configurations(model, xi_vals, sizes, size_q):
         parts = _terms(weight, mean, var, raw3)
         totals = [reduce(operator.add, part.tolist(), t) for t, part in zip(totals, parts)]
         count += weight.size
@@ -259,16 +259,67 @@ def _sampled(
     return results
 
 
-def choose_mode(model: BlockModel, size_q: int, class_sizes: np.ndarray, mode: str) -> str:
-    """The mode :func:`mixture_probability` runs for a group of ``size_q``
-    agents: ``exact`` or ``sampled`` as given, and for ``auto`` exact when it
-    has at most :data:`MAX_EXACT_TERMS` terms, sampled otherwise."""
+def _choose_mode(model: BlockModel, size_q: int, class_sizes: np.ndarray, mode: str) -> str:
+    """The mode a group of ``size_q`` agents runs: ``exact`` or ``sampled``
+    as given, and for ``auto`` exact when it has at most
+    :data:`MAX_EXACT_TERMS` terms, sampled otherwise."""
     if mode == MODE_AUTO:
         enumerable = exact_term_count(model, size_q, class_sizes) <= MAX_EXACT_TERMS
         return MODE_EXACT if enumerable else MODE_SAMPLED
     if mode in (MODE_EXACT, MODE_SAMPLED):
         return mode
     raise ValueError(f"unknown mode {mode!r}")
+
+
+@dataclass(frozen=True)
+class PrefixApprox:
+    """Approximations of nested prefix groups, one :class:`ApproxResult` each;
+    the sampled ones are read from the same configurations."""
+
+    results: tuple[ApproxResult, ...]
+
+    @property
+    def mode(self) -> str:
+        """The mode every group ran, or ``mixed`` when both modes ran."""
+        return "mixed" if len({r.mode for r in self.results}) > 1 else self.results[0].mode
+
+    @property
+    def config_count(self) -> int:
+        """Configurations summed over the groups, as one
+        :func:`mixture_probability` call per group would report them."""
+        return sum(r.config_count for r in self.results)
+
+
+def mixture_prefixes(
+    params: RiskParams,
+    model: BlockModel,
+    group_sizes,
+    mode: str,
+    m_configs: int = 10_000,
+    base_seed: int = 0,
+    threads: int = 1,
+) -> PrefixApprox:
+    """:func:`mixture_probability` for each prefix group ``{1, ..., k}``, ``k``
+    in the increasing ``group_sizes``, each in the mode ``mode`` gives it.
+
+    Exact-mode sizes are enumerated one by one.  Sampled-mode sizes share
+    one pass over nested configurations (:func:`netgen.sample_configurations`),
+    so each one's result has the law of its own call, and their errors are
+    positively correlated.  One size gives :func:`mixture_probability`'s bits.
+    """
+    AgentSubset((max(group_sizes),)).validate_for(params.q)  # the largest group's last agent
+    sizes = params.class_sizes
+    xi_vals = params.class_ratio / params.lam
+    modes = [_choose_mode(model, k, sizes, mode) for k in group_sizes]
+    sampled = [k for k, m in zip(group_sizes, modes) if m == MODE_SAMPLED]
+    coupled = iter(
+        _sampled(model, sampled, xi_vals, sizes, m_configs, base_seed, threads) if sampled else ()
+    )
+    results = [
+        next(coupled) if m == MODE_SAMPLED else _exact(model, k, xi_vals, sizes)
+        for k, m in zip(group_sizes, modes)
+    ]
+    return PrefixApprox(tuple(results))
 
 
 def mixture_probability(
@@ -295,50 +346,8 @@ def mixture_probability(
         threads: Worker threads (never affects the result).
     """
     group.validate_for(params.q)
-    sizes = params.class_sizes
-    xi_vals = params.class_ratio / params.lam
-    if choose_mode(model, group.size, sizes, mode) == MODE_EXACT:
-        return _exact(model, group, xi_vals, sizes)
-    return _sampled(model, [group.size], xi_vals, sizes, m_configs, base_seed, threads)[0]
-
-
-@dataclass(frozen=True)
-class PrefixApprox:
-    """Sampled-mode approximations of nested groups, one
-    :class:`ApproxResult` each, read from the same configurations."""
-
-    results: tuple[ApproxResult, ...]
-    mode = MODE_SAMPLED
-
-    @property
-    def config_count(self) -> int:
-        """Configurations summed over the groups, as one
-        :func:`mixture_probability` call per group would report them."""
-        return sum(r.config_count for r in self.results)
-
-
-def sampled_prefixes(
-    params: RiskParams,
-    model: BlockModel,
-    group_sizes,
-    m_configs: int = 10_000,
-    base_seed: int = 0,
-    threads: int = 1,
-) -> PrefixApprox:
-    """:func:`mixture_probability`'s sampled mode for groups of each of the
-    increasing ``group_sizes``, from one pass over nested configurations.
-
-    The groups share their first agents' types and the object counts
-    (:func:`netgen.sample_configurations`), so each group's result has the
-    law of its own sampled-mode call, and the errors of different groups
-    are positively correlated.  One group gives that call's bits.
-    """
-    AgentSubset.prefix(max(group_sizes)).validate_for(params.q)
-    xi_vals = params.class_ratio / params.lam
-    results = _sampled(
-        model, group_sizes, xi_vals, params.class_sizes, m_configs, base_seed, threads
-    )
-    return PrefixApprox(tuple(results))
+    one = mixture_prefixes(params, model, [group.size], mode, m_configs, base_seed, threads)
+    return one.results[0]
 
 
 def phase_classify(

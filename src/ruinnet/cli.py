@@ -34,7 +34,7 @@ from .model import AgentSubset, RiskParams
 from .netgen import BlockModel
 from .output import fmt, render_csv, sweep_svg
 from .pathsim import oracle_psi
-from .ruin import estimate, estimate_prefixes, estimate_psi
+from .ruin import estimate, estimate_prefixes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,6 @@ EXIT_ORACLE = 3
 SEED_ENV_VAR = "RUINNET_SEED"
 DEFAULT_SEED = 42
 DEFAULT_NS_GRID = (3, 4, 5, 6)
-APPROX_MODES = (approx.MODE_EXACT, approx.MODE_SAMPLED, approx.MODE_AUTO)
 
 # Caps on the sample counts: the schedulers build one task list per count
 # before they sample anything, so a count must bound that list.
@@ -294,7 +293,7 @@ KEYS = {
     "horizon": Key(_real, 1000.0),
     "outer_networks": Key(_integer, 200, MAX_OUTER_NETWORKS),
     "inner_paths": Key(_integer, 500, MAX_INNER_PATHS),
-    "approx_mode": Key(_choice, approx.MODE_AUTO, APPROX_MODES),
+    "approx_mode": Key(_choice, "auto", approx.MODES),
     "m_configs": Key(_integer, 10_000, MAX_M_CONFIGS),
 }
 
@@ -324,7 +323,7 @@ def parse_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     mode, m = cfg["approx_mode"], cfg["m_configs"]
-    if mode != approx.MODE_EXACT and m < approx.MIN_SAMPLED_CONFIGS:
+    if mode != "exact" and m < approx.MIN_SAMPLED_CONFIGS:
         raise ConfigError(
             f"m_configs must be at least {approx.MIN_SAMPLED_CONFIGS} in {mode} mode, got {m}"
         )
@@ -357,10 +356,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Sweep the group size 1..q for every ns in the grid: one
     :class:`SweepRow`, as a dict, per point.
 
-    Per ns, one nested estimator pass serves every group size, and one
-    sampled-mode pass every size that sampled mode takes; each exact-mode
-    point is its own enumeration.  The points of one ns share their draws,
-    so the errors of neighbouring group sizes are positively correlated.
+    Per ns, one :func:`ruin.estimate_prefixes` call and one
+    :func:`approx.mixture_prefixes` call serve every group size.  The
+    points of one ns share their draws, so the errors of neighbouring group
+    sizes are positively correlated.
     """
     if cfg.group is not None:
         raise ConfigError("sweep ranges over group sizes; leave 'group' unset")
@@ -374,23 +373,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
         estimates = estimate_prefixes(
             params, cfg.network, sizes, cfg.replicates, cfg.seed, cfg.threads
         ).estimates
-        sampled = [
-            k
-            for k in sizes
-            if approx.choose_mode(cfg.network, k, params.class_sizes, cfg.approx_mode)
-            == approx.MODE_SAMPLED
-        ]
-        coupled = {}
-        if sampled:
-            results = approx.sampled_prefixes(
-                params, cfg.network, sampled, cfg.m_configs, cfg.seed, cfg.threads
-            ).results
-            coupled = dict(zip(sampled, results))
-        for k, est in zip(sizes, estimates):
-            ap = coupled.get(k)
-            if ap is None:
-                group = AgentSubset.prefix(k)
-                ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_EXACT)
+        approximations = approx.mixture_prefixes(
+            params, cfg.network, sizes, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
+        ).results
+        for k, est, ap in zip(sizes, estimates, approximations):
             psi = est.psi
             row = SweepRow(
                 qsize=k,
@@ -421,7 +407,7 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
-        ap = approx.mixture_probability(params, cfg.network, group, approx.MODE_EXACT)
+        ap = approx.mixture_probability(params, cfg.network, group, "exact")
         tail = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads).tail
         del params  # so that the next row's RiskParams is built without this row's arrays
         rows.append(
@@ -450,7 +436,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
             f"expected claims per path, got horizon {cfg.horizon:g}"
         )
     group = cfg.group or AgentSubset.prefix(cfg.q)
-    psi = estimate_psi(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+    psi = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads).psi
     oracle = oracle_psi(
         params,
         cfg.network,

@@ -1,5 +1,5 @@
 """Risk-model parameters, the premium-class partition of the objects, and
-proportional loss-sharing weights.
+the proportional scaling constant ``r_q``.
 
 Each object (insured risk) carries a premium rate ``c_j`` and a mean claim
 size ``mu_j``; claims arrive at a common Poisson intensity ``lam``.  A group
@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-#: Floating-point slack allowed on the column-sum condition of the
-#: weighted adjacency matrix.
-COLUMN_SUM_TOL = 1e-12
 
 #: The smallest positive normal float.  Below it, a ratio ``c/mu`` lets
 #: the PK ratio overflow, and a mean claim size lets the ruin summand's
@@ -193,33 +189,3 @@ def proportional_r(params: RiskParams, group: AgentSubset) -> float:
     """
     group.validate_for(params.q)
     return float(params.mu.min()) / (params.q - group.size + 1)
-
-
-def proportional_weights(
-    incidence: np.ndarray, group: AgentSubset, params: RiskParams, r_q: float
-) -> np.ndarray:
-    """Proportional loss-sharing weights of one incidence matrix or a stack of them.
-
-    ``incidence`` has shape ``(..., q, d)``; every agent connected to object
-    ``j`` carries the share ``r_q / (n_j * mu_j)``, where ``n_j`` counts the
-    group members connected to ``j`` in the same matrix, and an object with
-    no group connection gets an all-zero column (0/0 := 0).  The result has
-    the shape of ``incidence``.
-
-    Raises:
-        ValueError: If a column sum exceeds ``1 + COLUMN_SUM_TOL``, which
-            signals an invalid ``r_q``.
-    """
-    inc = np.asarray(incidence, dtype=bool)
-    group_degree = inc[..., group.zero_based(), :].sum(axis=-2)
-    connected = group_degree > 0
-    share = np.zeros(group_degree.shape)
-    share[connected] = r_q / (group_degree * params.mu)[connected]
-    A = inc.astype(np.float64) * share[..., None, :]
-    col = A.sum(axis=-2)
-    if (col > 1.0 + COLUMN_SUM_TOL).any():
-        worst = float(col.max())
-        raise ValueError(
-            f"column sum {worst:.6g} exceeds 1: scaling constant r_q={r_q:.6g} is too large"
-        )
-    return A

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .model import AgentSubset, RiskParams, proportional_r, proportional_weights
+from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel, sample_incidence
 from .ruin import EstimateWithCI
 from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, map_blocks, pairwise_sum, stream
@@ -164,7 +164,8 @@ def oracle_psi(
         """Ruined-path counts of networks ``lo .. hi-1``."""
         rng = stream(base_seed, ORACLE_NET_DOMAIN, k)
         incidence = sample_incidence(model, params.q, params.d, rng, hi - lo)
-        exposure = proportional_weights(incidence, group, params, r_q)[:, rows, :].sum(axis=1)
+        # the members' equal shares of an object they insure add up to r_q / mu_j
+        exposure = np.where(incidence[:, rows, :].any(axis=1), r_q / params.mu, 0.0)
         ruined = np.zeros(hi - lo, dtype=np.int64)
         paths = (hi - lo) * inner_paths
         for b, start in enumerate(range(0, paths, PATH_BATCH)):

@@ -1,10 +1,14 @@
-"""Reference per-object safety loadings and the classical ruin formula.
+"""Reference per-object safety loadings, proportional weights and the
+classical ruin formula.
 
 The package keys objects by their premium-to-claim ratio ``c_j/mu_j``
 (:attr:`ruinnet.model.RiskParams.class_ratio`); these per-object loadings
 are the reference that the per-object mixture statistics in
-``approx_reference`` are written in.  :func:`classical_ruin` is the
-closed-form oracle of the degenerate one-agent, one-object network.
+``approx_reference`` are written in.  :func:`proportional_weights` builds
+the full weighted adjacency matrix whose group rows ``pathsim_reference``
+sums; the oracle reads that sum directly as ``r_q / mu_j``.
+:func:`classical_ruin` is the closed-form oracle of the degenerate
+one-agent, one-object network.
 """
 
 import math
@@ -12,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ruinnet.model import RiskParams
+from ruinnet.model import AgentSubset, RiskParams
+
+#: Floating-point slack allowed on the column-sum condition of the
+#: weighted adjacency matrix.
+COLUMN_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,36 @@ def compute_loadings(params: RiskParams) -> LoadingVector:
     rho = params.lam * params.mu / params.c
     xi = params.c / (params.lam * params.mu)
     return LoadingVector(rho=rho, xi=xi)
+
+
+def proportional_weights(
+    incidence: np.ndarray, group: AgentSubset, params: RiskParams, r_q: float
+) -> np.ndarray:
+    """Proportional loss-sharing weights of one incidence matrix or a stack of them.
+
+    ``incidence`` has shape ``(..., q, d)``; every agent connected to object
+    ``j`` carries the share ``r_q / (n_j * mu_j)``, where ``n_j`` counts the
+    group members connected to ``j`` in the same matrix, and an object with
+    no group connection gets an all-zero column (0/0 := 0).  The result has
+    the shape of ``incidence``.
+
+    Raises:
+        ValueError: If a column sum exceeds ``1 + COLUMN_SUM_TOL``, which
+            signals an invalid ``r_q``.
+    """
+    inc = np.asarray(incidence, dtype=bool)
+    group_degree = inc[..., group.zero_based(), :].sum(axis=-2)
+    connected = group_degree > 0
+    share = np.zeros(group_degree.shape)
+    share[connected] = r_q / (group_degree * params.mu)[connected]
+    A = inc.astype(np.float64) * share[..., None, :]
+    col = A.sum(axis=-2)
+    if (col > 1.0 + COLUMN_SUM_TOL).any():
+        worst = float(col.max())
+        raise ValueError(
+            f"column sum {worst:.6g} exceeds 1: scaling constant r_q={r_q:.6g} is too large"
+        )
+    return A
 
 
 def classical_ruin(lam: float, mu_j: float, c_j: float, u: float) -> float:

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from ruinnet.model import AgentSubset, RiskParams, proportional_r, proportional_weights
+from model_reference import proportional_weights
+from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.pathsim import _CLAIM_CHUNK, PATH_BATCH, simulate_ruin_batch
 from ruinnet.ruin import EstimateWithCI
 from ruinnet.streams import PATH_DOMAIN, StreamKey, stream

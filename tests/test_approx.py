@@ -21,15 +21,16 @@ from approx_reference import (
 )
 from model_reference import compute_loadings
 from ruin_reference import pk_value
+from ruinnet import approx
 from ruinnet.approx import (
     INDETERMINATE,
     TAIL_TO_ONE,
     TAIL_TO_ZERO,
     _stats_from_counts,
+    mixture_prefixes,
     mixture_probability,
     normal_positive_prob,
     phase_classify,
-    sampled_prefixes,
 )
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
@@ -431,7 +432,8 @@ def random_exact_instance(rng):
 
 
 class TestSampledPrefixes:
-    """Sampled mode over nested groups from one pass of configurations."""
+    """:func:`mixture_prefixes` in sampled mode: nested groups from one pass
+    of configurations."""
 
     PARAMS = RiskParams(
         lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05, 0.95], mu=np.ones(6), u=np.ones(4)
@@ -444,7 +446,7 @@ class TestSampledPrefixes:
 
     def test_agrees_with_exact_mode(self):
         # an enumerable 3x3 blockmodel: each group within 4 sampling errors
-        coupled = sampled_prefixes(self.PARAMS, self.MODEL, [1, 2, 3, 4], 50_000, 8)
+        coupled = mixture_prefixes(self.PARAMS, self.MODEL, [1, 2, 3, 4], "sampled", 50_000, 8)
         assert coupled.mode == "sampled" and coupled.config_count == 4 * 50_000
         for size, sa in zip([1, 2, 3, 4], coupled.results):
             ex = mixture_probability(self.PARAMS, self.MODEL, AgentSubset.prefix(size), "exact")
@@ -473,15 +475,77 @@ class TestSampledPrefixes:
                 assert (
                     got.probability, got.stein_bound, got.sampling_stderr, got.degenerate_weight
                 ) == want
-                nested = sampled_prefixes(self.PARAMS, model, [size], m_configs, 5, threads)
+                nested = mixture_prefixes(
+                    self.PARAMS, model, [size], "sampled", m_configs, 5, threads
+                )
                 assert nested.results == (got,)
 
     def test_thread_count_never_changes_result(self):
         results = [
-            sampled_prefixes(self.PARAMS, self.MODEL, [2, 3, 4], 2 * BLOCK_SIZE + 5, 6, threads)
+            mixture_prefixes(
+                self.PARAMS, self.MODEL, [2, 3, 4], "sampled", 2 * BLOCK_SIZE + 5, 6, threads
+            )
             for threads in (1, 2, 3)
         ]
         assert results[0] == results[1] == results[2]
+
+
+class TestMixturePrefixes:
+    """One :func:`mixture_prefixes` call per sweep ns: each size in its own
+    mode, exact sizes enumerated one by one, sampled sizes from one pass."""
+
+    PARAMS = TestSampledPrefixes.PARAMS
+    MODEL = TestSampledPrefixes.MODEL
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled", "auto"])
+    @pytest.mark.parametrize(
+        "model",
+        [MODEL, BlockModel(w=[0.6, 0.4], v=[1.0], p=[[0.3], [0.8]]), BlockModel.bernoulli(0.4)],
+        ids=["sbm", "agent_types_only", "bernoulli"],
+    )
+    def test_one_size_gives_mixture_probability_bits(self, model, mode):
+        for size in (1, 4):
+            for threads in (1, 2):
+                one = mixture_probability(
+                    self.PARAMS, model, AgentSubset.prefix(size), mode, 300, 9, threads
+                )
+                nested = mixture_prefixes(self.PARAMS, model, [size], mode, 300, 9, threads)
+                assert nested.results == (one,)
+                assert (nested.mode, nested.config_count) == (one.mode, one.config_count)
+
+    def test_mixed_sizes(self, monkeypatch):
+        # two classes of 3 objects on 3 object types: 100 object configurations
+        # times 3, 6, 10, 15 agent compositions; a cap of 700 terms makes auto
+        # pick exact mode for groups of 1 and 2 and sampled mode for 3 and 4
+        monkeypatch.setattr(approx, "MAX_EXACT_TERMS", 700)
+        m_configs = BLOCK_SIZE + 33
+        runs = [
+            mixture_prefixes(self.PARAMS, self.MODEL, [1, 2, 3, 4], "auto", m_configs, 4, threads)
+            for threads in (1, 2)
+        ]
+        assert runs[0] == runs[1]
+        mixed = runs[0]
+        assert [r.mode for r in mixed.results] == ["exact", "exact", "sampled", "sampled"]
+        for size, got in zip([1, 2], mixed.results):
+            want = mixture_probability(self.PARAMS, self.MODEL, AgentSubset.prefix(size), "exact")
+            assert got == want
+        coupled = mixture_prefixes(self.PARAMS, self.MODEL, [3, 4], "sampled", m_configs, 4)
+        assert mixed.results[2:] == coupled.results
+        assert mixed.mode == "mixed"
+        assert mixed.config_count == 300 + 600 + 2 * m_configs
+
+    @pytest.mark.parametrize(
+        "sizes, mode, match",
+        [
+            ([5], "exact", "exceeds agent count"),
+            ([2, 5], "sampled", "exceeds agent count"),
+            ([1, 2], "closed_form", "unknown mode"),
+            ([3, 2], "sampled", "increas"),
+        ],
+    )
+    def test_rejects_bad_sizes_and_modes(self, sizes, mode, match):
+        with pytest.raises(ValueError, match=match):
+            mixture_prefixes(self.PARAMS, self.MODEL, sizes, mode, 200)
 
 
 class TestExactAgainstReferenceLoop:

@@ -335,22 +335,23 @@ class TestCmdSweep:
     def test_one_nested_pass_per_ns(self, monkeypatch):
         # auto mode on 3 agent and 3 object types, two classes of 24 (then 20
         # and 28) objects: exact for groups of 1 and 2 (up to 6 * 105 625
-        # configurations), sampled from 3 agents (10 * 105 625 > 1e6)
-        calls = []
+        # configurations), sampled from 3 agents (10 * 105 625 > 1e6); the
+        # mode of each size is approx's business, so sweep asks it once
+        calls, modes = [], []
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append((name, args[2] if name != "exact" else args[2].size))
-                return fn(*args, **kwargs)
+                calls.append((name, list(args[2])))
+                result = fn(*args, **kwargs)
+                if name == "approx":
+                    modes.append([r.mode for r in result.results])
+                return result
 
             return wrapped
 
         monkeypatch.setattr(cli, "estimate_prefixes", spy("estimate", cli.estimate_prefixes))
         monkeypatch.setattr(
-            cli.approx, "sampled_prefixes", spy("sampled", cli.approx.sampled_prefixes)
-        )
-        monkeypatch.setattr(
-            cli.approx, "mixture_probability", spy("exact", cli.approx.mixture_probability)
+            cli.approx, "mixture_prefixes", spy("approx", cli.approx.mixture_prefixes)
         )
         doc = dict(
             figure_doc(q=4, d=48, replicates=500, ns_grid=[24, 20], m_configs=200),
@@ -363,10 +364,8 @@ class TestCmdSweep:
         )
         rows = cmd_sweep(parse_config(doc))
         assert [r["qsize"] for r in rows] == [1, 2, 3, 4] * 2
-        per_ns = [
-            ("estimate", range(1, 5)), ("sampled", [3, 4]), ("exact", 1), ("exact", 2)
-        ]
-        assert calls == per_ns * 2
+        assert calls == [("estimate", [1, 2, 3, 4]), ("approx", [1, 2, 3, 4])] * 2
+        assert modes == [["exact", "exact", "sampled", "sampled"]] * 2
 
     def test_rows_cover_grid(self):
         cfg = parse_config(figure_doc(replicates=500, ns_grid=[4, 6]))
@@ -518,9 +517,9 @@ class TestCmdOracle:
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
     def test_bad_horizon_exits_2_before_the_estimator(self, tmp_path, capsys, monkeypatch, horizon):
         def never(*args, **kwargs):
-            raise AssertionError("estimate_psi ran before the horizon was checked")
+            raise AssertionError("estimate ran before the horizon was checked")
 
-        monkeypatch.setattr(cli, "estimate_psi", never)
+        monkeypatch.setattr(cli, "estimate", never)
         rc, out, err = run_main(tmp_path, capsys, "oracle", degenerate_doc(horizon=horizon))
         assert (rc, out) == (2, "")
         assert err.startswith("error: horizon must be finite and positive")
@@ -904,8 +903,9 @@ class TestGoldenOutput:
 
     Each file is the output of ``ruinnet <command> --config
     tests/golden/<command>/config.json --format <csv|json>`` (for sweep
-    also ``--svg tests/golden/sweep/plot.svg``).  Rewrite a file only for
-    an output change that is meant.
+    also ``--svg tests/golden/sweep/plot.svg``).  ``tests/golden/sweep_mixed``
+    holds a sweep whose points run both approximation modes, in csv only.
+    Rewrite a file only for an output change that is meant.
     """
 
     @pytest.mark.parametrize("fmt_name", ["csv", "json"])
@@ -920,3 +920,12 @@ class TestGoldenOutput:
         assert capsys.readouterr().out.encode("utf-8") == expected
         if command == "sweep":
             assert (tmp_path / "plot.svg").read_bytes() == (case / "plot.svg").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mixed_mode_sweep_matches_golden(self, capsys, threads):
+        # auto runs exact mode for groups of 1 and 2 and sampled mode for 3
+        # and 4: the one golden file with sampled points
+        case = GOLDEN / "sweep_mixed"
+        args = ["sweep", "--config", str(case / "config.json"), "--format", "csv"]
+        assert main([*args, "--threads", threads]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (case / "stdout.csv").read_bytes()

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_reference import classical_ruin, compute_loadings
-from ruinnet.model import AgentSubset, RiskParams, proportional_r, proportional_weights
+from model_reference import classical_ruin, compute_loadings, proportional_weights
+from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.ruin import estimate
 

@@ -14,7 +14,7 @@ from pathsim_reference import (
     ruin_path,
     simulate_ruin_path_per_object,
 )
-from ruinnet.model import AgentSubset, RiskParams
+from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.pathsim import NETWORK_BLOCK, PATH_BATCH, oracle_psi, simulate_ruin_batch
 from ruinnet.ruin import estimate_psi
@@ -155,6 +155,60 @@ class TestMergedClaimStream:
         se = math.hypot(*(math.sqrt(p * (1 - p) / n) for p in (merged, reference)))
         assert 0.1 < reference < 0.9
         assert abs(merged - reference) < 4 * se
+
+
+#: ``oracle_psi`` on Bernoulli(0.5) networks at horizon 50, 40 networks of 16
+#: paths, unit reserves: ``(q, d, group size, c, mu, seed)`` and the
+#: ``(mean, stderr)`` it returned, as float hex, when the oracle summed the
+#: group rows of the full weight matrix.  On all but the fourth instance that
+#: sum differs from ``r_q / mu_j`` by an ulp on some objects of some networks.
+ORACLE_PINS = [
+    ((3, 4, 3, [0.9, 1.0, 1.1, 1.3], [1.0, 0.7, 1.3, 1.1], 11),
+     ("0x1.259999999999ap-1", "0x1.4dceef0084db7p-6")),
+    ((4, 3, 3, [1.05, 0.95, 1.2], [0.3, 0.9, 1.7], 12),
+     ("0x1.8000000000000p-5", "0x1.1dc6a9cda880ap-6")),
+    ((4, 4, 4, [1.1, 1.0, 0.9, 1.2], [1.1, 0.7, 0.3, 2.3], 13),
+     ("0x1.2666666666666p-5", "0x1.30508d3a6e8f1p-6")),
+    ((5, 3, 5, [1.0, 1.3, 0.9], [0.7, 1.9, 1.1], 14),
+     ("0x1.5e66666666666p-1", "0x1.8763dca38c7c8p-6")),
+    ((5, 4, 4, [0.95, 1.05, 1.15, 1.0], [1.3, 0.3, 0.7, 1.7], 15),
+     ("0x1.0000000000000p-7", "0x1.6cd01dd595c7fp-8")),
+]
+
+
+class TestOracleExposure:
+    """The oracle reads a group's exposure as ``r_q / mu_j`` on every object
+    a member insures, in place of the summed proportional weights."""
+
+    @pytest.mark.parametrize(
+        "case, pinned", ORACLE_PINS, ids=[f"seed{case[-1]}" for case, _ in ORACLE_PINS]
+    )
+    def test_groups_of_three_to_five_keep_their_results(self, case, pinned):
+        q, d, size, c, mu, seed = case
+        params = RiskParams(lam=1.0, c=c, mu=mu, u=np.ones(q))
+        model, group = BlockModel.bernoulli(0.5), AgentSubset.prefix(size)
+        est = oracle_psi(params, model, group, 50.0, 40, 16, seed)
+        assert (est.mean.hex(), est.stderr.hex()) == pinned
+
+    def test_summed_weights_are_r_over_mu_on_connected_objects(self):
+        # bit for bit for one and two members (x/2 + x/2 is exact), within
+        # 2 ulp for three to five
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            q, d = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            params = RiskParams(
+                lam=1.0, c=rng.uniform(0.8, 1.3, d), mu=rng.uniform(0.2, 3.0, d), u=np.ones(q)
+            )
+            group = AgentSubset.prefix(int(rng.integers(1, q + 1)))
+            incidence = rng.random((q, d)) < 0.5
+            summed, _ = group_exposure(params, incidence, group)
+            direct = np.where(
+                incidence[: group.size].any(axis=0), proportional_r(params, group) / params.mu, 0.0
+            )
+            if group.size <= 2:
+                np.testing.assert_array_equal(summed, direct)
+            else:
+                np.testing.assert_array_max_ulp(summed, direct, maxulp=2)
 
 
 class TestOraclePsi:
