@@ -38,6 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import netgen
 from .model import AgentSubset, RiskParams
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
 from .streams import APPROX_DOMAIN, block_totals, mean_stderr
@@ -307,7 +308,8 @@ def mixture_prefixes(
     so each one's result has the law of its own call, and their errors are
     positively correlated.  One size gives :func:`mixture_probability`'s bits.
     """
-    AgentSubset((max(group_sizes),)).validate_for(params.q)  # the largest group's last agent
+    largest = int(netgen.nested_sizes(group_sizes)[-1])
+    AgentSubset((largest,)).validate_for(params.q)  # the largest group's last agent
     sizes = params.class_sizes
     xi_vals = params.class_ratio / params.lam
     modes = [_choose_mode(model, k, sizes, mode) for k in group_sizes]

@@ -192,11 +192,15 @@ def _integer(value, name: str, cap: Optional[int] = None) -> int:
     return n
 
 
-def _at_least(value, name: str, low: int) -> int:
-    n = _integer(value, name)
+def _at_least(value, name: str, low: int, cap: Optional[int] = None) -> int:
+    n = _integer(value, name, cap)
     if n < low:
         raise ConfigError(f"{name} must be at least {low}, got {n}")
     return n
+
+
+def _between(value, name: str, bounds: tuple[int, int]) -> int:
+    return _at_least(value, name, *bounds)
 
 
 def _integers(value, name: str, _=None) -> tuple[int, ...]:
@@ -291,8 +295,8 @@ KEYS = {
     "threads": Key(_at_least, 1, 1),
     "ns_grid": Key(_integers, None),
     "horizon": Key(_real, 1000.0),
-    "outer_networks": Key(_integer, 200, MAX_OUTER_NETWORKS),
-    "inner_paths": Key(_integer, 500, MAX_INNER_PATHS),
+    "outer_networks": Key(_between, 200, (2, MAX_OUTER_NETWORKS)),
+    "inner_paths": Key(_between, 500, (1, MAX_INNER_PATHS)),
     "approx_mode": Key(_choice, "auto", approx.MODES),
     "m_configs": Key(_integer, 10_000, MAX_M_CONFIGS),
 }

@@ -122,6 +122,15 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     return 1.0 - np.prod((1.0 - model.p) ** m[..., :, None], axis=-2)
 
 
+def nested_sizes(group_sizes) -> np.ndarray:
+    """``group_sizes`` as an ``int64`` vector, checked to be nonempty, positive
+    and increasing: the sizes of nested groups."""
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes[0] < 1 or (sizes[1:] <= sizes[:-1]).any():
+        raise ValueError(f"group sizes must be positive and increasing, got {sizes.tolist()}")
+    return sizes
+
+
 def _prefix_agent_counts(
     model: BlockModel, group_sizes, rng: np.random.Generator, n: int
 ) -> np.ndarray:
@@ -133,9 +142,7 @@ def _prefix_agent_counts(
     ``(n, J, K)``, or ``(1, J, 1)`` (nothing drawn) if ``K == 1``.  With one
     group it draws the bits of ``rng.multinomial(size, w, size=n)``.
     """
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes[0] < 1 or (sizes[1:] <= sizes[:-1]).any():
-        raise ValueError(f"group sizes must be positive and increasing, got {sizes.tolist()}")
+    sizes = nested_sizes(group_sizes)
     if model.K == 1:
         return sizes[None, :, None]
     layers = sizes.copy()

@@ -1,13 +1,13 @@
 """Direct simulation of compound-Poisson surplus paths.
 
-Serves as a brute-force oracle for the ruin estimators: claims for each
-object arrive as a Poisson process of intensity ``lam`` and are
-exponentially sized, the group deficit is the weighted sum of object
-losses minus premium inflow, and ruin is the deficit reaching the group's
-total reserve.  The claim processes of the group's exposed objects are
-simulated as their superposition: one Poisson process of rate
-``lam * (number of exposed objects)`` whose claims each hit a uniformly
-drawn exposed object.
+Serves as a brute-force oracle for the ruin estimators.  Each object's
+claims arrive at intensity ``lam`` with mean size ``mu_j``.  Under
+proportional weights the group carries ``r_q / mu_j`` of every object a
+member insures, so each claim that reaches it costs ``r_q * Exp(1)``,
+whichever object it hits.  In units of ``r_q`` the group's surplus on a
+fixed network is thus a Cramér–Lundberg process: claims at rate
+``lam * n`` over its ``n`` connected objects, each ``Exp(1)``, premium
+inflow ``sum_j c_j / mu_j`` over the same objects, and reserve ``U / r_q``.
 
 One kernel, :func:`simulate_ruin_batch`, runs a batch of at most
 :data:`PATH_BATCH` paths from one stream as ``(rows x _CLAIM_CHUNK)``
@@ -17,7 +17,7 @@ networks in fixed blocks and runs each block's paths through the kernel
 in batches, one stream per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
-carries any exposure, so checking ruin only at claim epochs is exact.
+has a connected object, so checking ruin only at claim epochs is exact.
 The finite horizon truncates late ruin events, making every frequency
 reported here a lower bound on the infinite-horizon probability.
 """
@@ -47,78 +47,58 @@ NETWORK_BLOCK = 256
 
 
 def simulate_ruin_batch(
-    params: RiskParams,
-    exposure: np.ndarray,
-    total_reserve: float,
+    rate: np.ndarray,
+    premium: np.ndarray,
+    reserve: float,
     horizon: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Ruin flags of a batch of independent surplus paths drawn from ``rng``.
 
-    Row ``i`` of ``exposure`` (shape ``(rows, d)``, ``rows <= PATH_BATCH``)
-    is the group's share of each object's losses on path ``i``.  Its
-    claims form one Poisson process of rate ``lam * n_i`` (``n_i`` exposed
-    objects); each claim hits a uniformly drawn exposed object ``j`` and
-    adds ``exposure_ij * Exp(mean mu_j)`` to the deficit.  Each chunk draws,
-    for every row still in the batch, ``_CLAIM_CHUNK`` gap uniforms, then
-    object marks (only for rows with more than one exposed object), then
-    size uniforms.
+    Path ``i`` (at most :data:`PATH_BATCH` of them) is a Cramér–Lundberg
+    process in units of the claim scale: claims arrive at rate ``rate[i]``
+    and are ``Exp(1)``, premium flows in at ``premium[i]``, and the path
+    starts ``reserve`` above ruin.  Each chunk draws, for every row still
+    in the batch, ``_CLAIM_CHUNK`` gap uniforms, then ``_CLAIM_CHUNK`` size
+    uniforms.
 
-    A row leaves the batch at its first crossing of ``total_reserve``, and
-    its flag is whether that crossing's epoch is within the horizon; it
-    never leaves for passing the horizon.  The batch stops once no row
-    still in it is before the horizon, so the claims drawn do not depend on
-    the horizon and a longer horizon replays them: flags are monotone in
-    the horizon.  A row without exposure draws nothing and never ruins; a
-    zero ``total_reserve`` is ruin at time zero.
+    A row leaves the batch at its first crossing of ``reserve``, and its
+    flag is whether that crossing's epoch is within the horizon; it never
+    leaves for passing the horizon.  The batch stops once no row still in
+    it is before the horizon, so the claims drawn do not depend on the
+    horizon and a longer horizon replays them: flags are monotone in the
+    horizon.  A row of rate 0 draws nothing and never ruins; a zero
+    ``reserve`` is ruin at time zero.
     """
-    exposure = np.asarray(exposure, dtype=np.float64)
-    if exposure.ndim != 2 or exposure.shape[0] > PATH_BATCH:
-        raise ValueError(f"exposure must have shape (rows, d) with at most {PATH_BATCH} rows")
-    if total_reserve <= 0.0:
-        return np.ones(exposure.shape[0], dtype=bool)  # deficit starts at zero
-    flags = np.zeros(exposure.shape[0], dtype=bool)
-    active = exposure > 0
-    count = active.sum(axis=1)
-    live = np.flatnonzero(count)
-    if live.size == 0:
-        return flags
-    # each live row's exposed objects first, in index order
-    order = np.argsort(~active[live], axis=1, kind="stable")[:, : count.max()]
-    weight = np.take_along_axis(exposure[live], order, axis=1)
-    mean = params.mu[order]
-    drift = (weight * params.c[order]).sum(axis=1)
-    count = count[live]
-    rate = params.lam * count
+    rate = np.asarray(rate, dtype=np.float64)
+    premium = np.asarray(premium, dtype=np.float64)
+    if rate.ndim != 1 or rate.shape != premium.shape or rate.size > PATH_BATCH:
+        raise ValueError(f"rate and premium must be equal-length vectors, at most {PATH_BATCH} rows")
+    if reserve <= 0.0:
+        return np.ones(rate.size, dtype=bool)  # deficit starts at zero
+    flags = np.zeros(rate.size, dtype=bool)
+    live = np.flatnonzero(rate > 0)
+    rate, premium = rate[live], premium[live]
     t = np.zeros(live.size)
     cum_jumps = np.zeros(live.size)
-    while True:
+    while live.size:
         shape = (live.size, _CLAIM_CHUNK)
         gaps = -np.log1p(-rng.random(shape)) / rate[:, None]
-        marks = np.zeros(shape, dtype=np.int64)
-        several = count > 1
-        # integers(1) would draw no bits either; skipping it only saves time
-        if several.any():
-            high = count[several]
-            # a scalar bound draws the same bits as the broadcast one, several times faster
-            bound = high[0] if (high == high[0]).all() else high[:, None]
-            marks[several] = rng.integers(bound, size=(high.size, shape[1]))
-        pick = marks + np.arange(0, weight.size, weight.shape[1])[:, None]  # flat index
-        sizes = -mean.take(pick) * np.log1p(-rng.random(shape))
-        jumps = weight.take(pick) * sizes
+        jumps = -np.log1p(-rng.random(shape))
         epochs = t[:, None] + np.cumsum(gaps, axis=1)
-        deficit = cum_jumps[:, None] + np.cumsum(jumps, axis=1) - drift[:, None] * epochs
-        hit = deficit >= total_reserve
+        with np.errstate(over="ignore"):  # premium inflow beyond the float range: never ruins
+            deficit = cum_jumps[:, None] + np.cumsum(jumps, axis=1) - premium[:, None] * epochs
+        hit = deficit >= reserve
         crossed = hit.any(axis=1)
         first = hit[crossed].argmax(axis=1)
         flags[live[crossed]] = epochs[crossed, first] <= horizon
         stay = ~crossed
         if not (epochs[stay, -1] <= horizon).any():
-            return flags
+            break
         cum_jumps = cum_jumps[stay] + jumps[stay].sum(axis=1)
         t = epochs[stay, -1]
-        live, count, rate = live[stay], count[stay], rate[stay]
-        weight, mean, drift = weight[stay], mean[stay], drift[stay]
+        live, rate, premium = live[stay], rate[stay], premium[stay]
+    return flags
 
 
 def oracle_psi(
@@ -158,20 +138,22 @@ def oracle_psi(
     total_reserve = float(params.u[rows].sum())
     if not total_reserve > 0:
         raise ValueError("total reserve must be positive")
-    r_q = proportional_r(params, group)
+    reserve = total_reserve / proportional_r(params, group)
+    ratio = params.c / params.mu
 
     def block(k: int, lo: int, hi: int) -> np.ndarray:
         """Ruined-path counts of networks ``lo .. hi-1``."""
         rng = stream(base_seed, ORACLE_NET_DOMAIN, k)
         incidence = sample_incidence(model, params.q, params.d, rng, hi - lo)
-        # the members' equal shares of an object they insure add up to r_q / mu_j
-        exposure = np.where(incidence[:, rows, :].any(axis=1), r_q / params.mu, 0.0)
+        connected = incidence[:, rows, :].any(axis=1)
+        rate = params.lam * connected.sum(axis=1)
+        premium = np.where(connected, ratio, 0.0).sum(axis=1)
         ruined = np.zeros(hi - lo, dtype=np.int64)
         paths = (hi - lo) * inner_paths
         for b, start in enumerate(range(0, paths, PATH_BATCH)):
             network = np.arange(start, min(start + PATH_BATCH, paths)) // inner_paths
             rng = stream(base_seed, ORACLE_PATH_DOMAIN, k, b)
-            flags = simulate_ruin_batch(params, exposure[network], total_reserve, horizon, rng)
+            flags = simulate_ruin_batch(rate[network], premium[network], reserve, horizon, rng)
             ruined += np.bincount(network[flags], minlength=hi - lo)
         return ruined
 

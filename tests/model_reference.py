@@ -6,7 +6,8 @@ The package keys objects by their premium-to-claim ratio ``c_j/mu_j``
 are the reference that the per-object mixture statistics in
 ``approx_reference`` are written in.  :func:`proportional_weights` builds
 the full weighted adjacency matrix whose group rows ``pathsim_reference``
-sums; the oracle reads that sum directly as ``r_q / mu_j``.
+sums; that sum is ``r_q / mu_j`` on every connected object, which is why
+the oracle can simulate every claim as ``r_q * Exp(1)``.
 :func:`classical_ruin` is the closed-form oracle of the degenerate
 one-agent, one-object network.
 """

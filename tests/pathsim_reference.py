@@ -1,20 +1,25 @@
-"""Surplus paths of one fixed network, from the group's exposure vector.
+"""Surplus paths of one fixed network.
 
-A path is given by the risk parameters, the group's share of each
-object's losses (``exposure``, length ``d``), its pooled reserve and the
-horizon.  :func:`group_exposure` reads the first three off an incidence
-matrix.  :func:`ruin_path` runs one path as a one-row
-:func:`ruinnet.pathsim.simulate_ruin_batch`; :func:`ruin_flags` and
-:func:`ruin_frequency` run many in full batches.
+:func:`group_exposure` reads the group's share of each object's losses
+(the summed proportional weights) and its pooled reserve off one incidence
+matrix; :func:`group_claims` reads the kernel's parameters off the same
+matrix: in units of ``r_q``, the claim rate ``lam * n`` over the ``n``
+connected objects, the premium rate ``sum_j c_j / mu_j`` over them and the
+reserve ``U / r_q``.  :func:`ruin_path` runs one path as a one-row
+:func:`ruinnet.pathsim.simulate_ruin_batch` on a stream key;
+:func:`ruin_flags` and :func:`ruin_frequency` run many in full batches.
 
-:func:`simulate_ruin_path_per_object` is the reference simulator with one
-claim stream per exposed object: object ``j`` draws its own claim epochs
-and sizes up to the horizon from the stream ``key.path + (j,)``; the
-claims of all objects are merged by epoch and the deficit is checked at
-every claim.  A path with a single exposed object takes a chunked loop
-that stops at the first ruin.  The kernel simulates the superposed claim process instead;
-with one exposed object both give the same flag for the same key, and with
-several they agree in distribution.
+:func:`simulate_ruin_path_per_object` is the reference simulator for any
+exposure vector, with one claim stream per exposed object: object ``j``
+draws its own claim epochs and sizes ``Exp(mean mu_j)`` up to the horizon
+from the stream ``key.path + (j,)``, each claim costs ``exposure_j`` times
+its size, the claims of all objects are merged by epoch and the deficit is
+checked at every claim.  A path with a single exposed object takes a
+chunked loop that stops at the first ruin.  Under proportional exposures
+every claim costs ``r_q * Exp(1)``, which is the kernel's process: with
+one exposed object ``j``, and ``r_q`` and ``mu_j`` powers of two, the
+kernel on the stream ``key.path + (j,)`` gives the reference's flag for
+``key``; with several they agree in distribution.
 """
 
 import math
@@ -37,25 +42,31 @@ def group_exposure(params: RiskParams, incidence, group: AgentSubset) -> tuple[n
     return A[rows].sum(axis=0), float(params.u[rows].sum())
 
 
-def ruin_path(params, exposure, total_reserve, horizon, key: StreamKey) -> bool:
-    """One path on the stream ``key.path + (j0,)``, ``j0`` the first exposed
-    object.  With a single exposed object this is that object's own claim
-    process."""
-    active = np.flatnonzero(exposure > 0)
-    if active.size == 0:
-        return total_reserve <= 0.0
-    rng = StreamKey(key.base_seed, key.path + (int(active[0]),)).generator()
-    return bool(simulate_ruin_batch(params, exposure[None], total_reserve, horizon, rng)[0])
+def group_claims(params: RiskParams, incidence, group: AgentSubset) -> tuple[float, float, float]:
+    """``(rate, premium, reserve)`` of the group's surplus on one ``q x d``
+    incidence matrix, in units of ``r_q``."""
+    rows = group.zero_based()
+    connected = np.asarray(incidence, dtype=bool)[rows].any(axis=0)
+    premium = float((params.c / params.mu)[connected].sum())
+    reserve = float(params.u[rows].sum()) / proportional_r(params, group)
+    return params.lam * int(connected.sum()), premium, reserve
 
 
-def ruin_flags(params, exposure, total_reserve, horizon, paths: int, base_seed: int) -> np.ndarray:
-    """Ruin flags of ``paths`` independent paths: batch ``k`` of
-    :data:`PATH_BATCH` paths runs on the stream ``(base_seed, PATH_DOMAIN, k)``."""
+def ruin_path(rate, premium, reserve, horizon, key: StreamKey) -> bool:
+    """One path on the stream ``key``."""
+    return bool(simulate_ruin_batch([rate], [premium], reserve, horizon, key.generator())[0])
+
+
+def ruin_flags(rate, premium, reserve, horizon, paths: int, base_seed: int) -> np.ndarray:
+    """Ruin flags of ``paths`` independent paths, ``rate`` and ``premium`` one
+    value or one per path: batch ``k`` of :data:`PATH_BATCH` paths runs on the
+    stream ``(base_seed, PATH_DOMAIN, k)``."""
+    rate, premium = np.broadcast_to(rate, paths), np.broadcast_to(premium, paths)
     flags = [
         simulate_ruin_batch(
-            params,
-            np.broadcast_to(exposure, (min(PATH_BATCH, paths - lo), exposure.size)),
-            total_reserve,
+            rate[lo : lo + PATH_BATCH],
+            premium[lo : lo + PATH_BATCH],
+            reserve,
             horizon,
             stream(base_seed, PATH_DOMAIN, k),
         )
@@ -64,9 +75,9 @@ def ruin_flags(params, exposure, total_reserve, horizon, paths: int, base_seed: 
     return np.concatenate(flags)
 
 
-def ruin_frequency(params, exposure, total_reserve, horizon, paths, base_seed) -> EstimateWithCI:
+def ruin_frequency(rate, premium, reserve, horizon, paths, base_seed) -> EstimateWithCI:
     """Fraction of ruined paths among :func:`ruin_flags`, with its binomial error."""
-    flags = ruin_flags(params, exposure, total_reserve, horizon, paths, base_seed)
+    flags = ruin_flags(rate, premium, reserve, horizon, paths, base_seed)
     phat = int(flags.sum()) / paths
     return EstimateWithCI(
         mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / paths), replicates=paths

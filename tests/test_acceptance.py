@@ -17,7 +17,7 @@ from ruin_reference import pk_value
 from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, cmd_sweep, main, parse_config
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
-from pathsim_reference import group_exposure, ruin_frequency
+from pathsim_reference import group_claims, ruin_frequency
 from ruinnet.ruin import estimate, estimate_psi
 from ruinnet.approx import mixture_probability
 
@@ -136,8 +136,8 @@ def test_criterion_5_degenerate_closed_form():
     model = BlockModel.bernoulli(1.0)
     group = AgentSubset.prefix(1)
     est = estimate_psi(params, model, group, B=1000, base_seed=42)
-    exposure, total_reserve = group_exposure(params, np.ones((1, 1)), group)
-    freq = ruin_frequency(params, exposure, total_reserve, 1000.0, paths=100_000, base_seed=42)
+    claims = group_claims(params, np.ones((1, 1)), group)
+    freq = ruin_frequency(*claims, 1000.0, paths=100_000, base_seed=42)
     ok = (
         abs(est.mean - 0.90810) <= 1e-5
         and est.stderr <= 1e-12

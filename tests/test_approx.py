@@ -541,6 +541,13 @@ class TestMixturePrefixes:
             ([2, 5], "sampled", "exceeds agent count"),
             ([1, 2], "closed_form", "unknown mode"),
             ([3, 2], "sampled", "increas"),
+            ([3, 2], "exact", "increas"),
+            ([2, 2], "exact", "increas"),
+            ([0, 1], "exact", "positive"),
+            ([], "exact", "positive"),
+            ([2, 2], "auto", "increas"),
+            ([0, 1], "auto", "positive"),
+            ([], "auto", "positive"),
         ],
     )
     def test_rejects_bad_sizes_and_modes(self, sizes, mode, match):

@@ -271,7 +271,7 @@ class TestUnknownKeys:
         assert len(blocks) >= 2
         for block in blocks:
             parse_config(json.loads(block))
-        integers = {cli._integer, cli._at_least, cli._integers}
+        integers = {cli._integer, cli._at_least, cli._between, cli._integers}
         reals = {cli._real, cli._broadcast, cli._parse_premiums}
         tables = [("", cli.KEYS), ("premiums.", cli.PREMIUM_KEYS), ("group.", cli.GROUP_KEYS)]
         tables += [("network.", keys) for keys in cli.NETWORK_KEYS.values()]
@@ -523,6 +523,28 @@ class TestCmdOracle:
         rc, out, err = run_main(tmp_path, capsys, "oracle", degenerate_doc(horizon=horizon))
         assert (rc, out) == (2, "")
         assert err.startswith("error: horizon must be finite and positive")
+
+    @pytest.mark.parametrize(
+        "field, value, low",
+        [
+            ("outer_networks", 1, 2),
+            ("outer_networks", 0, 2),
+            ("outer_networks", -5, 2),
+            ("inner_paths", 0, 1),
+            ("inner_paths", -1, 1),
+        ],
+    )
+    def test_too_few_samples_exit_2_before_the_estimator(
+        self, tmp_path, capsys, monkeypatch, field, value, low
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("estimate ran before the sample counts were checked")
+
+        monkeypatch.setattr(cli, "estimate", never)
+        rc, out, err = run_main(tmp_path, capsys, "oracle", degenerate_doc(**{field: value}))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {field} must be at least {low}, got {value}")
+        assert getattr(parse_config(degenerate_doc(**{field: low})), field) == low
 
 
 class TestClassifyShape:

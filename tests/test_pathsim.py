@@ -8,6 +8,7 @@ import pytest
 from exact_reference import exact_law
 from model_reference import classical_ruin
 from pathsim_reference import (
+    group_claims,
     group_exposure,
     ruin_flags,
     ruin_frequency,
@@ -22,24 +23,17 @@ from ruinnet.streams import StreamKey
 
 
 def single_object(c=1.05, u=1.0):
-    """``(params, exposure, total reserve)`` of one agent insuring one object."""
+    """``(rate, premium, reserve)`` of one agent insuring one object."""
     params = RiskParams(lam=1.0, c=[c], mu=[1.0], u=[u])
-    return (params, *group_exposure(params, np.ones((1, 1)), AgentSubset.prefix(1)))
-
-
-def one_agent(exposure, c, mu, lam=1.0, u=1.0):
-    """A one-agent group carrying share ``exposure[j]`` of object ``j``."""
-    params = RiskParams(lam=lam, c=c, mu=mu, u=[u])
-    return params, np.asarray(exposure, dtype=float), float(u)
+    return group_claims(params, np.ones((1, 1)), AgentSubset.prefix(1))
 
 
 class TestSimulateRuinPath:
     def test_no_exposure_never_ruins(self):
         params = RiskParams(lam=1.0, c=[0.5, 0.5], mu=[1.0, 1.0], u=[1.0, 1.0])
-        case = group_exposure(params, np.zeros((2, 2)), AgentSubset.prefix(2))
-        assert not any(
-            ruin_path(params, *case, 100.0, StreamKey(0, (5, r))) for r in range(200)
-        )
+        case = group_claims(params, np.zeros((2, 2)), AgentSubset.prefix(2))
+        assert case[0] == 0.0
+        assert not any(ruin_path(*case, 100.0, StreamKey(0, (5, r))) for r in range(200))
 
     def test_certain_ruin_under_negative_loading(self):
         case = single_object(c=0.95, u=0.01)
@@ -72,37 +66,49 @@ class TestSimulateRuinPath:
         group = AgentSubset.prefix(2)
         runs = {}
         for name, params in (("bad", params_bad), ("good", params_good)):
-            case = group_exposure(params, np.ones((2, 2)), group)
-            runs[name] = ruin_frequency(params, *case, 500.0, paths=500, base_seed=19).mean
+            case = group_claims(params, np.ones((2, 2)), group)
+            runs[name] = ruin_frequency(*case, 500.0, paths=500, base_seed=19).mean
         assert runs["bad"] > 0.95
         assert runs["good"] < 0.2
 
     def test_batch_flags_monotone_in_horizon(self):
-        # several kernel batches of multi-object paths: each path's claims are
-        # replayed by a longer horizon, so no path that ruins can stop ruining
-        case = one_agent([0.2, 0.5, 0.9], c=[1.3, 1.1, 0.4], mu=[3.0, 1.0, 0.25])
+        # several kernel batches of paths with their own rates and premiums:
+        # each path's claims are replayed by a longer horizon, so no path
+        # that ruins can stop ruining
         paths = 3 * PATH_BATCH - 100
+        rng = np.random.default_rng(5)
+        rate = rng.integers(1, 4, paths) * 1.5
+        premium = rate * rng.uniform(0.8, 1.4, paths)
         outcomes = [
-            ruin_flags(*case, horizon, paths, base_seed=17) for horizon in (2.0, 10.0, 60.0, 300.0)
+            ruin_flags(rate, premium, 2.0, horizon, paths, base_seed=17)
+            for horizon in (2.0, 10.0, 60.0, 300.0)
         ]
         for shorter, longer in zip(outcomes, outcomes[1:]):
             assert not (shorter & ~longer).any()
             assert (longer & ~shorter).any()
 
     def test_batch_rows_without_exposure_never_ruin(self):
-        params = RiskParams(lam=1.0, c=[0.5, 0.5], mu=[1.0, 1.0], u=[0.1])
-        exposure = np.zeros((PATH_BATCH, 2))
-        exposure[::2] = [0.5, 0.5]  # every other row exposed, under negative loading
-        flags = simulate_ruin_batch(params, exposure, 0.1, 500.0, np.random.default_rng(3))
+        rate = np.zeros(PATH_BATCH)
+        rate[::2] = 2.0  # every other row has claims, under negative loading
+        premium = rate / 2
+        flags = simulate_ruin_batch(rate, premium, 0.2, 500.0, np.random.default_rng(3))
         assert not flags[1::2].any()
         assert flags[::2].all()
 
     def test_batch_rejects_more_rows_than_a_batch(self):
-        params = RiskParams(lam=1.0, c=[1.0], mu=[1.0], u=[1.0])
+        rng = np.random.default_rng(0)
+        too_many = np.ones(PATH_BATCH + 1)
         with pytest.raises(ValueError, match="rows"):
-            simulate_ruin_batch(
-                params, np.ones((PATH_BATCH + 1, 1)), 1.0, 10.0, np.random.default_rng(0)
-            )
+            simulate_ruin_batch(too_many, too_many, 1.0, 10.0, rng)
+        with pytest.raises(ValueError, match="rows"):
+            simulate_ruin_batch(np.ones(3), np.ones(2), 1.0, 10.0, rng)
+
+    def test_premium_inflow_beyond_the_float_range_never_ruins(self):
+        # rare claims and a premium rate near the float maximum: the inflow
+        # overflows to infinity before the first claim, without a warning
+        rng = np.random.default_rng(1)
+        flags = simulate_ruin_batch([1e-10, 1e-10], [1e300, 0.5e-10], 1.0, 1e15, rng)
+        assert flags.tolist() == [False, True]
 
     def test_deterministic_per_key(self):
         case = single_object()
@@ -113,45 +119,66 @@ class TestSimulateRuinPath:
 
 class TestMergedClaimStream:
     def test_fixed_keys_regression(self):
-        # survivors among 200 fixed keys, as the per-object simulator gave them
+        # survivors among 200 fixed keys, as the per-object simulator gave
+        # them: on its stream for object 0, with r_q = mu = 1, the kernel
+        # draws and adds the same claims
         case = single_object(c=1.05, u=1.0)
-        survivors = [r for r in range(200) if not ruin_path(*case, 1000.0, StreamKey(9, (2, r)))]
+        keys = [StreamKey(9, (2, r, 0)) for r in range(200)]
+        survivors = [r for r, key in enumerate(keys) if not ruin_path(*case, 1000.0, key)]
         assert survivors == [
             14, 20, 22, 33, 34, 38, 42, 44, 50, 54, 59, 67, 78, 109, 140, 142, 149, 150, 163, 176
         ]
 
     def test_single_exposed_object_matches_reference_bit_for_bit(self):
+        # with r_q and every mu_j a power of two, the reference's claim
+        # (r_q / mu_j) * (mu_j * E), its premium (r_q / mu_j) * c_j and its
+        # reserve U are r_q times the kernel's E, c_j / mu_j and U / r_q, exactly
         rng = np.random.default_rng(2024)
         for case in range(30):
             d = int(rng.integers(1, 5))
+            j = int(rng.integers(d))
+            lam, u = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 3.0))
+            r_q = 2.0 ** int(rng.integers(-3, 3))
+            params = RiskParams(
+                lam=lam, c=rng.uniform(0.2, 2.0, d), mu=2.0 ** rng.integers(-2, 3, d), u=[u]
+            )
             exposure = np.zeros(d)
-            exposure[rng.integers(d)] = rng.uniform(0.1, 1.0)
-            path = one_agent(
-                exposure,
-                c=rng.uniform(0.2, 2.0, d),
-                mu=rng.uniform(0.2, 2.0, d),
-                lam=float(rng.uniform(0.5, 2.0)),
-                u=float(rng.uniform(0.1, 3.0)),
-            ) + (float(rng.uniform(1.0, 300.0)),)
+            exposure[j] = r_q / params.mu[j]
+            kernel = (lam, params.c[j] / params.mu[j], u / r_q)
+            horizon = float(rng.uniform(1.0, 300.0))
             for r in range(25):
                 key = StreamKey(case, (7, r))
-                assert ruin_path(*path, key) == simulate_ruin_path_per_object(*path, key)
+                reference = simulate_ruin_path_per_object(params, exposure, u, horizon, key)
+                assert ruin_path(*kernel, horizon, StreamKey(case, (7, r, j))) == reference
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            # exposure_j * mu_j differs between objects, so the object marks matter
-            dict(exposure=[0.2, 0.5, 0.9], c=[3.3, 1.1, 0.3], mu=[3.0, 1.0, 0.25]),
-            dict(exposure=[1.0, 0.1], c=[1.5, 13.0], mu=[0.5, 8.0], lam=2.0),
+            # proportional exposures r_q / mu_j with unequal mu_j: the
+            # reference's claims differ in mean and weight from object to
+            # object, and cost r_q * Exp(1) alike
+            dict(c=[3.3, 1.1, 0.3], mu=[3.0, 1.0, 0.25], u=[1.0], incidence=[[1, 1, 1]]),
+            dict(
+                c=[1.5, 13.0, 0.4],
+                mu=[0.5, 8.0, 2.0],
+                u=[0.7, 0.4],
+                incidence=[[1, 0, 0], [0, 1, 0]],
+                lam=2.0,
+            ),
         ],
     )
     def test_several_objects_agree_with_reference_in_distribution(self, kwargs):
-        path = one_agent(**kwargs) + (200.0,)
+        kwargs = dict(kwargs)
+        incidence = np.asarray(kwargs.pop("incidence"))
+        params = RiskParams(**{"lam": 1.0, **kwargs})
+        group = AgentSubset.prefix(params.q)
+        exposure, total_reserve = group_exposure(params, incidence, group)
+        assert (exposure > 0).sum() > 1
         n = 4000
-        merged = sum(ruin_path(*path, StreamKey(1, (r,))) for r in range(n)) / n
-        reference = sum(
-            simulate_ruin_path_per_object(*path, StreamKey(2, (r,))) for r in range(n)
-        ) / n
+        merged = ruin_frequency(*group_claims(params, incidence, group), 200.0, n, 1).mean
+        path = (params, exposure, total_reserve, 200.0)
+        flags = [simulate_ruin_path_per_object(*path, StreamKey(2, (r,))) for r in range(n)]
+        reference = sum(flags) / n
         se = math.hypot(*(math.sqrt(p * (1 - p) / n) for p in (merged, reference)))
         assert 0.1 < reference < 0.9
         assert abs(merged - reference) < 4 * se
@@ -159,26 +186,25 @@ class TestMergedClaimStream:
 
 #: ``oracle_psi`` on Bernoulli(0.5) networks at horizon 50, 40 networks of 16
 #: paths, unit reserves: ``(q, d, group size, c, mu, seed)`` and the
-#: ``(mean, stderr)`` it returned, as float hex, when the oracle summed the
-#: group rows of the full weight matrix.  On all but the fourth instance that
-#: sum differs from ``r_q / mu_j`` by an ulp on some objects of some networks.
+#: ``(mean, stderr)`` it returns, as float hex.
 ORACLE_PINS = [
     ((3, 4, 3, [0.9, 1.0, 1.1, 1.3], [1.0, 0.7, 1.3, 1.1], 11),
-     ("0x1.259999999999ap-1", "0x1.4dceef0084db7p-6")),
+     ("0x1.1733333333333p-1", "0x1.6738361d7fe9fp-6")),
     ((4, 3, 3, [1.05, 0.95, 1.2], [0.3, 0.9, 1.7], 12),
-     ("0x1.8000000000000p-5", "0x1.1dc6a9cda880ap-6")),
+     ("0x1.0000000000000p-4", "0x1.7b443ccb281b6p-6")),
     ((4, 4, 4, [1.1, 1.0, 0.9, 1.2], [1.1, 0.7, 0.3, 2.3], 13),
-     ("0x1.2666666666666p-5", "0x1.30508d3a6e8f1p-6")),
+     ("0x1.599999999999ap-5", "0x1.35c992ae51369p-6")),
     ((5, 3, 5, [1.0, 1.3, 0.9], [0.7, 1.9, 1.1], 14),
-     ("0x1.5e66666666666p-1", "0x1.8763dca38c7c8p-6")),
+     ("0x1.5c00000000000p-1", "0x1.9bdee191f4042p-6")),
     ((5, 4, 4, [0.95, 1.05, 1.15, 1.0], [1.3, 0.3, 0.7, 1.7], 15),
-     ("0x1.0000000000000p-7", "0x1.6cd01dd595c7fp-8")),
+     ("0x1.3333333333333p-8", "0x1.c539ba1232f98p-9")),
 ]
 
 
 class TestOracleExposure:
-    """The oracle reads a group's exposure as ``r_q / mu_j`` on every object
-    a member insures, in place of the summed proportional weights."""
+    """The oracle's claim process rests on the group's exposure being
+    ``r_q / mu_j`` on every object a member insures: the summed proportional
+    weights."""
 
     @pytest.mark.parametrize(
         "case, pinned", ORACLE_PINS, ids=[f"seed{case[-1]}" for case, _ in ORACLE_PINS]
@@ -189,6 +215,22 @@ class TestOracleExposure:
         model, group = BlockModel.bernoulli(0.5), AgentSubset.prefix(size)
         est = oracle_psi(params, model, group, 50.0, 40, 16, seed)
         assert (est.mean.hex(), est.stderr.hex()) == pinned
+
+    def test_time_and_money_scalings_are_exact(self):
+        # doubling lam and c while halving the horizon halves every epoch;
+        # doubling c, mu and u doubles r_q and every claim.  Both are exact
+        # in binary, so the oracle's result keeps its bits
+        (q, d, size, c, mu, seed), _ = ORACLE_PINS[0]
+        model, group = BlockModel.bernoulli(0.5), AgentSubset.prefix(size)
+        c, mu = np.asarray(c), np.asarray(mu)
+
+        def run(lam, c, mu, u, horizon):
+            params = RiskParams(lam=lam, c=c, mu=mu, u=np.full(q, u))
+            return oracle_psi(params, model, group, horizon, 40, 16, seed)
+
+        base = run(1.0, c, mu, 1.0, 50.0)
+        assert run(2.0, 2 * c, mu, 1.0, 25.0) == base
+        assert run(1.0, 2 * c, 2 * mu, 2.0, 50.0) == base
 
     def test_summed_weights_are_r_over_mu_on_connected_objects(self):
         # bit for bit for one and two members (x/2 + x/2 is exact), within
