@@ -107,13 +107,19 @@ def normal_positive_prob(mean, variance):
     mean, variance = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
     if (variance < 0).any():
         raise ValueError("variance must be nonnegative")
-    point = variance == 0.0
+    prob = _positive_prob(mean, variance, variance == 0.0)
+    return float(prob) if prob.ndim == 0 else prob
+
+
+def _positive_prob(mean: np.ndarray, variance: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """:func:`normal_positive_prob` of float arrays, unchecked, given the
+    point masses ``point = variance == 0``."""
     # a point mass is standardised by 1, and its value set below
     z = -mean / np.sqrt(2.0 * variance + point)
     prob = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
     prob = prob.reshape(z.shape)
     np.copyto(prob, mean > 0, where=point)
-    return float(prob) if prob.ndim == 0 else prob
+    return prob
 
 
 def _stats_from_counts(
@@ -145,7 +151,7 @@ def _terms(weight, mean, var, raw3) -> tuple[np.ndarray, ...]:
     root = root.reshape(var.shape)
     root[point] = np.inf
     bound = weight * BOUND_CONSTANT * raw3 / root
-    return weight * normal_positive_prob(mean, var), bound, weight * point
+    return weight * _positive_prob(mean, var, point), bound, weight * point
 
 
 def _compositions(total: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,16 +201,16 @@ def _configurations(
     agents, weight_a = _compositions(int(size_q), model.w)
     connect = connect_given_counts(model, agents)
     counts, weights = zip(*(_compositions(int(dg), model.v) for dg in sizes))
-    counts = [c.astype(np.float64) for c in counts]
     shape = (len(agents), *map(len, weights))
     total = math.prod(shape)
     step = max(1, _CHUNK_CELLS // (sizes.size * model.L))
     for lo in range(0, total, step):
         a, *rows = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
         weight = weight_a[a]
-        for w, row in zip(weights, rows):
+        chunk = np.empty((a.size, sizes.size, model.L))
+        for g, (w, c, row) in enumerate(zip(weights, counts, rows)):
             weight = weight * w[row]
-        chunk = np.stack([c[row] for c, row in zip(counts, rows)], axis=1)
+            chunk[:, g] = c[row]
         yield (weight, *_stats_from_counts(xi_vals, chunk, connect[a]))
 
 

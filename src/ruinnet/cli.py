@@ -8,8 +8,9 @@ Subcommands:
     oracle    cross-validate the ruin estimator against path simulation
 
 ``COMMANDS`` maps each subcommand to its help text, runner, output fields,
-CSV comment, and whether it prints one row or many; ``main`` builds the
-parser from it and prints every result in one step.  A ``ValueError`` from
+CSV comment, and whether it prints one row or many; the first ``main``
+call of a process builds the parser from it, later calls reuse that
+parser, and ``main`` prints every result in one step.  A ``ValueError`` from
 the config, from any library call or from writing ``--out``/``--svg`` is
 caught once, in ``main``: exit 2.
 
@@ -19,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -87,8 +89,9 @@ class PremiumSpec:
             raise ConfigError("two-value premium scheme needs ns")
         if not 0 <= ns <= d:
             raise ConfigError(f"ns must lie in [0, {d}], got {ns}")
-        out = np.full(d, float(self.high))
+        out = np.empty(d)
         out[:ns] = float(self.low)
+        out[ns:] = float(self.high)
         return out
 
 
@@ -551,7 +554,10 @@ def _write_text(path: Optional[str], text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of :data:`COMMANDS`, built on the first call and shared
+    by every later one (``COMMANDS`` never changes)."""
     parser = argparse.ArgumentParser(
         prog="ruinnet",
         description="Group ruin probabilities on random bipartite insurance networks",

@@ -5,6 +5,12 @@ Each object (insured risk) carries a premium rate ``c_j`` and a mean claim
 size ``mu_j``; claims arrive at a common Poisson intensity ``lam``.  A group
 of agents that insures an object splits the loss equally, scaled so that
 every column of the weighted adjacency matrix sums to at most one.
+
+:class:`RiskParams` scans ``c`` and ``mu`` once for their runs of equal
+``(c_j, mu_j)``, then checks them and partitions the objects into premium
+classes on the run heads alone, and keeps ``min(mu)`` for ``r_q``; so a
+blocked premium vector, such as the two-value scheme, costs one pass over
+its objects.
 """
 
 from __future__ import annotations
@@ -28,30 +34,44 @@ def _as_vector(x, name: str, length: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional")
     if length is not None and arr.size != length:
         raise ValueError(f"{name} must have length {length}, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
     return arr
 
 
-def _premium_classes(c: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def _run_bounds(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``(c_j, mu_j)`` starts, then ``d``: run ``k``
+    holds the objects ``bounds[k]:bounds[k+1]``.
+
+    An elementwise check holds on a run exactly when it holds on the run's
+    head, and a NaN differs from everything, itself included, so it heads
+    its own run.  On a blocked premium vector, such as the two-value scheme,
+    the runs are few and every per-object check costs nothing.
+    """
+    head = np.empty(c.size + 1, dtype=bool)
+    head[0] = head[-1] = True
+    np.not_equal(c[1:], c[:-1], out=head[1:-1])
+    head[1:-1] |= mu[1:] != mu[:-1]
+    return np.flatnonzero(head)
+
+
+def _premium_classes(
+    c_head: np.ndarray, mu_head: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(c / mu, return_counts=True)``, bit for bit, with ``int64``
-    sizes, dividing once per run of equal ``(c_j, mu_j)``.
+    sizes, for objects given as runs of equal ``(c_j, mu_j)``: each run's
+    ``c_head``, ``mu_head`` and length.
 
     A run has one ratio, so only the run heads are divided and sorted, and a
-    class's size is the total length of its runs.  On a blocked premium
-    vector, such as the two-value scheme, that is a few boolean passes and
-    divisions instead of a sort of ``d`` ratios.
+    class's size is the total length of its runs.
     """
-    head = np.empty(c.size, dtype=bool)
-    head[0] = True
-    np.not_equal(c[1:], c[:-1], out=head[1:])
-    head[1:] |= mu[1:] != mu[:-1]
-    starts = np.flatnonzero(head)
-    values = c[starts]
     with np.errstate(over="ignore", under="ignore"):
-        values /= mu[starts]
+        values = c_head / mu_head
     order = values.argsort()
-    values, lengths = values[order], np.diff(starts, append=c.size)[order]
+    values, lengths = values[order], lengths[order]
     first = np.empty(values.size, dtype=bool)
     first[0] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
@@ -72,15 +92,18 @@ class RiskParams:
             premium class; ``np.searchsorted(class_ratio, c/mu)`` gives each
             object's class.
         class_sizes: The number of objects in each class (``int64``).
+        mu_min: The smallest mean claim size, which scales ``r_q``.
 
     An object enters the PK ratio (``ruin``) and its loading
     ``xi_j = (c_j/mu_j)/lam`` (``approx``) only through ``c_j/mu_j``.  The
-    constructor builds the partition from the runs of equal ``(c_j, mu_j)``,
-    dividing once per run, so a blocked premium vector costs no array of
-    ``d`` ratios.  It rejects parameters with which the estimator's
-    arithmetic would leave the float range: a ``c/mu`` or ``mu`` below the
-    smallest normal float, a ``c/mu`` that overflows, and an overflowing
-    ``lam/min(c/mu)``, ``lam*d``, ``d*max(c/mu)`` or ``sum(u)*q/min(mu)``.
+    constructor scans ``c`` and ``mu`` once for their runs of equal
+    ``(c_j, mu_j)``; it checks them and builds the partition on the run
+    heads, dividing once per run, so a blocked premium vector costs no array
+    of ``d`` ratios and no further pass over ``d`` objects.  It rejects
+    parameters with which the estimator's arithmetic would leave the float
+    range: a ``c/mu`` or ``mu`` below the smallest normal float, a ``c/mu``
+    that overflows, and an overflowing ``lam/min(c/mu)``, ``lam*d``,
+    ``d*max(c/mu)`` or ``sum(u)*q/min(mu)``.
     """
 
     lam: float
@@ -89,23 +112,36 @@ class RiskParams:
     u: np.ndarray
     class_ratio: np.ndarray = field(init=False, repr=False, compare=False)
     class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    mu_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "c", _as_vector(self.c, "c"))
-        object.__setattr__(self, "mu", _as_vector(self.mu, "mu", self.c.size))
-        object.__setattr__(self, "u", _as_vector(self.u, "u"))
+        c = _as_vector(self.c, "c")
+        mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64))
+        if mu.shape != c.shape:  # no runs to scan; c's finiteness is checked first
+            _require_finite(c, "c")
+            _as_vector(mu, "mu", c.size)  # raises: mu is not a vector of c's length
+        # every elementwise check on c and mu reads only the heads of their runs
+        bounds = _run_bounds(c, mu)
+        c_head, mu_head = c[bounds[:-1]], mu[bounds[:-1]]
+        _require_finite(c_head, "c")
+        _require_finite(mu_head, "mu")
+        u = _as_vector(self.u, "u")
+        _require_finite(u, "u")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "u", u)
         if not 0 < self.lam < math.inf:
             raise ValueError("claim intensity lam must be positive and finite")
-        if not (self.c > 0).all():
+        if not (c_head > 0).all():
             raise ValueError("every premium rate must be positive")
-        if not (self.mu > 0).all():
+        if not (mu_head > 0).all():
             raise ValueError("every mean claim size must be positive")
-        if not (self.u >= 0).all():
+        if not (u >= 0).all():
             raise ValueError("reserves must be nonnegative")
-        if self.u.size < 1 or self.c.size < 1:
+        if u.size < 1 or c.size < 1:
             raise ValueError("need at least one agent and one object")
-        ratio, sizes = _premium_classes(self.c, self.mu)
+        ratio, sizes = _premium_classes(c_head, mu_head, bounds[1:] - bounds[:-1])
         low, high = float(ratio[0]), float(ratio[-1])
         if not high < math.inf:
             raise ValueError("every premium-to-claim ratio c/mu must be finite")
@@ -121,19 +157,20 @@ class RiskParams:
                 "its numerator and its denominator, must be finite"
             )
         # the ruin summand's scale r_q = min(mu)/(q - |group| + 1), and its decay reserve/r_q
-        mu_min = float(self.mu.min())
+        mu_min = float(mu_head.min())
         if not mu_min >= NORMAL_MIN:
             raise ValueError(
                 f"every mean claim size must be at least {NORMAL_MIN:.6g}, got {mu_min:.6g}"
             )
         with np.errstate(over="ignore"):
-            reserve = float(self.u.sum())
+            reserve = float(u.sum())
         if not reserve * self.q / mu_min < math.inf:
             raise ValueError(
                 "sum(u) * q / min(mu), which bounds the ruin summand's decay, must be finite"
             )
         object.__setattr__(self, "class_ratio", ratio)
         object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "mu_min", mu_min)
 
     @property
     def q(self) -> int:
@@ -188,4 +225,4 @@ def proportional_r(params: RiskParams, group: AgentSubset) -> float:
     inside ``[0, 1]`` for every possible graph realisation.
     """
     group.validate_for(params.q)
-    return float(params.mu.min()) / (params.q - group.size + 1)
+    return params.mu_min / (params.q - group.size + 1)

@@ -83,11 +83,15 @@ class BlockModel:
 def _in_chunks(fn, rng: np.random.Generator, n: int, cells_per_row: int) -> np.ndarray:
     """``fn(rng, rows)`` over consecutive chunks of ``n`` rows, concatenated
     along the first axis, each chunk holding at most ``_CHUNK_CELLS`` cells.
+    A lone chunk comes back as ``fn`` returned it, which may be a read-only
+    view.
 
     Chunks draw one after another from ``rng``, so a draw that consumes
     the stream row by row is the same however it is split.
     """
     cap = max(1, _CHUNK_CELLS // max(1, int(cells_per_row)))
+    if n <= cap:
+        return fn(rng, n)
     return np.concatenate([fn(rng, min(cap, n - lo)) for lo in range(0, n, cap)])
 
 
@@ -119,7 +123,7 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     ``agent_counts`` has shape ``(..., K)``; the result has shape ``(..., L)``.
     """
     m = np.asarray(agent_counts)
-    return 1.0 - np.prod((1.0 - model.p) ** m[..., :, None], axis=-2)
+    return 1.0 - np.multiply.reduce((1.0 - model.p) ** m[..., :, None], axis=-2)
 
 
 def nested_sizes(group_sizes) -> np.ndarray:
@@ -199,9 +203,10 @@ def sample_prefix_counts(
     ``pbar_j - pbar_{j-1}``.  So the objects of class ``g`` are counted by
     their first layer in one ``Multinomial(d_g, .)`` with a last cell for
     "none", and cumulative sums over the layers give every group's
-    connected count.  Each group's counts have the law of the full type +
-    graph + indicator pipeline, no object type is drawn, and within a
-    replicate the counts never decrease from one group to the next.  One
+    connected count (one group's are its one layer's, copied out).  Each
+    group's counts have the law of the full type + graph + indicator
+    pipeline, no object type is drawn, and within a replicate the counts
+    never decrease from one group to the next.  One
     group's two-cell multinomial draws the bits of the single binomial
     ``rng.binomial(class_sizes, pbar)``; on a one-type model ``pbar = 1 -
     (1-p)**size_q``.
@@ -226,5 +231,8 @@ def sample_prefix_counts(
     np.subtract(cells[:, 1:], cells[:, :-1], out=cells[:, 1:])
     first = rng.multinomial(sizes, cells[:, None, :], size=(n, sizes.size))
     counts = np.empty((n, J, sizes.size), dtype=np.int64)
-    np.cumsum(first[..., :-1], axis=2, out=counts.transpose(0, 2, 1))
+    if J == 1:  # one layer's counts are its group's: no sum, which numpy runs row by row
+        counts[:, 0] = first[..., 0]
+    else:
+        np.cumsum(first[..., :-1], axis=2, out=counts.transpose(0, 2, 1))
     return counts

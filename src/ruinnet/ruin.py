@@ -72,20 +72,27 @@ def psi_summand(pk, r_q: float, total_reserve: float):
     ``pk * exp(-(1 - pk) * total_reserve / r_q)`` below 1, and 1 from 1
     upward (a realisation at or above 1 is certain ruin).  Continuous at
     ``pk = 1``.  Elementwise over an array of ratios; a float for a scalar.
+
+    Raises:
+        ValueError: On ``r_q`` not positive, and on a NaN or negative
+            ``total_reserve`` or ``pk``.
     """
     if not r_q > 0:
         raise ValueError("r_q must be positive")
-    if total_reserve < 0:
+    if not total_reserve >= 0:
+        if math.isnan(total_reserve):
+            raise ValueError("total_reserve must not be NaN")
         raise ValueError("total reserve must be nonnegative")
+    pk = np.asarray(pk, dtype=np.float64)
+    if not (pk >= 0).all():
+        raise ValueError("pk must not be NaN" if np.isnan(pk).any() else "pk must be nonnegative")
     return _summand(pk, total_reserve / r_q)
 
 
-def _summand(pk, decay):
-    """:func:`psi_summand` given ``decay = total_reserve / r_q``: a float,
-    or one per column of a ``(replicates, groups)`` array of ratios."""
-    pk = np.asarray(pk, dtype=np.float64)
-    if (pk < 0).any():
-        raise ValueError("pk must be nonnegative")
+def _summand(pk: np.ndarray, decay):
+    """:func:`psi_summand` given ``decay = total_reserve / r_q``, unchecked: a
+    float for a 0-d ``pk``, or one per column of a ``(replicates, groups)``
+    array of ratios."""
     capped = np.minimum(pk, 1.0)
     out = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
     return float(out) if out.ndim == 0 else out
@@ -93,7 +100,8 @@ def _summand(pk, decay):
 
 def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     """PK ratios of replicates given as counts of connected objects per
-    premium class (:attr:`RiskParams.class_ratio`), 0 for a disconnected group.
+    premium class (:attr:`RiskParams.class_ratio`), 0 for a disconnected
+    group; never negative, since the ratios are positive.
 
     Both samplers pass freshly allocated integer counts through this
     arithmetic, so a configuration gives the same bits (and the same side
@@ -102,9 +110,11 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
     a slice.
     """
     total = np.einsum("ij->i", counts)  # exact integers, faster than sum(axis=1)
-    out = np.zeros(counts.shape[0])
-    np.divide(lam * total, counts @ ratio, out=out, where=total > 0)
-    return out
+    with np.errstate(invalid="ignore"):
+        out = lam * total / (counts @ ratio)
+    # every ratio is positive and normal, so the one NaN is a disconnected
+    # group's 0/0, and fmax takes 0 over it (one pass, unlike a masked write)
+    return np.fmax(out, 0.0, out=out)
 
 
 def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):

@@ -1,5 +1,5 @@
-"""Reference per-object safety loadings, proportional weights and the
-classical ruin formula.
+"""Reference per-object safety loadings, proportional weights, the
+classical ruin formula, and the parameter checks object by object.
 
 The package keys objects by their premium-to-claim ratio ``c_j/mu_j``
 (:attr:`ruinnet.model.RiskParams.class_ratio`); these per-object loadings
@@ -9,7 +9,10 @@ the full weighted adjacency matrix whose group rows ``pathsim_reference``
 sums; that sum is ``r_q / mu_j`` on every connected object, which is why
 the oracle can simulate every claim as ``r_q * Exp(1)``.
 :func:`classical_ruin` is the closed-form oracle of the degenerate
-one-agent, one-object network.
+one-agent, one-object network.  :func:`checked_classes` runs the checks of
+:class:`ruinnet.model.RiskParams` on every object, in the constructor's
+order, and partitions the objects with ``np.unique``; the constructor reads
+only the heads of the runs of equal ``(c_j, mu_j)``.
 """
 
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ruinnet.model import AgentSubset, RiskParams
+from ruinnet.model import NORMAL_MIN, AgentSubset, RiskParams
 
 #: Floating-point slack allowed on the column-sum condition of the
 #: weighted adjacency matrix.
@@ -81,3 +84,61 @@ def classical_ruin(lam: float, mu_j: float, c_j: float, u: float) -> float:
     if rho >= 1.0:
         return 1.0
     return rho * math.exp(-(c_j - lam * mu_j) * u / (c_j * mu_j))
+
+
+def _vector(x, name: str, length=None) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if length is not None and arr.size != length:
+        raise ValueError(f"{name} must have length {length}, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def checked_classes(lam, c, mu, u) -> tuple[np.ndarray, np.ndarray]:
+    """``(class_ratio, class_sizes)`` of ``RiskParams(lam, c, mu, u)``, or the
+    ``ValueError`` it raises, with every elementwise check run on every
+    object, in the constructor's order."""
+    lam = float(lam)
+    c = _vector(c, "c")
+    mu = _vector(mu, "mu", c.size)
+    u = _vector(u, "u")
+    if not 0 < lam < math.inf:
+        raise ValueError("claim intensity lam must be positive and finite")
+    if not (c > 0).all():
+        raise ValueError("every premium rate must be positive")
+    if not (mu > 0).all():
+        raise ValueError("every mean claim size must be positive")
+    if not (u >= 0).all():
+        raise ValueError("reserves must be nonnegative")
+    if u.size < 1 or c.size < 1:
+        raise ValueError("need at least one agent and one object")
+    with np.errstate(over="ignore", under="ignore"):
+        ratio, sizes = np.unique(c / mu, return_counts=True)
+    low, high = float(ratio[0]), float(ratio[-1])
+    if not high < math.inf:
+        raise ValueError("every premium-to-claim ratio c/mu must be finite")
+    if not low >= NORMAL_MIN:
+        raise ValueError(
+            f"every premium-to-claim ratio c/mu must be at least {NORMAL_MIN:.6g}, "
+            f"got {low:.6g}"
+        )
+    if not max(lam / low, lam * c.size, c.size * high) < math.inf:
+        raise ValueError(
+            "lam/min(c/mu), lam*d and d*max(c/mu), which bound the PK ratio, "
+            "its numerator and its denominator, must be finite"
+        )
+    mu_min = float(mu.min())
+    if not mu_min >= NORMAL_MIN:
+        raise ValueError(
+            f"every mean claim size must be at least {NORMAL_MIN:.6g}, got {mu_min:.6g}"
+        )
+    with np.errstate(over="ignore"):
+        reserve = float(u.sum())
+    if not reserve * u.size / mu_min < math.inf:
+        raise ValueError(
+            "sum(u) * q / min(mu), which bounds the ruin summand's decay, must be finite"
+        )
+    return ratio, sizes.astype(np.int64)

@@ -943,6 +943,30 @@ class TestGoldenOutput:
         if command == "sweep":
             assert (tmp_path / "plot.svg").read_bytes() == (case / "plot.svg").read_bytes()
 
+    def test_repeated_calls_in_one_process_match_goldens(self, tmp_path, capsys):
+        # main builds its parser once per process: every golden, in both
+        # formats, twice over, with an argparse failure and a config error
+        # in between, is still byte for byte its golden
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(degenerate_doc(reserves=-1.0)))
+        for _ in range(2):
+            for command in ("estimate", "sweep", "table", "oracle"):
+                for fmt_name in ("csv", "json"):
+                    case = GOLDEN / command
+                    args = [command, "--config", str(case / "config.json"), "--format", fmt_name]
+                    assert main(args) == 0
+                    expected = (case / f"stdout.{fmt_name}").read_bytes()
+                    assert capsys.readouterr().out.encode("utf-8") == expected
+                if command == "sweep":
+                    with pytest.raises(SystemExit) as exc:
+                        main(["table", "--config", str(bad), "--format", "xml"])
+                    assert exc.value.code == 2
+                    assert "invalid choice: 'xml'" in capsys.readouterr().err
+                if command == "table":
+                    assert main(["estimate", "--config", str(bad)]) == 2
+                    captured = capsys.readouterr()
+                    assert captured.out == "" and "reserves must be nonnegative" in captured.err
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_mixed_mode_sweep_matches_golden(self, capsys, threads):
         # auto runs exact mode for groups of 1 and 2 and sampled mode for 3

@@ -11,13 +11,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model_reference import classical_ruin, compute_loadings, proportional_weights
-from ruinnet.model import AgentSubset, RiskParams, proportional_r
+from model_reference import checked_classes, classical_ruin, compute_loadings, proportional_weights
+from ruinnet.model import NORMAL_MIN, AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.ruin import estimate
 
 #: Any positive finite float, subnormals included.
 POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+#: Entries that some check of ``RiskParams`` rejects, and ordinary ones.
+ENTRY = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310, NORMAL_MIN, 1e-300]
+    + [1e300, sys.float_info.max, 0.5, 0.95, 1.0, 1.05, 2.0]
+)
+
+
+@st.composite
+def run_vector(draw, size):
+    """``size`` entries in runs of equal values, then up to two entries
+    overwritten, inside a run or at its edge."""
+    values = []
+    while len(values) < size:
+        values += [draw(ENTRY)] * draw(st.integers(1, 4))
+    values = values[:size]
+    for _ in range(draw(st.integers(0, 2)) if size else 0):
+        values[draw(st.integers(0, size - 1))] = draw(ENTRY)
+    return values
 
 
 def make_params(c, mu, q=1, lam=1.0, u=None):
@@ -101,6 +120,55 @@ class TestRiskParams:
             return
         est = estimate(params, BlockModel.bernoulli(p), AgentSubset.prefix(size), 64, 1)
         assert 0.0 <= est.psi.mean <= 1.0 and 0.0 <= est.tail.mean <= 1.0
+
+
+class TestChecksOnRunHeads:
+    """The constructor checks ``c`` and ``mu`` on the heads of their runs;
+    the reference checks every object.  Each must raise the same message,
+    or give the same partition bytes."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_per_object_reference(self, data):
+        d = data.draw(st.integers(0, 9), label="d")
+        c = data.draw(run_vector(d), label="c")
+        mu_size = data.draw(st.sampled_from([d, d, d, d + 1]), label="mu size")
+        mu = data.draw(run_vector(mu_size), label="mu")
+        u = data.draw(run_vector(data.draw(st.sampled_from([0, 1, 1, 2, 3]))), label="u")
+        lam = data.draw(st.one_of(st.just(1.0), ENTRY), label="lam")
+        try:
+            ratio, sizes = checked_classes(lam, c, mu, u)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                RiskParams(lam=lam, c=c, mu=mu, u=u)
+            assert str(got.value) == str(exc)
+            return
+        params = RiskParams(lam=lam, c=c, mu=mu, u=u)
+        assert params.class_ratio.tobytes() == ratio.tobytes()
+        assert params.class_sizes.tobytes() == sizes.tobytes()
+        assert params.mu_min == float(np.min(mu))
+
+    @pytest.mark.parametrize(
+        "c, mu, message",
+        [
+            # c's finiteness comes before mu's shape, which the scan needs
+            ([1.0, math.nan], [1.0], "c must be finite"),
+            ([1.0, math.inf], [[1.0, 1.0]], "c must be finite"),
+            ([1.0, 1.0], [1.0], "mu must have length 2"),
+            ([1.0, 1.0], [[1.0, 1.0]], "mu must be one-dimensional"),
+            # a NaN inside a run of NaNs, and one after a run of equal values
+            ([math.nan, math.nan, 1.0], [1.0, 1.0, 1.0], "c must be finite"),
+            ([1.0, 1.0, 1.0], [2.0, 2.0, math.nan], "mu must be finite"),
+            # a zero or negative entry inside a run, and one after a run
+            ([1.0, 1.0, 1.0], [1.0, -0.0, 1.0], "mean claim size must be positive"),
+            ([2.0, 2.0, 2.0, -2.0], [1.0, 1.0, 1.0, 1.0], "premium rate must be positive"),
+        ],
+    )
+    def test_messages_and_their_order(self, c, mu, message):
+        with pytest.raises(ValueError, match=message):
+            checked_classes(1.0, c, mu, [1.0])
+        with pytest.raises(ValueError, match=message):
+            RiskParams(lam=1.0, c=c, mu=mu, u=[1.0])
 
 
 class TestAgentSubset:

@@ -91,6 +91,32 @@ class TestPsiSummand:
         if pk >= 1.0:
             assert val == 1.0
 
+    @pytest.mark.parametrize(
+        "pk, message",
+        [
+            (math.nan, "pk must not be NaN"),
+            (np.array([0.2, math.nan, 1.5]), "pk must not be NaN"),
+            (np.array([[0.2], [math.nan]]), "pk must not be NaN"),
+            (-0.5, "pk must be nonnegative"),
+            (np.array([0.2, -1e-300, 1.5]), "pk must be nonnegative"),
+            (-math.inf, "pk must be nonnegative"),
+        ],
+    )
+    def test_rejects_nan_or_negative_pk(self, pk, message):
+        with pytest.raises(ValueError, match=message):
+            psi_summand(pk, 1.0, 1.0)
+
+    def test_rejects_nan_total_reserve(self):
+        with pytest.raises(ValueError, match="total_reserve must not be NaN"):
+            psi_summand(0.5, 1.0, math.nan)
+        with pytest.raises(ValueError, match="total reserve must be nonnegative"):
+            psi_summand(0.5, 1.0, -1.0)
+
+    def test_array_pk_gives_each_scalar_value(self):
+        pk = np.array([0.0, 0.3, 1.0 / 1.05, 1.0, 2.0])
+        got = psi_summand(pk, 0.5, 3.0)
+        assert got.tolist() == [psi_summand(float(x), 0.5, 3.0) for x in pk]
+
 
 class TestEstimatePsi:
     def test_degenerate_network_closed_form(self):
