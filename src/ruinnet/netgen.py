@@ -121,9 +121,16 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     agent-type counts are ``agent_counts``: ``1 - prod_k (1 - p_kl)^m_k``.
 
     ``agent_counts`` has shape ``(..., K)``; the result has shape ``(..., L)``.
+    The product runs over the ``K`` slices of the powers, left to right: the
+    bits of a reduce over the agent-type axis, without the strided reduce
+    over that short axis.
     """
     m = np.asarray(agent_counts)
-    return 1.0 - np.multiply.reduce((1.0 - model.p) ** m[..., :, None], axis=-2)
+    powers = (1.0 - model.p) ** m[..., :, None]
+    none = powers[..., 0, :]
+    for k in range(1, model.K):
+        none = none * powers[..., k, :]
+    return 1.0 - none
 
 
 def nested_sizes(group_sizes) -> np.ndarray:

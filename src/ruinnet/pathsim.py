@@ -10,11 +10,13 @@ fixed network is thus a Cramér–Lundberg process: claims at rate
 inflow ``sum_j c_j / mu_j`` over the same objects, and reserve ``U / r_q``.
 
 One kernel, :func:`simulate_ruin_batch`, runs a batch of at most
-:data:`PATH_BATCH` paths from one stream as ``(rows x _CLAIM_CHUNK)``
-arrays, chunk by chunk, until every path has either crossed its reserve
-or passed the horizon.  The nested oracle :func:`oracle_psi` draws its
-networks in fixed blocks and runs each block's paths through the kernel
-in batches, one stream per batch.
+:data:`PATH_BATCH` paths from one stream in ``(rows x _CLAIM_CHUNK)``
+chunks until every path has either crossed its reserve or passed the
+horizon.  Each call allocates its own buffers once and every chunk is
+drawn into them and computed in place, so the kernel makes no array per
+chunk and calls on different threads share nothing.  The nested oracle
+:func:`oracle_psi` draws its networks in fixed blocks and runs each
+block's paths through the kernel in batches, one stream per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
 has a connected object, so checking ruin only at claim epochs is exact.
@@ -69,35 +71,70 @@ def simulate_ruin_batch(
     horizon and a longer horizon replays them: flags are monotone in the
     horizon.  A row of rate 0 draws nothing and never ruins; a zero
     ``reserve`` is ruin at time zero.
+
+    Rows past the horizon still compute their deficits: a crossing after
+    the horizon takes the row out of the batch, and that shifts the draws
+    of every later row, so skipping their arithmetic would change other
+    rows' flags.
+
+    The call allocates its buffers once, sized for its rows, and each chunk
+    draws into their first rows and works in place.  Claim sizes stay
+    negated: rounding to nearest is symmetric in sign, so their cumulative
+    and row sums carry the bits of the positive sizes'.
+
+    Raises:
+        ValueError: ``rate`` and ``premium`` are not equal-length vectors of
+            at most :data:`PATH_BATCH` finite, nonnegative values, ``horizon``
+            is not finite and positive, or ``reserve`` is NaN.
     """
     rate = np.asarray(rate, dtype=np.float64)
     premium = np.asarray(premium, dtype=np.float64)
     if rate.ndim != 1 or rate.shape != premium.shape or rate.size > PATH_BATCH:
         raise ValueError(f"rate and premium must be equal-length vectors, at most {PATH_BATCH} rows")
+    for name, x in (("rate", rate), ("premium", premium)):
+        if not ((x >= 0) & (x < math.inf)).all():
+            raise ValueError(f"{name} must be finite and nonnegative")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
+    if math.isnan(reserve):
+        raise ValueError("reserve must not be NaN")
     if reserve <= 0.0:
         return np.ones(rate.size, dtype=bool)  # deficit starts at zero
     flags = np.zeros(rate.size, dtype=bool)
     live = np.flatnonzero(rate > 0)
-    rate, premium = rate[live], premium[live]
+    neg_rate, premium = -rate[live], premium[live]
     t = np.zeros(live.size)
     cum_jumps = np.zeros(live.size)
+    uniforms = np.empty((2, live.size, _CLAIM_CHUNK))
+    inflow = np.empty((live.size, _CLAIM_CHUNK))
+    hit_rows = np.empty((live.size, _CLAIM_CHUNK), dtype=bool)
     while live.size:
-        shape = (live.size, _CLAIM_CHUNK)
-        gaps = -np.log1p(-rng.random(shape)) / rate[:, None]
-        jumps = -np.log1p(-rng.random(shape))
-        epochs = t[:, None] + np.cumsum(gaps, axis=1)
+        n = live.size
+        both = uniforms[:, :n]
+        epochs, deficit = both
+        rng.random(out=epochs)
+        rng.random(out=deficit)
+        np.negative(both, out=both)
+        np.log1p(both, out=both)  # minus Exp(1) gaps and sizes
+        np.divide(epochs, neg_rate[:, None], out=epochs)  # the gaps: -x/r is x/(-r) exactly
+        next_jumps = cum_jumps - deficit.sum(axis=1)  # before the sizes are summed in place
+        np.cumsum(both, axis=2, out=both)
+        epochs += t[:, None]
+        np.subtract(cum_jumps[:, None], deficit, out=deficit)  # cum_jumps plus the summed sizes
         with np.errstate(over="ignore"):  # premium inflow beyond the float range: never ruins
-            deficit = cum_jumps[:, None] + np.cumsum(jumps, axis=1) - premium[:, None] * epochs
-        hit = deficit >= reserve
+            np.multiply(premium[:, None], epochs, out=inflow[:n])
+        deficit -= inflow[:n]
+        # a comparison, not a row maximum: the inflow 0 * inf of a zero premium
+        # is NaN, and a maximum would spread it over the row
+        hit = np.greater_equal(deficit, reserve, out=hit_rows[:n])
         crossed = hit.any(axis=1)
         first = hit[crossed].argmax(axis=1)
         flags[live[crossed]] = epochs[crossed, first] <= horizon
         stay = ~crossed
-        if not (epochs[stay, -1] <= horizon).any():
+        live, neg_rate, premium = live[stay], neg_rate[stay], premium[stay]
+        t, cum_jumps = epochs[stay, -1], next_jumps[stay]
+        if not (t <= horizon).any():
             break
-        cum_jumps = cum_jumps[stay] + jumps[stay].sum(axis=1)
-        t = epochs[stay, -1]
-        live, rate, premium = live[stay], rate[stay], premium[stay]
     return flags
 
 

@@ -7,6 +7,10 @@ they connect to (:func:`ruinnet.netgen.sample_prefix_counts`).
 These are the per-object and closed-form quantities the tests check that
 sampler, and the incidence matrices of :func:`ruinnet.netgen.sample_incidence`,
 against.
+
+:func:`connect_given_counts_reduced` is
+:func:`ruinnet.netgen.connect_given_counts` as one reduce over the
+agent-type axis, whose bits the package's slice-by-slice product must give.
 """
 
 import itertools
@@ -26,6 +30,13 @@ def group_indicators(incidence: np.ndarray, group: AgentSubset) -> np.ndarray:
     per ``q x d`` incidence matrix, shape ``(..., d)`` for ``(..., q, d)``."""
     group.validate_for(incidence.shape[-2])
     return incidence[..., group.zero_based(), :].any(axis=-2)
+
+
+def connect_given_counts_reduced(model: BlockModel, agent_counts) -> np.ndarray:
+    """``1 - prod_k (1 - p_kl)^m_k`` for agent-type counts of shape ``(..., K)``,
+    with the product taken by ``np.multiply.reduce`` over the ``K`` axis."""
+    m = np.asarray(agent_counts)
+    return 1.0 - np.multiply.reduce((1.0 - model.p) ** m[..., :, None], axis=-2)
 
 
 def connect_prob(model: BlockModel, size_q: int) -> float:

@@ -20,6 +20,11 @@ every claim costs ``r_q * Exp(1)``, which is the kernel's process: with
 one exposed object ``j``, and ``r_q`` and ``mu_j`` powers of two, the
 kernel on the stream ``key.path + (j,)`` gives the reference's flag for
 ``key``; with several they agree in distribution.
+
+:func:`simulate_ruin_batch_reference` is the kernel as it was before it
+worked in place: fresh ``(rows x _CLAIM_CHUNK)`` arrays per chunk, claim
+sizes positive, and the crossing read off a boolean ``hit`` array.  The
+package's kernel must give its flags on the same stream.
 """
 
 import math
@@ -82,6 +87,39 @@ def ruin_frequency(rate, premium, reserve, horizon, paths, base_seed) -> Estimat
     return EstimateWithCI(
         mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / paths), replicates=paths
     )
+
+
+def simulate_ruin_batch_reference(rate, premium, reserve, horizon, rng) -> np.ndarray:
+    """Ruin flags of a batch of paths drawn from ``rng``, computed with fresh
+    arrays per chunk: the reference for :func:`ruinnet.pathsim.simulate_ruin_batch`
+    on valid input."""
+    rate = np.asarray(rate, dtype=np.float64)
+    premium = np.asarray(premium, dtype=np.float64)
+    if reserve <= 0.0:
+        return np.ones(rate.size, dtype=bool)
+    flags = np.zeros(rate.size, dtype=bool)
+    live = np.flatnonzero(rate > 0)
+    rate, premium = rate[live], premium[live]
+    t = np.zeros(live.size)
+    cum_jumps = np.zeros(live.size)
+    while live.size:
+        shape = (live.size, _CLAIM_CHUNK)
+        gaps = -np.log1p(-rng.random(shape)) / rate[:, None]
+        jumps = -np.log1p(-rng.random(shape))
+        epochs = t[:, None] + np.cumsum(gaps, axis=1)
+        with np.errstate(over="ignore"):
+            deficit = cum_jumps[:, None] + np.cumsum(jumps, axis=1) - premium[:, None] * epochs
+        hit = deficit >= reserve
+        crossed = hit.any(axis=1)
+        first = hit[crossed].argmax(axis=1)
+        flags[live[crossed]] = epochs[crossed, first] <= horizon
+        stay = ~crossed
+        if not (epochs[stay, -1] <= horizon).any():
+            break
+        cum_jumps = cum_jumps[stay] + jumps[stay].sum(axis=1)
+        t = epochs[stay, -1]
+        live, rate, premium = live[stay], rate[stay], premium[stay]
+    return flags
 
 
 def _claims_upto(rng, lam, mu_j, horizon):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netgen_reference import (
+    connect_given_counts_reduced,
     connect_prob,
     connect_prob_enumerated,
     group_indicators,
@@ -188,6 +189,29 @@ class TestConnectProb:
             hits += int(group_indicators(graph, group)[0])
         p = connect_prob(m, 2)
         assert abs(hits / R - p) < 4 * np.sqrt(p * (1 - p) / R)
+
+
+class TestConnectGivenCounts:
+    def test_matches_the_reduce_bit_for_bit(self):
+        # K from 1 to 6 and L from 1 to 4, edge probabilities of exactly 0
+        # and 1 among the others, and zero counts in every shape
+        rng = np.random.default_rng(41)
+        for K, L in itertools.product(range(1, 7), range(1, 5)):
+            for _ in range(4):
+                p = rng.uniform(0.0, 1.0, (K, L))
+                p[rng.random((K, L)) < 0.2] = 0.0
+                p[rng.random((K, L)) < 0.2] = 1.0
+                model = BlockModel(w=rng.dirichlet(np.ones(K)), v=rng.dirichlet(np.ones(L)), p=p)
+                n, J = int(rng.integers(1, 50)), int(rng.integers(1, 5))
+                for shape in ((K,), (n, K), (n, J, K)):
+                    m = rng.integers(0, 12, shape)
+                    m[rng.random(shape) < 0.3] = 0
+                    got = connect_given_counts(model, m)
+                    want = connect_given_counts_reduced(model, m)
+                    assert got.shape == want.shape == shape[:-1] + (L,)
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                    zeros = np.zeros(shape, dtype=np.int64)
+                    np.testing.assert_array_equal(connect_given_counts(model, zeros), 0.0)
 
 
 def exact_count_pmf(model, size_q, class_sizes):

@@ -1,6 +1,7 @@
 """Tests for the compound-Poisson path simulator and the nested oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,20 @@ from pathsim_reference import (
     ruin_flags,
     ruin_frequency,
     ruin_path,
+    simulate_ruin_batch_reference,
     simulate_ruin_path_per_object,
 )
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
-from ruinnet.pathsim import NETWORK_BLOCK, PATH_BATCH, oracle_psi, simulate_ruin_batch
+from ruinnet.pathsim import (
+    _CLAIM_CHUNK,
+    NETWORK_BLOCK,
+    PATH_BATCH,
+    oracle_psi,
+    simulate_ruin_batch,
+)
 from ruinnet.ruin import estimate_psi
-from ruinnet.streams import StreamKey
+from ruinnet.streams import ORACLE_PATH_DOMAIN, StreamKey, stream
 
 
 def single_object(c=1.05, u=1.0):
@@ -110,11 +118,91 @@ class TestSimulateRuinPath:
         flags = simulate_ruin_batch([1e-10, 1e-10], [1e300, 0.5e-10], 1.0, 1e15, rng)
         assert flags.tolist() == [False, True]
 
+    @pytest.mark.parametrize(
+        "rate, premium, reserve, horizon, name",
+        [
+            ([1.0], [2.0], 5.0, math.inf, "horizon"),
+            ([1.0], [2.0], 5.0, math.nan, "horizon"),
+            ([1.0], [2.0], 5.0, -1.0, "horizon"),
+            ([1.0], [2.0], 5.0, 0.0, "horizon"),
+            ([1.0], [2.0], math.nan, 10.0, "reserve"),
+            ([1.0], [math.nan], 5.0, 10.0, "premium"),
+            ([1.0], [-1.0], 5.0, 10.0, "premium"),
+            ([1.0], [math.inf], 5.0, 10.0, "premium"),
+            ([math.nan], [1.0], 5.0, 10.0, "rate"),
+            ([-1.0], [1.0], 5.0, 10.0, "rate"),
+            ([math.inf], [1.0], 5.0, 10.0, "rate"),
+        ],
+        ids=[
+            "inf-horizon", "nan-horizon", "negative-horizon", "zero-horizon", "nan-reserve",
+            "nan-premium", "negative-premium", "inf-premium", "nan-rate", "negative-rate",
+            "inf-rate",
+        ],
+    )
+    def test_batch_rejects_bad_input(self, rate, premium, reserve, horizon, name):
+        # an infinite horizon never ends the batch; the NaN and negative
+        # values would give all-False flags without an error
+        with pytest.raises(ValueError, match=name):
+            simulate_ruin_batch(rate, premium, reserve, horizon, np.random.default_rng(0))
+
+    def test_nonpositive_reserve_is_ruin_at_time_zero(self):
+        rng = np.random.default_rng(0)
+        for reserve in (0.0, -1.0, -math.inf):
+            flags = simulate_ruin_batch([0.0, 2.0], [0.0, 1.0], reserve, 10.0, rng)
+            assert flags.tolist() == [True, True]
+
     def test_deterministic_per_key(self):
         case = single_object()
         flags1 = [ruin_path(*case, 1000.0, StreamKey(9, (2, r))) for r in range(100)]
         flags2 = [ruin_path(*case, 1000.0, StreamKey(9, (2, r))) for r in range(100)]
         assert flags1 == flags2
+
+
+class TestKernelAgainstReference:
+    def test_flags_match_the_kernel_with_arrays_per_chunk(self):
+        # batches of 1 to 256 rows with rates 0, 1e-10 (the first claim lies
+        # past any horizon here) and up to 3, premiums up to 1e300 (the
+        # inflow overflows), zero and positive reserves; rows that cross
+        # after the horizon leave the batch and move later rows' draws
+        rng = np.random.default_rng(2026)
+        ruined = total = 0
+        for case in range(300):
+            n = (1, PATH_BATCH)[case] if case < 2 else int(rng.integers(1, PATH_BATCH + 1))
+            total += n
+            rate = rng.choice([0.0, 1e-10, 0.5, 1.0, 3.0], n)
+            premium = rate * rng.uniform(0.7, 1.4, n)
+            premium[rng.random(n) < 0.05] = 0.0
+            premium[rng.random(n) < 0.05] = 1e300
+            reserve = float(rng.choice([0.0, 0.5, 2.0, 6.0]))
+            horizon = float(rng.uniform(10.0, 1000.0))
+            args = (rate, premium, reserve, horizon)
+            got = simulate_ruin_batch(*args, stream(11, ORACLE_PATH_DOMAIN, case))
+            want = simulate_ruin_batch_reference(*args, stream(11, ORACLE_PATH_DOMAIN, case))
+            np.testing.assert_array_equal(got, want)
+            ruined += int(got.sum())
+        assert 0 < ruined < 0.9 * total
+
+    def test_one_call_allocates_its_buffers_once(self):
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def random(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.random(*args, **kwargs)
+
+        rng = CountingRng(np.random.default_rng(8))
+        rate, premium = np.ones(PATH_BATCH), np.full(PATH_BATCH, 1.1)
+        tracemalloc.start()
+        try:
+            simulate_ruin_batch(rate, premium, 20.0, 1200.0, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rng.calls >= 2 * 4  # two draws per chunk, at least four chunks
+        # the uniforms and the inflow take 3 of these 4 float arrays, the
+        # crossing flags an eighth of one
+        assert peak < 4 * PATH_BATCH * _CLAIM_CHUNK * 8
 
 
 class TestMergedClaimStream:
