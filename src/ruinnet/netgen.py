@@ -5,12 +5,12 @@ object ``j`` appears independently with probability ``p[s(i), t(j)]``
 given the types.  The one-type special case is a bipartite Bernoulli
 graph.  Type labels are 0-based indices into the type-probability vectors.
 
-:func:`sample_incidence` draws whole networks; the estimator and the
-approximation draw only what they need of one (:func:`sample_prefix_counts`,
-:func:`sample_configurations`).  Both take nested groups of agents, such as
-the prefix groups of a sweep, and one draw serves every group: the agents
-are drawn layer by layer and the objects once.  A single group is the
-one-layer case.
+:func:`sample_incidence` draws whole networks, for the full-graph reference
+only; the estimator, the path oracle and the approximation draw what they
+need of one (:func:`sample_prefix_counts`, :func:`sample_configurations`).
+Both take nested groups of agents, such as the prefix groups of a sweep, and
+one draw serves every group: the agents are drawn layer by layer and the
+objects once.  A single group is the one-layer case.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ chunks until every path has either crossed its reserve or passed the
 horizon.  Each call allocates its own buffers once and every chunk is
 drawn into them and computed in place, so the kernel makes no array per
 chunk and calls on different threads share nothing.  The nested oracle
-:func:`oracle_psi` draws its networks in fixed blocks and runs each
-block's paths through the kernel in batches, one stream per batch.
+:func:`oracle_psi` draws networks in fixed blocks, each as the group's
+connected counts per premium class, which only the group's size shapes, and
+runs their paths through the kernel in batches, one stream per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
 has a connected object, so checking ruin only at claim epochs is exact.
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .model import AgentSubset, RiskParams, proportional_r
-from .netgen import BlockModel, sample_incidence
+from .netgen import BlockModel, sample_prefix_counts
 from .ruin import EstimateWithCI
 from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, map_blocks, pairwise_sum, stream
 
@@ -103,38 +104,39 @@ def simulate_ruin_batch(
     flags = np.zeros(rate.size, dtype=bool)
     live = np.flatnonzero(rate > 0)
     neg_rate, premium = -rate[live], premium[live]
-    t = np.zeros(live.size)
-    cum_jumps = np.zeros(live.size)
+    t, cum_jumps = np.zeros((2, live.size))
     uniforms = np.empty((2, live.size, _CLAIM_CHUNK))
     inflow = np.empty((live.size, _CLAIM_CHUNK))
     hit_rows = np.empty((live.size, _CLAIM_CHUNK), dtype=bool)
-    while live.size:
-        n = live.size
-        both = uniforms[:, :n]
-        epochs, deficit = both
-        rng.random(out=epochs)
-        rng.random(out=deficit)
-        np.negative(both, out=both)
-        np.log1p(both, out=both)  # minus Exp(1) gaps and sizes
-        np.divide(epochs, neg_rate[:, None], out=epochs)  # the gaps: -x/r is x/(-r) exactly
-        next_jumps = cum_jumps - deficit.sum(axis=1)  # before the sizes are summed in place
-        np.cumsum(both, axis=2, out=both)
-        epochs += t[:, None]
-        np.subtract(cum_jumps[:, None], deficit, out=deficit)  # cum_jumps plus the summed sizes
-        with np.errstate(over="ignore"):  # premium inflow beyond the float range: never ruins
+    # An epoch past the float range (a tiny rate) is infinite, so past every horizon;
+    # an inflow past it never ruins, and a zero premium's 0 * inf is NaN and fails >=.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            n = live.size
+            both = uniforms[:, :n]
+            epochs, deficit = both
+            rng.random(out=epochs)
+            rng.random(out=deficit)
+            np.negative(both, out=both)
+            np.log1p(both, out=both)  # minus Exp(1) gaps and sizes
+            np.divide(epochs, neg_rate[:, None], out=epochs)  # the gaps: -x/r is x/(-r) exactly
+            next_jumps = cum_jumps - deficit.sum(axis=1)  # before the sizes are summed in place
+            np.cumsum(both, axis=2, out=both)
+            epochs += t[:, None]
+            np.subtract(cum_jumps[:, None], deficit, out=deficit)  # cum_jumps plus the summed sizes
             np.multiply(premium[:, None], epochs, out=inflow[:n])
-        deficit -= inflow[:n]
-        # a comparison, not a row maximum: the inflow 0 * inf of a zero premium
-        # is NaN, and a maximum would spread it over the row
-        hit = np.greater_equal(deficit, reserve, out=hit_rows[:n])
-        crossed = hit.any(axis=1)
-        first = hit[crossed].argmax(axis=1)
-        flags[live[crossed]] = epochs[crossed, first] <= horizon
-        stay = ~crossed
-        live, neg_rate, premium = live[stay], neg_rate[stay], premium[stay]
-        t, cum_jumps = epochs[stay, -1], next_jumps[stay]
-        if not (t <= horizon).any():
-            break
+            deficit -= inflow[:n]
+            # a comparison, not a row maximum: a NaN inflow fails it, and a
+            # maximum would spread the NaN over the row
+            hit = np.greater_equal(deficit, reserve, out=hit_rows[:n])
+            crossed = hit.any(axis=1)
+            first = hit[crossed].argmax(axis=1)
+            flags[live[crossed]] = epochs[crossed, first] <= horizon
+            stay = ~crossed
+            live, neg_rate, premium = live[stay], neg_rate[stay], premium[stay]
+            t, cum_jumps = epochs[stay, -1], next_jumps[stay]
+            if not (t <= horizon).any():
+                break
     return flags
 
 
@@ -156,13 +158,16 @@ def oracle_psi(
     truncation); the standard error comes from the spread of the
     per-network fractions.
 
-    Networks come in blocks of :data:`NETWORK_BLOCK`; block ``k`` draws its
-    incidence matrices from the stream ``(base_seed, ORACLE_NET_DOMAIN, k)``
-    and one :func:`streams.map_blocks` task runs it.  The block's paths,
-    network by network, are cut into batches of :data:`PATH_BATCH`, and
-    batch ``b`` runs on the stream
-    ``(base_seed, ORACLE_PATH_DOMAIN, k, b)``.  The result is bit-identical
-    for any ``threads``, and a longer horizon replays every path's claims.
+    A network is the group's connected counts per premium class, drawn by
+    the estimator's :func:`netgen.sample_prefix_counts`: agents are
+    exchangeable, so only the group's size shapes it (its members' reserves
+    set ``U``).  Networks come in blocks of :data:`NETWORK_BLOCK`; block
+    ``k`` draws from the stream ``(base_seed, ORACLE_NET_DOMAIN, k)`` and one
+    :func:`streams.map_blocks` task runs it.  The block's paths, network by
+    network, are cut into batches of :data:`PATH_BATCH`, and batch ``b`` runs
+    on the stream ``(base_seed, ORACLE_PATH_DOMAIN, k, b)``.  The result is
+    bit-identical for any ``threads``, and a longer horizon replays every
+    path's claims.
     """
     group.validate_for(params.q)
     if not (math.isfinite(horizon) and horizon > 0):
@@ -171,20 +176,17 @@ def oracle_psi(
         raise ValueError("need at least two outer network samples")
     if inner_paths < 1:
         raise ValueError("need at least one inner path")
-    rows = group.zero_based()
-    total_reserve = float(params.u[rows].sum())
+    total_reserve = float(params.u[group.zero_based()].sum())
     if not total_reserve > 0:
         raise ValueError("total reserve must be positive")
     reserve = total_reserve / proportional_r(params, group)
-    ratio = params.c / params.mu
 
     def block(k: int, lo: int, hi: int) -> np.ndarray:
         """Ruined-path counts of networks ``lo .. hi-1``."""
         rng = stream(base_seed, ORACLE_NET_DOMAIN, k)
-        incidence = sample_incidence(model, params.q, params.d, rng, hi - lo)
-        connected = incidence[:, rows, :].any(axis=1)
-        rate = params.lam * connected.sum(axis=1)
-        premium = np.where(connected, ratio, 0.0).sum(axis=1)
+        counts = sample_prefix_counts(model, [group.size], params.class_sizes, rng, hi - lo)[:, 0]
+        rate = params.lam * counts.sum(axis=1)
+        premium = sum(n * r for n, r in zip(counts.T, params.class_ratio))  # fixed order, no BLAS
         ruined = np.zeros(hi - lo, dtype=np.int64)
         paths = (hi - lo) * inner_paths
         for b, start in enumerate(range(0, paths, PATH_BATCH)):

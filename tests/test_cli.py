@@ -508,11 +508,26 @@ class TestCmdOracle:
         assert report["pass"]
         assert report["discrepancy"] < 0.01
 
-    def test_rejects_large_instances(self):
-        doc = figure_doc(q=20, d=20, group={"size": 2})
+    def test_runs_beyond_a_hundred_pairs(self):
+        # q * d = 400: the oracle draws counts, not incidence arrays.  A
+        # horizon of 200 leaves a bias of about 0.08 at these premiums, so
+        # the verdict is not asserted
+        doc = figure_doc(q=20, d=20, group={"size": 2}, horizon=200.0)
+        doc.update(outer_networks=200, inner_paths=5)
         doc["premiums"]["ns"] = 5
-        with pytest.raises(ConfigError, match="small instances"):
-            cmd_oracle(parse_config(doc))
+        report = cmd_oracle(parse_config(doc))
+        assert 0.0 < report["oracle"] < 1.0
+        assert report["oracle_stderr"] > 0.0
+
+    def test_tiny_lambda_exits_0(self, tmp_path, capsys):
+        # the golden config with a subnormal claim rate: every epoch
+        # overflows the float range, with no warning
+        doc = json.loads((GOLDEN / "oracle" / "config.json").read_text())
+        doc["lambda"] = 1e-310
+        rc, out, err = run_main(tmp_path, capsys, "oracle", doc)
+        header, values = out.splitlines()
+        assert rc == 0, err
+        assert dict(zip(header.split(","), values.split(",")))["oracle"] == "0"
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
     def test_bad_horizon_exits_2_before_the_estimator(self, tmp_path, capsys, monkeypatch, horizon):

@@ -10,7 +10,7 @@ import pytest
 
 from exact_reference import MAX_LATTICE, assert_agrees, exact_law, poisson_tails
 from ruin_reference import exhaustive_graph_psi
-from ruinnet.cli import load_config
+from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, load_config
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from ruinnet.ruin import EstimateWithCI, RuinEstimate, estimate, estimate_prefixes
@@ -224,3 +224,29 @@ class TestPrefixEstimatesAgainstExactLaw:
         low, high = poisson_tails(mean, count)
         assert low == pytest.approx(pmf[: count + 1].sum(), rel=1e-12)
         assert high == pytest.approx(pmf[count:].sum(), rel=1e-9)
+
+
+class TestPhaseDiagram:
+    """The paper's phase transition on the exact ``psi`` curves, with no
+    sampling error: the setting of acceptance criterion 6 and of the
+    benchmark's ``sweep``."""
+
+    def test_sweep_shapes_are_u_then_s(self):
+        model = BlockModel.bernoulli(0.5)
+        shapes, argmins = {}, {}
+        for ns in (4, 5, 6):
+            params = sbm_workload_params(ns=ns, d=10, q=10)
+            psi = [exact_law(params, model, AgentSubset.prefix(k)).psi for k in range(1, 11)]
+            # classify_shape reads only the group size and log10(psi)
+            rows = [
+                SweepRow(
+                    qsize=k, ns=ns, psi_hat=p, stderr=0.0, ci_lo=p, ci_hi=p,
+                    log10_psi=math.log10(p), tail_hat=math.nan, approx_prob=math.nan,
+                    stein_bound=math.nan,
+                )
+                for k, p in enumerate(psi, start=1)
+            ]
+            shapes[ns] = classify_shape(rows)
+            argmins[ns] = int(np.argmin(psi)) + 1
+        assert shapes == {4: U_SHAPE, 5: S_SHAPE, 6: S_SHAPE}
+        assert argmins[4] == 6

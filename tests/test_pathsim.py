@@ -119,6 +119,26 @@ class TestSimulateRuinPath:
         assert flags.tolist() == [False, True]
 
     @pytest.mark.parametrize(
+        "rate, premium",
+        [(1e-300, 0.0), (1e-306, 0.0), (1e-308, 0.0), (1e-310, 0.0), (5e-324, 0.0), (1e-308, 1.0)],
+    )
+    def test_tiny_rate_never_ruins_without_a_warning(self, rate, premium):
+        # the gap division or the epochs' cumulative sum overflows: an
+        # infinite epoch lies past the horizon, and a zero premium's inflow
+        # there, 0 * inf, is NaN, which never crosses the reserve
+        flags = simulate_ruin_batch([rate], [premium], 1.0, 10.0, np.random.default_rng(4))
+        assert flags.tolist() == [False]
+
+    def test_tiny_rate_rows_leave_other_rows_alone(self):
+        # rows whose epochs have overflowed stay in the batch beside rows
+        # under negative loading, which ruin
+        rate = np.tile([1e-310, 2.0], PATH_BATCH // 2)
+        premium = np.tile([0.0, 1.0], PATH_BATCH // 2)
+        flags = simulate_ruin_batch(rate, premium, 0.2, 500.0, np.random.default_rng(3))
+        assert not flags[::2].any()
+        assert flags[1::2].all()
+
+    @pytest.mark.parametrize(
         "rate, premium, reserve, horizon, name",
         [
             ([1.0], [2.0], 5.0, math.inf, "horizon"),
@@ -277,15 +297,15 @@ class TestMergedClaimStream:
 #: ``(mean, stderr)`` it returns, as float hex.
 ORACLE_PINS = [
     ((3, 4, 3, [0.9, 1.0, 1.1, 1.3], [1.0, 0.7, 1.3, 1.1], 11),
-     ("0x1.1733333333333p-1", "0x1.6738361d7fe9fp-6")),
+     ("0x1.1cccccccccccdp-1", "0x1.598242050b5a0p-6")),
     ((4, 3, 3, [1.05, 0.95, 1.2], [0.3, 0.9, 1.7], 12),
-     ("0x1.0000000000000p-4", "0x1.7b443ccb281b6p-6")),
+     ("0x1.0cccccccccccdp-4", "0x1.9833e718a8fc3p-6")),
     ((4, 4, 4, [1.1, 1.0, 0.9, 1.2], [1.1, 0.7, 0.3, 2.3], 13),
-     ("0x1.599999999999ap-5", "0x1.35c992ae51369p-6")),
+     ("0x1.4cccccccccccdp-5", "0x1.4f23c3acb9c83p-6")),
     ((5, 3, 5, [1.0, 1.3, 0.9], [0.7, 1.9, 1.1], 14),
-     ("0x1.5c00000000000p-1", "0x1.9bdee191f4042p-6")),
+     ("0x1.54ccccccccccdp-1", "0x1.c6562095a8f6ep-6")),
     ((5, 4, 4, [0.95, 1.05, 1.15, 1.0], [1.3, 0.3, 0.7, 1.7], 15),
-     ("0x1.3333333333333p-8", "0x1.c539ba1232f98p-9")),
+     ("0x1.6666666666666p-6", "0x1.3623c89d969e5p-6")),
 ]
 
 
@@ -400,6 +420,33 @@ class TestOraclePsi:
             horizon=1000.0, outer_networks=1200, inner_paths=5, base_seed=seed,
         )
         assert abs(oracle.mean - exact) <= 4 * oracle.stderr, (oracle, exact)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_more_than_a_hundred_pairs_against_exact_law(self, seed):
+        # q * d = 200 agent-object pairs: the oracle draws counts, so its
+        # cost does not grow with q * d
+        c = np.full(20, 1.15)
+        c[:5] = 0.95
+        params = RiskParams(lam=1.0, c=c, mu=np.ones(20), u=np.ones(10))
+        model, group = BlockModel.bernoulli(0.3), AgentSubset.prefix(3)
+        exact = exact_law(params, model, group).psi
+        oracle = oracle_psi(
+            params, model, group,
+            horizon=200.0, outer_networks=1200, inner_paths=5, base_seed=seed,
+        )
+        assert abs(oracle.mean - exact) <= 4 * oracle.stderr, (oracle, exact)
+
+    def test_scattered_group_draws_its_prefix_groups_networks(self):
+        # agents are exchangeable and the reserves equal, so only the
+        # group's size matters: the same counts, the same paths, the same bits
+        params = RiskParams(lam=1.0, c=[0.95, 0.95, 1.15, 1.15, 1.15], mu=np.ones(5), u=np.ones(8))
+        model = BlockModel.bernoulli(0.4)
+        scattered, prefix = (
+            oracle_psi(params, model, group, 100.0, 40, 16, 5)
+            for group in (AgentSubset((2, 5, 7)), AgentSubset.prefix(3))
+        )
+        assert scattered == prefix
+        assert 0.1 < prefix.mean < 0.9
 
     def test_thread_count_never_changes_result(self):
         params = RiskParams(lam=1.0, c=[0.95, 1.05], mu=[1.0, 1.0], u=[1.0, 1.0])
