@@ -22,7 +22,8 @@ far beyond the raw configuration space.
 Exact mode and the phase classifier enumerate these configurations as
 arrays (:func:`_configurations`), sampled mode draws them, and one evaluator
 (:func:`_terms`) turns each into its tail probability, bound term and
-point-mass weight.
+point-mass weight.  Each per-type and per-class total is one
+:func:`streams.weighted_sum`, and a point mass is exact (:func:`_terms`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import netgen
 from .model import AgentSubset, RiskParams
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
-from .streams import APPROX_DOMAIN, block_totals, mean_stderr
+from .streams import APPROX_DOMAIN, block_totals, mean_stderr, weighted_sum
 
 #: Constant of the Berry-Esseen-type bound for sums of independent,
 #: not identically distributed summands.
@@ -122,36 +123,35 @@ def _positive_prob(mean: np.ndarray, variance: np.ndarray, point: np.ndarray) ->
     return prob
 
 
-def _stats_from_counts(
-    xi_vals: np.ndarray, counts_gl: np.ndarray, p_l: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, variance, raw third-moment sum) from per-(class, object-type) counts
-    ``counts_gl`` of shape ``(..., G, L)`` and connection probabilities ``p_l``
-    of shape ``(..., L)``; leading axes broadcast, one result per configuration."""
+def _stats_from_counts(xi_vals: np.ndarray, counts_gl: np.ndarray, p_l: np.ndarray) -> tuple:
+    """(mean, variance, raw third-moment sum, expected connected count) per
+    configuration, from counts ``counts_gl`` per (class, object type), ``(..., G, L)``,
+    and connection probabilities ``p_l``, ``(..., L)``; leading axes broadcast."""
     xm = xi_vals - 1.0
     q_l = 1.0 - p_l
     s2 = p_l * q_l
     h = p_l * q_l**3 + q_l * p_l**3
-
-    def per_class(x: np.ndarray) -> np.ndarray:
-        return (counts_gl @ x[..., None])[..., 0]
-
-    mean = (xm * per_class(p_l)).sum(axis=-1)
-    var = (xm * xm * per_class(s2)).sum(axis=-1)
-    raw3 = (np.abs(xm) ** 3 * per_class(h)).sum(axis=-1)
-    return mean, var, raw3
+    connected, per_s2, per_h = (weighted_sum(counts_gl, x[..., None, :]) for x in (p_l, s2, h))
+    mean = weighted_sum(connected, xm)
+    var = weighted_sum(per_s2, xm * xm)
+    raw3 = weighted_sum(per_h, np.abs(xm) ** 3)
+    return mean, var, raw3, connected.sum(axis=-1)  # 0 only when every class's is
 
 
-def _terms(weight, mean, var, raw3) -> tuple[np.ndarray, ...]:
+def _terms(weight, mean, var, raw3, connected) -> tuple[np.ndarray, ...]:
     """Each configuration's tail probability, bound term and point-mass
     weight, times its ``weight``.  ``var ** 1.5`` is libm's ``pow``, and a
-    point mass gets an infinite root, which zeroes its bound term."""
+    point mass gets an infinite root, which zeroes its bound term.  A point
+    mass is in the tail at a positive mean or with no connected object (PK
+    is 0/0 := 0); at mean 0 with connected objects it is a tie, out of it."""
     point = var == 0.0
     root = np.fromiter(map(pow, var.ravel().tolist(), itertools.repeat(1.5)), np.float64, var.size)
     root = root.reshape(var.shape)
     root[point] = np.inf
     bound = weight * BOUND_CONSTANT * raw3 / root
-    return weight * _positive_prob(mean, var, point), bound, weight * point
+    prob = _positive_prob(mean, var, point)
+    np.copyto(prob, 1.0, where=connected == 0.0)  # PK = 0/0 := 0; var is 0 there too
+    return weight * prob, bound, weight * point
 
 
 def _compositions(total: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +186,11 @@ def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
 def _configurations(
     model: BlockModel, xi_vals: np.ndarray, sizes: np.ndarray, size_q: int
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """``(weight, mean, variance, raw3)`` arrays of the collapsed configurations,
-    in chunks of at most ``_CHUNK_CELLS`` count cells: one agent-type
-    composition (slowest) and one object-type composition per class, with
-    the product of their weights, summarised as sampled mode summarises
-    drawn ones.  More than :data:`MAX_EXACT_TERMS` configurations is a
+    """``(weight, mean, variance, raw3, connected)`` arrays of the collapsed
+    configurations, in chunks of at most ``_CHUNK_CELLS`` count cells: one
+    agent-type composition (slowest) and one object-type composition per
+    class, with the product of their weights, summarised as sampled mode
+    summarises drawn ones.  More than :data:`MAX_EXACT_TERMS` configurations is a
     ``ValueError``."""
     terms = exact_term_count(model, size_q, sizes)
     if terms > MAX_EXACT_TERMS:
@@ -217,8 +217,8 @@ def _configurations(
 def _exact(model: BlockModel, size_q: int, xi_vals: np.ndarray, sizes: np.ndarray) -> ApproxResult:
     totals = [0.0, 0.0, 0.0]  # summed term by term: sum() compensates on Python >= 3.12
     count = 0
-    for weight, mean, var, raw3 in _configurations(model, xi_vals, sizes, size_q):
-        parts = _terms(weight, mean, var, raw3)
+    for weight, *stats in _configurations(model, xi_vals, sizes, size_q):
+        parts = _terms(weight, *stats)
         totals = [reduce(operator.add, part.tolist(), t) for t, part in zip(totals, parts)]
         count += weight.size
     prob, bound, deg_weight = totals
@@ -245,7 +245,7 @@ def _sampled(
     def configs(rng: np.random.Generator, rows: int) -> np.ndarray:
         connect, counts = sample_configurations(model, group_sizes, sizes, rng, rows)
         stats = _stats_from_counts(xi_vals, counts[:, None], connect)
-        return np.broadcast_to(np.stack(stats, axis=-1), (rows, J, 3))
+        return np.broadcast_to(np.stack(stats, axis=-1), (rows, J, len(stats)))
 
     def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
         # per group, the counts per (class, object type) and the edge powers
@@ -386,7 +386,7 @@ def phase_classify(
             stacklevel=2,
         )
     configs = _configurations(model, xi_vals, sizes, group.size)
-    signs = {s for weight, mean, _, _ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
+    signs = {s for weight, mean, *_ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
     sign = int(signs.pop()) if len(signs) == 1 else 0
     verdict = TAIL_TO_ONE if sign > 0 else TAIL_TO_ZERO if sign < 0 else INDETERMINATE
     return PhaseVerdict(limit_mean_sign=sign, verdict=verdict, beta=float(beta))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import weighted_sum
+
 #: Memory cap (array cells) of one vectorised draw; see :func:`_in_chunks`.
 _CHUNK_CELLS = 1 << 22
 
@@ -226,7 +228,7 @@ def sample_prefix_counts(
     n = int(replicates)
     connect = connect_given_counts(model, _prefix_agent_counts(model, group_sizes, rng, n))
     # v sums to 1 only within rounding, so pbar may exceed 1 by an ulp
-    pbar = np.minimum(connect @ model.v, 1.0)
+    pbar = np.minimum(weighted_sum(connect, model.v), 1.0)
     # pow can round a larger group's pbar an ulp below a smaller one's
     np.maximum.accumulate(pbar, axis=1, out=pbar)
     J = pbar.shape[1]

@@ -15,9 +15,9 @@ chunks until every path has either crossed its reserve or passed the
 horizon.  Each call allocates its own buffers once and every chunk is
 drawn into them and computed in place, so the kernel makes no array per
 chunk and calls on different threads share nothing.  The nested oracle
-:func:`oracle_psi` draws networks in fixed blocks, each as the group's
-connected counts per premium class, which only the group's size shapes, and
-runs their paths through the kernel in batches, one stream per batch.
+:func:`oracle_psi` draws networks in blocks as the group's connected counts per
+premium class, takes their rates and premiums from :func:`ruin.rate_and_premium`,
+and runs their paths through the kernel in batches, one stream per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
 has a connected object, so checking ruin only at claim epochs is exact.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel, sample_prefix_counts
-from .ruin import EstimateWithCI
+from .ruin import EstimateWithCI, rate_and_premium
 from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, map_blocks, pairwise_sum, stream
 
 #: Claims are drawn in fixed chunks so that extending the horizon replays
@@ -185,8 +185,7 @@ def oracle_psi(
         """Ruined-path counts of networks ``lo .. hi-1``."""
         rng = stream(base_seed, ORACLE_NET_DOMAIN, k)
         counts = sample_prefix_counts(model, [group.size], params.class_sizes, rng, hi - lo)[:, 0]
-        rate = params.lam * counts.sum(axis=1)
-        premium = sum(n * r for n, r in zip(counts.T, params.class_ratio))  # fixed order, no BLAS
+        rate, premium = rate_and_premium(params.lam, counts, params.class_ratio)
         ruined = np.zeros(hi - lo, dtype=np.int64)
         paths = (hi - lo) * inner_paths
         for b, start in enumerate(range(0, paths, PATH_BATCH)):

@@ -1,18 +1,18 @@
 """Monte-Carlo estimation of group ruin probabilities.
 
 Per network realisation the group's ruin behaviour is summarised by the
-network Pollaczek-Khintchine ratio
+network Pollaczek-Khintchine ratio, claim rate over premium rate,
 
     P = lam * (number of connected objects) / (sum over connected j of c_j/mu_j)
 
-with the convention 0/0 := 0.  A realisation with ``P >= 1`` implies
-certain group ruin; with ``P < 1`` the group ruins with probability
-``P * exp(-(1-P) * U / r)`` where ``U`` is the group's total reserve and
-``r`` the proportional-weight scaling constant (``P`` itself at ``U = 0``,
-the classical ``psi(0) = lam*mu/c`` for one object).  Averaging that summand
-over network replicates estimates the group ruin probability, and the
-frequency of ``P < 1`` estimates the tail probability driving the phase
-transition; :func:`estimate` reads both from the same draws, and
+with 0/0 := 0; :func:`rate_and_premium` forms both, for the estimator and the
+path oracle alike.  ``P >= 1`` is certain group ruin; with ``P < 1`` the
+group ruins with probability ``P * exp(-(1-P) * U / r)``, ``U`` the group's
+total reserve and ``r`` the proportional-weight scaling constant (``P``
+itself at ``U = 0``, the classical ``psi(0) = lam*mu/c`` for one object).
+Averaging that summand over network replicates estimates the group ruin
+probability, and the frequency of ``P < 1`` the tail probability driving
+the phase transition; :func:`estimate` reads both from the same draws, and
 :func:`estimate_prefixes` reads them for nested prefix groups from one
 nested draw.
 """
@@ -26,7 +26,7 @@ import numpy as np
 from . import netgen
 from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel
-from .streams import RUIN_DOMAIN, block_totals, mean_stderr
+from .streams import RUIN_DOMAIN, block_totals, mean_stderr, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,22 @@ def _summand(pk: np.ndarray, decay):
     return float(out) if out.ndim == 0 else out
 
 
-def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """PK ratios of replicates given as counts of connected objects per
-    premium class (:attr:`RiskParams.class_ratio`), 0 for a disconnected
-    group; never negative, since the ratios are positive.
-
-    Both samplers pass freshly allocated integer counts through this
-    arithmetic, so a configuration gives the same bits (and the same side
-    of a tie at 1) whichever sampler drew it.  The BLAS product can round
-    differently for an array that starts at an unaligned offset, such as
-    a slice.
-    """
+def rate_and_premium(lam: float, counts: np.ndarray, ratio: np.ndarray):
+    """Claim rate ``lam * n`` and premium rate ``sum_g n_g * ratio_g`` (units of
+    ``r_q``) of ``(rows, G)`` connected counts per class of :attr:`RiskParams.class_ratio`."""
     total = np.einsum("ij->i", counts)  # exact integers, faster than sum(axis=1)
+    return lam * total, weighted_sum(counts, ratio)
+
+
+def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """PK ratios ``rate / premium`` (:func:`rate_and_premium`), 0 for a
+    disconnected group; never negative, since the ratios are positive."""
+    rate, premium = rate_and_premium(lam, counts, ratio)
     with np.errstate(invalid="ignore"):
-        out = lam * total / (counts @ ratio)
+        np.divide(rate, premium, out=rate)
     # every ratio is positive and normal, so the one NaN is a disconnected
     # group's 0/0, and fmax takes 0 over it (one pass, unlike a masked write)
-    return np.fmax(out, 0.0, out=out)
+    return np.fmax(rate, 0.0, out=rate)
 
 
 def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):

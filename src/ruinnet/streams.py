@@ -75,6 +75,16 @@ def pairwise_sum(values) -> float:
     return float(_tree(x)) if x.size else 0.0
 
 
+def weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``sum_i x[..., i] * w[..., i]`` over the last axis, leading axes
+    broadcast: the first product, then each later one added left to right,
+    elementwise.  Each row has the bits of that loop in Python floats, on any CPU."""
+    total = x[..., 0] * w[..., 0]
+    for i in range(1, x.shape[-1]):
+        total += x[..., i] * w[..., i]
+    return total
+
+
 def map_blocks(
     n: int, fn: Callable[[int, int, int], object], threads: int = 1, width: int = BLOCK_SIZE
 ) -> list:

@@ -113,8 +113,9 @@ def weighted_compositions(total: int, probs: np.ndarray):
 
 
 def collapsed_configurations(model: BlockModel, xi_vals, sizes, size_q: int):
-    """Yield ``(weight, mean, variance, raw3)`` per collapsed configuration:
-    agent-type counts slowest, then each class's object-type counts."""
+    """Yield ``(weight, mean, variance, raw3, connected)`` per collapsed
+    configuration: agent-type counts slowest, then each class's object-type
+    counts; ``connected`` is the expected connected count."""
     per_class = [weighted_compositions(dg, model.v) for dg in sizes]
     for m_counts, w_agent in weighted_compositions(size_q, model.w):
         p_l = connect_given_counts(model, np.asarray(m_counts, dtype=np.int64))
@@ -123,8 +124,8 @@ def collapsed_configurations(model: BlockModel, xi_vals, sizes, size_q: int):
             for _, w_comp in combo:
                 weight *= w_comp
             counts_gl = np.asarray([comp for comp, _ in combo], dtype=np.float64)
-            mean, var, raw3 = _stats_from_counts(xi_vals, counts_gl, p_l)
-            yield weight, float(mean), float(var), float(raw3)
+            stats = _stats_from_counts(xi_vals, counts_gl, p_l)
+            yield (weight, *map(float, stats))
 
 
 @dataclass(frozen=True)
@@ -146,12 +147,15 @@ def exact_by_loop(params: RiskParams, model: BlockModel, group: AgentSubset) -> 
     prob = bound = deg_weight = 0.0
     count = 0
     signs = set()
-    for weight, mean, var, raw3 in collapsed_configurations(model, xi_vals, sizes, group.size):
+    configs = collapsed_configurations(model, xi_vals, sizes, group.size)
+    for weight, mean, var, raw3, connected in configs:
         count += 1
         if weight > 0.0:
             signs.add((mean > 0) - (mean < 0))
         if var == 0.0:
-            prob += weight * (1.0 if mean > 0 else 0.0)
+            # a point mass: in the tail at a positive mean, or with no
+            # connected object (PK = 0/0 := 0); a tie at mean 0 stays out
+            prob += weight * (1.0 if mean > 0 or connected == 0.0 else 0.0)
             deg_weight += weight
         else:
             prob += weight * (0.5 * math.erfc(-mean / math.sqrt(2.0 * var)))
@@ -184,7 +188,7 @@ def sampled_one_group(
             counts = rng.multinomial(sizes, model.v, size=(rows, sizes.size))
         else:
             counts = sizes[None, :, None]
-        stats = np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (3, rows))
+        stats = np.broadcast_to(_stats_from_counts(xi_vals, counts, connect), (4, rows))
         prob, bound, point = _terms(1.0, *stats)
         blocks.append([pairwise_sum(a) for a in (prob, prob * prob, bound, point)])
     total, total_sq, bound, point = (pairwise_sum(column) for column in zip(*blocks))

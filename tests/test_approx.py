@@ -19,6 +19,7 @@ from approx_reference import (
     p_of_config,
     sampled_one_group,
 )
+from exact_reference import exact_law
 from model_reference import compute_loadings
 from ruin_reference import pk_value
 from ruinnet import approx
@@ -139,10 +140,13 @@ class TestMixtureStats:
             counts = np.zeros((ratio.size, model.L))
             np.add.at(counts, (cls, t), 1)
             connect = connect_given_counts(model, np.bincount(s, minlength=model.K))
-            mean, var, raw3 = _stats_from_counts(ratio / params.lam, counts, connect)
+            mean, var, raw3, connected = _stats_from_counts(ratio / params.lam, counts, connect)
             assert mean == pytest.approx(ref.mean, rel=1e-9, abs=1e-12)
             assert var == pytest.approx(ref.variance, rel=1e-9, abs=1e-15)
             assert ref.degenerate == (var == 0.0)
+            pc = [p_of_config(model, s, tj) for tj in t]
+            assert connected == pytest.approx(sum(pc), rel=1e-9)
+            assert (connected == 0.0) == (max(pc) == 0.0)
             if not ref.degenerate:
                 assert raw3 / var**1.5 == pytest.approx(ref.third_sum, rel=1e-9)
 
@@ -626,6 +630,64 @@ print(res.config_count, grown)
         count, grown_kb = int(out[0]), int(out[1])  # ru_maxrss is in KiB on Linux
         assert count == 517_888
         assert grown_kb <= 32 * 1024
+
+
+class TestPointMasses:
+    """A configuration of zero variance is a point mass, and its tail is
+    exact: in the tail at a positive mean, or when the group connects to
+    no object (PK = 0/0 := 0 < 1); a tie at mean 0 stays out."""
+
+    PARAMS = RiskParams(lam=1.0, c=[0.95, 1.05, 1.05, 0.95], mu=np.ones(4), u=np.ones(2))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BlockModel.bernoulli(0.0),
+            BlockModel(w=[0.5, 0.5], v=[0.3, 0.7], p=np.zeros((2, 2))),
+        ],
+        ids=["bernoulli", "sbm"],
+    )
+    def test_disconnected_group_is_all_tail(self, model):
+        group = AgentSubset.prefix(2)
+        exact = exact_tail_by_enumeration(self.PARAMS, model, group)
+        assert exact == pytest.approx(1.0, abs=1e-12)
+        assert exact_law(self.PARAMS, model, group).tail == pytest.approx(exact, abs=1e-12)
+        got = mixture_probability(self.PARAMS, model, group, mode="exact")
+        assert abs(got.probability - exact) <= got.stein_bound + 1e-12
+        assert got.degenerate_weight == pytest.approx(1.0, abs=1e-12)
+        sampled = mixture_probability(self.PARAMS, model, group, "sampled", 200, base_seed=3)
+        assert (sampled.probability, sampled.stein_bound) == (1.0, 0.0)
+
+    def test_every_point_mass_is_exact(self):
+        # each agent connects to every object of its own type and to no
+        # other: every configuration is a point mass, a sixteenth of them
+        # disconnected, and the ones with as many objects of each class are ties
+        model = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5], p=[[1.0, 0.0], [0.0, 1.0]])
+        group = AgentSubset.prefix(1)
+        got = mixture_probability(self.PARAMS, model, group, mode="exact")
+        exact = exact_tail_by_enumeration(self.PARAMS, model, group)
+        assert (got.stein_bound, got.degenerate_weight) == (0.0, pytest.approx(1.0))
+        assert got.probability == pytest.approx(exact, abs=1e-12)
+
+    def test_zero_off_diagonal_blockmodel(self):
+        model = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5], p=[[0.5, 0.0], [0.0, 0.5]])
+        group = AgentSubset.prefix(1)
+        exact = exact_tail_by_enumeration(self.PARAMS, model, group)
+        assert exact == pytest.approx(0.5859375, abs=1e-12)
+        assert exact_law(self.PARAMS, model, group).tail == pytest.approx(exact, abs=1e-12)
+        got = mixture_probability(self.PARAMS, model, group, mode="exact")
+        assert abs(got.probability - exact) <= got.stein_bound
+        assert got.degenerate_weight == pytest.approx(1 / 16, rel=1e-12)
+        # the disconnected sixteenth is in the tail, on top of the normal parts
+        assert got.probability == pytest.approx(exact_by_loop(self.PARAMS, model, group).probability)
+
+    def test_tie_at_one_stays_out(self):
+        # both objects connected, premiums 0.95 + 1.05 == 2.0 == lam * 2
+        params = RiskParams(lam=1.0, c=[0.95, 1.05], mu=np.ones(2), u=np.ones(1))
+        model, group = BlockModel.bernoulli(1.0), AgentSubset.prefix(1)
+        assert exact_law(params, model, group).tail == 0.0
+        got = mixture_probability(params, model, group, mode="exact")
+        assert (got.probability, got.stein_bound, got.degenerate_weight) == (0.0, 0.0, 1.0)
 
 
 class TestEnumerationOracle:
