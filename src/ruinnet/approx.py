@@ -126,7 +126,9 @@ def _positive_prob(mean: np.ndarray, variance: np.ndarray, point: np.ndarray) ->
 def _stats_from_counts(xi_vals: np.ndarray, counts_gl: np.ndarray, p_l: np.ndarray) -> tuple:
     """(mean, variance, raw third-moment sum, expected connected count) per
     configuration, from counts ``counts_gl`` per (class, object type), ``(..., G, L)``,
-    and connection probabilities ``p_l``, ``(..., L)``; leading axes broadcast."""
+    and connection probabilities ``p_l``, ``(..., L)``; leading axes broadcast.
+    Callers lay them out (type, class, group, replicate) in memory, so each
+    product and total runs over whole replicate rows, with any layout's bits."""
     xm = xi_vals - 1.0
     q_l = 1.0 - p_l
     s2 = p_l * q_l
@@ -207,11 +209,11 @@ def _configurations(
     for lo in range(0, total, step):
         a, *rows = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
         weight = weight_a[a]
-        chunk = np.empty((a.size, sizes.size, model.L))
+        chunk = np.empty((model.L, sizes.size, a.size))  # (type, class, configuration)
         for g, (w, c, row) in enumerate(zip(weights, counts, rows)):
             weight = weight * w[row]
-            chunk[:, g] = c[row]
-        yield (weight, *_stats_from_counts(xi_vals, chunk, connect[a]))
+            chunk[:, g] = c[row].T
+        yield (weight, *_stats_from_counts(xi_vals, chunk.T, connect.T[:, a].T))
 
 
 def _exact(model: BlockModel, size_q: int, xi_vals: np.ndarray, sizes: np.ndarray) -> ApproxResult:
@@ -248,9 +250,7 @@ def _sampled(
         return np.broadcast_to(np.stack(stats, axis=-1), (rows, J, len(stats)))
 
     def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, ...]:
-        # per group, the counts per (class, object type) and the edge powers
-        # per (agent type, object type); one group keeps the cap of G * L cells
-        # while K <= G
+        # the cap fixes where a block splits into chunks, and so the draws
         stats = _in_chunks(configs, rng, rows, J * max(sizes.size, model.K) * model.L)
         prob_v, bound_v, point_v = _terms(1.0, *np.moveaxis(stats, -1, 0))
         return prob_v, prob_v * prob_v, bound_v, point_v

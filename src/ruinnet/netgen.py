@@ -123,16 +123,33 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     agent-type counts are ``agent_counts``: ``1 - prod_k (1 - p_kl)^m_k``.
 
     ``agent_counts`` has shape ``(..., K)``; the result has shape ``(..., L)``.
-    The product runs over the ``K`` slices of the powers, left to right: the
-    bits of a reduce over the agent-type axis, without the strided reduce
-    over that short axis.
+    Many counts gather ``(1 - p_kl) ** c``, computed once for each ``c`` up to
+    (at least) the largest, at each type's contiguous counts, into a view in
+    the counts' memory order reversed; a few are raised to their own powers.
+    The product runs over the types left to right; both give the bits of the
+    inline power and of a reduce.
+
+    Raises:
+        ValueError: If a count is negative or not an integer.
     """
     m = np.asarray(agent_counts)
-    powers = (1.0 - model.p) ** m[..., :, None]
-    none = powers[..., 0, :]
-    for k in range(1, model.K):
-        none = none * powers[..., k, :]
-    return 1.0 - none
+    if m.dtype.kind not in "iu":
+        raise ValueError(f"agent counts must be integers, got dtype {m.dtype}")
+    top = np.bitwise_or.reduce(m, axis=None)  # negative if a count is, else >= every count
+    if top < 0:
+        raise ValueError("agent counts must be nonnegative")
+    if m.size <= model.K * (top + 1):  # no more counts than table entries
+        powers = (1.0 - model.p) ** m[..., :, None]
+        none = powers[..., 0, :]
+        for k in range(1, model.K):
+            none = none * powers[..., k, :]
+        return 1.0 - none
+    m = np.asarray(m.T, order="C")  # each type's counts contiguous
+    table = (1.0 - model.p)[:, :, None] ** np.arange(top + 1.0)  # (K, L, top + 1)
+    none, out = np.take(table[0], m[0], axis=1), np.empty((model.L, *m.shape[1:]))
+    for k in range(1, model.K):  # "clip" gathers into out with no copy: every count is in range
+        none *= np.take(table[k], m[k], axis=1, out=out, mode="clip")
+    return np.subtract(1.0, none, out=none).T
 
 
 def nested_sizes(group_sizes) -> np.ndarray:
@@ -152,15 +169,20 @@ def _prefix_agent_counts(
     The agents are drawn layer by layer: the ``group_sizes[j] -
     group_sizes[j-1]`` agents that group ``j`` adds get ``Multinomial(layer
     size, w)`` type counts, and a group's counts sum its layers'.  Returns
-    ``(n, J, K)``, or ``(1, J, 1)`` (nothing drawn) if ``K == 1``.  With one
-    group it draws the bits of ``rng.multinomial(size, w, size=n)``.
+    ``(n, J, K)``, a view with the replicate axis innermost in memory, or
+    ``(1, J, 1)`` (nothing drawn) if ``K == 1``.  With one group it draws
+    the bits of ``rng.multinomial(size, w, size=n)``.
     """
     sizes = nested_sizes(group_sizes)
     if model.K == 1:
         return sizes[None, :, None]
     layers = sizes.copy()
     layers[1:] -= sizes[:-1]
-    return np.cumsum(rng.multinomial(layers, model.w, size=(n, sizes.size)), axis=1)
+    # summed as (K, J, n) rows: a cumsum over J runs one short loop per (row, type)
+    counts = np.asarray(rng.multinomial(layers, model.w, size=(n, sizes.size)).T, order="C")
+    for j in range(1, sizes.size):
+        counts[:, j] += counts[:, j - 1]
+    return counts.T
 
 
 def sample_configurations(
@@ -184,13 +206,16 @@ def sample_configurations(
         agent-type counts, ``(replicates, J, L)`` (``(1, J, L)``, nothing
         drawn, when ``K == 1``), and integer object counts of shape
         ``(replicates, G, L)`` (``(1, G, 1)``, nothing drawn, when ``L == 1``),
-        ``G = len(class_sizes)``; both broadcast to ``replicates`` rows.
+        ``G = len(class_sizes)``; both broadcast to ``replicates`` rows.  Drawn
+        counts, and the probabilities of many rows, keep the replicate axis
+        innermost in memory.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     n = int(replicates)
     connect = connect_given_counts(model, _prefix_agent_counts(model, group_sizes, rng, n))
     if model.L > 1:
-        return connect, rng.multinomial(sizes, model.v, size=(n, sizes.size))
+        counts = rng.multinomial(sizes, model.v, size=(n, sizes.size))
+        return connect, np.asarray(counts.T, order="C").T
     return connect, sizes[None, :, None]
 
 

@@ -9,6 +9,9 @@ walks the configurations one at a time, each with its own multinomial
 weight, normal tail and bound term, where the package enumerates them as
 arrays.  :func:`sampled_one_group` is sampled mode for one group as a
 single-group draw, block by block, where the package draws nested groups.
+:func:`stats_from_counts_trailing` summarises configurations laid out with
+the type axis innermost in memory, where the package lays out the replicate
+axis innermost.
 """
 
 import itertools
@@ -22,7 +25,14 @@ from model_reference import LoadingVector
 from ruinnet.approx import BOUND_CONSTANT, _stats_from_counts, _terms
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
-from ruinnet.streams import APPROX_DOMAIN, BLOCK_SIZE, mean_stderr, pairwise_sum, stream
+from ruinnet.streams import (
+    APPROX_DOMAIN,
+    BLOCK_SIZE,
+    mean_stderr,
+    pairwise_sum,
+    stream,
+    weighted_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,22 @@ class MixtureStats:
             raise ValueError("variance and third_sum must be nonnegative")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
+
+
+def stats_from_counts_trailing(xi_vals, counts_gl, p_l) -> tuple:
+    """:func:`ruinnet.approx._stats_from_counts` on C-order copies of
+    ``counts_gl``, ``(..., G, L)``, and ``p_l``, ``(..., L)``: each weighted
+    total runs over the short type and class axes, innermost in memory."""
+    counts_gl, p_l = np.array(counts_gl, order="C"), np.array(p_l, order="C")
+    xm = xi_vals - 1.0
+    q_l = 1.0 - p_l
+    s2 = p_l * q_l
+    h = p_l * q_l**3 + q_l * p_l**3
+    connected, per_s2, per_h = (weighted_sum(counts_gl, x[..., None, :]) for x in (p_l, s2, h))
+    mean = weighted_sum(connected, xm)
+    var = weighted_sum(per_s2, xm * xm)
+    raw3 = weighted_sum(per_h, np.abs(xm) ** 3)
+    return mean, var, raw3, connected.sum(axis=-1)
 
 
 def p_of_config(model: BlockModel, agent_types, object_type: int) -> float:

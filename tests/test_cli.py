@@ -941,7 +941,7 @@ class TestGoldenOutput:
     Each file is the output of ``ruinnet <command> --config
     tests/golden/<command>/config.json --format <csv|json>`` (for sweep
     also ``--svg tests/golden/sweep/plot.svg``).  ``tests/golden/sweep_mixed``
-    holds a sweep whose points run both approximation modes, in csv only.
+    holds a sweep whose points run both approximation modes, in both formats.
     Rewrite a file only for an output change that is meant.
     """
 
@@ -990,3 +990,12 @@ class TestGoldenOutput:
         args = ["sweep", "--config", str(case / "config.json"), "--format", "csv"]
         assert main([*args, "--threads", threads]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (case / "stdout.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mixed_mode_sweep_json_matches_golden(self, capsys, threads):
+        # every bit of the blockmodel's estimates and approximations, in
+        # exact and sampled mode alike
+        case = GOLDEN / "sweep_mixed"
+        args = ["sweep", "--config", str(case / "config.json"), "--format", "json"]
+        assert main([*args, "--threads", threads]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (case / "stdout.json").read_bytes()

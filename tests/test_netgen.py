@@ -194,7 +194,8 @@ class TestConnectProb:
 class TestConnectGivenCounts:
     def test_matches_the_reduce_bit_for_bit(self):
         # K from 1 to 6 and L from 1 to 4, edge probabilities of exactly 0
-        # and 1 among the others, and zero counts in every shape
+        # and 1 among the others, and zero counts in every shape; a lone row
+        # is raised to its own powers, and most row sets gather from the table
         rng = np.random.default_rng(41)
         for K, L in itertools.product(range(1, 7), range(1, 5)):
             for _ in range(4):
@@ -212,6 +213,65 @@ class TestConnectGivenCounts:
                     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
                     zeros = np.zeros(shape, dtype=np.int64)
                     np.testing.assert_array_equal(connect_given_counts(model, zeros), 0.0)
+
+    def test_workload_shape_in_every_layout(self):
+        # the sbm workload's 3 x 3 model and (4096, 6, 3) prefix counts, as
+        # C-order rows, laid out replicate-innermost as they are drawn, and
+        # reversed; the result is laid out replicate-innermost
+        off = 0.05
+        model = BlockModel(
+            w=[0.5, 0.3, 0.2],
+            v=[0.5, 0.3, 0.2],
+            p=[[0.3, off, off], [off, 0.3, off], [off, off, 0.3]],
+        )
+        m = np.cumsum(stream(1, 2).multinomial([1] * 6, model.w, size=(4096, 6)), axis=1)
+        want = connect_given_counts_reduced(model, m)
+        drawn = np.asarray(m.T, order="C").T
+        for counts, rows in ((m, want), (drawn, want), (m[::-1], want[::-1])):
+            got = connect_given_counts(model, counts)
+            assert got.shape == (4096, 6, 3) and got.T.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), rows.view(np.uint64))
+
+    def test_one_type_counts_up_to_1e5(self):
+        # every count once (each raised to its own power), every count
+        # twice (gathered from the table) and a few large counts
+        for p in (1e-5, 0.003, 0.5, 0.0, 1.0):
+            model = BlockModel.bernoulli(p)
+            m = np.arange(100_001)[:, None]
+            want = connect_given_counts_reduced(model, m)
+            for counts, rows in ((m, want), (np.vstack([m, m]), np.vstack([want, want]))):
+                got = connect_given_counts(model, counts)
+                np.testing.assert_array_equal(got.view(np.uint64), rows.view(np.uint64))
+            got = connect_given_counts(model, m[-7:].reshape(1, 7, 1))
+            np.testing.assert_array_equal(got.ravel().view(np.uint64), want[-7:, 0].view(np.uint64))
+
+    def test_edge_probabilities_of_zero_and_one(self):
+        # p = 1 connects as soon as one agent of its type is in the group,
+        # p = 0 never; no agent connects nothing, whatever p is
+        model = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5], p=[[1.0, 0.0], [0.0, 1.0]])
+        m = np.array([[0, 0], [1, 0], [0, 3], [2, 5]])
+        want = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        got = connect_given_counts(model, m)
+        assert got.tolist() == want
+        reduced = connect_given_counts_reduced(model, m)
+        np.testing.assert_array_equal(got.view(np.uint64), reduced.view(np.uint64))
+
+    def test_empty_row_sets(self):
+        model = KERNEL_CASES["sbm"]
+        for shape in ((0, 2), (0, 6, 2), (5, 0, 2)):
+            got = connect_given_counts(model, np.zeros(shape, dtype=np.int64))
+            assert got.shape == shape[:-1] + (2,)
+
+    def test_rejects_negative_counts(self):
+        # a table index: np.take would wrap -1 round to the largest count
+        with pytest.raises(ValueError, match="agent counts must be nonnegative"):
+            connect_given_counts(KERNEL_CASES["sbm"], np.array([[3, 1], [2, -1]]))
+
+    @pytest.mark.parametrize("counts", [[[2.0, 1.0]], [[2.5, 1.0]], [[True, False]]])
+    def test_rejects_counts_that_are_not_integers(self, counts):
+        # a float count would be truncated to a table index
+        with pytest.raises(ValueError, match="agent counts must be integers, got dtype"):
+            connect_given_counts(KERNEL_CASES["sbm"], counts)
 
 
 def exact_count_pmf(model, size_q, class_sizes):

@@ -5,10 +5,16 @@ shape, memory layout or BLAS kernel."""
 import numpy as np
 import pytest
 
+from approx_reference import stats_from_counts_trailing
 from ruinnet import pathsim, ruin
 from ruinnet.approx import _stats_from_counts
 from ruinnet.model import AgentSubset, RiskParams
-from ruinnet.netgen import BlockModel, connect_given_counts, sample_prefix_counts
+from ruinnet.netgen import (
+    BlockModel,
+    connect_given_counts,
+    sample_configurations,
+    sample_prefix_counts,
+)
 from ruinnet.ruin import _pk_from_counts, estimate
 from ruinnet.streams import stream, weighted_sum
 
@@ -117,6 +123,41 @@ def test_stats_from_counts(G, L):
         assert raw3[r] == left_to_right(per_h, np.abs(xm) ** 3)
         assert connected[r] == pytest.approx(sum(per_p), rel=1e-12)
     assert connected[0] == 0.0 and (connected[1:] > 0).all()
+
+
+def assert_same_stats(got, want):
+    """The moments bit for bit; the expected connected count, whose only
+    use is its test for 0, within rounding of a sum in another order."""
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    np.testing.assert_array_equal(got[3] == 0.0, want[3] == 0.0)
+    np.testing.assert_allclose(got[3], want[3], rtol=1e-14)
+
+
+@pytest.mark.parametrize("L", TYPES)
+@pytest.mark.parametrize("G", CLASSES)
+def test_stats_from_counts_keeps_the_trailing_axis_bits(G, L):
+    # the package's replicate-innermost layouts against C-order copies:
+    # sampled mode's (n, 1, G, L) x (n, J, L) and an exact-mode chunk
+    # (n, G, L) x (n, L), with edge probabilities of exactly 0 and 1
+    rng = np.random.default_rng(30 * G + L)
+    p = rng.uniform(0, 1, (3, L))
+    p[0, 0], p[2, -1] = 0.0, 1.0
+    model = BlockModel(w=[0.5, 0.3, 0.2], v=rng.dirichlet(np.ones(L)), p=p)
+    xi_vals = rng.uniform(0.5, 1.5, G)
+    class_sizes = rng.integers(0, 60, G)
+    connect, counts = sample_configurations(model, [1, 2, 5], class_sizes, stream(9, G, L), 700)
+    got = _stats_from_counts(xi_vals, counts[:, None], connect)
+    assert_same_stats(got, stats_from_counts_trailing(xi_vals, counts[:, None], connect))
+    agents = rng.integers(0, 4, (20, 3))
+    agents[0] = 0  # no agent: every connection probability is 0
+    connect = connect_given_counts(model, agents)
+    a = rng.integers(0, 20, 900)
+    chunk = np.empty((L, G, a.size))  # (type, class, configuration), as exact mode lays it out
+    chunk[:] = rng.integers(0, 40, chunk.shape)
+    got = _stats_from_counts(xi_vals, chunk.T, connect.T[:, a].T)
+    assert_same_stats(got, stats_from_counts_trailing(xi_vals, chunk.T, connect[a]))
 
 
 def test_oracle_and_estimator_share_rate_and_premium(monkeypatch):
