@@ -8,18 +8,12 @@ simulator as brute-force oracle, and a CLI reproducing the table and
 phase-transition sweep experiments.
 """
 
-from .approx import (
-    ApproxResult,
-    PhaseVerdict,
-    mixture_probability,
-    normal_positive_prob,
-    phase_classify,
-)
+from .approx import ApproxResult, PhaseVerdict, mixture_probability, phase_classify
 from .model import AgentSubset, RiskParams, proportional_r
 from .netgen import BlockModel
 from .pathsim import oracle_psi
-from .ruin import EstimateWithCI, RuinEstimate, estimate, estimate_psi, psi_summand
-from .streams import StreamKey, stream
+from .ruin import EstimateWithCI, RuinEstimate, estimate
+from .streams import stream
 
 __version__ = "0.1.0"
 
@@ -31,15 +25,11 @@ __all__ = [
     "PhaseVerdict",
     "RiskParams",
     "RuinEstimate",
-    "StreamKey",
     "estimate",
-    "estimate_psi",
     "mixture_probability",
-    "normal_positive_prob",
     "oracle_psi",
     "phase_classify",
     "proportional_r",
-    "psi_summand",
     "stream",
     "__version__",
 ]

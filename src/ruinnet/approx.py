@@ -19,10 +19,12 @@ types enter only through their multiset, and objects of equal loading
 enter only through per-type counts, which keeps exact enumeration feasible
 far beyond the raw configuration space.
 
-Exact mode and the phase classifier enumerate these configurations as
-arrays (:func:`_configurations`), sampled mode draws them, and one evaluator
-(:func:`_terms`) turns each into its tail probability, bound term and
-point-mass weight.  Each per-type and per-class total is one
+:func:`mixture_probability` approximates nested groups, such as a sweep's
+prefix groups or one configured group, each in its own mode.  Exact mode
+and the phase classifier enumerate these configurations as arrays
+(:func:`_configurations`), sampled mode draws them for every group at once,
+and one evaluator (:func:`_terms`) turns each into its tail probability,
+bound term and point-mass weight.  Each per-type and per-class total is one
 :func:`streams.weighted_sum`, and a point mass is exact (:func:`_terms`).
 """
 
@@ -39,8 +41,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import netgen
-from .model import AgentSubset, RiskParams
+from .model import AgentSubset, RiskParams, nested_group_sizes
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
 from .streams import APPROX_DOMAIN, block_totals, mean_stderr, weighted_sum
 
@@ -58,7 +59,7 @@ INDETERMINATE = "INDETERMINATE"
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
 MODE_AUTO = "auto"
-#: The modes :func:`mixture_probability` and :func:`mixture_prefixes` take.
+#: The modes :func:`mixture_probability` takes; ``auto`` picks one per group.
 MODES = (MODE_EXACT, MODE_SAMPLED, MODE_AUTO)
 
 #: Fewest configurations sampled mode accepts.
@@ -99,22 +100,11 @@ class PhaseVerdict:
     beta: float
 
 
-def normal_positive_prob(mean, variance):
-    """P(N(mean, variance) > 0) elementwise, with the bits of the scalar
-    ``0.5 * erfc(-mean / sqrt(2 * variance))`` (numpy's division and square
-    root are correctly rounded; erfc's absolute error is below 1e-12).  A
-    zero variance denotes a point mass at ``mean``.  Scalars give a float.
-    """
-    mean, variance = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
-    if (variance < 0).any():
-        raise ValueError("variance must be nonnegative")
-    prob = _positive_prob(mean, variance, variance == 0.0)
-    return float(prob) if prob.ndim == 0 else prob
-
-
 def _positive_prob(mean: np.ndarray, variance: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """:func:`normal_positive_prob` of float arrays, unchecked, given the
-    point masses ``point = variance == 0``."""
+    """P(N(mean, variance) > 0) elementwise, of float arrays, unchecked, given
+    the point masses ``point = variance == 0`` (1 at a positive mean, else 0),
+    with the bits of the scalar ``0.5 * erfc(-mean / sqrt(2 * variance))``
+    (numpy's division and square root are correctly rounded)."""
     # a point mass is standardised by 1, and its value set below
     z = -mean / np.sqrt(2.0 * variance + point)
     prob = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
@@ -280,8 +270,8 @@ def _choose_mode(model: BlockModel, size_q: int, class_sizes: np.ndarray, mode: 
 
 @dataclass(frozen=True)
 class PrefixApprox:
-    """Approximations of nested prefix groups, one :class:`ApproxResult` each;
-    the sampled ones are read from the same configurations."""
+    """Approximations of nested groups, one :class:`ApproxResult` each; the
+    sampled ones are read from the same configurations."""
 
     results: tuple[ApproxResult, ...]
 
@@ -292,30 +282,39 @@ class PrefixApprox:
 
     @property
     def config_count(self) -> int:
-        """Configurations summed over the groups, as one
-        :func:`mixture_probability` call per group would report them."""
+        """Configurations summed over the groups."""
         return sum(r.config_count for r in self.results)
 
 
-def mixture_prefixes(
+def mixture_probability(
     params: RiskParams,
     model: BlockModel,
-    group_sizes,
+    groups: list[AgentSubset],
     mode: str,
     m_configs: int = 10_000,
     base_seed: int = 0,
     threads: int = 1,
 ) -> PrefixApprox:
-    """:func:`mixture_probability` for each prefix group ``{1, ..., k}``, ``k``
-    in the increasing ``group_sizes``, each in the mode ``mode`` gives it.
+    """Mixture-normal approximation of P(PK ratio < 1), with its error bound,
+    for each of the nested ``groups`` (:func:`model.nested_group_sizes`); a
+    single group is ``[group]``.  Only a group's size matters.  Exact-mode
+    groups are enumerated one by one; sampled-mode groups share one pass over
+    nested configurations, so each has the law of its own one-group call,
+    and their errors are positively correlated.
 
-    Exact-mode sizes are enumerated one by one.  Sampled-mode sizes share
-    one pass over nested configurations (:func:`netgen.sample_configurations`),
-    so each one's result has the law of its own call, and their errors are
-    positively correlated.  One size gives :func:`mixture_probability`'s bits.
+    Args:
+        params: Risk parameters (supply the loadings).
+        model: Network model.
+        groups: Nested agent groups, each containing the one before it.
+        mode: ``exact`` (collapsed enumeration), ``sampled`` (Monte Carlo
+            over collapsed configurations), or ``auto``: exact for a group
+            with at most :data:`MAX_EXACT_TERMS` terms (a one-type model has
+            one), sampled otherwise.
+        m_configs: Sampled-mode configuration count (>= 100).
+        base_seed: Sampled-mode stream seed.
+        threads: Worker threads (never affects the result).
     """
-    largest = int(netgen.nested_sizes(group_sizes)[-1])
-    AgentSubset((largest,)).validate_for(params.q)  # the largest group's last agent
+    group_sizes = nested_group_sizes(groups, params.q)
     sizes = params.class_sizes
     xi_vals = params.class_ratio / params.lam
     modes = [_choose_mode(model, k, sizes, mode) for k in group_sizes]
@@ -328,34 +327,6 @@ def mixture_prefixes(
         for k, m in zip(group_sizes, modes)
     ]
     return PrefixApprox(tuple(results))
-
-
-def mixture_probability(
-    params: RiskParams,
-    model: BlockModel,
-    group: AgentSubset,
-    mode: str,
-    m_configs: int = 10_000,
-    base_seed: int = 0,
-    threads: int = 1,
-) -> ApproxResult:
-    """Mixture-normal approximation of P(PK ratio < 1) with its error bound.
-
-    Args:
-        params: Risk parameters (supply the loadings).
-        model: Network model.
-        group: Agent group; only its size matters (agents are exchangeable).
-        mode: ``exact`` (collapsed enumeration), ``sampled`` (Monte Carlo
-            over collapsed configurations), or ``auto``: exact when it has at
-            most :data:`MAX_EXACT_TERMS` terms, sampled otherwise.  A
-            one-type model always has a single term.
-        m_configs: Sampled-mode configuration count (>= 100).
-        base_seed: Sampled-mode stream seed.
-        threads: Worker threads (never affects the result).
-    """
-    group.validate_for(params.q)
-    one = mixture_prefixes(params, model, [group.size], mode, m_configs, base_seed, threads)
-    return one.results[0]
 
 
 def phase_classify(

@@ -7,6 +7,9 @@ Subcommands:
     table     closed-form bound/approximation vs Monte-Carlo tail estimate
     oracle    cross-validate the ruin estimator against path simulation
 
+Each engine takes nested groups: ``sweep`` passes the prefix groups
+``{1..k}`` once per ns, and the other commands pass ``[group]``.
+
 ``COMMANDS`` maps each subcommand to its help text, runner, output fields,
 CSV comment, and whether it prints one row or many; the first ``main``
 call of a process builds the parser from it, later calls reuse that
@@ -36,7 +39,7 @@ from .model import AgentSubset, RiskParams
 from .netgen import BlockModel
 from .output import fmt, render_csv, sweep_svg
 from .pathsim import oracle_psi
-from .ruin import estimate, estimate_prefixes
+from .ruin import estimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,6 +49,8 @@ SEED_ENV_VAR = "RUINNET_SEED"
 DEFAULT_SEED = 42
 DEFAULT_NS_GRID = (3, 4, 5, 6)
 
+# Caps on the network size: c, mu and u stay at most 128 MiB each.
+MAX_AGENTS = MAX_OBJECTS = 2**24
 # Caps on the sample counts: the schedulers build one task list per count
 # before they sample anything, so a count must bound that list.
 MAX_REPLICATES = 2**32  # at most 2**20 replicate blocks
@@ -191,7 +196,7 @@ def _integer(value, name: str, cap: Optional[int] = None) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     n = int(value)
     if cap is not None and n > cap:
-        raise ConfigError(f"{name} must be at most {cap}, got {n}")
+        raise ConfigError(f"{name} must be at most {cap}, got {value!r}")
     return n
 
 
@@ -285,15 +290,15 @@ def _parse_group(spec, name: str, q: int) -> AgentSubset:
 
 #: Every top-level key, in reading order.
 KEYS = {
-    "q": Key(_at_least, arg=1),
-    "d": Key(_at_least, arg=1),
+    "q": Key(_between, arg=(1, MAX_AGENTS)),
+    "d": Key(_between, arg=(1, MAX_OBJECTS)),
     "lambda": Key(_real, 1.0),
     "premiums": Key(_parse_premiums, arg="d"),
     "mu": Key(_broadcast, 1.0, "d"),
     "reserves": Key(_broadcast, 0.0, "q"),
     "network": Key(_parse_network),
     "group": Key(_parse_group, None, "q"),
-    "replicates": Key(_integer, 1000, MAX_REPLICATES),
+    "replicates": Key(_between, 1000, (2, MAX_REPLICATES)),
     "seed": Key(_at_least, arg=0),
     "threads": Key(_at_least, 1, 1),
     "ns_grid": Key(_integers, None),
@@ -351,7 +356,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
 def cmd_estimate(cfg: ExperimentConfig) -> dict:
     """Ruin and tail estimates for the configured group."""
     group = cfg.group or AgentSubset.prefix(cfg.q)
-    est = estimate(cfg.risk_params(), cfg.network, group, cfg.replicates, cfg.seed, cfg.threads)
+    est = estimate(
+        cfg.risk_params(), cfg.network, [group], cfg.replicates, cfg.seed, cfg.threads
+    ).estimates[0]
     return {
         "psi_hat": est.psi.mean,
         "stderr": est.psi.stderr,
@@ -363,8 +370,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Sweep the group size 1..q for every ns in the grid: one
     :class:`SweepRow`, as a dict, per point.
 
-    Per ns, one :func:`ruin.estimate_prefixes` call and one
-    :func:`approx.mixture_prefixes` call serve every group size.  The
+    Per ns, one :func:`ruin.estimate` call and one
+    :func:`approx.mixture_probability` call serve every prefix group.  The
     points of one ns share their draws, so the errors of neighbouring group
     sizes are positively correlated.
     """
@@ -373,20 +380,20 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     if not cfg.premiums.is_two_value:
         raise ConfigError("sweep requires the two-value premium scheme")
     grid = cfg.ns_grid or DEFAULT_NS_GRID
-    sizes = range(1, cfg.q + 1)
+    groups = [AgentSubset.prefix(k) for k in range(1, cfg.q + 1)]
     rows = []
     for ns in grid:
         params = cfg.risk_params(ns_override=ns)
-        estimates = estimate_prefixes(
-            params, cfg.network, sizes, cfg.replicates, cfg.seed, cfg.threads
+        estimates = estimate(
+            params, cfg.network, groups, cfg.replicates, cfg.seed, cfg.threads
         ).estimates
-        approximations = approx.mixture_prefixes(
-            params, cfg.network, sizes, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
+        approximations = approx.mixture_probability(
+            params, cfg.network, groups, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
         ).results
-        for k, est, ap in zip(sizes, estimates, approximations):
+        for group, est, ap in zip(groups, estimates, approximations):
             psi = est.psi
             row = SweepRow(
-                qsize=k,
+                qsize=group.size,
                 ns=int(ns),
                 psi_hat=psi.mean,
                 stderr=psi.stderr,
@@ -414,8 +421,9 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
-        ap = approx.mixture_probability(params, cfg.network, group, "exact")
-        tail = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads).tail
+        ap = approx.mixture_probability(params, cfg.network, [group], "exact").results[0]
+        est = estimate(params, cfg.network, [group], cfg.replicates, cfg.seed, cfg.threads)
+        tail = est.estimates[0].tail
         del params  # so that the next row's RiskParams is built without this row's arrays
         rows.append(
             {
@@ -441,7 +449,8 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
             f"expected claims per path, got horizon {cfg.horizon:g}"
         )
     group = cfg.group or AgentSubset.prefix(cfg.q)
-    psi = estimate(params, cfg.network, group, cfg.replicates, cfg.seed, cfg.threads).psi
+    est = estimate(params, cfg.network, [group], cfg.replicates, cfg.seed, cfg.threads)
+    psi = est.estimates[0].psi
     oracle = oracle_psi(
         params,
         cfg.network,

@@ -202,6 +202,8 @@ class AgentSubset:
     @classmethod
     def prefix(cls, k: int) -> "AgentSubset":
         """The subset {1, ..., k}."""
+        if k < 1:
+            raise ValueError(f"a prefix group's size must be positive, got {k}")
         return cls(tuple(range(1, int(k) + 1)))
 
     @property
@@ -215,6 +217,20 @@ class AgentSubset:
     def validate_for(self, q: int) -> None:
         if self.indices[-1] > q:
             raise ValueError(f"agent index {self.indices[-1]} exceeds agent count {q}")
+
+
+def nested_group_sizes(groups, q: int) -> list[int]:
+    """The sizes of ``groups``, the nested groups both engines take, checked:
+    each group contains the one before it, the sizes strictly increase, and
+    every agent lies in ``1..q``."""
+    sizes = [g.size for g in groups]
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"group sizes must be positive and increasing, got {sizes}")
+    for inner, outer in zip(groups, groups[1:]):
+        if not set(inner.indices).issubset(outer.indices):
+            raise ValueError(f"each group must contain the one before it, got {outer.indices}")
+    groups[-1].validate_for(q)
+    return sizes
 
 
 def proportional_r(params: RiskParams, group: AgentSubset) -> float:

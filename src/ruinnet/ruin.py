@@ -12,9 +12,8 @@ total reserve and ``r`` the proportional-weight scaling constant (``P``
 itself at ``U = 0``, the classical ``psi(0) = lam*mu/c`` for one object).
 Averaging that summand over network replicates estimates the group ruin
 probability, and the frequency of ``P < 1`` the tail probability driving
-the phase transition; :func:`estimate` reads both from the same draws, and
-:func:`estimate_prefixes` reads them for nested prefix groups from one
-nested draw.
+the phase transition.  :func:`estimate` reads both from the same draws, for
+nested groups (a sweep's prefix groups, or one configured group).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netgen
-from .model import AgentSubset, RiskParams, proportional_r
+from .model import AgentSubset, RiskParams, nested_group_sizes, proportional_r
 from .netgen import BlockModel
 from .streams import RUIN_DOMAIN, block_totals, mean_stderr, weighted_sum
 
@@ -66,33 +65,12 @@ class RuinEstimate:
         return self.psi.replicates
 
 
-def psi_summand(pk, r_q: float, total_reserve: float):
-    """Each replicate's contribution to the ruin-probability estimator.
-
-    ``pk * exp(-(1 - pk) * total_reserve / r_q)`` below 1, and 1 from 1
-    upward (a realisation at or above 1 is certain ruin).  Continuous at
-    ``pk = 1``.  Elementwise over an array of ratios; a float for a scalar.
-
-    Raises:
-        ValueError: On ``r_q`` not positive, and on a NaN or negative
-            ``total_reserve`` or ``pk``.
-    """
-    if not r_q > 0:
-        raise ValueError("r_q must be positive")
-    if not total_reserve >= 0:
-        if math.isnan(total_reserve):
-            raise ValueError("total_reserve must not be NaN")
-        raise ValueError("total reserve must be nonnegative")
-    pk = np.asarray(pk, dtype=np.float64)
-    if not (pk >= 0).all():
-        raise ValueError("pk must not be NaN" if np.isnan(pk).any() else "pk must be nonnegative")
-    return _summand(pk, total_reserve / r_q)
-
-
 def _summand(pk: np.ndarray, decay):
-    """:func:`psi_summand` given ``decay = total_reserve / r_q``, unchecked: a
-    float for a 0-d ``pk``, or one per column of a ``(replicates, groups)``
-    array of ratios."""
+    """Each replicate's contribution to the ruin-probability estimator,
+    unchecked: ``pk * exp(-(1 - pk) * decay)`` below 1, ``decay =
+    total_reserve / r_q``, and 1 from 1 upward (certain ruin); continuous at
+    ``pk = 1``.  A float for a 0-d ``pk``, or one per column of a
+    ``(replicates, groups)`` array of ratios."""
     capped = np.minimum(pk, 1.0)
     out = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
     return float(out) if out.ndim == 0 else out
@@ -117,10 +95,11 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
 
 
 def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):
-    """PK-ratio sampler of nested prefix groups on per-class counts of
-    connected objects from :func:`netgen.sample_prefix_counts`: the groups'
-    agent-type counts layer by layer, then one multinomial per class.
-    Returns ``(rows, len(group_sizes))`` ratios."""
+    """PK-ratio sampler of nested groups of ``group_sizes`` agents on
+    per-class counts of connected objects from
+    :func:`netgen.sample_prefix_counts`: the groups' agent-type counts layer
+    by layer, then one multinomial per class.  Returns
+    ``(rows, len(group_sizes))`` ratios."""
     ratio, sizes = params.class_ratio, params.class_sizes
     J = len(group_sizes)
 
@@ -133,60 +112,83 @@ def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, J * max(sizes.size, model.K * model.L))
 
 
-def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset):
-    """PK-ratio sampler through the full type + graph + indicator pipeline.
-
-    The reference implementation of :func:`_prefix_sampler`: same law,
-    different stream, and ``q * d`` cells per replicate.
-    """
-    rows = group.zero_based()
+def _graph_sampler(params: RiskParams, model: BlockModel, groups: list[AgentSubset]):
+    """PK-ratio sampler of ``groups`` through the full type + graph +
+    indicator pipeline, each group's rows read from one incidence draw: the
+    reference of :func:`_prefix_sampler`, with ``q * d`` cells per replicate."""
+    rows = [g.zero_based() for g in groups]
     ratio = params.class_ratio
     cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
-    G = ratio.size
+    G, J = ratio.size, len(groups)
 
     def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
         edges = netgen.sample_incidence(model, params.q, params.d, rng, m)
-        ind = edges[:, rows, :].any(axis=1)
-        cell = np.arange(m)[:, None] * G + cls  # (replicate, class) of each indicator
-        counts = np.bincount(cell[ind], minlength=m * G).reshape(m, G)
-        return _pk_from_counts(params.lam, counts, ratio)[:, None]
+        ind = np.stack([edges[:, r, :].any(axis=1) for r in rows], axis=1)  # (m, J, d)
+        # (replicate, group, class) of each indicator
+        cell = (np.arange(m * J)[:, None] * G + cls).reshape(ind.shape)
+        counts = np.bincount(cell[ind], minlength=m * J * G).reshape(m * J, G)
+        return _pk_from_counts(params.lam, counts, ratio).reshape(m, J)
 
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, params.q * params.d)
 
 
-def _validate(params: RiskParams, groups: list[AgentSubset], B: int) -> None:
-    for group in groups:
-        group.validate_for(params.q)
+@dataclass(frozen=True)
+class PrefixEstimates:
+    """The estimates of nested groups, one :class:`RuinEstimate` each, read
+    from the same draws."""
+
+    estimates: tuple[RuinEstimate, ...]
+
+    @property
+    def replicates(self) -> int:
+        """Replicates summed over the groups."""
+        return sum(e.replicates for e in self.estimates)
+
+
+def estimate(
+    params: RiskParams,
+    model: BlockModel,
+    groups: list[AgentSubset],
+    B: int,
+    base_seed: int,
+    threads: int = 1,
+    method: str = "collapsed",
+) -> PrefixEstimates:
+    """Monte-Carlo estimates of each group's ruin probability and tail
+    ``P(PK ratio < 1)``, read from the same PK draws in one pass.
+
+    ``groups`` are nested (:func:`model.nested_group_sizes`), such as a
+    sweep's prefix groups; a single group is ``[group]``.  Per replicate a
+    group contributes :func:`_summand` to ``psi`` and ``1{PK < 1}`` to
+    ``tail`` (a disconnected group has ratio 0).  The default sampler draws
+    every group's per-class connected counts at once
+    (:func:`netgen.sample_prefix_counts`) for any blockmodel; the groups
+    share their first agents and their objects, so each estimate has the law
+    of its own one-group call, and the errors of different groups are
+    positively correlated.  ``method="graph"`` samples the full network
+    (types and edges) instead: the reference, with the same law on a
+    different stream.  Output is bit-identical for fixed ``(groups,
+    base_seed, B, method)`` regardless of ``threads``.
+
+    Raises:
+        ValueError: On groups that are not nested within ``1..q``, on
+            ``B < 2``, or on an unknown ``method``.
+    """
+    sizes = nested_group_sizes(groups, params.q)
     if B < 2:
         raise ValueError("need at least two replicates for a standard error")
-
-
-def _make_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, B: int, method: str):
-    _validate(params, [group], B)
     if method == "collapsed":
-        return _prefix_sampler(params, model, [group.size])
-    if method == "graph":
-        return _graph_sampler(params, model, group)
-    raise ValueError(f"unknown sampling method {method!r}")
-
-
-def _frequency(total: float, B: int) -> EstimateWithCI:
-    """Frequency ``total / B`` with the binomial error ``sqrt(phat*(1-phat)/B)``."""
-    phat = total / B
-    return EstimateWithCI(mean=phat, stderr=math.sqrt(phat * (1.0 - phat) / B), replicates=int(B))
-
-
-def _run(
-    sampler, groups: list[AgentSubset], params: RiskParams, B: int, base_seed: int, threads: int
-) -> list[RuinEstimate]:
-    """One :class:`RuinEstimate` per group, from one pass of ``B`` draws of
-    ``sampler``: PK ratios of shape ``(rows, len(groups))``."""
+        sampler = _prefix_sampler(params, model, sizes)
+    elif method == "graph":
+        sampler = _graph_sampler(params, model, groups)
+    else:
+        raise ValueError(f"unknown sampling method {method!r}")
     decay = np.array(
         [float(params.u[g.zero_based()].sum()) / proportional_r(params, g) for g in groups]
     )
 
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-        pk = sampler(rng, n)
+        pk = sampler(rng, n)  # (rows, groups)
         if len(groups) == 1:
             pk = pk[:, 0]  # a 1-D array sums faster, with the same bits
         psi = _summand(pk, decay)
@@ -196,101 +198,14 @@ def _run(
     out = []
     for total, total_sq, below in zip(*(t.reshape(-1).tolist() for t in totals)):
         mean, stderr = mean_stderr(total, total_sq, B)
-        psi = EstimateWithCI(mean=mean, stderr=stderr, replicates=int(B))
-        out.append(RuinEstimate(psi=psi, tail=_frequency(below, B)))
-    return out
+        phat = below / B  # a frequency, with the binomial error
+        tail = EstimateWithCI(phat, math.sqrt(phat * (1.0 - phat) / B), int(B))
+        out.append(RuinEstimate(psi=EstimateWithCI(mean, stderr, int(B)), tail=tail))
+    return PrefixEstimates(tuple(out))
 
 
-def estimate(
-    params: RiskParams,
-    model: BlockModel,
-    group: AgentSubset,
-    B: int,
-    base_seed: int,
-    threads: int = 1,
-    method: str = "collapsed",
-) -> RuinEstimate:
-    """Monte-Carlo estimates of the group ruin probability and of the tail
-    ``P(PK ratio < 1)``, read from the same PK draws in one pass.
-
-    Each replicate draws a network realisation and computes its PK ratio;
-    it contributes :func:`psi_summand` to ``psi`` and the indicator of a
-    ratio below 1 (a disconnected group has ratio 0) to ``tail``.  The
-    default sampler draws the ratio in collapsed form for every
-    blockmodel: the group's agent-type counts, then one binomial count of
-    connected objects per premium class (the one-group case of
-    :func:`netgen.sample_prefix_counts`); no object type is drawn.
-    ``method="graph"`` samples the full network (types and edges)
-    instead; it is the reference with the same law on a different stream.
-    Output is bit-identical for fixed ``(base_seed, B, method)`` regardless
-    of ``threads``.
-
-    Args:
-        params: Risk parameters; the group's total reserve may be zero.
-        model: Network model.
-        group: Agent group.
-        B: Replicate count, at least 2.
-        base_seed: Base seed of the replicate streams.
-        threads: Worker threads (does not affect the result).
-        method: ``collapsed`` | ``graph`` sampling backend.
-
-    Raises:
-        ValueError: On ``B < 2``.
-    """
-    sampler = _make_sampler(params, model, group, B, method)
-    return _run(sampler, [group], params, B, base_seed, threads)[0]
-
-
-@dataclass(frozen=True)
-class PrefixEstimates:
-    """The estimates of nested prefix groups, one :class:`RuinEstimate` each,
-    read from the same draws."""
-
-    estimates: tuple[RuinEstimate, ...]
-
-    @property
-    def replicates(self) -> int:
-        """Replicates summed over the groups, as one :func:`estimate` call
-        per group would report them."""
-        return sum(e.replicates for e in self.estimates)
-
-
-def estimate_prefixes(
-    params: RiskParams,
-    model: BlockModel,
-    group_sizes,
-    B: int,
-    base_seed: int,
-    threads: int = 1,
-) -> PrefixEstimates:
-    """:func:`estimate` for each prefix group ``{1, ..., k}``, ``k`` in the
-    increasing ``group_sizes``, from one pass over nested draws.
-
-    Each replicate draws every group's connected counts at once
-    (:func:`netgen.sample_prefix_counts`): the groups share their first
-    agents and their objects.  Each group's estimate has the law of its
-    :func:`estimate`, and the errors of different groups are positively
-    correlated.  One group gives :func:`estimate`'s bits.  Output is
-    bit-identical for fixed ``(base_seed, B)`` regardless of ``threads``.
-
-    Raises:
-        ValueError: On ``B < 2``, or sizes that are not increasing within ``1..q``.
-    """
-    groups = [AgentSubset.prefix(k) for k in group_sizes]
-    _validate(params, groups, B)
-    sampler = _prefix_sampler(params, model, group_sizes)
-    return PrefixEstimates(tuple(_run(sampler, groups, params, B, base_seed, threads)))
-
-
-def estimate_psi(
-    params: RiskParams,
-    model: BlockModel,
-    group: AgentSubset,
-    B: int,
-    base_seed: int,
-    threads: int = 1,
-    method: str = "collapsed",
-) -> EstimateWithCI:
-    """Monte-Carlo estimate of the group ruin probability: the ``psi``
-    field of :func:`estimate`, with the same arguments and errors."""
-    return estimate(params, model, group, B, base_seed, threads, method).psi
+def estimate_psi(params, model, group: AgentSubset, *args, **kwargs) -> EstimateWithCI:
+    """``estimate(params, model, [group], *args, **kwargs).estimates[0].psi``.
+    It stays because ``perfbench/workloads.check_sbm_against_graph`` calls it
+    with ``method="graph"``."""
+    return estimate(params, model, [group], *args, **kwargs).estimates[0].psi

@@ -11,7 +11,8 @@ arrays.  :func:`sampled_one_group` is sampled mode for one group as a
 single-group draw, block by block, where the package draws nested groups.
 :func:`stats_from_counts_trailing` summarises configurations laid out with
 the type axis innermost in memory, where the package lays out the replicate
-axis innermost.
+axis innermost.  :func:`normal_positive_prob` is the package's unchecked
+normal tail (:func:`ruinnet.approx._positive_prob`) behind an argument check.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from math import lgamma
 import numpy as np
 
 from model_reference import LoadingVector
-from ruinnet.approx import BOUND_CONSTANT, _stats_from_counts, _terms
+from ruinnet.approx import BOUND_CONSTANT, _positive_prob, _stats_from_counts, _terms
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
 from ruinnet.streams import (
@@ -59,6 +60,18 @@ class MixtureStats:
             raise ValueError("variance and third_sum must be nonnegative")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
+
+
+def normal_positive_prob(mean, variance):
+    """P(N(mean, variance) > 0) elementwise, with the bits of the scalar
+    ``0.5 * erfc(-mean / sqrt(2 * variance))``.  A zero variance denotes a
+    point mass at ``mean``.  Scalars give a float.
+    """
+    mean, variance = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
+    if (variance < 0).any():
+        raise ValueError("variance must be nonnegative")
+    prob = _positive_prob(mean, variance, variance == 0.0)
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def stats_from_counts_trailing(xi_vals, counts_gl, p_l) -> tuple:

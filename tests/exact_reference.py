@@ -17,10 +17,11 @@ from math import lgamma, log, prod
 
 import numpy as np
 
+from ruin_reference import psi_summand
 from ruinnet.approx import _compositions
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel, connect_given_counts
-from ruinnet.ruin import RuinEstimate, _pk_from_counts, psi_summand
+from ruinnet.ruin import RuinEstimate, _pk_from_counts
 
 #: Largest count lattice ``prod_g (d_g + 1)`` the evaluator sums over.
 MAX_LATTICE = 1_000_000

@@ -5,17 +5,43 @@ The package computes the ratio from counts of connected objects per
 ``c/mu`` class (:func:`ruinnet.ruin._pk_from_counts`); this takes the
 indicator of every object.  :func:`estimate_one_group` is the estimator
 for one group as a single binomial per class, with no group axis.
+:func:`psi_summand` is the package's unchecked summand
+(:func:`ruinnet.ruin._summand`) behind argument checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from netgen_reference import one_group_counts
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
-from ruinnet.ruin import _pk_from_counts, psi_summand
+from ruinnet.ruin import _pk_from_counts, _summand
 from ruinnet.streams import BLOCK_SIZE, RUIN_DOMAIN, mean_stderr, pairwise_sum, stream
+
+
+def psi_summand(pk, r_q: float, total_reserve: float):
+    """Each replicate's contribution to the ruin-probability estimator.
+
+    ``pk * exp(-(1 - pk) * total_reserve / r_q)`` below 1, and 1 from 1
+    upward (a realisation at or above 1 is certain ruin).  Continuous at
+    ``pk = 1``.  Elementwise over an array of ratios; a float for a scalar.
+
+    Raises:
+        ValueError: On ``r_q`` not positive, and on a NaN or negative
+            ``total_reserve`` or ``pk``.
+    """
+    if not r_q > 0:
+        raise ValueError("r_q must be positive")
+    if not total_reserve >= 0:
+        if math.isnan(total_reserve):
+            raise ValueError("total_reserve must not be NaN")
+        raise ValueError("total reserve must be nonnegative")
+    pk = np.asarray(pk, dtype=np.float64)
+    if not (pk >= 0).all():
+        raise ValueError("pk must not be NaN" if np.isnan(pk).any() else "pk must be nonnegative")
+    return _summand(pk, total_reserve / r_q)
 
 
 def pk_value(indicators, params: RiskParams) -> float:

@@ -14,15 +14,11 @@ PUBLIC = {
     "PhaseVerdict",
     "RiskParams",
     "RuinEstimate",
-    "StreamKey",
     "estimate",
-    "estimate_psi",
     "mixture_probability",
-    "normal_positive_prob",
     "oracle_psi",
     "phase_classify",
     "proportional_r",
-    "psi_summand",
     "stream",
     "__version__",
 }

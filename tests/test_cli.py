@@ -14,8 +14,10 @@ import pytest
 from ruinnet import cli, model
 from ruinnet.cli import (
     FLAT,
+    MAX_AGENTS,
     MAX_INNER_PATHS,
     MAX_M_CONFIGS,
+    MAX_OBJECTS,
     MAX_OUTER_NETWORKS,
     MAX_REPLICATES,
     S_SHAPE,
@@ -136,6 +138,15 @@ NAMED_FIELD_INPUTS = {
     "network.w-28": (
         "sweep", "network.w", dict(SWEEP_2X2, network=dict(SBM_2X1, w=[True, False]))
     ),
+    # a network size over its cap never reaches numpy's allocator
+    "q-2e9": ("estimate", "q", {"q": 2_000_000_000}),
+    "q-1e300": ("estimate", "q", {"q": 1e300}),
+    "d-2e9": ("estimate", "d", {"d": 2_000_000_000}),
+    "d-1e300": ("estimate", "d", {"d": 1e300}),
+    "q-sweep-2e9": ("sweep", "q", dict(SWEEP_2X2, q=2_000_000_000)),
+    "d-table-2e9": ("table", "d", dict(TABLE_2X2, d=2_000_000_000)),
+    "replicates-1": ("table", "replicates", dict(TABLE_2X2, replicates=1)),
+    "replicates-0": ("estimate", "replicates", {"replicates": 0}),
 }
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -341,7 +352,7 @@ class TestCmdSweep:
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append((name, list(args[2])))
+                calls.append((name, [g.size for g in args[2]]))
                 result = fn(*args, **kwargs)
                 if name == "approx":
                     modes.append([r.mode for r in result.results])
@@ -349,9 +360,9 @@ class TestCmdSweep:
 
             return wrapped
 
-        monkeypatch.setattr(cli, "estimate_prefixes", spy("estimate", cli.estimate_prefixes))
+        monkeypatch.setattr(cli, "estimate", spy("estimate", cli.estimate))
         monkeypatch.setattr(
-            cli.approx, "mixture_prefixes", spy("approx", cli.approx.mixture_prefixes)
+            cli.approx, "mixture_probability", spy("approx", cli.approx.mixture_probability)
         )
         doc = dict(
             figure_doc(q=4, d=48, replicates=500, ns_grid=[24, 20], m_configs=200),
@@ -403,7 +414,6 @@ class TestCmdSweep:
             raise AssertionError("estimate ran before approx_mode was checked")
 
         monkeypatch.setattr(cli, "estimate", never)
-        monkeypatch.setattr(cli, "estimate_prefixes", never)
         doc = degenerate_doc(q=2, d=2, **SWEEP_2X2, **extra)
         rc, out, err = run_main(tmp_path, capsys, "sweep", doc)
         assert (rc, out) == (2, "")
@@ -799,6 +809,31 @@ class TestMainEntryPoint:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {field} must be at most {cap}")
+
+    @pytest.mark.parametrize("field, cap", [("q", MAX_AGENTS), ("d", MAX_OBJECTS)])
+    def test_network_size_above_cap_exits_2_naming_the_field(self, tmp_path, capsys, field, cap):
+        for value in (cap + 1, 1e12, 1e300):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(degenerate_doc(**{field: value})))
+            assert self.run(["estimate", "--config", str(cfg_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {field} must be at most {cap}")
+
+    def test_replicates_flag_below_two_exits_2_before_any_engine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("an engine ran before replicates was checked")
+
+        monkeypatch.setattr(cli, "estimate", never)
+        monkeypatch.setattr(cli.approx, "mixture_probability", never)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(degenerate_doc(q=2, d=2, **TABLE_2X2)))
+        assert self.run(["table", "--config", str(cfg_path), "--replicates", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: replicates must be at least 2, got 1\n"
 
     def test_replicates_flag_above_cap_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

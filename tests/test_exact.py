@@ -13,7 +13,7 @@ from ruin_reference import exhaustive_graph_psi
 from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, load_config
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
-from ruinnet.ruin import EstimateWithCI, RuinEstimate, estimate, estimate_prefixes
+from ruinnet.ruin import EstimateWithCI, RuinEstimate, estimate
 from test_acceptance import exact_tail
 
 GOLDEN_ESTIMATE = Path(__file__).parent / "golden" / "estimate" / "config.json"
@@ -121,7 +121,7 @@ class TestEstimateAgainstExactLaw:
         for size in range(1, 7):
             group = AgentSubset.prefix(size)
             law = exact_law(params, SBM_WORKLOAD, group)
-            est = estimate(params, SBM_WORKLOAD, group, 8192, seed)
+            (est,) = estimate(params, SBM_WORKLOAD, [group], 8192, seed).estimates
             assert abs(law.z_psi(est.psi.mean, 8192)) <= 4, (size, est.psi, law)
             assert abs(law.z_tail(est.tail.mean, 8192)) <= 4, (size, est.tail, law)
 
@@ -132,7 +132,7 @@ class TestEstimateAgainstExactLaw:
         for size in range(1, 7):
             group = AgentSubset.prefix(size)
             law = exact_law(params, SBM_WORKLOAD, group)
-            est = estimate(params, SBM_WORKLOAD, group, 8192, seed)
+            (est,) = estimate(params, SBM_WORKLOAD, [group], 8192, seed).estimates
             assert abs(law.z_psi(est.psi.mean, 8192)) <= 4, (size, est.psi, law)
             assert abs(law.z_tail(est.tail.mean, 8192)) <= 4, (size, est.tail, law)
 
@@ -151,7 +151,7 @@ class TestEstimateAgainstExactLaw:
         for size in (1, 2, 3):
             group = AgentSubset.prefix(size)
             law = exact_law(params, model, group)
-            est = estimate(params, model, group, 20_000, 11)
+            (est,) = estimate(params, model, [group], 20_000, 11).estimates
             assert abs(law.z_psi(est.psi.mean, 20_000)) <= 4, (size, est.psi, law)
             assert abs(law.z_tail(est.tail.mean, 20_000)) <= 4, (size, est.tail, law)
 
@@ -160,7 +160,8 @@ class TestEstimateAgainstExactLaw:
         cfg = load_config(str(GOLDEN_ESTIMATE))
         params = cfg.risk_params()
         law = exact_law(params, cfg.network, cfg.group)
-        est = estimate(params, cfg.network, cfg.group, cfg.replicates, cfg.seed, method=method)
+        args = (params, cfg.network, [cfg.group], cfg.replicates, cfg.seed)
+        (est,) = estimate(*args, method=method).estimates
         assert abs(law.z_psi(est.psi.mean, cfg.replicates)) <= 4
         assert abs(law.z_tail(est.tail.mean, cfg.replicates)) <= 4
 
@@ -185,7 +186,8 @@ class TestPrefixEstimatesAgainstExactLaw:
         model = BlockModel.bernoulli(0.5)
         for ns in (3, 4, 5, 6):
             params = sbm_workload_params(ns=ns, d=10, q=10)
-            estimates = estimate_prefixes(params, model, range(1, 11), 100_000, seed).estimates
+            groups = [AgentSubset.prefix(k) for k in range(1, 11)]
+            estimates = estimate(params, model, groups, 100_000, seed).estimates
             for size, est in enumerate(estimates, start=1):
                 law = exact_law(params, model, AgentSubset.prefix(size))
                 assert_agrees(law, est, 100_000, (ns, size))
@@ -193,7 +195,8 @@ class TestPrefixEstimatesAgainstExactLaw:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sbm_workload(self, seed):
         params = sbm_workload_params()
-        estimates = estimate_prefixes(params, SBM_WORKLOAD, range(1, 7), 8192, seed).estimates
+        groups = [AgentSubset.prefix(k) for k in range(1, 7)]
+        estimates = estimate(params, SBM_WORKLOAD, groups, 8192, seed).estimates
         for size, est in enumerate(estimates, start=1):
             law = exact_law(params, SBM_WORKLOAD, AgentSubset.prefix(size))
             assert_agrees(law, est, 8192, size)

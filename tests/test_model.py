@@ -118,7 +118,8 @@ class TestRiskParams:
             params = RiskParams(lam=lam, c=c, mu=mu, u=[u, u])
         except ValueError:
             return
-        est = estimate(params, BlockModel.bernoulli(p), AgentSubset.prefix(size), 64, 1)
+        group = [AgentSubset.prefix(size)]
+        (est,) = estimate(params, BlockModel.bernoulli(p), group, 64, 1).estimates
         assert 0.0 <= est.psi.mean <= 1.0 and 0.0 <= est.tail.mean <= 1.0
 
 

@@ -8,18 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from model_reference import classical_ruin
-from ruin_reference import estimate_one_group, exhaustive_graph_psi, pk_value
+from ruin_reference import estimate_one_group, exhaustive_graph_psi, pk_value, psi_summand
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from ruinnet.streams import BLOCK_SIZE
-from ruinnet.ruin import (
-    EstimateWithCI,
-    _pk_from_counts,
-    estimate,
-    estimate_prefixes,
-    estimate_psi,
-    psi_summand,
-)
+from ruinnet.ruin import EstimateWithCI, _pk_from_counts, _summand, estimate, estimate_psi
 
 
 SBM = BlockModel(
@@ -65,20 +58,23 @@ class TestPKValue:
 
 
 class TestPsiSummand:
+    """Values of the package's summand ``_summand(pk, reserve / r_q)``; the
+    argument checks of the reference ``psi_summand`` in ``tests/``."""
+
     def test_no_connection_contributes_nothing(self):
-        assert psi_summand(0.0, 1.0, 5.0) == 0.0
+        assert _summand(0.0, 5.0 / 1.0) == 0.0
 
     def test_certain_ruin_branch(self):
-        assert psi_summand(1.0526, 0.3, 2.0) == 1.0
+        assert _summand(1.0526, 2.0 / 0.3) == 1.0
 
     def test_matches_classical_formula(self):
-        val = psi_summand(1 / 1.05, 1.0, 1.0)
+        val = _summand(1 / 1.05, 1.0 / 1.0)
         assert val == pytest.approx(0.90810, abs=1e-5)
 
     def test_continuous_at_one(self):
-        below = psi_summand(1.0 - 1e-12, 0.5, 3.0)
+        below = _summand(1.0 - 1e-12, 3.0 / 0.5)
         assert below == pytest.approx(1.0, abs=1e-10)
-        assert psi_summand(1.0, 0.5, 3.0) == 1.0
+        assert _summand(1.0, 3.0 / 0.5) == 1.0
 
     @given(
         pk=st.floats(0.0, 3.0),
@@ -86,7 +82,7 @@ class TestPsiSummand:
         reserve=st.floats(0.0, 100.0),
     )
     def test_bounded_in_unit_interval(self, pk, r, reserve):
-        val = psi_summand(pk, r, reserve)
+        val = _summand(pk, reserve / r)
         assert 0.0 <= val <= 1.0
         if pk >= 1.0:
             assert val == 1.0
@@ -114,8 +110,8 @@ class TestPsiSummand:
 
     def test_array_pk_gives_each_scalar_value(self):
         pk = np.array([0.0, 0.3, 1.0 / 1.05, 1.0, 2.0])
-        got = psi_summand(pk, 0.5, 3.0)
-        assert got.tolist() == [psi_summand(float(x), 0.5, 3.0) for x in pk]
+        got = _summand(pk, 3.0 / 0.5)
+        assert got.tolist() == [_summand(float(x), 3.0 / 0.5) for x in pk]
 
 
 class TestEstimatePsi:
@@ -162,7 +158,7 @@ class TestEstimatePsi:
         m = BlockModel.bernoulli(0.5)
         g = AgentSubset.prefix(5)
         psi = estimate_psi(p, m, g, 30_000, 11)
-        tail = estimate(p, m, g, 30_000, 11).tail
+        tail = estimate(p, m, [g], 30_000, 11).estimates[0].tail
         assert psi.mean >= (1.0 - tail.mean) - 1e-12
 
     def test_methods_agree_in_distribution(self):
@@ -176,8 +172,8 @@ class TestEstimatePsi:
         )
         for p, m, k in cases:
             g = AgentSubset.prefix(k)
-            collapsed = estimate(p, m, g, 40_000, 13, method="collapsed")
-            graph = estimate(p, m, g, 40_000, 13, method="graph")
+            collapsed = estimate(p, m, [g], 40_000, 13, method="collapsed").estimates[0]
+            graph = estimate(p, m, [g], 40_000, 13, method="graph").estimates[0]
             for a, b in ((collapsed.psi, graph.psi), (collapsed.tail, graph.tail)):
                 assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
 
@@ -220,10 +216,12 @@ class TestEstimate:
     def test_one_pass_matches_separate_passes(self, method, model, threads):
         # three full blocks and a ragged one; the separate passes run on one thread
         B = 3 * BLOCK_SIZE + 17
-        args = (two_class_params(4, 10), model, AgentSubset.prefix(3), B, 5)
-        est = estimate(*args, threads=threads, method=method)
-        assert est.psi == estimate_psi(*args, method=method)
-        assert est.tail == estimate(*args, method=method).tail
+        params, group = two_class_params(4, 10), AgentSubset.prefix(3)
+        est = estimate(params, model, [group], B, 5, threads=threads, method=method).estimates[0]
+        # estimate_psi is the psi of the one-group call, bit for bit
+        assert est.psi == estimate_psi(params, model, group, B, 5, method=method)
+        one_thread = estimate(params, model, [group], B, 5, method=method).estimates[0]
+        assert est.tail == one_thread.tail
         assert est.replicates == B
         assert 0.0 < est.tail.mean < 1.0
 
@@ -231,29 +229,34 @@ class TestEstimate:
         # one agent certainly insuring one object: psi(0) = lam*mu/c; the
         # tolerance only absorbs the rounding of the mean of 100 equal summands
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 100, 0)
+        est = estimate(p, BlockModel.bernoulli(1.0), [AgentSubset.prefix(1)], 100, 0).estimates[0]
         assert est.psi.mean == pytest.approx(classical_ruin(1.0, 1.0, 1.05, 0.0), rel=1e-15)
         assert est.psi.stderr <= 1e-12
 
 
+def prefixes(*sizes):
+    return [AgentSubset.prefix(k) for k in sizes]
+
+
 class TestEstimatePrefixes:
+    """:func:`estimate` over nested groups, from one pass of nested draws."""
+
     @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
     def test_one_group_is_one_binomial_per_class(self, model):
-        # estimate and a one-size estimate_prefixes give the bits of the
-        # single-binomial draw; uneven reserves, and a ragged last block
+        # one group gives the bits of the single-binomial draw; uneven
+        # reserves, and a ragged last block
         params = RiskParams(lam=1.0, c=[0.9, 1.1, 0.95, 1.2], mu=np.ones(4), u=[0.2, 1.0, 3.0])
         B = 2 * BLOCK_SIZE + 9
         for size in (1, 2, 3):
-            est = estimate(params, model, AgentSubset.prefix(size), B, 4)
+            (est,) = estimate(params, model, prefixes(size), B, 4).estimates
             assert (est.psi.mean, est.psi.stderr, est.tail.mean) == estimate_one_group(
                 params, model, size, B, 4
             )
-            assert estimate_prefixes(params, model, [size], B, 4).estimates == (est,)
 
     @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
     def test_thread_count_never_changes_result(self, model):
-        args = (two_class_params(4, 10), model, [1, 2, 4, 7], 3 * BLOCK_SIZE + 17, 5)
-        results = [estimate_prefixes(*args, threads=threads) for threads in (1, 2, 3)]
+        args = (two_class_params(4, 10), model, prefixes(1, 2, 4, 7), 3 * BLOCK_SIZE + 17, 5)
+        results = [estimate(*args, threads=threads) for threads in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
         assert results[0].replicates == 4 * (3 * BLOCK_SIZE + 17)
         assert [e.replicates for e in results[0].estimates] == [3 * BLOCK_SIZE + 17] * 4
@@ -261,36 +264,82 @@ class TestEstimatePrefixes:
     def test_rejects_bad_groups_and_replicates(self):
         params = two_class_params(4, 10, q=3)
         with pytest.raises(ValueError, match="exceeds"):
-            estimate_prefixes(params, SBM, [1, 4], 100, 0)
+            estimate(params, SBM, prefixes(1, 4), 100, 0)
         with pytest.raises(ValueError, match="two replicates"):
-            estimate_prefixes(params, SBM, [1, 2], 1, 0)
+            estimate(params, SBM, prefixes(1, 2), 1, 0)
         with pytest.raises(ValueError, match="increasing"):
-            estimate_prefixes(params, SBM, [2, 1], 100, 0)
+            estimate(params, SBM, prefixes(2, 1), 100, 0)
+        with pytest.raises(ValueError, match="sampling method"):
+            estimate(params, SBM, prefixes(1, 2), 100, 0, method="exact")
+
+    @pytest.mark.parametrize(
+        "groups, match",
+        [
+            ([AgentSubset((3,)), AgentSubset((1, 2))], "contain the one before"),
+            ([AgentSubset((1, 2)), AgentSubset((2, 3))], "increasing"),
+            ([], "increasing"),
+        ],
+        ids=["not-nested", "equal-sizes", "empty"],
+    )
+    @pytest.mark.parametrize("method", ["collapsed", "graph"])
+    def test_rejects_groups_that_are_not_nested(self, method, groups, match):
+        with pytest.raises(ValueError, match=match):
+            estimate(two_class_params(4, 10, q=3), SBM, groups, 100, 0, method=method)
+
+    @pytest.mark.parametrize(
+        "model",
+        [BlockModel.bernoulli(0.4), BlockModel([0.4, 0.6], [0.7, 0.3], [[0.5, 0.1], [0.2, 0.8]])],
+        ids=["bernoulli", "sbm-2x2"],
+    )
+    def test_graph_agrees_with_collapsed_for_every_group(self, model):
+        # scattered nested groups: the graph sampler takes each group's own
+        # rows, the collapsed one only its size
+        params = two_class_params(3, 8, q=6)
+        groups = [AgentSubset((4,)), AgentSubset((2, 4)), AgentSubset((2, 4, 5, 6))]
+        collapsed = estimate(params, model, groups, 30_000, 17).estimates
+        graph = estimate(params, model, groups, 30_000, 19, method="graph").estimates
+        for c, g in zip(collapsed, graph):
+            for a, b in ((c.psi, g.psi), (c.tail, g.tail)):
+                assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
+
+    def test_graph_groups_read_one_incidence_draw(self):
+        # each group of a nested graph call has the bits of its own one-group
+        # call: the same incidence draws, a group's rows read from each
+        params = two_class_params(3, 8, q=5)
+        groups = [AgentSubset((2,)), AgentSubset((2, 5)), AgentSubset.prefix(5)]
+        B = BLOCK_SIZE + 33
+        nested = estimate(params, SBM, groups, B, 8, threads=2, method="graph").estimates
+        for group, est in zip(groups, nested):
+            assert estimate(params, SBM, [group], B, 8, method="graph").estimates == (est,)
 
 
 class TestEstimateTail:
     def test_all_ruinous_premiums_never_below_one(self):
         # with every object ruinous and edges certain, the ratio is always > 1
         p = RiskParams(lam=1.0, c=[0.95, 0.95], mu=[1.0, 1.0], u=[1.0])
-        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 2000, 0).tail
+        est = estimate(p, BlockModel.bernoulli(1.0), [AgentSubset.prefix(1)], 2000, 0)
+        est = est.estimates[0].tail
         assert est.mean == 0.0
 
     def test_disconnection_counts_toward_event(self):
         # ratio 0 on disconnection, which lies below 1
         p = RiskParams(lam=1.0, c=[0.95, 0.95], mu=[1.0, 1.0], u=[1.0])
-        est = estimate(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(1), 100_000, 1).tail
+        est = estimate(p, BlockModel.bernoulli(0.5), [AgentSubset.prefix(1)], 100_000, 1)
+        est = est.estimates[0].tail
         assert est.mean == pytest.approx(0.25, abs=4 * est.stderr + 1e-12)
 
     def test_binomial_stderr(self):
         p = two_class_params(5, 10)
-        est = estimate(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(3), 10_000, 2).tail
+        est = estimate(p, BlockModel.bernoulli(0.5), [AgentSubset.prefix(3)], 10_000, 2)
+        est = est.estimates[0].tail
         assert est.stderr == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.replicates)
         )
 
     def test_zero_reserve_allowed(self):
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), 100, 0).tail
+        est = estimate(p, BlockModel.bernoulli(1.0), [AgentSubset.prefix(1)], 100, 0)
+        est = est.estimates[0].tail
         assert est.mean == 1.0
 
 
