@@ -19,8 +19,8 @@ types enter only through their multiset, and objects of equal loading
 enter only through per-type counts, which keeps exact enumeration feasible
 far beyond the raw configuration space.
 
-:func:`mixture_probability` approximates nested groups, such as a sweep's
-prefix groups or one configured group, each in its own mode.  Exact mode
+:func:`mixture_probability` approximates groups of increasing sizes, such as
+a sweep's ``1..q`` or one configured group's, each in its own mode.  Exact mode
 and the phase classifier enumerate these configurations as arrays
 (:func:`_configurations`), sampled mode draws them for every group at once,
 and one evaluator (:func:`_terms`) turns each into its tail probability,
@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import AgentSubset, RiskParams, nested_group_sizes
+from .model import AgentSubset, RiskParams, prefix_sizes
 from .netgen import BlockModel, _in_chunks, connect_given_counts, sample_configurations
 from .streams import APPROX_DOMAIN, block_totals, mean_stderr, weighted_sum
 
@@ -270,8 +270,8 @@ def _choose_mode(model: BlockModel, size_q: int, class_sizes: np.ndarray, mode: 
 
 @dataclass(frozen=True)
 class PrefixApprox:
-    """Approximations of nested groups, one :class:`ApproxResult` each; the
-    sampled ones are read from the same configurations."""
+    """Approximations of a nested family, one :class:`ApproxResult` per
+    group; the sampled ones are read from the same configurations."""
 
     results: tuple[ApproxResult, ...]
 
@@ -289,15 +289,15 @@ class PrefixApprox:
 def mixture_probability(
     params: RiskParams,
     model: BlockModel,
-    groups: list[AgentSubset],
+    sizes,
     mode: str,
     m_configs: int = 10_000,
     base_seed: int = 0,
     threads: int = 1,
 ) -> PrefixApprox:
     """Mixture-normal approximation of P(PK ratio < 1), with its error bound,
-    for each of the nested ``groups`` (:func:`model.nested_group_sizes`); a
-    single group is ``[group]``.  Only a group's size matters.  Exact-mode
+    for a group of each of the increasing ``sizes`` (:func:`model.prefix_sizes`);
+    a single group is ``[group.size]``.  Only a group's size matters.  Exact-mode
     groups are enumerated one by one; sampled-mode groups share one pass over
     nested configurations, so each has the law of its own one-group call,
     and their errors are positively correlated.
@@ -305,7 +305,7 @@ def mixture_probability(
     Args:
         params: Risk parameters (supply the loadings).
         model: Network model.
-        groups: Nested agent groups, each containing the one before it.
+        sizes: Increasing group sizes, each in ``1..q``.
         mode: ``exact`` (collapsed enumeration), ``sampled`` (Monte Carlo
             over collapsed configurations), or ``auto``: exact for a group
             with at most :data:`MAX_EXACT_TERMS` terms (a one-type model has
@@ -314,16 +314,15 @@ def mixture_probability(
         base_seed: Sampled-mode stream seed.
         threads: Worker threads (never affects the result).
     """
-    group_sizes = nested_group_sizes(groups, params.q)
-    sizes = params.class_sizes
+    group_sizes, classes = prefix_sizes(sizes, params.q), params.class_sizes
     xi_vals = params.class_ratio / params.lam
-    modes = [_choose_mode(model, k, sizes, mode) for k in group_sizes]
+    modes = [_choose_mode(model, k, classes, mode) for k in group_sizes]
     sampled = [k for k, m in zip(group_sizes, modes) if m == MODE_SAMPLED]
     coupled = iter(
-        _sampled(model, sampled, xi_vals, sizes, m_configs, base_seed, threads) if sampled else ()
+        _sampled(model, sampled, xi_vals, classes, m_configs, base_seed, threads) if sampled else ()
     )
     results = [
-        next(coupled) if m == MODE_SAMPLED else _exact(model, k, xi_vals, sizes)
+        next(coupled) if m == MODE_SAMPLED else _exact(model, k, xi_vals, classes)
         for k, m in zip(group_sizes, modes)
     ]
     return PrefixApprox(tuple(results))

@@ -7,8 +7,8 @@ Subcommands:
     table     closed-form bound/approximation vs Monte-Carlo tail estimate
     oracle    cross-validate the ruin estimator against path simulation
 
-Each engine takes nested groups: ``sweep`` passes the prefix groups
-``{1..k}`` once per ns, and the other commands pass ``[group]``.
+Each engine takes one group's prefixes by their sizes: ``sweep`` passes every
+agent and the sizes ``1..q`` once per ns, the others ``group, [group.size]``.
 
 ``COMMANDS`` maps each subcommand to its help text, runner, output fields,
 CSV comment, and whether it prints one row or many; the first ``main``
@@ -357,7 +357,7 @@ def cmd_estimate(cfg: ExperimentConfig) -> dict:
     """Ruin and tail estimates for the configured group."""
     group = cfg.group or AgentSubset.prefix(cfg.q)
     est = estimate(
-        cfg.risk_params(), cfg.network, [group], cfg.replicates, cfg.seed, cfg.threads
+        cfg.risk_params(), cfg.network, group, [group.size], cfg.replicates, cfg.seed, cfg.threads
     ).estimates[0]
     return {
         "psi_hat": est.psi.mean,
@@ -371,7 +371,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     :class:`SweepRow`, as a dict, per point.
 
     Per ns, one :func:`ruin.estimate` call and one
-    :func:`approx.mixture_probability` call serve every prefix group.  The
+    :func:`approx.mixture_probability` call serve every group size.  The
     points of one ns share their draws, so the errors of neighbouring group
     sizes are positively correlated.
     """
@@ -380,20 +380,20 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     if not cfg.premiums.is_two_value:
         raise ConfigError("sweep requires the two-value premium scheme")
     grid = cfg.ns_grid or DEFAULT_NS_GRID
-    groups = [AgentSubset.prefix(k) for k in range(1, cfg.q + 1)]
+    everyone, sizes = AgentSubset.prefix(cfg.q), range(1, cfg.q + 1)
     rows = []
     for ns in grid:
         params = cfg.risk_params(ns_override=ns)
         estimates = estimate(
-            params, cfg.network, groups, cfg.replicates, cfg.seed, cfg.threads
+            params, cfg.network, everyone, sizes, cfg.replicates, cfg.seed, cfg.threads
         ).estimates
         approximations = approx.mixture_probability(
-            params, cfg.network, groups, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
+            params, cfg.network, sizes, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
         ).results
-        for group, est, ap in zip(groups, estimates, approximations):
+        for size, est, ap in zip(sizes, estimates, approximations):
             psi = est.psi
             row = SweepRow(
-                qsize=group.size,
+                qsize=size,
                 ns=int(ns),
                 psi_hat=psi.mean,
                 stderr=psi.stderr,
@@ -421,9 +421,10 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for ns in cfg.ns_grid:
         params = cfg.risk_params(ns_override=ns)
-        ap = approx.mixture_probability(params, cfg.network, [group], "exact").results[0]
-        est = estimate(params, cfg.network, [group], cfg.replicates, cfg.seed, cfg.threads)
-        tail = est.estimates[0].tail
+        ap = approx.mixture_probability(params, cfg.network, [group.size], "exact").results[0]
+        tail = estimate(
+            params, cfg.network, group, [group.size], cfg.replicates, cfg.seed, cfg.threads
+        ).estimates[0].tail
         del params  # so that the next row's RiskParams is built without this row's arrays
         rows.append(
             {
@@ -449,7 +450,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
             f"expected claims per path, got horizon {cfg.horizon:g}"
         )
     group = cfg.group or AgentSubset.prefix(cfg.q)
-    est = estimate(params, cfg.network, [group], cfg.replicates, cfg.seed, cfg.threads)
+    est = estimate(params, cfg.network, group, [group.size], cfg.replicates, cfg.seed, cfg.threads)
     psi = est.estimates[0].psi
     oracle = oracle_psi(
         params,

@@ -201,9 +201,7 @@ class AgentSubset:
 
     @classmethod
     def prefix(cls, k: int) -> "AgentSubset":
-        """The subset {1, ..., k}."""
-        if k < 1:
-            raise ValueError(f"a prefix group's size must be positive, got {k}")
+        """The subset {1, ..., k}; empty, and so rejected, for ``k < 1``."""
         return cls(tuple(range(1, int(k) + 1)))
 
     @property
@@ -219,26 +217,27 @@ class AgentSubset:
             raise ValueError(f"agent index {self.indices[-1]} exceeds agent count {q}")
 
 
-def nested_group_sizes(groups, q: int) -> list[int]:
-    """The sizes of ``groups``, the nested groups both engines take, checked:
-    each group contains the one before it, the sizes strictly increase, and
-    every agent lies in ``1..q``."""
-    sizes = [g.size for g in groups]
-    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"group sizes must be positive and increasing, got {sizes}")
-    for inner, outer in zip(groups, groups[1:]):
-        if not set(inner.indices).issubset(outer.indices):
-            raise ValueError(f"each group must contain the one before it, got {outer.indices}")
-    groups[-1].validate_for(q)
-    return sizes
+def prefix_sizes(sizes, limit: int) -> list[int]:
+    """``sizes`` as a list, checked to be the sizes of a nested family, the
+    prefixes of one group: nonempty, positive, strictly increasing integers of
+    at most ``limit``, that group's size (estimator) or ``q`` (approximation)."""
+    arr = np.asarray(sizes)
+    out = arr.tolist() if arr.ndim == 1 and arr.dtype.kind == "i" else []
+    if not out or out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):
+        msg = "group sizes must be a nonempty list of positive, increasing integers"
+        raise ValueError(f"{msg}, got {arr.tolist()}")
+    if out[-1] > limit:
+        raise ValueError(f"group size {out[-1]} exceeds agent count {limit}")
+    return out
 
 
-def proportional_r(params: RiskParams, group: AgentSubset) -> float:
-    """Group scaling constant: smallest mean claim size over all objects,
-    divided by ``q - |group| + 1``.
+def proportional_r(params: RiskParams, size: int) -> float:
+    """Scaling constant of a group of ``size`` agents: smallest mean claim
+    size over all objects, divided by ``q - size + 1``.
 
     This choice keeps every column sum of the proportional weight matrix
     inside ``[0, 1]`` for every possible graph realisation.
     """
-    group.validate_for(params.q)
-    return params.mu_min / (params.q - group.size + 1)
+    if not 1 <= size <= params.q:
+        raise ValueError(f"a group's size must lie in 1..{params.q}, got {size}")
+    return params.mu_min / (params.q - size + 1)

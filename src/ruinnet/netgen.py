@@ -8,9 +8,9 @@ graph.  Type labels are 0-based indices into the type-probability vectors.
 :func:`sample_incidence` draws whole networks, for the full-graph reference
 only; the estimator, the path oracle and the approximation draw what they
 need of one (:func:`sample_prefix_counts`, :func:`sample_configurations`).
-Both take nested groups of agents, such as the prefix groups of a sweep, and
-one draw serves every group: the agents are drawn layer by layer and the
-objects once.  A single group is the one-layer case.
+Both take the sizes of nested groups, such as a sweep's ``1..q``, and one
+draw serves every group: the agents are drawn layer by layer and the objects
+once.  A single group is the one-layer case.
 """
 
 from __future__ import annotations

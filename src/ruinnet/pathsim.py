@@ -179,7 +179,7 @@ def oracle_psi(
     total_reserve = float(params.u[group.zero_based()].sum())
     if not total_reserve > 0:
         raise ValueError("total reserve must be positive")
-    reserve = total_reserve / proportional_r(params, group)
+    reserve = total_reserve / proportional_r(params, group.size)
 
     def block(k: int, lo: int, hi: int) -> np.ndarray:
         """Ruined-path counts of networks ``lo .. hi-1``."""

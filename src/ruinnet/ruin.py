@@ -13,7 +13,7 @@ itself at ``U = 0``, the classical ``psi(0) = lam*mu/c`` for one object).
 Averaging that summand over network replicates estimates the group ruin
 probability, and the frequency of ``P < 1`` the tail probability driving
 the phase transition.  :func:`estimate` reads both from the same draws, for
-nested groups (a sweep's prefix groups, or one configured group).
+the prefixes of one group by their sizes (a sweep's ``{1..k}``, or the group).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netgen
-from .model import AgentSubset, RiskParams, nested_group_sizes, proportional_r
+from .model import AgentSubset, RiskParams, prefix_sizes, proportional_r
 from .netgen import BlockModel
 from .streams import RUIN_DOMAIN, block_totals, mean_stderr, weighted_sum
 
@@ -107,19 +107,18 @@ def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):
         counts = netgen.sample_prefix_counts(model, group_sizes, sizes, rng, n)
         return _pk_from_counts(params.lam, counts.reshape(n * J, sizes.size), ratio).reshape(n, J)
 
-    # the largest arrays per replicate: counts per group and class, and
-    # the edge powers per group and (agent type, object type)
+    # the cap fixes where a block splits into chunks, and so the draws
     return lambda rng, n: netgen._in_chunks(chunk, rng, n, J * max(sizes.size, model.K * model.L))
 
 
-def _graph_sampler(params: RiskParams, model: BlockModel, groups: list[AgentSubset]):
-    """PK-ratio sampler of ``groups`` through the full type + graph +
-    indicator pipeline, each group's rows read from one incidence draw: the
-    reference of :func:`_prefix_sampler`, with ``q * d`` cells per replicate."""
-    rows = [g.zero_based() for g in groups]
+def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, group_sizes):
+    """PK-ratio sampler of the prefixes of ``group`` of ``group_sizes`` through
+    the full type + graph + indicator pipeline, each one's rows read from one
+    incidence draw: the reference of :func:`_prefix_sampler`, with ``q * d`` cells per replicate."""
+    rows = [group.zero_based()[:k] for k in group_sizes]
     ratio = params.class_ratio
     cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
-    G, J = ratio.size, len(groups)
+    G, J = ratio.size, len(rows)
 
     def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
         edges = netgen.sample_incidence(model, params.q, params.d, rng, m)
@@ -134,8 +133,8 @@ def _graph_sampler(params: RiskParams, model: BlockModel, groups: list[AgentSubs
 
 @dataclass(frozen=True)
 class PrefixEstimates:
-    """The estimates of nested groups, one :class:`RuinEstimate` each, read
-    from the same draws."""
+    """The estimates of a nested family, one :class:`RuinEstimate` per
+    group, read from the same draws."""
 
     estimates: tuple[RuinEstimate, ...]
 
@@ -148,7 +147,8 @@ class PrefixEstimates:
 def estimate(
     params: RiskParams,
     model: BlockModel,
-    groups: list[AgentSubset],
+    group: AgentSubset,
+    sizes,
     B: int,
     base_seed: int,
     threads: int = 1,
@@ -157,39 +157,40 @@ def estimate(
     """Monte-Carlo estimates of each group's ruin probability and tail
     ``P(PK ratio < 1)``, read from the same PK draws in one pass.
 
-    ``groups`` are nested (:func:`model.nested_group_sizes`), such as a
-    sweep's prefix groups; a single group is ``[group]``.  Per replicate a
-    group contributes :func:`_summand` to ``psi`` and ``1{PK < 1}`` to
-    ``tail`` (a disconnected group has ratio 0).  The default sampler draws
-    every group's per-class connected counts at once
-    (:func:`netgen.sample_prefix_counts`) for any blockmodel; the groups
-    share their first agents and their objects, so each estimate has the law
-    of its own one-group call, and the errors of different groups are
-    positively correlated.  ``method="graph"`` samples the full network
-    (types and edges) instead: the reference, with the same law on a
-    different stream.  Output is bit-identical for fixed ``(groups,
-    base_seed, B, method)`` regardless of ``threads``.
+    Group ``j`` is the first ``sizes[j]`` members of ``group``, such as a
+    sweep's ``{1..k}``; ``group`` alone is ``[group.size]``.  Only a group's
+    reserve reads its members.  Per replicate a group contributes
+    :func:`_summand` to ``psi`` and ``1{PK < 1}`` to ``tail`` (a disconnected
+    group has ratio 0).  The default sampler draws every group's per-class
+    connected counts at once (:func:`netgen.sample_prefix_counts`) for any
+    blockmodel; the groups share their first agents and their objects, so
+    each estimate has the law of its own one-group call, and the errors of
+    different groups are positively correlated.  ``method="graph"`` samples
+    the full network (types and edges) instead: the reference, with the same
+    law on a different stream.  Output is bit-identical for fixed ``(group,
+    sizes, base_seed, B, method)`` regardless of ``threads``.
 
     Raises:
-        ValueError: On groups that are not nested within ``1..q``, on
-            ``B < 2``, or on an unknown ``method``.
+        ValueError: On a group beyond ``1..q``, on sizes that
+            :func:`model.prefix_sizes` rejects, on ``B < 2``, or on an
+            unknown ``method``.
     """
-    sizes = nested_group_sizes(groups, params.q)
+    group.validate_for(params.q)
+    sizes = prefix_sizes(sizes, group.size)
     if B < 2:
         raise ValueError("need at least two replicates for a standard error")
     if method == "collapsed":
         sampler = _prefix_sampler(params, model, sizes)
     elif method == "graph":
-        sampler = _graph_sampler(params, model, groups)
+        sampler = _graph_sampler(params, model, group, sizes)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    decay = np.array(
-        [float(params.u[g.zero_based()].sum()) / proportional_r(params, g) for g in groups]
-    )
+    reserves = params.u[group.zero_based()]
+    decay = np.array([float(reserves[:k].sum()) / proportional_r(params, k) for k in sizes])
 
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
         pk = sampler(rng, n)  # (rows, groups)
-        if len(groups) == 1:
+        if len(sizes) == 1:
             pk = pk[:, 0]  # a 1-D array sums faster, with the same bits
         psi = _summand(pk, decay)
         return psi, psi * psi, pk < 1.0
@@ -205,7 +206,6 @@ def estimate(
 
 
 def estimate_psi(params, model, group: AgentSubset, *args, **kwargs) -> EstimateWithCI:
-    """``estimate(params, model, [group], *args, **kwargs).estimates[0].psi``.
-    It stays because ``perfbench/workloads.check_sbm_against_graph`` calls it
-    with ``method="graph"``."""
-    return estimate(params, model, [group], *args, **kwargs).estimates[0].psi
+    """The ``psi`` of ``estimate`` of ``group`` alone.  It stays because
+    ``perfbench/workloads.check_sbm_against_graph`` calls it with ``method="graph"``."""
+    return estimate(params, model, group, [group.size], *args, **kwargs).estimates[0].psi

@@ -84,7 +84,7 @@ def exact_law(params: RiskParams, model: BlockModel, group: AgentSubset) -> Exac
     pk = _pk_from_counts(params.lam, counts, params.class_ratio)
     below = (pk < 1.0).astype(np.float64)
     total_reserve = float(params.u[group.zero_based()].sum())
-    summand = psi_summand(pk, proportional_r(params, group), total_reserve)
+    summand = psi_summand(pk, proportional_r(params, group.size), total_reserve)
     psi = psi_sq = tail = 0.0
     agents, weights = _compositions(group.size, model.w)
     for m, weight in zip(agents, weights.tolist()):

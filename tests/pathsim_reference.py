@@ -42,7 +42,7 @@ def group_exposure(params: RiskParams, incidence, group: AgentSubset) -> tuple[n
     """The group's share of each object's losses under proportional weights
     on one ``q x d`` incidence matrix, and the group's pooled reserve."""
     rows = group.zero_based()
-    r_q = proportional_r(params, group)
+    r_q = proportional_r(params, group.size)
     A = proportional_weights(np.asarray(incidence, dtype=bool), group, params, r_q)
     return A[rows].sum(axis=0), float(params.u[rows].sum())
 
@@ -53,7 +53,7 @@ def group_claims(params: RiskParams, incidence, group: AgentSubset) -> tuple[flo
     rows = group.zero_based()
     connected = np.asarray(incidence, dtype=bool)[rows].any(axis=0)
     premium = float((params.c / params.mu)[connected].sum())
-    reserve = float(params.u[rows].sum()) / proportional_r(params, group)
+    reserve = float(params.u[rows].sum()) / proportional_r(params, group.size)
     return params.lam * int(connected.sum()), premium, reserve
 
 

@@ -59,7 +59,7 @@ def exhaustive_graph_psi(params: RiskParams, edge_p: float, group: AgentSubset) 
     """Exact ruin probability on a Bernoulli(``edge_p``) network: the ruin
     summand of every one of the ``2^(q*d)`` graphs, weighted by its probability."""
     q, d = params.q, params.d
-    r_q = proportional_r(params, group)
+    r_q = proportional_r(params, group.size)
     reserve = float(params.u[group.zero_based()].sum())
     exact = 0.0
     for bits in itertools.product((0, 1), repeat=q * d):
@@ -79,7 +79,7 @@ def estimate_one_group(
     :func:`netgen_reference.one_group_counts`, and each term is summed with
     a pairwise tree of its own."""
     group = AgentSubset.prefix(size_q)
-    r_q, reserve = proportional_r(params, group), float(params.u[group.zero_based()].sum())
+    r_q, reserve = proportional_r(params, group.size), float(params.u[group.zero_based()].sum())
     blocks = []
     for k, lo in enumerate(range(0, B, BLOCK_SIZE)):
         rows = min(BLOCK_SIZE, B - lo)

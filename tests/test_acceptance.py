@@ -43,7 +43,7 @@ def test_criterion_1_table_bound():
     bounds = []
     for ns in TABLE_NS:
         params, model, group = table_setting(ns)
-        (res,) = mixture_probability(params, model, [group], mode="exact").results
+        (res,) = mixture_probability(params, model, [group.size], mode="exact").results
         bounds.append(res.stein_bound)
     elapsed = time.perf_counter() - start
     ok = all(abs(b - 0.040) <= 0.001 for b in bounds) and elapsed < 1.0
@@ -60,7 +60,7 @@ def test_criterion_2_table_approximation():
     worst = 0.0
     for ns, target in zip(TABLE_NS, TABLE_APPROX):
         params, model, group = table_setting(ns)
-        prob = mixture_probability(params, model, [group], mode="exact").results[0].probability
+        prob = mixture_probability(params, model, [group.size], mode="exact").results[0].probability
         worst = max(worst, abs(prob - target))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.005 and elapsed < 1.0
@@ -72,8 +72,9 @@ def test_criterion_3_table_estimate():
     rows = []
     for ns in TABLE_NS:
         params, model, group = table_setting(ns)
-        ap = mixture_probability(params, model, [group], mode="exact").results[0]
-        (est,) = estimate(params, model, [group], B=1000, base_seed=42, threads=1).estimates
+        ap = mixture_probability(params, model, [group.size], mode="exact").results[0]
+        args = (params, model, group, [group.size])
+        (est,) = estimate(*args, B=1000, base_seed=42, threads=1).estimates
         est = est.tail
         tol = ap.stein_bound + 2 * est.stderr
         rows.append((ns, abs(est.mean - ap.probability), tol))
@@ -126,7 +127,7 @@ def test_criterion_4_bound_never_violated():
         params = RiskParams(lam=1.0, c=xi * mu, mu=mu, u=np.ones(q))
         group = AgentSubset.prefix(int(rng.integers(1, q + 1)))
         exact = exact_tail(params, model, group)
-        res = mixture_probability(params, model, [group], mode="exact").results[0]
+        res = mixture_probability(params, model, [group.size], mode="exact").results[0]
         worst_margin = max(worst_margin, abs(exact - res.probability) - res.stein_bound)
     elapsed = time.perf_counter() - start
     ok = worst_margin <= 1e-12 and elapsed < 60.0
@@ -196,7 +197,7 @@ def test_criterion_7_bound_rate():
     for d in (10_000, 40_000, 160_000):
         size_q = int(round(d**beta))
         params, model, group = table_setting(d // 2, d=d, size_q=size_q, beta=beta)
-        (res,) = mixture_probability(params, model, [group], mode="exact").results
+        (res,) = mixture_probability(params, model, [group.size], mode="exact").results
         bounds.append(res.stein_bound)
     ratios = [b / a for a, b in zip(bounds, bounds[1:])]
     ok = all(abs(r - 0.5) <= 0.05 for r in ratios)

@@ -217,13 +217,13 @@ class TestNormalPositiveProb:
 class TestMixtureProbability:
     def test_table_row_49900(self):
         params, model, group = table_params(49_900)
-        res = mixture_probability(params, model, [group], mode="exact").results[0]
+        res = mixture_probability(params, model, [group.size], mode="exact").results[0]
         assert res.probability == pytest.approx(0.650, abs=1e-3)
         assert res.stein_bound == pytest.approx(0.040, abs=1e-3)
 
     def test_table_row_50000_exact_half(self):
         params, model, group = table_params(50_000)
-        res = mixture_probability(params, model, [group], mode="exact").results[0]
+        res = mixture_probability(params, model, [group.size], mode="exact").results[0]
         assert res.probability == 0.5
 
     def test_exact_agrees_with_closed_form(self):
@@ -231,7 +231,7 @@ class TestMixtureProbability:
         # summed here over the two premium classes
         for ns in (49_000, 49_900, 50_500):
             params, model, group = table_params(ns)
-            ex = mixture_probability(params, model, [group], mode="exact").results[0]
+            ex = mixture_probability(params, model, [group.size], mode="exact").results[0]
             assert ex.mode == "exact" and ex.config_count == 1
             pc = p_of_config(model, [0] * group.size, 0)
             xm = np.array([0.95, 1.05]) - 1.0
@@ -245,21 +245,23 @@ class TestMixtureProbability:
     def test_auto_is_exact_under_the_term_cap_and_sampled_above(self):
         # a one-type model always has a single term
         params, model, group = table_params(49_900)
-        auto, exact = (mixture_probability(params, model, [group], m) for m in ("auto", "exact"))
+        auto, exact = (
+            mixture_probability(params, model, [group.size], m) for m in ("auto", "exact")
+        )
         assert auto == exact
         group = AgentSubset.prefix(2)
         small = RiskParams(lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05], mu=np.ones(5), u=np.ones(3))
         model = BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.3, 0.5], [0.8, 0.2]])
-        auto = mixture_probability(small, model, [group], mode="auto").results[0]
+        auto = mixture_probability(small, model, [group.size], mode="auto").results[0]
         assert auto.mode == "exact"
-        assert auto == mixture_probability(small, model, [group], mode="exact").results[0]
+        assert auto == mixture_probability(small, model, [group.size], mode="exact").results[0]
         # 40 distinct loadings with L = 2: 3 * 2^40 collapsed terms
         c = np.random.default_rng(0).uniform(0.8, 1.2, 40)
         large = RiskParams(lam=1.0, c=c, mu=np.ones(40), u=np.ones(2))
         kwargs = dict(m_configs=500, base_seed=3)
-        auto = mixture_probability(large, model, [group], mode="auto", **kwargs).results[0]
+        auto = mixture_probability(large, model, [group.size], mode="auto", **kwargs).results[0]
         assert auto.mode == "sampled"
-        sampled = mixture_probability(large, model, [group], mode="sampled", **kwargs)
+        sampled = mixture_probability(large, model, [group.size], mode="sampled", **kwargs)
         assert auto == sampled.results[0]
 
     def test_sampled_agrees_with_exact(self):
@@ -271,9 +273,9 @@ class TestMixtureProbability:
             BlockModel(w=[0.6, 0.4], v=[1.0], p=[[0.3], [0.8]]),
             BlockModel(w=[0.6, 0.4], v=[0.3, 0.7], p=[[0.3, 0.5], [0.8, 0.2]]),
         ):
-            ex = mixture_probability(params, model, [group], mode="exact").results[0]
+            ex = mixture_probability(params, model, [group.size], mode="exact").results[0]
             sa = mixture_probability(
-                params, model, [group], mode="sampled", m_configs=100_000, base_seed=4
+                params, model, [group.size], mode="sampled", m_configs=100_000, base_seed=4
             ).results[0]
             assert abs(sa.probability - ex.probability) < 3 * sa.sampling_stderr
             assert sa.stein_bound == pytest.approx(ex.stein_bound, rel=0.05)
@@ -286,7 +288,7 @@ class TestMixtureProbability:
         # two full blocks and a ragged one
         results = [
             mixture_probability(
-                params, model, [AgentSubset.prefix(2)], mode="sampled",
+                params, model, [2], mode="sampled",
                 m_configs=2 * BLOCK_SIZE + 100, base_seed=6, threads=threads,
             ).results[0]
             for threads in (1, 2, 3)
@@ -297,7 +299,7 @@ class TestMixtureProbability:
     def test_sampled_requires_enough_configs(self):
         params, model, group = table_params(50_000, d=100, size_q=3)
         with pytest.raises(ValueError, match="100"):
-            mixture_probability(params, model, [group], mode="sampled", m_configs=50)
+            mixture_probability(params, model, [group.size], mode="sampled", m_configs=50)
 
     def test_exact_rejects_unenumerable(self):
         # many distinct loadings with L = 2 explode the collapsed term count
@@ -306,7 +308,7 @@ class TestMixtureProbability:
         params = RiskParams(lam=1.0, c=rng.uniform(0.8, 1.2, d), mu=np.ones(d), u=[1.0])
         model = BlockModel(w=[1.0], v=[0.5, 0.5], p=[[0.3, 0.6]])
         with pytest.raises(ValueError, match="sampled"):
-            mixture_probability(params, model, [AgentSubset.prefix(1)], mode="exact")
+            mixture_probability(params, model, [1], mode="exact")
 
     def test_object_relabelling_invariance(self):
         rng = np.random.default_rng(31)
@@ -316,20 +318,24 @@ class TestMixtureProbability:
         perm = rng.permutation(c.size)
         a = mixture_probability(
             RiskParams(lam=1.0, c=c, mu=np.ones(c.size), u=np.ones(2)),
-            model, [group], mode="exact",
+            model, [group.size], mode="exact",
         ).results[0]
         b = mixture_probability(
             RiskParams(lam=1.0, c=c[perm], mu=np.ones(c.size), u=np.ones(2)),
-            model, [group], mode="exact",
+            model, [group.size], mode="exact",
         ).results[0]
         assert a.probability == pytest.approx(b.probability, abs=1e-12)
         assert a.stein_bound == pytest.approx(b.stein_bound, abs=1e-12)
 
     def test_agent_relabelling_invariance(self):
+        # a group is given by its size alone: relabelling the agents, and so
+        # their reserves, moves nothing
         model = BlockModel(w=[0.7, 0.3], v=[1.0], p=[[0.2], [0.6]])
-        params = RiskParams(lam=1.0, c=[0.9, 1.1, 1.2], mu=np.ones(3), u=np.ones(5))
-        a = mixture_probability(params, model, [AgentSubset((1, 2))], mode="exact").results[0]
-        b = mixture_probability(params, model, [AgentSubset((3, 5))], mode="exact").results[0]
+        u = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+        c, mu = [0.9, 1.1, 1.2], np.ones(3)
+        a, b = (
+            mixture_probability(RiskParams(1.0, c, mu, r), model, [2], "exact") for r in (u, u[::-1])
+        )
         assert a == b
 
     def test_bound_rate_under_doubling(self):
@@ -341,7 +347,7 @@ class TestMixtureProbability:
             c[: d // 2] = 0.95
             params = RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.ones(100))
             model = BlockModel.bernoulli(d**-beta)
-            res = mixture_probability(params, model, [AgentSubset.prefix(100)], mode="exact")
+            res = mixture_probability(params, model, [100], mode="exact")
             bounds.append(res.results[0].stein_bound)
         target = 2 ** (-(1 - beta) / 2)
         for a, b in zip(bounds, bounds[1:]):
@@ -366,7 +372,7 @@ class TestMixtureProbability:
             params = RiskParams(lam=1.0, c=xi * mu, mu=mu, u=np.ones(q))
             group = AgentSubset.prefix(int(rng.integers(1, q + 1)))
             exact = exact_tail_by_enumeration(params, model, group)
-            res = mixture_probability(params, model, [group], mode="exact").results[0]
+            res = mixture_probability(params, model, [group.size], mode="exact").results[0]
             assert abs(exact - res.probability) <= res.stein_bound + 1e-12
 
 
@@ -446,13 +452,9 @@ def random_exact_instance(rng):
     return params, model, AgentSubset.prefix(int(rng.integers(1, q + 1)))
 
 
-def prefixes(*sizes):
-    return [AgentSubset.prefix(k) for k in sizes]
-
-
 class TestSampledPrefixes:
-    """:func:`mixture_probability` in sampled mode: nested groups from one
-    pass of configurations."""
+    """:func:`mixture_probability` in sampled mode: a nested family's groups
+    from one pass of configurations."""
 
     PARAMS = RiskParams(
         lam=1.0, c=[0.95, 1.05, 1.05, 0.95, 1.05, 0.95], mu=np.ones(6), u=np.ones(4)
@@ -466,11 +468,11 @@ class TestSampledPrefixes:
     def test_agrees_with_exact_mode(self):
         # an enumerable 3x3 blockmodel: each group within 4 sampling errors
         coupled = mixture_probability(
-            self.PARAMS, self.MODEL, prefixes(1, 2, 3, 4), "sampled", 50_000, 8
+            self.PARAMS, self.MODEL, [1, 2, 3, 4], "sampled", 50_000, 8
         )
         assert coupled.mode == "sampled" and coupled.config_count == 4 * 50_000
         for size, sa in zip([1, 2, 3, 4], coupled.results):
-            (ex,) = mixture_probability(self.PARAMS, self.MODEL, prefixes(size), "exact").results
+            (ex,) = mixture_probability(self.PARAMS, self.MODEL, [size], "exact").results
             assert abs(sa.probability - ex.probability) <= 4 * sa.sampling_stderr, size
             assert sa.stein_bound == pytest.approx(ex.stein_bound, rel=0.05)
 
@@ -491,7 +493,7 @@ class TestSampledPrefixes:
             want = sampled_one_group(self.PARAMS, model, size, m_configs, 5)
             for threads in (1, 2):
                 (got,) = mixture_probability(
-                    self.PARAMS, model, prefixes(size), "sampled", m_configs, 5, threads
+                    self.PARAMS, model, [size], "sampled", m_configs, 5, threads
                 ).results
                 assert (
                     got.probability, got.stein_bound, got.sampling_stderr, got.degenerate_weight
@@ -500,7 +502,7 @@ class TestSampledPrefixes:
     def test_thread_count_never_changes_result(self):
         results = [
             mixture_probability(
-                self.PARAMS, self.MODEL, prefixes(2, 3, 4), "sampled", 2 * BLOCK_SIZE + 5, 6,
+                self.PARAMS, self.MODEL, [2, 3, 4], "sampled", 2 * BLOCK_SIZE + 5, 6,
                 threads,
             )
             for threads in (1, 2, 3)
@@ -522,15 +524,13 @@ class TestMixturePrefixes:
         ids=["sbm", "agent_types_only", "bernoulli"],
     )
     def test_one_size_gives_mixture_probability_bits(self, model, mode):
-        # only a group's size matters: a prefix group and a scattered one of
-        # its size give the same bits, on any thread count
-        for prefix, scattered in ((1, (3,)), (3, (1, 2, 4))):
-            want = mixture_probability(self.PARAMS, model, prefixes(prefix), mode, 300, 9)
+        # one size's call reports its one result's mode and count, with the
+        # same bits on any thread count
+        for size in (1, 3):
+            want = mixture_probability(self.PARAMS, model, [size], mode, 300, 9)
             (result,) = want.results
             assert (want.mode, want.config_count) == (result.mode, result.config_count)
-            for threads in (1, 2):
-                group = [AgentSubset(scattered)]
-                assert mixture_probability(self.PARAMS, model, group, mode, 300, 9, threads) == want
+            assert mixture_probability(self.PARAMS, model, [size], mode, 300, 9, 2) == want
 
     def test_mixed_sizes(self, monkeypatch):
         # two classes of 3 objects on 3 object types: 100 object configurations
@@ -538,18 +538,18 @@ class TestMixturePrefixes:
         # pick exact mode for groups of 1 and 2 and sampled mode for 3 and 4
         monkeypatch.setattr(approx, "MAX_EXACT_TERMS", 700)
         m_configs = BLOCK_SIZE + 33
-        groups = prefixes(1, 2, 3, 4)
+        sizes = [1, 2, 3, 4]
         runs = [
-            mixture_probability(self.PARAMS, self.MODEL, groups, "auto", m_configs, 4, threads)
+            mixture_probability(self.PARAMS, self.MODEL, sizes, "auto", m_configs, 4, threads)
             for threads in (1, 2)
         ]
         assert runs[0] == runs[1]
         mixed = runs[0]
         assert [r.mode for r in mixed.results] == ["exact", "exact", "sampled", "sampled"]
         for size, got in zip([1, 2], mixed.results):
-            want = mixture_probability(self.PARAMS, self.MODEL, prefixes(size), "exact")
+            want = mixture_probability(self.PARAMS, self.MODEL, [size], "exact")
             assert (got,) == want.results
-        coupled = mixture_probability(self.PARAMS, self.MODEL, groups[2:], "sampled", m_configs, 4)
+        coupled = mixture_probability(self.PARAMS, self.MODEL, sizes[2:], "sampled", m_configs, 4)
         assert mixed.results[2:] == coupled.results
         assert mixed.mode == "mixed"
         assert mixed.config_count == 300 + 600 + 2 * m_configs
@@ -572,21 +572,24 @@ class TestMixturePrefixes:
     )
     def test_rejects_bad_sizes_and_modes(self, sizes, mode, match):
         with pytest.raises(ValueError, match=match):
-            mixture_probability(self.PARAMS, self.MODEL, prefixes(*sizes), mode, 200)
+            mixture_probability(self.PARAMS, self.MODEL, sizes, mode, 200)
 
     @pytest.mark.parametrize(
-        "groups, match",
+        "sizes, match",
         [
-            ([AgentSubset((3,)), AgentSubset((1, 2))], "contain the one before"),
-            ([AgentSubset((1, 2)), AgentSubset((2, 3))], "increasing"),
-            ([], "increasing"),
+            ([2, 1], "increasing"),
+            ([1, 1], "increasing"),
+            ([], "nonempty"),
+            ([0, 1], "positive"),
+            ([1, 5], "exceeds agent count 4"),
         ],
-        ids=["not-nested", "equal-sizes", "empty"],
+        ids=["not-nested", "equal-sizes", "empty", "size-zero", "beyond-q"],
     )
     @pytest.mark.parametrize("mode", ["exact", "sampled", "auto"])
-    def test_rejects_groups_that_are_not_nested(self, mode, groups, match):
+    def test_rejects_groups_that_are_not_nested(self, mode, sizes, match):
+        # sizes of no nested family: its groups grow, within the q = 4 agents
         with pytest.raises(ValueError, match=match):
-            mixture_probability(self.PARAMS, self.MODEL, groups, mode, 200)
+            mixture_probability(self.PARAMS, self.MODEL, sizes, mode, 200)
 
 
 class TestExactAgainstReferenceLoop:
@@ -601,7 +604,7 @@ class TestExactAgainstReferenceLoop:
             params, model, group = random_exact_instance(rng)
             classes.add(params.class_ratio.size)
             ref = exact_by_loop(params, model, group)
-            got = mixture_probability(params, model, [group], mode="exact").results[0]
+            got = mixture_probability(params, model, [group.size], mode="exact").results[0]
             assert got.config_count == ref.config_count
             assert got.probability == pytest.approx(ref.probability, rel=1e-12)
             assert got.stein_bound == pytest.approx(ref.stein_bound, rel=1e-12)
@@ -628,7 +631,7 @@ class TestExactAgainstReferenceLoop:
             c = rng.uniform(0.8, 1.2, d)
             params = RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.ones(6))
             ref = exact_by_loop(params, model, AgentSubset.prefix(6))
-            (got,) = mixture_probability(params, model, [AgentSubset.prefix(6)], "exact").results
+            (got,) = mixture_probability(params, model, [6], "exact").results
             assert (got.probability, got.stein_bound, got.degenerate_weight) == (
                 ref.probability,
                 ref.stein_bound,
@@ -650,7 +653,7 @@ model = BlockModel(w=[0.5, 0.3, 0.2], v=[0.5, 0.3, 0.2],
 params = RiskParams(lam=1.0, c=np.r_[np.full(15, 0.95), np.full(15, 1.05)],
                     mu=np.ones(30), u=np.ones(6))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-res = mixture_probability(params, model, [AgentSubset.prefix(6)], mode="exact")
+res = mixture_probability(params, model, [6], mode="exact")
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(res.config_count, grown)
 """
@@ -682,10 +685,10 @@ class TestPointMasses:
         exact = exact_tail_by_enumeration(self.PARAMS, model, group)
         assert exact == pytest.approx(1.0, abs=1e-12)
         assert exact_law(self.PARAMS, model, group).tail == pytest.approx(exact, abs=1e-12)
-        got = mixture_probability(self.PARAMS, model, [group], mode="exact").results[0]
+        got = mixture_probability(self.PARAMS, model, [group.size], mode="exact").results[0]
         assert abs(got.probability - exact) <= got.stein_bound + 1e-12
         assert got.degenerate_weight == pytest.approx(1.0, abs=1e-12)
-        sampled = mixture_probability(self.PARAMS, model, [group], "sampled", 200, base_seed=3)
+        sampled = mixture_probability(self.PARAMS, model, [group.size], "sampled", 200, base_seed=3)
         assert (sampled.results[0].probability, sampled.results[0].stein_bound) == (1.0, 0.0)
 
     def test_every_point_mass_is_exact(self):
@@ -694,7 +697,7 @@ class TestPointMasses:
         # disconnected, and the ones with as many objects of each class are ties
         model = BlockModel(w=[0.5, 0.5], v=[0.5, 0.5], p=[[1.0, 0.0], [0.0, 1.0]])
         group = AgentSubset.prefix(1)
-        got = mixture_probability(self.PARAMS, model, [group], mode="exact").results[0]
+        got = mixture_probability(self.PARAMS, model, [group.size], mode="exact").results[0]
         exact = exact_tail_by_enumeration(self.PARAMS, model, group)
         assert (got.stein_bound, got.degenerate_weight) == (0.0, pytest.approx(1.0))
         assert got.probability == pytest.approx(exact, abs=1e-12)
@@ -705,7 +708,7 @@ class TestPointMasses:
         exact = exact_tail_by_enumeration(self.PARAMS, model, group)
         assert exact == pytest.approx(0.5859375, abs=1e-12)
         assert exact_law(self.PARAMS, model, group).tail == pytest.approx(exact, abs=1e-12)
-        got = mixture_probability(self.PARAMS, model, [group], mode="exact").results[0]
+        got = mixture_probability(self.PARAMS, model, [group.size], mode="exact").results[0]
         assert abs(got.probability - exact) <= got.stein_bound
         assert got.degenerate_weight == pytest.approx(1 / 16, rel=1e-12)
         # the disconnected sixteenth is in the tail, on top of the normal parts
@@ -716,7 +719,7 @@ class TestPointMasses:
         params = RiskParams(lam=1.0, c=[0.95, 1.05], mu=np.ones(2), u=np.ones(1))
         model, group = BlockModel.bernoulli(1.0), AgentSubset.prefix(1)
         assert exact_law(params, model, group).tail == 0.0
-        got = mixture_probability(params, model, [group], mode="exact").results[0]
+        got = mixture_probability(params, model, [group.size], mode="exact").results[0]
         assert (got.probability, got.stein_bound, got.degenerate_weight) == (0.0, 0.0, 1.0)
 
 

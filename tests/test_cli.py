@@ -4,6 +4,7 @@ the shape classifier."""
 import json
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -350,9 +351,10 @@ class TestCmdSweep:
         # mode of each size is approx's business, so sweep asks it once
         calls, modes = [], []
 
-        def spy(name, fn):
+        def spy(name, fn, sizes_at):
+            # the group the estimator's family is drawn from, and the sizes
             def wrapped(*args, **kwargs):
-                calls.append((name, [g.size for g in args[2]]))
+                calls.append((name, args[2:sizes_at], list(args[sizes_at])))
                 result = fn(*args, **kwargs)
                 if name == "approx":
                     modes.append([r.mode for r in result.results])
@@ -360,9 +362,9 @@ class TestCmdSweep:
 
             return wrapped
 
-        monkeypatch.setattr(cli, "estimate", spy("estimate", cli.estimate))
+        monkeypatch.setattr(cli, "estimate", spy("estimate", cli.estimate, 3))
         monkeypatch.setattr(
-            cli.approx, "mixture_probability", spy("approx", cli.approx.mixture_probability)
+            cli.approx, "mixture_probability", spy("approx", cli.approx.mixture_probability, 2)
         )
         doc = dict(
             figure_doc(q=4, d=48, replicates=500, ns_grid=[24, 20], m_configs=200),
@@ -375,8 +377,22 @@ class TestCmdSweep:
         )
         rows = cmd_sweep(parse_config(doc))
         assert [r["qsize"] for r in rows] == [1, 2, 3, 4] * 2
-        assert calls == [("estimate", [1, 2, 3, 4]), ("approx", [1, 2, 3, 4])] * 2
+        everyone = (model.AgentSubset.prefix(4),)
+        assert calls == [("estimate", everyone, [1, 2, 3, 4]), ("approx", (), [1, 2, 3, 4])] * 2
         assert modes == [["exact", "exact", "sampled", "sampled"]] * 2
+
+    def test_many_group_sizes_take_little_memory(self):
+        # the family is one group and its sizes: no per-size group is built
+        # or checked, so nothing grows as q**2 before the first draw
+        cfg = parse_config(figure_doc(q=1000, d=2, replicates=2, ns_grid=[1]))
+        tracemalloc.start()
+        try:
+            rows = cmd_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r["qsize"] for r in rows] == list(range(1, 1001))
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_rows_cover_grid(self):
         cfg = parse_config(figure_doc(replicates=500, ns_grid=[4, 6]))

@@ -121,7 +121,7 @@ class TestEstimateAgainstExactLaw:
         for size in range(1, 7):
             group = AgentSubset.prefix(size)
             law = exact_law(params, SBM_WORKLOAD, group)
-            (est,) = estimate(params, SBM_WORKLOAD, [group], 8192, seed).estimates
+            (est,) = estimate(params, SBM_WORKLOAD, group, [size], 8192, seed).estimates
             assert abs(law.z_psi(est.psi.mean, 8192)) <= 4, (size, est.psi, law)
             assert abs(law.z_tail(est.tail.mean, 8192)) <= 4, (size, est.tail, law)
 
@@ -132,7 +132,7 @@ class TestEstimateAgainstExactLaw:
         for size in range(1, 7):
             group = AgentSubset.prefix(size)
             law = exact_law(params, SBM_WORKLOAD, group)
-            (est,) = estimate(params, SBM_WORKLOAD, [group], 8192, seed).estimates
+            (est,) = estimate(params, SBM_WORKLOAD, group, [size], 8192, seed).estimates
             assert abs(law.z_psi(est.psi.mean, 8192)) <= 4, (size, est.psi, law)
             assert abs(law.z_tail(est.tail.mean, 8192)) <= 4, (size, est.tail, law)
 
@@ -151,7 +151,7 @@ class TestEstimateAgainstExactLaw:
         for size in (1, 2, 3):
             group = AgentSubset.prefix(size)
             law = exact_law(params, model, group)
-            (est,) = estimate(params, model, [group], 20_000, 11).estimates
+            (est,) = estimate(params, model, group, [size], 20_000, 11).estimates
             assert abs(law.z_psi(est.psi.mean, 20_000)) <= 4, (size, est.psi, law)
             assert abs(law.z_tail(est.tail.mean, 20_000)) <= 4, (size, est.tail, law)
 
@@ -160,7 +160,7 @@ class TestEstimateAgainstExactLaw:
         cfg = load_config(str(GOLDEN_ESTIMATE))
         params = cfg.risk_params()
         law = exact_law(params, cfg.network, cfg.group)
-        args = (params, cfg.network, [cfg.group], cfg.replicates, cfg.seed)
+        args = (params, cfg.network, cfg.group, [cfg.group.size], cfg.replicates, cfg.seed)
         (est,) = estimate(*args, method=method).estimates
         assert abs(law.z_psi(est.psi.mean, cfg.replicates)) <= 4
         assert abs(law.z_tail(est.tail.mean, cfg.replicates)) <= 4
@@ -186,8 +186,8 @@ class TestPrefixEstimatesAgainstExactLaw:
         model = BlockModel.bernoulli(0.5)
         for ns in (3, 4, 5, 6):
             params = sbm_workload_params(ns=ns, d=10, q=10)
-            groups = [AgentSubset.prefix(k) for k in range(1, 11)]
-            estimates = estimate(params, model, groups, 100_000, seed).estimates
+            everyone = AgentSubset.prefix(10)
+            estimates = estimate(params, model, everyone, range(1, 11), 100_000, seed).estimates
             for size, est in enumerate(estimates, start=1):
                 law = exact_law(params, model, AgentSubset.prefix(size))
                 assert_agrees(law, est, 100_000, (ns, size))
@@ -195,8 +195,8 @@ class TestPrefixEstimatesAgainstExactLaw:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sbm_workload(self, seed):
         params = sbm_workload_params()
-        groups = [AgentSubset.prefix(k) for k in range(1, 7)]
-        estimates = estimate(params, SBM_WORKLOAD, groups, 8192, seed).estimates
+        everyone = AgentSubset.prefix(params.q)
+        estimates = estimate(params, SBM_WORKLOAD, everyone, range(1, 7), 8192, seed).estimates
         for size, est in enumerate(estimates, start=1):
             law = exact_law(params, SBM_WORKLOAD, AgentSubset.prefix(size))
             assert_agrees(law, est, 8192, size)

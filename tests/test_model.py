@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import checked_classes, classical_ruin, compute_loadings, proportional_weights
-from ruinnet.model import NORMAL_MIN, AgentSubset, RiskParams, proportional_r
+from ruinnet.model import NORMAL_MIN, AgentSubset, RiskParams, prefix_sizes, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.ruin import estimate
 
@@ -118,8 +118,8 @@ class TestRiskParams:
             params = RiskParams(lam=lam, c=c, mu=mu, u=[u, u])
         except ValueError:
             return
-        group = [AgentSubset.prefix(size)]
-        (est,) = estimate(params, BlockModel.bernoulli(p), group, 64, 1).estimates
+        group = AgentSubset.prefix(size)
+        (est,) = estimate(params, BlockModel.bernoulli(p), group, [size], 64, 1).estimates
         assert 0.0 <= est.psi.mean <= 1.0 and 0.0 <= est.tail.mean <= 1.0
 
 
@@ -303,35 +303,63 @@ class TestLoadings:
 class TestProportionalR:
     def test_single_agent_of_ten(self):
         p = make_params([1.0], [1.0], q=10)
-        assert proportional_r(p, AgentSubset.prefix(1)) == pytest.approx(0.1)
+        assert proportional_r(p, 1) == pytest.approx(0.1)
 
     def test_full_group(self):
         p = make_params([1.0], [1.0], q=10)
-        assert proportional_r(p, AgentSubset.prefix(10)) == pytest.approx(1.0)
+        assert proportional_r(p, 10) == pytest.approx(1.0)
 
     def test_min_over_objects(self):
         p = make_params([1.0, 1.0, 1.0], [2.0, 0.5, 1.0], q=5)
-        assert proportional_r(p, AgentSubset.prefix(2)) == pytest.approx(0.125)
+        assert proportional_r(p, 2) == pytest.approx(0.125)
 
     @given(q=st.integers(1, 30), k1=st.integers(1, 30), k2=st.integers(1, 30))
     def test_monotone_in_group_size(self, q, k1, k2):
         k1, k2 = sorted((min(k1, q), min(k2, q)))
         p = make_params([1.0, 2.0], [1.3, 0.7], q=q)
-        r1 = proportional_r(p, AgentSubset.prefix(k1))
-        r2 = proportional_r(p, AgentSubset.prefix(k2))
+        r1 = proportional_r(p, k1)
+        r2 = proportional_r(p, k2)
         assert r1 <= r2 + 1e-15
 
     def test_nonincreasing_in_agent_count(self):
-        group = AgentSubset.prefix(2)
-        values = [
-            proportional_r(make_params([1.0], [1.0], q=q), group) for q in range(2, 9)
-        ]
+        values = [proportional_r(make_params([1.0], [1.0], q=q), 2) for q in range(2, 9)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("size", [0, 4])
+    def test_rejects_sizes_outside_one_to_q(self, size):
+        with pytest.raises(ValueError, match="1..3"):
+            proportional_r(make_params([1.0], [1.0], q=3), size)
+
+
+class TestPrefixSizes:
+    """The one check of a nested family's sizes, which both engines run."""
+
+    def test_returns_a_list_of_ints(self):
+        for sizes in (range(1, 5), np.arange(1, 5), [1, 2, 3, 4]):
+            got = prefix_sizes(sizes, 4)
+            assert got == [1, 2, 3, 4] and all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize(
+        "sizes, match",
+        [
+            ([], "nonempty"),
+            ([[1, 2]], "nonempty"),
+            ([1.0, 2.0], "integers"),
+            ([0, 2], "positive"),
+            ([-1], "positive"),
+            ([2, 1], "increasing"),
+            ([2, 2], "increasing"),
+            ([1, 5], "exceeds agent count 4"),
+        ],
+    )
+    def test_rejects_sizes_of_no_family(self, sizes, match):
+        with pytest.raises(ValueError, match=match):
+            prefix_sizes(sizes, 4)
 
 
 def weights(inc, group, p):
     """:func:`proportional_weights` at the group's default scaling constant."""
-    return proportional_weights(inc, group, p, proportional_r(p, group))
+    return proportional_weights(inc, group, p, proportional_r(p, group.size))
 
 
 class TestBuildWeights:

@@ -352,9 +352,8 @@ class TestOracleExposure:
             group = AgentSubset.prefix(int(rng.integers(1, q + 1)))
             incidence = rng.random((q, d)) < 0.5
             summed, _ = group_exposure(params, incidence, group)
-            direct = np.where(
-                incidence[: group.size].any(axis=0), proportional_r(params, group) / params.mu, 0.0
-            )
+            r_q = proportional_r(params, group.size)
+            direct = np.where(incidence[: group.size].any(axis=0), r_q / params.mu, 0.0)
             if group.size <= 2:
                 np.testing.assert_array_equal(summed, direct)
             else:

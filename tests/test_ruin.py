@@ -158,7 +158,7 @@ class TestEstimatePsi:
         m = BlockModel.bernoulli(0.5)
         g = AgentSubset.prefix(5)
         psi = estimate_psi(p, m, g, 30_000, 11)
-        tail = estimate(p, m, [g], 30_000, 11).estimates[0].tail
+        tail = estimate(p, m, g, [g.size], 30_000, 11).estimates[0].tail
         assert psi.mean >= (1.0 - tail.mean) - 1e-12
 
     def test_methods_agree_in_distribution(self):
@@ -172,8 +172,8 @@ class TestEstimatePsi:
         )
         for p, m, k in cases:
             g = AgentSubset.prefix(k)
-            collapsed = estimate(p, m, [g], 40_000, 13, method="collapsed").estimates[0]
-            graph = estimate(p, m, [g], 40_000, 13, method="graph").estimates[0]
+            collapsed = estimate(p, m, g, [k], 40_000, 13, method="collapsed").estimates[0]
+            graph = estimate(p, m, g, [k], 40_000, 13, method="graph").estimates[0]
             for a, b in ((collapsed.psi, graph.psi), (collapsed.tail, graph.tail)):
                 assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
 
@@ -217,10 +217,11 @@ class TestEstimate:
         # three full blocks and a ragged one; the separate passes run on one thread
         B = 3 * BLOCK_SIZE + 17
         params, group = two_class_params(4, 10), AgentSubset.prefix(3)
-        est = estimate(params, model, [group], B, 5, threads=threads, method=method).estimates[0]
+        args = (params, model, group, [group.size], B, 5)
+        est = estimate(*args, threads=threads, method=method).estimates[0]
         # estimate_psi is the psi of the one-group call, bit for bit
         assert est.psi == estimate_psi(params, model, group, B, 5, method=method)
-        one_thread = estimate(params, model, [group], B, 5, method=method).estimates[0]
+        one_thread = estimate(*args, method=method).estimates[0]
         assert est.tail == one_thread.tail
         assert est.replicates == B
         assert 0.0 < est.tail.mean < 1.0
@@ -229,17 +230,15 @@ class TestEstimate:
         # one agent certainly insuring one object: psi(0) = lam*mu/c; the
         # tolerance only absorbs the rounding of the mean of 100 equal summands
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        est = estimate(p, BlockModel.bernoulli(1.0), [AgentSubset.prefix(1)], 100, 0).estimates[0]
+        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), [1], 100, 0)
+        est = est.estimates[0]
         assert est.psi.mean == pytest.approx(classical_ruin(1.0, 1.0, 1.05, 0.0), rel=1e-15)
         assert est.psi.stderr <= 1e-12
 
 
-def prefixes(*sizes):
-    return [AgentSubset.prefix(k) for k in sizes]
-
-
 class TestEstimatePrefixes:
-    """:func:`estimate` over nested groups, from one pass of nested draws."""
+    """:func:`estimate` over the prefixes of one group, from one pass of
+    nested draws."""
 
     @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
     def test_one_group_is_one_binomial_per_class(self, model):
@@ -248,43 +247,49 @@ class TestEstimatePrefixes:
         params = RiskParams(lam=1.0, c=[0.9, 1.1, 0.95, 1.2], mu=np.ones(4), u=[0.2, 1.0, 3.0])
         B = 2 * BLOCK_SIZE + 9
         for size in (1, 2, 3):
-            (est,) = estimate(params, model, prefixes(size), B, 4).estimates
+            (est,) = estimate(params, model, AgentSubset.prefix(3), [size], B, 4).estimates
             assert (est.psi.mean, est.psi.stderr, est.tail.mean) == estimate_one_group(
                 params, model, size, B, 4
             )
 
     @pytest.mark.parametrize("model", [BlockModel.bernoulli(0.5), SBM], ids=["bernoulli", "sbm"])
     def test_thread_count_never_changes_result(self, model):
-        args = (two_class_params(4, 10), model, prefixes(1, 2, 4, 7), 3 * BLOCK_SIZE + 17, 5)
+        args = (two_class_params(4, 10), model, AgentSubset.prefix(7), [1, 2, 4, 7])
+        args += (3 * BLOCK_SIZE + 17, 5)
         results = [estimate(*args, threads=threads) for threads in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
         assert results[0].replicates == 4 * (3 * BLOCK_SIZE + 17)
         assert [e.replicates for e in results[0].estimates] == [3 * BLOCK_SIZE + 17] * 4
 
     def test_rejects_bad_groups_and_replicates(self):
-        params = two_class_params(4, 10, q=3)
-        with pytest.raises(ValueError, match="exceeds"):
-            estimate(params, SBM, prefixes(1, 4), 100, 0)
+        params, everyone = two_class_params(4, 10, q=3), AgentSubset.prefix(3)
+        with pytest.raises(ValueError, match="exceeds agent count"):
+            estimate(params, SBM, AgentSubset.prefix(4), [1, 4], 100, 0)
         with pytest.raises(ValueError, match="two replicates"):
-            estimate(params, SBM, prefixes(1, 2), 1, 0)
+            estimate(params, SBM, everyone, [1, 2], 1, 0)
         with pytest.raises(ValueError, match="increasing"):
-            estimate(params, SBM, prefixes(2, 1), 100, 0)
+            estimate(params, SBM, everyone, [2, 1], 100, 0)
         with pytest.raises(ValueError, match="sampling method"):
-            estimate(params, SBM, prefixes(1, 2), 100, 0, method="exact")
+            estimate(params, SBM, everyone, [1, 2], 100, 0, method="exact")
 
     @pytest.mark.parametrize(
-        "groups, match",
+        "sizes, match",
         [
-            ([AgentSubset((3,)), AgentSubset((1, 2))], "contain the one before"),
-            ([AgentSubset((1, 2)), AgentSubset((2, 3))], "increasing"),
-            ([], "increasing"),
+            ([2, 1], "increasing"),
+            ([1, 1], "increasing"),
+            ([], "nonempty"),
+            ([0, 1], "positive"),
+            ([1, 4], "exceeds agent count 3"),
         ],
-        ids=["not-nested", "equal-sizes", "empty"],
+        ids=["not-nested", "equal-sizes", "empty", "size-zero", "beyond-group"],
     )
     @pytest.mark.parametrize("method", ["collapsed", "graph"])
-    def test_rejects_groups_that_are_not_nested(self, method, groups, match):
+    def test_rejects_groups_that_are_not_nested(self, method, sizes, match):
+        # sizes of no nested family: the prefixes of a group grow, and stay
+        # within it (here 3 of the 5 agents)
+        params, group = two_class_params(4, 10, q=5), AgentSubset((1, 3, 5))
         with pytest.raises(ValueError, match=match):
-            estimate(two_class_params(4, 10, q=3), SBM, groups, 100, 0, method=method)
+            estimate(params, SBM, group, sizes, 100, 0, method=method)
 
     @pytest.mark.parametrize(
         "model",
@@ -292,12 +297,12 @@ class TestEstimatePrefixes:
         ids=["bernoulli", "sbm-2x2"],
     )
     def test_graph_agrees_with_collapsed_for_every_group(self, model):
-        # scattered nested groups: the graph sampler takes each group's own
-        # rows, the collapsed one only its size
+        # the prefixes of a scattered group: the graph sampler takes each
+        # group's own rows, the collapsed one only its size
         params = two_class_params(3, 8, q=6)
-        groups = [AgentSubset((4,)), AgentSubset((2, 4)), AgentSubset((2, 4, 5, 6))]
-        collapsed = estimate(params, model, groups, 30_000, 17).estimates
-        graph = estimate(params, model, groups, 30_000, 19, method="graph").estimates
+        args = (params, model, AgentSubset((2, 4, 5, 6)), [1, 2, 4], 30_000)
+        collapsed = estimate(*args, 17).estimates
+        graph = estimate(*args, 19, method="graph").estimates
         for c, g in zip(collapsed, graph):
             for a, b in ((c.psi, g.psi), (c.tail, g.tail)):
                 assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
@@ -305,32 +310,34 @@ class TestEstimatePrefixes:
     def test_graph_groups_read_one_incidence_draw(self):
         # each group of a nested graph call has the bits of its own one-group
         # call: the same incidence draws, a group's rows read from each
-        params = two_class_params(3, 8, q=5)
-        groups = [AgentSubset((2,)), AgentSubset((2, 5)), AgentSubset.prefix(5)]
+        params, members = two_class_params(3, 8, q=5), (2, 3, 5)
         B = BLOCK_SIZE + 33
-        nested = estimate(params, SBM, groups, B, 8, threads=2, method="graph").estimates
-        for group, est in zip(groups, nested):
-            assert estimate(params, SBM, [group], B, 8, method="graph").estimates == (est,)
+        nested = estimate(
+            params, SBM, AgentSubset(members), [1, 2, 3], B, 8, threads=2, method="graph"
+        ).estimates
+        for k, est in zip((1, 2, 3), nested):
+            group = AgentSubset(members[:k])
+            assert estimate(params, SBM, group, [k], B, 8, method="graph").estimates == (est,)
 
 
 class TestEstimateTail:
     def test_all_ruinous_premiums_never_below_one(self):
         # with every object ruinous and edges certain, the ratio is always > 1
         p = RiskParams(lam=1.0, c=[0.95, 0.95], mu=[1.0, 1.0], u=[1.0])
-        est = estimate(p, BlockModel.bernoulli(1.0), [AgentSubset.prefix(1)], 2000, 0)
+        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), [1], 2000, 0)
         est = est.estimates[0].tail
         assert est.mean == 0.0
 
     def test_disconnection_counts_toward_event(self):
         # ratio 0 on disconnection, which lies below 1
         p = RiskParams(lam=1.0, c=[0.95, 0.95], mu=[1.0, 1.0], u=[1.0])
-        est = estimate(p, BlockModel.bernoulli(0.5), [AgentSubset.prefix(1)], 100_000, 1)
+        est = estimate(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(1), [1], 100_000, 1)
         est = est.estimates[0].tail
         assert est.mean == pytest.approx(0.25, abs=4 * est.stderr + 1e-12)
 
     def test_binomial_stderr(self):
         p = two_class_params(5, 10)
-        est = estimate(p, BlockModel.bernoulli(0.5), [AgentSubset.prefix(3)], 10_000, 2)
+        est = estimate(p, BlockModel.bernoulli(0.5), AgentSubset.prefix(3), [3], 10_000, 2)
         est = est.estimates[0].tail
         assert est.stderr == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.replicates)
@@ -338,7 +345,7 @@ class TestEstimateTail:
 
     def test_zero_reserve_allowed(self):
         p = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
-        est = estimate(p, BlockModel.bernoulli(1.0), [AgentSubset.prefix(1)], 100, 0)
+        est = estimate(p, BlockModel.bernoulli(1.0), AgentSubset.prefix(1), [1], 100, 0)
         est = est.estimates[0].tail
         assert est.mean == 1.0
 

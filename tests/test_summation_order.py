@@ -181,7 +181,7 @@ def test_oracle_and_estimator_share_rate_and_premium(monkeypatch):
     monkeypatch.setattr(pathsim, "simulate_ruin_batch", kernel)
     params = RiskParams(lam=1.0, c=[0.95, 1.05, 1.2], mu=np.ones(3), u=np.ones(2))
     model, group = BlockModel.bernoulli(0.6), AgentSubset.prefix(2)
-    estimate(params, model, [group], 100, base_seed=1)
+    estimate(params, model, group, [group.size], 100, base_seed=1)
     assert len(returned) == 1 and returned[0][0].shape == (100,)
     pathsim.oracle_psi(params, model, group, 50.0, 6, 2, base_seed=1)
     assert len(returned) == 2
