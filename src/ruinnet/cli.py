@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -404,7 +404,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
                 approx_prob=ap.probability,
                 stein_bound=ap.stein_bound,
             )
-            rows.append(asdict(row))
+            rows.append({f: getattr(row, f) for f in SWEEP_FIELDS})  # shallow, in field order
         del params  # so that the next point's RiskParams is built without this one's arrays
     return rows
 

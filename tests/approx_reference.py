@@ -6,8 +6,8 @@ The package summarises a configuration from its collapsed counts
 :func:`ruinnet.netgen.connect_given_counts`); :func:`mixture_stats` takes
 the agent- and object-type labels themselves.  :func:`exact_by_loop`
 walks the configurations one at a time, each with its own multinomial
-weight, normal tail and bound term, where the package enumerates them as
-arrays.  :func:`sampled_one_group` is sampled mode for one group as a
+weight, normal tail and bound term (with the package's erfc,
+:func:`ruinnet.approx._erfc`), where the package enumerates them as arrays.  :func:`sampled_one_group` is sampled mode for one group as a
 single-group draw, block by block, where the package draws nested groups.
 :func:`stats_from_counts_trailing` summarises configurations laid out with
 the type axis innermost in memory, where the package lays out the replicate
@@ -23,7 +23,7 @@ from math import lgamma
 import numpy as np
 
 from model_reference import LoadingVector
-from ruinnet.approx import BOUND_CONSTANT, _positive_prob, _stats_from_counts, _terms
+from ruinnet.approx import BOUND_CONSTANT, _erfc, _positive_prob, _stats_from_counts, _terms
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel, connect_given_counts
 from ruinnet.streams import (
@@ -82,11 +82,11 @@ def stats_from_counts_trailing(xi_vals, counts_gl, p_l) -> tuple:
     xm = xi_vals - 1.0
     q_l = 1.0 - p_l
     s2 = p_l * q_l
-    h = p_l * q_l**3 + q_l * p_l**3
+    h = s2 * (q_l * q_l + p_l * p_l)
     connected, per_s2, per_h = (weighted_sum(counts_gl, x[..., None, :]) for x in (p_l, s2, h))
     mean = weighted_sum(connected, xm)
     var = weighted_sum(per_s2, xm * xm)
-    raw3 = weighted_sum(per_h, np.abs(xm) ** 3)
+    raw3 = weighted_sum(per_h, np.abs(xm) * (xm * xm))
     return mean, var, raw3, connected.sum(axis=-1)
 
 
@@ -197,8 +197,9 @@ def exact_by_loop(params: RiskParams, model: BlockModel, group: AgentSubset) -> 
             prob += weight * (1.0 if mean > 0 or connected == 0.0 else 0.0)
             deg_weight += weight
         else:
-            prob += weight * (0.5 * math.erfc(-mean / math.sqrt(2.0 * var)))
-            bound += weight * BOUND_CONSTANT * raw3 / var**1.5
+            # the package's erfc and root, so that only the summation is the loop's
+            prob += weight * (0.5 * float(_erfc(np.array(-mean / math.sqrt(2.0 * var)))))
+            bound += weight * BOUND_CONSTANT * raw3 / (var * math.sqrt(var))
     return LoopResult(
         probability=min(prob, 1.0),
         stein_bound=bound,

@@ -1,12 +1,16 @@
 """Tests for the mixture-normal approximation, its error bound, and the
 phase classifier."""
 
+import ast
 import itertools
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -157,6 +161,102 @@ def positive_prob(mean, variance):
     return _positive_prob(mean, variance, variance == 0.0)
 
 
+#: The error bound of ``approx._erfc``, in ulps of the correctly rounded value.
+ERFC_ULPS = 3.0
+
+
+def ulp_errors(x, got) -> np.ndarray:
+    """|got - erfc(x)| in ulps of the correctly rounded erfc(x), elementwise,
+    with erfc at 100 bits by ``mpmath``; an ulp of 0 is the least subnormal."""
+    with mpmath.workprec(100):
+        exact = [mpmath.erfc(mpmath.mpf(v)) for v in np.ravel(x).tolist()]
+        errors = [
+            float(abs(mpmath.mpf(g) - e)) / float(np.spacing(float(e)))
+            for g, e in zip(np.ravel(got).tolist(), exact)
+        ]
+    return np.array(errors)
+
+
+def ulps_apart(x: float, k: int) -> np.ndarray:
+    """``x`` and its ``k`` nearest doubles on each side."""
+    steps = [x]
+    for _ in range(k):
+        steps = [np.nextafter(steps[0], -np.inf), *steps, np.nextafter(steps[-1], np.inf)]
+    return np.array(steps)
+
+
+class TestErfc:
+    """``approx._erfc`` against ``mpmath``, within ``ERFC_ULPS``."""
+
+    def assert_accurate(self, x):
+        got = approx._erfc(x)
+        errors = ulp_errors(x, got)
+        worst = int(np.argmax(errors))
+        assert errors[worst] <= ERFC_ULPS, (x[worst], got[worst], errors[worst])
+        return got
+
+    @pytest.mark.parametrize("edge", approx._ERFC_EDGES + (0.25,))
+    def test_both_sides_of_every_range_edge(self, edge):
+        # fdlibm's range edges, and x = 1/4, where the small range changes form
+        x = np.r_[ulps_apart(edge, 8), -ulps_apart(edge, 8)]
+        self.assert_accurate(x)
+
+    def test_near_zero(self):
+        tiny = np.r_[0.0, 5e-324, 2.0**-1022, 2.0**-60, 2.0**-56, 2.0**-54, 1e-10, 1e-5]
+        got = self.assert_accurate(np.r_[tiny, -tiny])
+        assert got[0] == 1.0 and got[1] == 1.0
+
+    def test_near_the_underflow_threshold(self):
+        # erfc leaves the normal range near x = 26.55, and rounds to 0 past 27.2
+        x = np.r_[np.linspace(26.0, 27.99, 3000), ulps_apart(26.55, 4)]
+        got = self.assert_accurate(x)
+        assert (got[x > 26.6] < 2.0**-1022).all() and (got[x > 27.3] == 0.0).all()
+
+    def test_negative_side(self):
+        rng = np.random.default_rng(3)
+        self.assert_accurate(np.r_[-rng.uniform(0.0, 2.0, 3000), -np.linspace(0.0, 2.0, 801)])
+
+    def test_random_arguments(self):
+        rng = np.random.default_rng(4)
+        x = np.r_[rng.uniform(-6.0, 28.0, 4000), 10.0 ** rng.uniform(-8, 1.4, 1000)]
+        self.assert_accurate(x)
+
+    def test_far_tails_and_nan(self):
+        x = np.array([28.0, 30.0, 1e300, np.inf, -6.0, -27.0, -28.0, -1e300, -np.inf])
+        assert approx._erfc(x).tolist() == [0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0]
+        got = approx._erfc(np.array([np.nan, 0.5, np.nan]))
+        assert np.isnan(got[[0, 2]]).all() and got[1] == approx._erfc(np.array(0.5))
+
+    def test_one_value_has_the_bits_of_the_array(self):
+        # one value runs on numpy scalars, whole arrays on numpy's loops;
+        # every range, either sign, and shapes 0-d, (1,), (1, 1) and (n, 2)
+        rng = np.random.default_rng(5)
+        x = np.r_[rng.uniform(-30.0, 30.0, 500), rng.uniform(-3.0, 3.0, 500), 27.0, np.nan]
+        got = approx._erfc(x.reshape(-1, 2))
+        assert got.shape == (x.size // 2, 2)
+        for v, want in zip(x.tolist(), got.ravel().tolist()):
+            for shape in ((), (1,), (1, 1)):
+                one = approx._erfc(np.full(shape, v))
+                assert one.shape == shape and one.dtype == np.float64
+                bits = np.float64(want).view(np.uint64)
+                np.testing.assert_array_equal(one.ravel().view(np.uint64), bits)
+        assert approx._erfc(np.empty((0, 3))).shape == (0, 3)
+
+    def test_each_range_is_evaluated_on_its_own_values(self, monkeypatch):
+        calls = []
+
+        def spy(i, evaluate):
+            return lambda x, ax: calls.append((i, np.size(x))) or evaluate(x, ax)
+
+        ranges = [spy(i, f) for i, f in enumerate(approx._ERFC_RANGES)]
+        monkeypatch.setattr(approx, "_ERFC_RANGES", tuple(ranges))
+        approx._erfc(np.array([0.1, -0.5, 0.3, 1.1, 40.0, -0.2]))
+        assert calls == [(0, 4), (1, 1), (4, 1)]
+        calls.clear()
+        approx._erfc(np.array([0.1, -0.5]))
+        assert calls == [(0, 2)]
+
+
 class TestNormalPositiveProb:
     """Values of ``approx._positive_prob``; the scalar result and the
     argument check of the reference ``normal_positive_prob`` in ``tests/``."""
@@ -179,8 +279,9 @@ class TestNormalPositiveProb:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_elementwise_bits_match_scalar_formula(self):
-        # numpy's division and square root are correctly rounded, so each
-        # element has the bits of the scalar formula
+        # each element has the bits of the one-value formula
+        # 0.5 * erfc(-mean / sqrt(2 * var)), and is within the erfc's ulp
+        # bound of that formula at full precision
         rng = np.random.default_rng(11)
         mean = rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.uniform(-3, 3, 2000)
         var = 10.0 ** rng.uniform(-6, 6, 2000)
@@ -189,8 +290,9 @@ class TestNormalPositiveProb:
         mean = np.r_[mean, 31.0 * np.sqrt(2.0 * far), -31.0 * np.sqrt(2.0 * far)]
         var = np.r_[var, far, far]
         got = positive_prob(mean, var)
-        want = [0.5 * math.erfc(-m / math.sqrt(2.0 * v)) for m, v in zip(mean, var)]
-        assert got.tolist() == want
+        assert got.tolist() == [positive_prob(m, v) for m, v in zip(mean, var)]
+        z = -mean / np.sqrt(2.0 * var)
+        assert ulp_errors(z, 2.0 * got).max() <= ERFC_ULPS
         assert set(got[-400:].tolist()) == {0.0, 1.0}
 
     def test_elementwise_point_masses_and_shapes(self):
@@ -663,6 +765,70 @@ print(res.config_count, grown)
         count, grown_kb = int(out[0]), int(out[1])  # ru_maxrss is in KiB on Linux
         assert count == 517_888
         assert grown_kb <= 32 * 1024
+
+
+#: Sampled mode on the golden mixed sweep's blockmodel, and exact mode on rows
+#: of the paper's table, whose one configuration has z from -2.7 to 0.4.
+DISPATCH_PROBE = """
+import numpy as np
+from ruinnet.approx import mixture_probability
+from ruinnet.cli import load_config
+from ruinnet.model import RiskParams
+from ruinnet.netgen import BlockModel
+
+
+def probe(config):
+    cfg = load_config(config)
+    out = []
+    for ns in cfg.ns_grid:
+        params = cfg.risk_params(ns_override=ns)
+        sizes = range(1, cfg.q + 1)
+        res = mixture_probability(params, cfg.network, sizes, "sampled", cfg.m_configs, cfg.seed)
+        out += [(r.probability, r.stein_bound, r.sampling_stderr) for r in res.results]
+    d = 100_000
+    for ns in (49_000, 49_500, 49_900, 50_000, 50_500):
+        c = np.r_[np.full(ns, 0.95), np.full(d - ns, 1.05)]
+        params = RiskParams(lam=1.0, c=c, mu=np.ones(d), u=np.ones(100))
+        res = mixture_probability(params, BlockModel.bernoulli(d**-0.5), [100], "exact")
+        out += [(r.probability, r.stein_bound) for r in res.results]
+    return out
+"""
+
+
+def avx512_features() -> list[str]:
+    """The AVX-512 dispatch targets numpy finds on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return [k for k, on in features.items() if on and (k.startswith("AVX512") or k == "X86_V4")]
+
+
+class TestSimdDispatch:
+    def test_approximation_bits_do_not_depend_on_simd_dispatch(self):
+        # numpy picks AVX-512 loops where the CPU has them; the
+        # approximation uses only correctly rounded operations, so turning
+        # them off in a child process moves no bit of either mode
+        features = avx512_features()
+        if not features:
+            pytest.skip("this CPU has no AVX-512, so there is no dispatch to turn off")
+        config = str(Path(__file__).parent / "golden" / "sweep_mixed" / "config.json")
+        namespace = {}
+        exec(DISPATCH_PROBE, namespace)
+        want = namespace["probe"](config)
+        script = DISPATCH_PROBE + f"""
+import sys
+from numpy._core._multiarray_umath import __cpu_features__ as features
+print([k for k in {features!r} if not features[k]])
+print(repr(probe(sys.argv[1])))
+"""
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+        child = [sys.executable, "-c", script, config]
+        out = subprocess.run(child, capture_output=True, text=True, env=env, check=True)
+        out = out.stdout.splitlines()
+        assert ast.literal_eval(out[0])  # the child's dispatch targets: some were turned off
+        assert ast.literal_eval(out[1]) == want
+        assert len(want) == 13 and len({w[0] for w in want}) > 10
 
 
 class TestPointMasses:

@@ -113,14 +113,15 @@ def test_stats_from_counts(G, L):
     # the elementwise factors as the package forms them; only the sums are redone
     xm = xi_vals - 1.0
     q_l = 1.0 - p_l
-    s2, h = p_l * q_l, p_l * q_l**3 + q_l * p_l**3
+    s2 = p_l * q_l
+    h = s2 * (q_l * q_l + p_l * p_l)
     for r in range(200):
         per_p = [left_to_right(row, p_l[r]) for row in counts[r]]
         per_s2 = [left_to_right(row, s2[r]) for row in counts[r]]
         per_h = [left_to_right(row, h[r]) for row in counts[r]]
         assert mean[r] == left_to_right(per_p, xm)
         assert var[r] == left_to_right(per_s2, xm * xm)
-        assert raw3[r] == left_to_right(per_h, np.abs(xm) ** 3)
+        assert raw3[r] == left_to_right(per_h, np.abs(xm) * (xm * xm))
         assert connected[r] == pytest.approx(sum(per_p), rel=1e-12)
     assert connected[0] == 0.0 and (connected[1:] > 0).all()
 
