@@ -19,28 +19,28 @@ types enter only through their multiset, and objects of equal loading
 enter only through per-type counts, which keeps exact enumeration feasible
 far beyond the raw configuration space.
 
-:func:`mixture_probability` approximates groups of increasing sizes, such as
-a sweep's ``1..q`` or one configured group's, each in its own mode.  Exact mode
-and the phase classifier enumerate these configurations as arrays
-(:func:`_configurations`), sampled mode draws them for every group at once,
-and one evaluator (:func:`_terms`) turns each into its tail probability,
-bound term and point-mass weight.  Each per-type and per-class total is one
-:func:`streams.weighted_sum`, and a point mass is exact (:func:`_terms`).
-The evaluator is whole-array numpy made of correctly rounded operations only
-(``var * sqrt(var)`` and :func:`_erfc`), so its bits are the same on every
-CPU and under any SIMD dispatch, and it runs without the GIL.
+:func:`mixture_probability` approximates groups of increasing sizes, such as a
+sweep's ``1..q`` or one configured group's, each in its own mode, and runs
+each mode once: exact mode and the phase classifier enumerate all their
+groups' configurations as arrays (:func:`_configurations`), sampled mode draws
+them at once, and one evaluator (:func:`_terms`) turns each into its tail
+probability, bound term and point-mass weight.  Each per-type and per-class
+total is one :func:`streams.weighted_sum`, and a point mass is exact
+(:func:`_terms`).  The evaluator is whole-array numpy made of correctly rounded
+operations only (``var * sqrt(var)`` and :func:`_erfc`), so its bits are the
+same on every CPU and under any SIMD dispatch, and it runs without the GIL.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from math import lgamma
+from operator import add
 from typing import Iterator, Optional
 
 import numpy as np
@@ -219,7 +219,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     exp."""
     if x.size == 1:  # on numpy scalars: the same operations, about 7 times faster
         v = x.flat[0]
-        return np.full_like(x, _ERFC_RANGES[bisect_right(_ERFC_EDGES, abs(v))](v, abs(v)))
+        return np.array(_ERFC_RANGES[bisect_right(_ERFC_EDGES, abs(v))](v, abs(v)), ndmin=x.ndim)
     ax = np.abs(x)
     below = [ax < edge for edge in _ERFC_EDGES]  # NaN is below none
     ends = [0, *(np.count_nonzero(b) for b in below), ax.size]
@@ -282,10 +282,10 @@ def _terms(weight, mean, var, raw3, connected) -> tuple[np.ndarray, ...]:
     return weight * prob, bound, weight * point
 
 
-def _compositions(total: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _compositions(total: int, probs: np.ndarray) -> tuple[list, list]:
     """Type counts of ``total`` iid draws from ``probs`` with positive
     multinomial weight, first type slowest, and those weights (log, exp and
-    lgamma in Python floats)."""
+    lgamma in Python floats), as lists."""
     k, end = probs.size, total + probs.size - 1
     log_p = [math.log(pr) if pr > 0.0 else -math.inf for pr in probs.tolist()]
     counts, weights = [], []
@@ -300,10 +300,10 @@ def _compositions(total: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         if weight > 0.0:
             counts.append(row)
             weights.append(weight)
-    return np.array(counts, dtype=np.int64), np.array(weights)
+    return counts, weights
 
 
-def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
+def exact_term_count(model: BlockModel, n_classes_sizes, size_q: int) -> int:
     """Number of collapsed configurations exact mode would enumerate."""
     terms = math.comb(int(size_q) + model.K - 1, model.K - 1)
     for dg in n_classes_sizes:
@@ -312,45 +312,62 @@ def exact_term_count(model: BlockModel, size_q: int, n_classes_sizes) -> int:
 
 
 def _configurations(
-    model: BlockModel, xi_vals: np.ndarray, sizes: np.ndarray, size_q: int
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """``(weight, mean, variance, raw3, connected)`` arrays of the collapsed
-    configurations, in chunks of at most ``_CHUNK_CELLS`` count cells: one
-    agent-type composition (slowest) and one object-type composition per
-    class, with the product of their weights, summarised as sampled mode
-    summarises drawn ones.  More than :data:`MAX_EXACT_TERMS` configurations is a
-    ``ValueError``."""
-    terms = exact_term_count(model, size_q, sizes)
-    if terms > MAX_EXACT_TERMS:
-        raise ValueError(
-            f"exact enumeration would need {terms} configurations (limit "
-            f"{MAX_EXACT_TERMS}); only mixture_probability's sampled mode can take more"
-        )
-    agents, weight_a = _compositions(int(size_q), model.w)
-    connect = connect_given_counts(model, agents)
-    counts, weights = zip(*(_compositions(int(dg), model.v) for dg in sizes))
+    model: BlockModel, xi_vals: np.ndarray, classes: np.ndarray, group_sizes
+) -> Iterator[tuple]:
+    """``(runs, weight, mean, variance, raw3, connected)`` of the collapsed
+    configurations of groups of ``group_sizes`` agents, in chunks of at most
+    ``_CHUNK_CELLS`` count cells: a group (slowest), one of its agent-type
+    compositions and one of each class's object-type compositions (built once
+    for every group), with the product of their weights, summarised as sampled
+    mode summarises drawn ones.  A chunk's ``(j, start, stop)`` runs give
+    group ``j`` its ``start:stop``; a group of more than
+    :data:`MAX_EXACT_TERMS` configurations is a ``ValueError``."""
+    agents, weight_a, firsts = [], [], [0]  # each group's first agent composition, then the end
+    for size_q in group_sizes:
+        terms = exact_term_count(model, classes, size_q)
+        if terms > MAX_EXACT_TERMS:
+            raise ValueError(
+                f"exact enumeration would need {terms} configurations (limit "
+                f"{MAX_EXACT_TERMS}); only mixture_probability's sampled mode can take more"
+            )
+        group_agents, group_weights = _compositions(int(size_q), model.w)
+        agents += group_agents
+        weight_a += group_weights
+        firsts.append(len(agents))
+    counts, weights = zip(*(map(np.array, _compositions(int(dg), model.v)) for dg in classes))
     shape = (len(agents), *map(len, weights))
-    total = math.prod(shape)
-    step = max(1, _CHUNK_CELLS // (sizes.size * model.L))
-    for lo in range(0, total, step):
-        a, *rows = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
+    starts = [first * math.prod(shape[1:]) for first in firsts]  # in configurations
+    agents, weight_a = np.array(agents, dtype=np.int64), np.array(weight_a)
+    connect = connect_given_counts(model, agents)
+    step = max(1, _CHUNK_CELLS // (classes.size * model.L))
+    for lo in range(0, starts[-1], step):
+        hi = min(lo + step, starts[-1])
+        groups = range(bisect_right(starts, lo) - 1, bisect_left(starts, hi))
+        runs = [(j, max(starts[j], lo) - lo, min(starts[j + 1], hi) - lo) for j in groups]
+        a, *rows = np.unravel_index(np.arange(lo, hi), shape)
         weight = weight_a[a]
-        chunk = np.empty((model.L, sizes.size, a.size))  # (type, class, configuration)
+        chunk = np.empty((model.L, classes.size, a.size))  # (type, class, configuration)
         for g, (w, c, row) in enumerate(zip(weights, counts, rows)):
             weight = weight * w[row]
             chunk[:, g] = c[row].T
-        yield (weight, *_stats_from_counts(xi_vals, chunk.T, connect.T[:, a].T))
+        yield (runs, weight, *_stats_from_counts(xi_vals, chunk.T, connect.T[:, a].T))
 
 
-def _exact(model: BlockModel, size_q: int, xi_vals: np.ndarray, sizes: np.ndarray) -> ApproxResult:
-    totals = [0.0, 0.0, 0.0]  # summed term by term: sum() compensates on Python >= 3.12
-    count = 0
-    for weight, *stats in _configurations(model, xi_vals, sizes, size_q):
+def _exact(
+    model: BlockModel, group_sizes, xi_vals: np.ndarray, classes: np.ndarray
+) -> list[ApproxResult]:
+    """One exact-mode result per group: its terms summed in enumeration order."""
+    totals = [(0.0, 0.0, 0.0)] * len(group_sizes)  # term by term: sum() compensates on 3.12+
+    counts = [0] * len(group_sizes)
+    for runs, weight, *stats in _configurations(model, xi_vals, classes, group_sizes):
         parts = _terms(weight, *stats)
-        totals = [reduce(operator.add, part.tolist(), t) for t, part in zip(totals, parts)]
-        count += weight.size
-    prob, bound, deg_weight = totals
-    return ApproxResult(min(prob, 1.0), bound, MODE_EXACT, count, degenerate_weight=deg_weight)
+        for j, lo, hi in runs:
+            totals[j] = [reduce(add, p[lo:hi].tolist(), t) for t, p in zip(totals[j], parts)]
+            counts[j] += hi - lo
+    return [
+        ApproxResult(min(prob, 1.0), bound, MODE_EXACT, count, degenerate_weight=deg_weight)
+        for (prob, bound, deg_weight), count in zip(totals, counts)
+    ]
 
 
 def _sampled(
@@ -392,18 +409,6 @@ def _sampled(
     return results
 
 
-def _choose_mode(model: BlockModel, size_q: int, class_sizes: np.ndarray, mode: str) -> str:
-    """The mode a group of ``size_q`` agents runs: ``exact`` or ``sampled``
-    as given, and for ``auto`` exact when it has at most
-    :data:`MAX_EXACT_TERMS` terms, sampled otherwise."""
-    if mode == MODE_AUTO:
-        enumerable = exact_term_count(model, size_q, class_sizes) <= MAX_EXACT_TERMS
-        return MODE_EXACT if enumerable else MODE_SAMPLED
-    if mode in (MODE_EXACT, MODE_SAMPLED):
-        return mode
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class PrefixApprox:
     """Approximations of a nested family, one :class:`ApproxResult` per
@@ -433,10 +438,10 @@ def mixture_probability(
 ) -> PrefixApprox:
     """Mixture-normal approximation of P(PK ratio < 1), with its error bound,
     for a group of each of the increasing ``sizes`` (:func:`model.prefix_sizes`);
-    a single group is ``[group.size]``.  Only a group's size matters.  Exact-mode
-    groups are enumerated one by one; sampled-mode groups share one pass over
-    nested configurations, so each has the law of its own one-group call,
-    and their errors are positively correlated.
+    a single group is ``[group.size]``.  Only a group's size matters.  Each
+    mode runs once: exact-mode groups share one enumeration, each with the
+    bits of its own one-group call; sampled-mode groups share one pass over
+    nested configurations, each with the law of its own, their errors correlated.
 
     Args:
         params: Risk parameters (supply the loadings).
@@ -450,17 +455,17 @@ def mixture_probability(
         base_seed: Sampled-mode stream seed.
         threads: Worker threads (never affects the result).
     """
-    group_sizes, classes = prefix_sizes(sizes, params.q), params.class_sizes
+    sizes, classes = prefix_sizes(sizes, params.q), params.class_sizes
     xi_vals = params.class_ratio / params.lam
-    modes = [_choose_mode(model, k, classes, mode) for k in group_sizes]
-    sampled = [k for k, m in zip(group_sizes, modes) if m == MODE_SAMPLED]
-    coupled = iter(
-        _sampled(model, sampled, xi_vals, classes, m_configs, base_seed, threads) if sampled else ()
-    )
-    results = [
-        next(coupled) if m == MODE_SAMPLED else _exact(model, k, xi_vals, classes)
-        for k, m in zip(group_sizes, modes)
-    ]
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    cut = len(sizes) if mode == MODE_EXACT else 0
+    if mode == MODE_AUTO:  # a group's term count grows with its size: exact groups come first
+        cut = bisect_right(sizes, MAX_EXACT_TERMS, key=partial(exact_term_count, model, classes))
+    exact, sampled = sizes[:cut], sizes[cut:]
+    results = _exact(model, exact, xi_vals, classes) if exact else []
+    if sampled:
+        results += _sampled(model, sampled, xi_vals, classes, m_configs, base_seed, threads)
     return PrefixApprox(tuple(results))
 
 
@@ -491,8 +496,8 @@ def phase_classify(
             "classification assumes loadings bounded away from 1",
             stacklevel=2,
         )
-    configs = _configurations(model, xi_vals, sizes, group.size)
-    signs = {s for weight, mean, *_ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
+    configs = _configurations(model, xi_vals, sizes, [group.size])
+    signs = {s for _, weight, mean, *_ in configs for s in np.sign(mean[weight > 0.0]).tolist()}
     sign = int(signs.pop()) if len(signs) == 1 else 0
     verdict = TAIL_TO_ONE if sign > 0 else TAIL_TO_ZERO if sign < 0 else INDETERMINATE
     return PhaseVerdict(limit_mean_sign=sign, verdict=verdict, beta=float(beta))

@@ -183,44 +183,48 @@ class RiskParams:
         return self.c.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentSubset:
-    """Nonempty group of agents, stored as sorted distinct 1-based indices."""
+    """Nonempty group of agents: a sorted, read-only array of distinct 1-based indices."""
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) == 0:
+        idx = np.sort(np.asarray(self.indices, dtype=np.int64))
+        if idx.size == 0:
             raise ValueError("agent subset must be nonempty")
-        if len(set(idx)) != len(idx):
+        if (idx[1:] == idx[:-1]).any():
             raise ValueError("agent subset contains duplicate indices")
-        if min(idx) < 1:
+        if idx[0] < 1:
             raise ValueError("agent indices are 1-based and must be >= 1")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        idx.flags.writeable = False
+        object.__setattr__(self, "indices", idx)
+
+    def __eq__(self, other):
+        return isinstance(other, AgentSubset) and np.array_equal(self.indices, other.indices)
 
     @classmethod
     def prefix(cls, k: int) -> "AgentSubset":
         """The subset {1, ..., k}; empty, and so rejected, for ``k < 1``."""
-        return cls(tuple(range(1, int(k) + 1)))
+        return cls(np.arange(1, int(k) + 1))
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
     def zero_based(self) -> np.ndarray:
         """Member indices as a 0-based integer array (for numpy indexing)."""
-        return np.asarray(self.indices, dtype=np.int64) - 1
+        return self.indices - 1
 
     def validate_for(self, q: int) -> None:
         if self.indices[-1] > q:
             raise ValueError(f"agent index {self.indices[-1]} exceeds agent count {q}")
 
 
-def prefix_sizes(sizes, limit: int) -> list[int]:
+def prefix_sizes(sizes, limit: float) -> list[int]:
     """``sizes`` as a list, checked to be the sizes of a nested family, the
     prefixes of one group: nonempty, positive, strictly increasing integers of
-    at most ``limit``, that group's size (estimator) or ``q`` (approximation)."""
+    at most ``limit``: that group's size, ``q``, or ``np.inf`` in the samplers."""
     arr = np.asarray(sizes)
     out = arr.tolist() if arr.ndim == 1 and arr.dtype.kind == "i" else []
     if not out or out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import prefix_sizes
 from .streams import weighted_sum
 
 #: Memory cap (array cells) of one vectorised draw; see :func:`_in_chunks`.
@@ -152,15 +153,6 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     return np.subtract(1.0, none, out=none).T
 
 
-def nested_sizes(group_sizes) -> np.ndarray:
-    """``group_sizes`` as an ``int64`` vector, checked to be nonempty, positive
-    and increasing: the sizes of nested groups."""
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes[0] < 1 or (sizes[1:] <= sizes[:-1]).any():
-        raise ValueError(f"group sizes must be positive and increasing, got {sizes.tolist()}")
-    return sizes
-
-
 def _prefix_agent_counts(
     model: BlockModel, group_sizes, rng: np.random.Generator, n: int
 ) -> np.ndarray:
@@ -173,7 +165,7 @@ def _prefix_agent_counts(
     ``(1, J, 1)`` (nothing drawn) if ``K == 1``.  With one group it draws
     the bits of ``rng.multinomial(size, w, size=n)``.
     """
-    sizes = nested_sizes(group_sizes)
+    sizes = np.array(prefix_sizes(group_sizes, np.inf))  # no agent count bounds them here
     if model.K == 1:
         return sizes[None, :, None]
     layers = sizes.copy()

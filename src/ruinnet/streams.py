@@ -33,7 +33,6 @@ RUIN_DOMAIN = 1
 APPROX_DOMAIN = 2
 ORACLE_NET_DOMAIN = 3
 ORACLE_PATH_DOMAIN = 4
-PATH_DOMAIN = 5
 
 
 @dataclass(frozen=True)

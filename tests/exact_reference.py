@@ -87,7 +87,7 @@ def exact_law(params: RiskParams, model: BlockModel, group: AgentSubset) -> Exac
     summand = psi_summand(pk, proportional_r(params, group.size), total_reserve)
     psi = psi_sq = tail = 0.0
     agents, weights = _compositions(group.size, model.w)
-    for m, weight in zip(agents, weights.tolist()):
+    for m, weight in zip(agents, weights):
         pbar = min(float(connect_given_counts(model, m) @ model.v), 1.0)
         pmf = np.ones(1)
         for dg in sizes:

@@ -35,7 +35,12 @@ from model_reference import proportional_weights
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.pathsim import _CLAIM_CHUNK, PATH_BATCH, simulate_ruin_batch
 from ruinnet.ruin import EstimateWithCI
-from ruinnet.streams import PATH_DOMAIN, StreamKey, stream
+from ruinnet.streams import StreamKey, stream
+
+#: Domain tag of this reference's path streams.  It must stay disjoint from
+#: the package's domains 1-4 (``ruinnet.streams``), so that its paths never
+#: share a stream with the estimator, the approximation or the oracle.
+PATH_DOMAIN = 5
 
 
 def group_exposure(params: RiskParams, incidence, group: AgentSubset) -> tuple[np.ndarray, float]:

@@ -614,7 +614,7 @@ class TestSampledPrefixes:
 
 class TestMixturePrefixes:
     """One :func:`mixture_probability` call per sweep ns: each group in its
-    own mode, exact groups enumerated one by one, sampled groups from one pass."""
+    own mode, exact groups from one enumeration, sampled groups from one pass."""
 
     PARAMS = TestSampledPrefixes.PARAMS
     MODEL = TestSampledPrefixes.MODEL
@@ -637,14 +637,29 @@ class TestMixturePrefixes:
     def test_mixed_sizes(self, monkeypatch):
         # two classes of 3 objects on 3 object types: 100 object configurations
         # times 3, 6, 10, 15 agent compositions; a cap of 700 terms makes auto
-        # pick exact mode for groups of 1 and 2 and sampled mode for 3 and 4
+        # pick exact mode for groups of 1 and 2 and sampled mode for 3 and 4,
+        # and each mode runs once per call, on its own sizes
         monkeypatch.setattr(approx, "MAX_EXACT_TERMS", 700)
+        modes_run = []
+
+        def spying(name):
+            run = getattr(approx, name)
+
+            def spy(model, group_sizes, *rest):
+                modes_run.append((name, group_sizes))
+                return run(model, group_sizes, *rest)
+
+            return spy
+
+        for name in ("_exact", "_sampled"):
+            monkeypatch.setattr(approx, name, spying(name))
         m_configs = BLOCK_SIZE + 33
         sizes = [1, 2, 3, 4]
         runs = [
             mixture_probability(self.PARAMS, self.MODEL, sizes, "auto", m_configs, 4, threads)
             for threads in (1, 2)
         ]
+        assert modes_run == [("_exact", [1, 2]), ("_sampled", [3, 4])] * 2
         assert runs[0] == runs[1]
         mixed = runs[0]
         assert [r.mode for r in mixed.results] == ["exact", "exact", "sampled", "sampled"]
@@ -655,6 +670,46 @@ class TestMixturePrefixes:
         assert mixed.results[2:] == coupled.results
         assert mixed.mode == "mixed"
         assert mixed.config_count == 300 + 600 + 2 * m_configs
+
+    def test_exact_groups_share_one_enumeration(self, monkeypatch):
+        # 300, 600 and 1 500 configurations for groups of 1, 2 and 4 agents,
+        # in chunks of 128 (768 count cells over 2 classes and 3 object
+        # types): chunks straddle the groups, and one enumeration gives each
+        # group the bits, count and point-mass weight of its own call
+        monkeypatch.setattr(approx, "_CHUNK_CELLS", 768)
+        enumerate_once = approx._configurations
+        chunks = []
+
+        def spy(*args):
+            for runs, *rest in enumerate_once(*args):
+                chunks.append([j for j, _, _ in runs])
+                yield (runs, *rest)
+
+        monkeypatch.setattr(approx, "_configurations", spy)
+        together = mixture_probability(self.PARAMS, self.MODEL, [1, 2, 4], "exact").results
+        assert len(chunks) == math.ceil(2400 / 128) and [0, 1] in chunks and [1, 2] in chunks
+        alone = [
+            mixture_probability(self.PARAMS, self.MODEL, [size], "exact").results[0]
+            for size in (1, 2, 4)
+        ]
+        assert together == tuple(alone)  # every field, each float exactly
+        assert [r.config_count for r in together] == [300, 600, 1500]
+
+    def test_compositions_are_built_once_per_call(self, monkeypatch):
+        # one agent-type enumeration per group and one object-type
+        # enumeration per class, whatever the number of groups
+        build = approx._compositions
+        calls = []
+
+        def spy(total, probs):
+            calls.append(total)
+            return build(total, probs)
+
+        monkeypatch.setattr(approx, "_compositions", spy)
+        sizes = [1, 2, 4]
+        mixture_probability(self.PARAMS, self.MODEL, sizes, "exact")
+        assert len(calls) == len(sizes) + self.PARAMS.class_sizes.size
+        assert sorted(calls) == [1, 2, 3, 3, 4]
 
     @pytest.mark.parametrize(
         "sizes, mode, match",

@@ -220,7 +220,7 @@ class TestParseConfig:
 
     def test_group_indices(self):
         cfg = parse_config(figure_doc(group={"indices": [2, 5, 9]}))
-        assert cfg.group.indices == (2, 5, 9)
+        assert cfg.group.indices.tolist() == [2, 5, 9]
 
 
 #: Test id -> ``(overrides, stderr)``: one key outside the table, at the top

@@ -175,9 +175,22 @@ class TestChecksOnRunHeads:
 class TestAgentSubset:
     def test_sorts_and_validates(self):
         s = AgentSubset((3, 1, 2))
-        assert s.indices == (1, 2, 3)
+        assert s.indices.tolist() == [1, 2, 3]
         assert s.size == 3
         np.testing.assert_array_equal(s.zero_based(), [0, 1, 2])
+
+    def test_members_are_one_read_only_array(self):
+        s = AgentSubset.prefix(5)
+        assert s.indices.dtype == np.int64 and not s.indices.flags.writeable
+        with pytest.raises(ValueError):
+            s.indices[0] = 7
+        given = np.array([4, 2, 9])
+        t = AgentSubset(given)
+        given[0] = 1  # the subset keeps its own sorted copy
+        assert t.indices.tolist() == [2, 4, 9]
+        assert AgentSubset((3, 1, 2)) == AgentSubset.prefix(3)
+        assert AgentSubset.prefix(3) != AgentSubset.prefix(4)
+        assert AgentSubset.prefix(3) != (1, 2, 3)
 
     def test_rejects_bad_subsets(self):
         with pytest.raises(ValueError):
@@ -186,6 +199,8 @@ class TestAgentSubset:
             AgentSubset((1, 1))
         with pytest.raises(ValueError):
             AgentSubset((0, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            AgentSubset((5, 2, 9, 2))  # equal members that are not neighbours as given
         with pytest.raises(ValueError):
             AgentSubset.prefix(2).validate_for(1)
 
