@@ -190,11 +190,15 @@ class AgentSubset:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.sort(np.asarray(self.indices, dtype=np.int64))
+        idx = np.asarray(self.indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("agent subset must be nonempty")
-        if (idx[1:] == idx[:-1]).any():
-            raise ValueError("agent subset contains duplicate indices")
+        if not (idx[1:] > idx[:-1]).all():  # strictly increasing members are distinct
+            idx = np.sort(idx)
+            if (idx[1:] == idx[:-1]).any():
+                raise ValueError("agent subset contains duplicate indices")
+        elif idx is self.indices and (idx.flags.writeable or not idx.flags.owndata):
+            idx = idx.copy()  # the caller's array, which it may still change
         if idx[0] < 1:
             raise ValueError("agent indices are 1-based and must be >= 1")
         idx.flags.writeable = False
@@ -205,8 +209,11 @@ class AgentSubset:
 
     @classmethod
     def prefix(cls, k: int) -> "AgentSubset":
-        """The subset {1, ..., k}; empty, and so rejected, for ``k < 1``."""
-        return cls(np.arange(1, int(k) + 1))
+        """The subset {1, ..., k}; empty, and so rejected, for ``k < 1``.
+        Its members are the one array it builds: no sort and no copy."""
+        idx = np.arange(1, int(k) + 1)
+        idx.flags.writeable = False
+        return cls(idx)
 
     @property
     def size(self) -> int:

@@ -14,6 +14,14 @@ Averaging that summand over network replicates estimates the group ruin
 probability, and the frequency of ``P < 1`` the tail probability driving
 the phase transition.  :func:`estimate` reads both from the same draws, for
 the prefixes of one group by their sizes (a sweep's ``{1..k}``, or the group).
+
+``P`` depends on a realisation only through the group's connected count per
+``c/mu`` class, a point of the lattice ``prod_g [0, d_g]``.  When the lattice
+has no more points than a block has rows, each block is reduced to an
+integer histogram of its points, and the summand is evaluated once per
+visited point and call (:func:`_by_histogram`); a larger lattice, such as
+the paper's table at ``d = 1e5``, is evaluated replicate by replicate
+(:func:`_by_replicate`).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 from . import netgen
 from .model import AgentSubset, RiskParams, prefix_sizes, proportional_r
 from .netgen import BlockModel
-from .streams import RUIN_DOMAIN, block_totals, mean_stderr, weighted_sum
+from .streams import BLOCK_SIZE, RUIN_DOMAIN, block_counts, block_totals, mean_stderr, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ def _summand(pk: np.ndarray, decay):
     """Each replicate's contribution to the ruin-probability estimator,
     unchecked: ``pk * exp(-(1 - pk) * decay)`` below 1, ``decay =
     total_reserve / r_q``, and 1 from 1 upward (certain ruin); continuous at
-    ``pk = 1``.  A float for a 0-d ``pk``, or one per column of a
-    ``(replicates, groups)`` array of ratios."""
+    ``pk = 1``.  A float for a 0-d ``pk``, and otherwise an array with
+    ``decay`` broadcast against ``pk``: one per column of ``(replicates,
+    groups)`` ratios, or one per visited count vector."""
     capped = np.minimum(pk, 1.0)
     out = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
     return float(out) if out.ndim == 0 else out
@@ -95,26 +104,25 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
 
 
 def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):
-    """PK-ratio sampler of nested groups of ``group_sizes`` agents on
-    per-class counts of connected objects from
-    :func:`netgen.sample_prefix_counts`: the groups' agent-type counts layer
-    by layer, then one multinomial per class.  Returns
-    ``(rows, len(group_sizes))`` ratios."""
-    ratio, sizes = params.class_ratio, params.class_sizes
-    J = len(group_sizes)
+    """Connected-count sampler of nested groups of ``group_sizes`` agents:
+    :func:`netgen.sample_prefix_counts`, the groups' agent-type counts layer
+    by layer, then one multinomial per class.  Returns the chunk function,
+    which gives ``(rows, len(group_sizes), G)`` counts per class of
+    :attr:`RiskParams.class_ratio`, and its cells per row."""
+    sizes = params.class_sizes
 
     def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = netgen.sample_prefix_counts(model, group_sizes, sizes, rng, n)
-        return _pk_from_counts(params.lam, counts.reshape(n * J, sizes.size), ratio).reshape(n, J)
+        return netgen.sample_prefix_counts(model, group_sizes, sizes, rng, n)
 
     # the cap fixes where a block splits into chunks, and so the draws
-    return lambda rng, n: netgen._in_chunks(chunk, rng, n, J * max(sizes.size, model.K * model.L))
+    return chunk, len(group_sizes) * max(sizes.size, model.K * model.L)
 
 
 def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, group_sizes):
-    """PK-ratio sampler of the prefixes of ``group`` of ``group_sizes`` through
-    the full type + graph + indicator pipeline, each one's rows read from one
-    incidence draw: the reference of :func:`_prefix_sampler`, with ``q * d`` cells per replicate."""
+    """Connected-count sampler of the prefixes of ``group`` of ``group_sizes``
+    through the full type + graph + indicator pipeline, each one's rows read
+    from one incidence draw: the reference of :func:`_prefix_sampler`, in
+    its form, with ``q * d`` cells per replicate."""
     rows = [group.zero_based()[:k] for k in group_sizes]
     ratio = params.class_ratio
     cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
@@ -125,10 +133,90 @@ def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, gr
         ind = np.stack([edges[:, r, :].any(axis=1) for r in rows], axis=1)  # (m, J, d)
         # (replicate, group, class) of each indicator
         cell = (np.arange(m * J)[:, None] * G + cls).reshape(ind.shape)
-        counts = np.bincount(cell[ind], minlength=m * J * G).reshape(m * J, G)
-        return _pk_from_counts(params.lam, counts, ratio).reshape(m, J)
+        return np.bincount(cell[ind], minlength=m * J * G).reshape(m, J, G)
 
-    return lambda rng, n: netgen._in_chunks(chunk, rng, n, params.q * params.d)
+    return chunk, params.q * params.d
+
+
+def _lattice_dims(class_sizes: np.ndarray, limit: int):
+    """The count lattice's side lengths ``d_g + 1``, or None when it has more
+    than ``limit`` points ``prod_g (d_g + 1)``."""
+    dims, points = [], 1
+    for dg in map(int, class_sizes):  # stops within log2(limit) classes
+        dims.append(dg + 1)
+        points *= dg + 1
+        if points > limit:
+            return None
+    return dims
+
+
+def _moments(h: np.ndarray, psi: np.ndarray, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error of ``n`` values, value ``psi[i]``
+    seen ``h[i]`` times.  Each sum is ``math.fsum``'s, so neither depends on
+    the order of the values.  The variance is taken about the most frequent
+    value, which makes it exactly 0 when only one value was seen."""
+    mean = math.fsum((h * psi).tolist()) / n
+    dev = psi - psi[np.argmax(h)]
+    hd = h * dev
+    s1, s2 = math.fsum(hd.tolist()), math.fsum((hd * dev).tolist())
+    var = max(0.0, (s2 - s1 * (s1 / n)) / (n - 1))
+    return mean, math.sqrt(var / n)
+
+
+def _by_replicate(sample, lam, ratio, decay, B, base_seed, threads):
+    """``(mean, stderr, below)`` of each group, every replicate evaluated:
+    per block :func:`_summand`, its square and ``1{PK < 1}``, each summed by
+    :func:`block_totals`' pairwise trees."""
+    J = decay.size
+
+    def pk_of(counts: np.ndarray) -> np.ndarray:
+        n, _, G = counts.shape
+        return _pk_from_counts(lam, counts.reshape(n * J, G), ratio).reshape(n, J)
+
+    draw_pk = sample(pk_of)
+
+    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+        pk = draw_pk(rng, n)  # (rows, groups)
+        if J == 1:
+            pk = pk[:, 0]  # a 1-D array sums faster, with the same bits
+        psi = _summand(pk, decay)
+        return psi, psi * psi, pk < 1.0
+
+    totals = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
+    return [
+        (*mean_stderr(total, total_sq, B), int(below))
+        for total, total_sq, below in zip(*(t.reshape(-1).tolist() for t in totals))
+    ]
+
+
+def _by_histogram(sample, lam, ratio, decay, dims, B, base_seed, threads):
+    """``(mean, stderr, below)`` of each group from one integer histogram of
+    its count vectors on the lattice ``prod_g [0, dims_g)``: each block adds
+    its ``np.bincount`` (:func:`block_counts`), then :func:`_summand` and
+    ``1{PK < 1}`` are evaluated once per visited vector.  ``below`` is an
+    exact count, and ``psi``'s sums are :func:`_moments`'."""
+    J, points = decay.size, math.prod(dims)
+    strides = np.array([math.prod(dims[g + 1 :]) for g in range(len(dims))], dtype=np.int64)
+    offset = np.arange(J, dtype=np.int64) * points
+
+    def index(counts: np.ndarray) -> np.ndarray:
+        """Each group's raveled lattice index ``j*points + sum_g n_g*strides_g``."""
+        idx = weighted_sum(counts, strides)
+        idx += offset
+        return idx
+
+    hist = block_counts(B, RUIN_DOMAIN, base_seed, sample(index), J * points, threads)
+    flat = np.flatnonzero(hist)  # in lattice order, group slowest
+    h = hist[flat]
+    j, *coords = np.unravel_index(flat, (J, *dims))
+    pk = _pk_from_counts(lam, np.stack(coords, axis=1), ratio)
+    psi = _summand(pk, decay[j])
+    below = np.where(pk < 1.0, h, 0)
+    bounds = np.searchsorted(j, np.arange(J + 1)).tolist()  # no group is empty: B > 0
+    return [
+        (*_moments(h[lo:hi], psi[lo:hi], B), int(below[lo:hi].sum()))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -155,7 +243,7 @@ def estimate(
     method: str = "collapsed",
 ) -> PrefixEstimates:
     """Monte-Carlo estimates of each group's ruin probability and tail
-    ``P(PK ratio < 1)``, read from the same PK draws in one pass.
+    ``P(PK ratio < 1)``, read from the same count draws in one pass.
 
     Group ``j`` is the first ``sizes[j]`` members of ``group``, such as a
     sweep's ``{1..k}``; ``group`` alone is ``[group.size]``.  Only a group's
@@ -167,8 +255,16 @@ def estimate(
     each estimate has the law of its own one-group call, and the errors of
     different groups are positively correlated.  ``method="graph"`` samples
     the full network (types and edges) instead: the reference, with the same
-    law on a different stream.  Output is bit-identical for fixed ``(group,
-    sizes, base_seed, B, method)`` regardless of ``threads``.
+    law on a different stream.
+
+    When the count lattice has at most ``min(B, BLOCK_SIZE)`` points, the
+    blocks' integer histograms are added and each visited count vector is
+    evaluated once: the tail is an exact count, and ``psi``'s mean and
+    standard error are order-free sums (:func:`_moments`).  Otherwise every
+    replicate is evaluated and summed with pairwise trees.  The choice
+    depends on the class sizes and ``B`` only, and output is bit-identical
+    for fixed ``(group, sizes, base_seed, B, method)`` regardless of
+    ``threads``.
 
     Raises:
         ValueError: On a group beyond ``1..q``, on sizes that
@@ -180,25 +276,29 @@ def estimate(
     if B < 2:
         raise ValueError("need at least two replicates for a standard error")
     if method == "collapsed":
-        sampler = _prefix_sampler(params, model, sizes)
+        chunk, cells = _prefix_sampler(params, model, sizes)
     elif method == "graph":
-        sampler = _graph_sampler(params, model, group, sizes)
+        chunk, cells = _graph_sampler(params, model, group, sizes)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    reserves = params.u[group.zero_based()]
+    # members are sorted and distinct, so a group ending at its size is 1..size
+    prefix = group.indices[-1] == group.size
+    reserves = params.u[: group.size] if prefix else params.u[group.zero_based()]
     decay = np.array([float(reserves[:k].sum()) / proportional_r(params, k) for k in sizes])
 
-    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-        pk = sampler(rng, n)  # (rows, groups)
-        if len(sizes) == 1:
-            pk = pk[:, 0]  # a 1-D array sums faster, with the same bits
-        psi = _summand(pk, decay)
-        return psi, psi * psi, pk < 1.0
+    def sample(reduce):
+        """``draw(rng, rows)``: each chunk's ``(rows, groups, classes)`` counts, reduced."""
+        return lambda rng, n: netgen._in_chunks(lambda r, m: reduce(chunk(r, m)), rng, n, cells)
 
-    totals = block_totals(B, RUIN_DOMAIN, base_seed, draw, threads)
+    args = (sample, params.lam, params.class_ratio, decay)
+    # a lattice with no more points than a block has rows is histogrammed
+    dims = _lattice_dims(params.class_sizes, min(B, BLOCK_SIZE))
+    if dims is None:
+        stats = _by_replicate(*args, B, base_seed, threads)
+    else:
+        stats = _by_histogram(*args, dims, B, base_seed, threads)
     out = []
-    for total, total_sq, below in zip(*(t.reshape(-1).tolist() for t in totals)):
-        mean, stderr = mean_stderr(total, total_sq, B)
+    for mean, stderr, below in stats:
         phat = below / B  # a frequency, with the binomial error
         tail = EstimateWithCI(phat, math.sqrt(phat * (1.0 - phat) / B), int(B))
         out.append(RuinEstimate(psi=EstimateWithCI(mean, stderr, int(B)), tail=tail))

@@ -8,15 +8,18 @@ matter how it is scheduled across workers.
 Replicated sampling is organised in fixed blocks of :data:`BLOCK_SIZE`
 replicates; block ``k`` draws from the stream ``(base_seed, domain, k)``
 and is vectorised internally.  Because the block boundaries are constants,
-results are identical for any worker count.  :func:`block_totals` is the
-one Monte-Carlo runner on these blocks, shared by the ruin estimator and
-the sampled mixture approximation.
+results are identical for any worker count.  Two runners share these
+blocks: :func:`block_totals` sums float arrays with a fixed pairwise tree
+(the sampled mixture approximation, and the ruin estimator on large count
+lattices), and :func:`block_counts` adds integer histograms (the ruin
+estimator on small lattices).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -126,6 +129,37 @@ def block_totals(
         return [_tree(np.asarray(a, dtype=np.float64)) for a in draw(rng, hi - lo)]
 
     return [_tree(np.array(column)) for column in zip(*map_blocks(n, work, threads))]
+
+
+def block_counts(
+    n: int,
+    domain: int,
+    base_seed: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    length: int,
+    threads: int = 1,
+) -> np.ndarray:
+    """Histogram over ``n`` replicates of the integers in ``[0, length)``
+    that ``draw(rng, rows)`` returns: ``int64`` counts of length ``length``.
+
+    Block ``k`` makes one ``draw`` call on the stream
+    ``(base_seed, domain, k)``, as in :func:`block_totals`.  Each block's
+    ``np.bincount`` is added into one accumulator as the block finishes.
+    Integer addition is exact, so the counts are independent of ``threads``
+    and of the order in which blocks finish, and no block's histogram is
+    kept once it is added.
+    """
+    total = np.zeros(int(length), dtype=np.int64)
+    lock = threading.Lock()
+
+    def work(k: int, lo: int, hi: int) -> None:
+        values = draw(stream(base_seed, domain, k), hi - lo)
+        counts = np.bincount(np.ravel(values), minlength=length)
+        with lock:
+            np.add(total, counts, out=total)
+
+    map_blocks(n, work, threads)
+    return total
 
 
 def mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:

@@ -188,6 +188,10 @@ class TestAgentSubset:
         t = AgentSubset(given)
         given[0] = 1  # the subset keeps its own sorted copy
         assert t.indices.tolist() == [2, 4, 9]
+        increasing = np.array([2, 4, 9])
+        u = AgentSubset(increasing)
+        increasing[0] = 1  # an increasing array is not sorted, but still copied
+        assert u.indices.tolist() == [2, 4, 9] and increasing.flags.writeable
         assert AgentSubset((3, 1, 2)) == AgentSubset.prefix(3)
         assert AgentSubset.prefix(3) != AgentSubset.prefix(4)
         assert AgentSubset.prefix(3) != (1, 2, 3)

@@ -1,6 +1,7 @@
 """Tests for the Pollaczek-Khintchine ratio and the Monte-Carlo estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from model_reference import classical_ruin
-from ruin_reference import estimate_one_group, exhaustive_graph_psi, pk_value, psi_summand
+from ruin_reference import (
+    estimate_by_replicate,
+    estimate_one_group,
+    exhaustive_graph_psi,
+    pk_value,
+    psi_summand,
+)
+from ruinnet import ruin
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from ruinnet.streams import BLOCK_SIZE
@@ -19,6 +27,13 @@ SBM = BlockModel(
     w=[0.5, 0.3, 0.2],
     v=[0.6, 0.4],
     p=[[0.6, 0.1], [0.0, 0.9], [1.0, 0.3]],
+)
+
+#: The 3x3 blockmodel of the mixed-mode golden sweep.
+SBM_3X3 = BlockModel(
+    w=[0.5, 0.3, 0.2],
+    v=[0.5, 0.3, 0.2],
+    p=[[0.3, 0.05, 0.05], [0.05, 0.3, 0.05], [0.05, 0.05, 0.3]],
 )
 
 
@@ -318,6 +333,135 @@ class TestEstimatePrefixes:
         for k, est in zip((1, 2, 3), nested):
             group = AgentSubset(members[:k])
             assert estimate(params, SBM, group, [k], B, 8, method="graph").estimates == (est,)
+
+
+    def test_every_agent_costs_no_copy_of_the_members(self):
+        # the group of all q = 2**20 agents: prefix(q) holds one int64 array
+        # (and compares it once), and estimate sums its reserves from a view
+        q = 2**20
+        params = RiskParams(lam=1.0, c=[1.05, 0.95], mu=[1.0, 1.0], u=np.ones(q))
+        tracemalloc.start()
+        try:
+            everyone = AgentSubset.prefix(q)
+            _, prefix_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            estimate(params, BlockModel.bernoulli(0.5), everyone, [1, q], 100, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prefix_peak < 8 * q + q + (64 << 10)  # the members and one bool compare
+        assert peak - before < 1 << 20
+
+
+def spy_runners(monkeypatch) -> list[str]:
+    """The block runners :func:`estimate` calls, by name, in call order."""
+    calls = []
+    for name in ("block_counts", "block_totals"):
+        real = getattr(ruin, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ruin, name, spy)
+    return calls
+
+
+def lattice_params(class_sizes, q=7, u=None) -> RiskParams:
+    """Two premium classes of the given sizes: a lattice of
+    ``prod_g (d_g + 1)`` count vectors."""
+    low, high = class_sizes
+    c = np.r_[np.full(low, 0.95), np.full(high, 1.05)]
+    reserves = np.linspace(0.2, 2.0, q) if u is None else u
+    return RiskParams(lam=1.0, c=c, mu=np.ones(low + high), u=reserves)
+
+
+class TestHistogram:
+    """On a lattice of at most ``min(B, BLOCK_SIZE)`` count vectors the
+    estimator adds integer histograms and evaluates each visited vector
+    once; on a larger one it evaluates every replicate."""
+
+    @pytest.mark.parametrize(
+        "model", [BlockModel.bernoulli(0.4), SBM_3X3], ids=["bernoulli", "sbm-3x3"]
+    )
+    def test_matches_the_per_replicate_loop(self, monkeypatch, model):
+        # nested sizes, uneven reserves and a ragged last block: the tail
+        # is the same integer count, psi and its error the same numbers
+        runners = spy_runners(monkeypatch)
+        params, sizes, B = lattice_params((4, 6)), [1, 2, 4, 7], 2 * BLOCK_SIZE + 9
+        got = estimate(params, model, AgentSubset.prefix(7), sizes, B, 6).estimates
+        want = estimate_by_replicate(params, model, sizes, B, 6)
+        assert runners == ["block_counts"]
+        for est, (psi, stderr, tail) in zip(got, want):
+            assert est.tail.mean == tail
+            assert est.psi.mean == pytest.approx(psi, rel=1e-12, abs=0)
+            assert est.psi.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+            assert 0.0 < stderr
+
+    @pytest.mark.parametrize(
+        "class_sizes, B, runner",
+        [
+            ((63, 63), 2 * BLOCK_SIZE + 5, "block_counts"),  # 64 * 64 = BLOCK_SIZE points
+            ((16, 240), 2 * BLOCK_SIZE + 5, "block_totals"),  # 17 * 241 = BLOCK_SIZE + 1
+            ((3, 3), 16, "block_counts"),  # 16 points, as many as replicates
+            ((3, 3), 15, "block_totals"),  # one point more than replicates
+        ],
+        ids=["block-size", "block-size-plus-one", "replicates", "replicates-plus-one"],
+    )
+    def test_selection_by_lattice_size(self, monkeypatch, class_sizes, B, runner):
+        runners = spy_runners(monkeypatch)
+        params, sizes = lattice_params(class_sizes), [2, 5]
+        got = estimate(params, BlockModel.bernoulli(0.3), AgentSubset.prefix(7), sizes, B, 9)
+        want = estimate_by_replicate(params, BlockModel.bernoulli(0.3), sizes, B, 9)
+        assert runners == [runner]
+        for est, (psi, stderr, tail) in zip(got.estimates, want):
+            if runner == "block_totals":  # the per-replicate path keeps its bits
+                assert (est.psi.mean, est.psi.stderr, est.tail.mean) == (psi, stderr, tail)
+            else:
+                assert est.tail.mean == tail
+                assert est.psi.mean == pytest.approx(psi, rel=1e-12, abs=0)
+                assert est.psi.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("edge_p", [0.0, 1.0])
+    def test_one_visited_point_has_zero_error(self, monkeypatch, edge_p):
+        # every replicate draws the same count vector: no spread, exactly
+        runners = spy_runners(monkeypatch)
+        params = lattice_params((2, 3), u=np.full(7, 0.7))
+        args = (params, BlockModel.bernoulli(edge_p), AgentSubset.prefix(7), [1, 3, 7])
+        estimates = estimate(*args, 3 * BLOCK_SIZE + 1, 2).estimates
+        assert runners == ["block_counts"]
+        for est in estimates:
+            assert est.psi.stderr == 0.0 and est.tail.stderr == 0.0
+            assert est.tail.mean == 1.0  # ratio 0 disconnected, 5 / 5.05 connected
+            assert (est.psi.mean == 0.0) == (edge_p == 0.0)
+
+    def test_accumulator_memory_does_not_grow_with_blocks(self):
+        # one 4096-point histogram per group (128 KiB for 4 groups) per
+        # block: 64 blocks must peak where 8 do, so no block's histogram
+        # is kept once it is added
+        params, model = lattice_params((63, 63)), BlockModel.bernoulli(0.5)
+        args = (params, model, AgentSubset.prefix(7), [1, 2, 4, 7])
+        peaks = []
+        for blocks in (8, 64):
+            estimate(*args, blocks * BLOCK_SIZE, 3)  # warm caches outside the trace
+            tracemalloc.start()
+            try:
+                estimate(*args, blocks * BLOCK_SIZE, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 16 << 10, peaks
+
+    @pytest.mark.parametrize(
+        "model", [BlockModel.bernoulli(0.5), SBM_3X3], ids=["bernoulli", "sbm-3x3"]
+    )
+    def test_thread_count_never_changes_result(self, model):
+        # a lattice of BLOCK_SIZE points, several groups, a ragged block
+        args = (lattice_params((63, 63)), model, AgentSubset.prefix(7), [1, 3, 7])
+        args += (5 * BLOCK_SIZE + 17, 12)
+        results = [estimate(*args, threads=threads) for threads in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
 
 
 class TestEstimateTail:

@@ -1,10 +1,19 @@
 """Tests for block scheduling, its worker-pool size, and the block sums."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from ruinnet import streams
-from ruinnet.streams import BLOCK_SIZE, block_totals, map_blocks, pairwise_sum, stream
+from ruinnet.streams import (
+    BLOCK_SIZE,
+    block_counts,
+    block_totals,
+    map_blocks,
+    pairwise_sum,
+    stream,
+)
 
 
 class InlinePool:
@@ -130,3 +139,40 @@ class TestBlockSums:
         x, below, sq = block_totals(n, 78, 4, draw, threads)
         assert x.shape == (4,) and below.shape == (2,) and isinstance(sq, float)
         assert [*x.tolist(), *below.tolist(), sq] == expected
+
+
+class TestBlockCounts:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_every_block_once(self, threads):
+        # a (rows, 3) array of indices per block, and a ragged last block
+        def draw(rng, rows):
+            return rng.integers(0, 40, (rows, 3))
+
+        n = 2 * BLOCK_SIZE + 77
+        expected = np.zeros(50, dtype=np.int64)
+        for k, lo in enumerate(range(0, n, BLOCK_SIZE)):
+            np.add.at(expected, draw(stream(2, 79, k), min(BLOCK_SIZE, n - lo)).ravel(), 1)
+        got = block_counts(n, 79, 2, draw, 50, threads)
+        assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+    def test_no_update_is_lost_to_more_threads_than_cores(self, monkeypatch):
+        # eight workers on any machine, a thread switch every microsecond,
+        # and histograms long enough that numpy adds them without the GIL
+        # (without the lock, two of three runs lost counts on a 2-core
+        # host): every replicate is counted once, as on one thread
+        monkeypatch.setattr(streams.os, "cpu_count", lambda: 8)
+
+        def draw(rng, rows):
+            return rng.integers(0, 400_000, rows)
+
+        n = 48 * BLOCK_SIZE
+        for seed in (3, 4, 5):
+            serial = block_counts(n, 80, seed, draw, 400_000, threads=1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = block_counts(n, 80, seed, draw, 400_000, threads=8)
+            finally:
+                sys.setswitchinterval(interval)
+            assert int(threaded.sum()) == n
+            assert threaded.tolist() == serial.tolist()

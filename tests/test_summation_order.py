@@ -165,12 +165,13 @@ def test_oracle_and_estimator_share_rate_and_premium(monkeypatch):
     """Both read a realisation's ``(rate, premium)`` from
     ``ruin.rate_and_premium``; the oracle's paths run on what it returns."""
     assert pathsim.rate_and_premium is ruin.rate_and_premium
-    returned, kernel_calls = [], []
+    returned, seen, kernel_calls = [], [], []
     real_rates, real_kernel = ruin.rate_and_premium, pathsim.simulate_ruin_batch
 
     def rates(lam, counts, ratio):
         out = real_rates(lam, counts, ratio)
         returned.append(out)
+        seen.append(counts)
         return out
 
     def kernel(rate, premium, *args):
@@ -183,7 +184,10 @@ def test_oracle_and_estimator_share_rate_and_premium(monkeypatch):
     params = RiskParams(lam=1.0, c=[0.95, 1.05, 1.2], mu=np.ones(3), u=np.ones(2))
     model, group = BlockModel.bernoulli(0.6), AgentSubset.prefix(2)
     estimate(params, model, group, [group.size], 100, base_seed=1)
-    assert len(returned) == 1 and returned[0][0].shape == (100,)
+    # three classes of one object: the 8-point lattice is histogrammed, and
+    # each visited count vector is evaluated once
+    assert len(returned) == 1 and returned[0][0].shape == (len(seen[0]),)
+    assert len(np.unique(seen[0], axis=0)) == len(seen[0]) <= 8
     pathsim.oracle_psi(params, model, group, 50.0, 6, 2, base_seed=1)
     assert len(returned) == 2
     rate, premium = returned[1]
