@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -100,23 +100,10 @@ class PremiumSpec:
         return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: estimates, interval, and approximation columns."""
-
-    qsize: int
-    ns: int
-    psi_hat: float
-    stderr: float
-    ci_lo: float
-    ci_hi: float
-    log10_psi: Optional[float]
-    tail_hat: float
-    approx_prob: float
-    stein_bound: float
-
-
-SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
+SWEEP_FIELDS = (
+    "qsize", "ns", "psi_hat", "stderr", "ci_lo", "ci_hi",
+    "log10_psi", "tail_hat", "approx_prob", "stein_bound",
+)
 
 TABLE_FIELDS = ("ns", "bound", "approximation", "estimate", "stderr", "abs_difference")
 
@@ -366,15 +353,27 @@ def cmd_estimate(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """Sweep the group size 1..q for every ns in the grid: one
-    :class:`SweepRow`, as a dict, per point.
+def _per_ns(cfg: ExperimentConfig, grid, group: AgentSubset, sizes, mode: str):
+    """For each ns of ``grid``: ``(ns, estimates, approximations)`` of the
+    prefixes of ``group`` of ``sizes``, from one :func:`ruin.estimate` call
+    and one :func:`approx.mixture_probability` call on that ns's parameters.
+    The points of one ns share their draws, so the errors of neighbouring
+    group sizes are positively correlated."""
+    for ns in grid:
+        params = cfg.risk_params(ns_override=ns)
+        estimates = estimate(
+            params, cfg.network, group, sizes, cfg.replicates, cfg.seed, cfg.threads
+        ).estimates
+        approximations = approx.mixture_probability(
+            params, cfg.network, sizes, mode, cfg.m_configs, cfg.seed, cfg.threads
+        ).results
+        del params  # so that the next point's RiskParams is built without this one's arrays
+        yield int(ns), estimates, approximations
 
-    Per ns, one :func:`ruin.estimate` call and one
-    :func:`approx.mixture_probability` call serve every group size.  The
-    points of one ns share their draws, so the errors of neighbouring group
-    sizes are positively correlated.
-    """
+
+def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """Sweep the group size 1..q for every ns in the grid: one row of
+    :data:`SWEEP_FIELDS` per point, every agent's prefixes by :func:`_per_ns`."""
     if cfg.group is not None:
         raise ConfigError("sweep ranges over group sizes; leave 'group' unset")
     if not cfg.premiums.is_two_value:
@@ -382,35 +381,22 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
     grid = cfg.ns_grid or DEFAULT_NS_GRID
     everyone, sizes = AgentSubset.prefix(cfg.q), range(1, cfg.q + 1)
     rows = []
-    for ns in grid:
-        params = cfg.risk_params(ns_override=ns)
-        estimates = estimate(
-            params, cfg.network, everyone, sizes, cfg.replicates, cfg.seed, cfg.threads
-        ).estimates
-        approximations = approx.mixture_probability(
-            params, cfg.network, sizes, cfg.approx_mode, cfg.m_configs, cfg.seed, cfg.threads
-        ).results
+    for ns, estimates, approximations in _per_ns(cfg, grid, everyone, sizes, cfg.approx_mode):
         for size, est, ap in zip(sizes, estimates, approximations):
             psi = est.psi
-            row = SweepRow(
-                qsize=size,
-                ns=int(ns),
-                psi_hat=psi.mean,
-                stderr=psi.stderr,
-                ci_lo=psi.mean - psi.halfwidth,
-                ci_hi=psi.mean + psi.halfwidth,
-                log10_psi=math.log10(psi.mean) if psi.mean > 0 else None,
-                tail_hat=est.tail.mean,
-                approx_prob=ap.probability,
-                stein_bound=ap.stein_bound,
-            )
-            rows.append({f: getattr(row, f) for f in SWEEP_FIELDS})  # shallow, in field order
-        del params  # so that the next point's RiskParams is built without this one's arrays
+            rows.append({
+                "qsize": size, "ns": ns, "psi_hat": psi.mean, "stderr": psi.stderr,
+                "ci_lo": psi.mean - psi.halfwidth, "ci_hi": psi.mean + psi.halfwidth,
+                "log10_psi": math.log10(psi.mean) if psi.mean > 0 else None,
+                "tail_hat": est.tail.mean,
+                "approx_prob": ap.probability, "stein_bound": ap.stein_bound,
+            })
     return rows
 
 
 def cmd_table(cfg: ExperimentConfig) -> list[dict]:
-    """Bound and approximation against the Monte-Carlo tail estimate."""
+    """Bound and exact-mode approximation against the Monte-Carlo tail
+    estimate of the configured group, one row per ns (:func:`_per_ns`)."""
     if not cfg.network.is_bernoulli:
         raise ConfigError("table mode requires a Bernoulli network")
     if cfg.ns_grid is None:
@@ -419,23 +405,13 @@ def cmd_table(cfg: ExperimentConfig) -> list[dict]:
         raise ConfigError("table mode requires the two-value premium scheme")
     group = cfg.group or AgentSubset.prefix(cfg.q)
     rows = []
-    for ns in cfg.ns_grid:
-        params = cfg.risk_params(ns_override=ns)
-        ap = approx.mixture_probability(params, cfg.network, [group.size], "exact").results[0]
-        tail = estimate(
-            params, cfg.network, group, [group.size], cfg.replicates, cfg.seed, cfg.threads
-        ).estimates[0].tail
-        del params  # so that the next row's RiskParams is built without this row's arrays
-        rows.append(
-            {
-                "ns": int(ns),
-                "bound": ap.stein_bound,
-                "approximation": ap.probability,
-                "estimate": tail.mean,
-                "stderr": tail.stderr,
-                "abs_difference": abs(ap.probability - tail.mean),
-            }
-        )
+    for ns, (est,), (ap,) in _per_ns(cfg, cfg.ns_grid, group, [group.size], "exact"):
+        tail = est.tail
+        rows.append({
+            "ns": ns, "bound": ap.stein_bound, "approximation": ap.probability,
+            "estimate": tail.mean, "stderr": tail.stderr,
+            "abs_difference": abs(ap.probability - tail.mean),
+        })
     return rows
 
 
@@ -475,8 +451,10 @@ def cmd_oracle(cfg: ExperimentConfig) -> dict:
     }
 
 
-def classify_shape(rows: Sequence[SweepRow]) -> str:
+def classify_shape(rows: Sequence) -> str:
     """Classify a sweep panel from a quadratic fit of log10 ruin on group size.
+    Each row has a sweep row's ``qsize`` and ``log10_psi`` as attributes, such
+    as ``SimpleNamespace(**row)`` of a :func:`cmd_sweep` row.
 
     U_SHAPE: significantly convex with an interior fitted minimum.
     S_SHAPE: fitted values increase monotonically (within noise) by a

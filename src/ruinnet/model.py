@@ -252,3 +252,13 @@ def proportional_r(params: RiskParams, size: int) -> float:
     if not 1 <= size <= params.q:
         raise ValueError(f"a group's size must lie in 1..{params.q}, got {size}")
     return params.mu_min / (params.q - size + 1)
+
+
+def group_decay(params: RiskParams, group: AgentSubset, sizes) -> np.ndarray:
+    """Each prefix's reserve in units of its scale: the first ``k`` members'
+    total reserve over :func:`proportional_r` of ``k``, for each ``k`` of
+    ``sizes``.  Members are sorted and distinct, so a group that ends at its
+    size is ``1..size``, and its reserves are read through a view of ``u``."""
+    prefix = group.indices[-1] == group.size
+    reserves = params.u[: group.size] if prefix else params.u[group.zero_based()]
+    return np.array([float(reserves[:k].sum()) / proportional_r(params, k) for k in sizes])

@@ -5,17 +5,24 @@ object ``j`` appears independently with probability ``p[s(i), t(j)]``
 given the types.  The one-type special case is a bipartite Bernoulli
 graph.  Type labels are 0-based indices into the type-probability vectors.
 
-:func:`sample_incidence` draws whole networks, for the full-graph reference
-only; the estimator, the path oracle and the approximation draw what they
-need of one (:func:`sample_prefix_counts`, :func:`sample_configurations`).
+:func:`sample_incidence` draws whole networks, and :func:`sample_graph_counts`
+reads each group's connected counts off them: the full-graph reference.  The
+estimator, the path oracle and the approximation draw only what they need of
+a network (:func:`sample_prefix_counts`, :func:`sample_configurations`).
 Both take the sizes of nested groups, such as a sweep's ``1..q``, and one
 draw serves every group: the agents are drawn layer by layer and the objects
 once.  A single group is the one-layer case.
+
+The count samplers draw in chunks under a memory cap, one after another from
+the stream, and pass each chunk to an optional ``reduce``.  The cap decides
+where a block splits, and so its draws: the estimator's caps live here, and
+sampled mode keeps its own in ``approx``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,19 +90,24 @@ class BlockModel:
         return self.K == 1 and self.L == 1
 
 
-def _in_chunks(fn, rng: np.random.Generator, n: int, cells_per_row: int) -> np.ndarray:
-    """``fn(rng, rows)`` over consecutive chunks of ``n`` rows, concatenated
-    along the first axis, each chunk holding at most ``_CHUNK_CELLS`` cells.
-    A lone chunk comes back as ``fn`` returned it, which may be a read-only
-    view.
+def _in_chunks(fn, rng: np.random.Generator, n: int, cells_per_row: int, reduce=None):
+    """``fn(rng, rows)`` over consecutive chunks of ``n`` rows, each passed
+    through ``reduce`` when one is given, concatenated along the first axis;
+    each chunk holds at most ``_CHUNK_CELLS`` cells.  A lone chunk comes
+    back as it was returned, which may be a read-only view.
 
     Chunks draw one after another from ``rng``, so a draw that consumes
     the stream row by row is the same however it is split.
     """
     cap = max(1, _CHUNK_CELLS // max(1, int(cells_per_row)))
+
+    def one(m: int):
+        out = fn(rng, m)
+        return out if reduce is None else reduce(out)
+
     if n <= cap:
-        return fn(rng, n)
-    return np.concatenate([fn(rng, min(cap, n - lo)) for lo in range(0, n, cap)])
+        return one(n)
+    return np.concatenate([one(min(cap, n - lo)) for lo in range(0, n, cap)])
 
 
 def _draw_types(rng: np.random.Generator, probs: np.ndarray, size) -> np.ndarray:
@@ -117,6 +129,28 @@ def sample_incidence(
     t = _draw_types(rng, model.v, (n, d))
     pm = model.p[s[..., :, None], t[..., None, :]]
     return rng.random(pm.shape) < pm
+
+
+def sample_graph_counts(model: BlockModel, params, group, group_sizes, rng, n: int, reduce=None):
+    """Connected counts of the prefixes of ``group`` of ``group_sizes``, per
+    class of :attr:`RiskParams.class_ratio`, through the full type + graph +
+    indicator pipeline: the reference of :func:`sample_prefix_counts`, with
+    its law and shape on other draws.  Every group's rows are read from one
+    :func:`sample_incidence` draw, in chunks of ``q * d`` cells per replicate,
+    each passed through ``reduce`` as there."""
+    rows = [group.zero_based()[:k] for k in group_sizes]
+    ratio = params.class_ratio
+    cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
+    G, J = ratio.size, len(rows)
+
+    def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
+        edges = sample_incidence(model, params.q, params.d, rng, m)
+        ind = np.stack([edges[:, r, :].any(axis=1) for r in rows], axis=1)  # (m, J, d)
+        # (replicate, group, class) of each indicator
+        cell = (np.arange(m * J)[:, None] * G + cls).reshape(ind.shape)
+        return np.bincount(cell[ind], minlength=m * J * G).reshape(m, J, G)
+
+    return _in_chunks(chunk, rng, int(n), params.q * params.d, reduce)
 
 
 def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
@@ -217,6 +251,7 @@ def sample_prefix_counts(
     class_sizes: np.ndarray,
     rng: np.random.Generator,
     replicates: int,
+    reduce=None,
 ) -> np.ndarray:
     """Counts of objects connected to each of nested groups, per class, for
     any blockmodel.
@@ -237,12 +272,23 @@ def sample_prefix_counts(
     ``rng.binomial(class_sizes, pbar)``; on a one-type model ``pbar = 1 -
     (1-p)**size_q``.
 
+    The rows are drawn in chunks of ``len(group_sizes) * max(G, K * L)``
+    cells per row (:func:`_in_chunks`), so the cap fixes where a block splits
+    and so its draws.
+
     Returns:
         A fresh C-contiguous integer array of shape
-        ``(replicates, len(group_sizes), len(class_sizes))``.
+        ``(replicates, len(group_sizes), len(class_sizes))``, or with
+        ``reduce`` the chunks' ``reduce(counts)`` concatenated.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
-    n = int(replicates)
+    cells = len(group_sizes) * max(sizes.size, model.K * model.L)
+    chunk = partial(_prefix_counts, model, group_sizes, sizes)
+    return _in_chunks(chunk, rng, int(replicates), cells, reduce)
+
+
+def _prefix_counts(model, group_sizes, sizes, rng, n) -> np.ndarray:
+    """One chunk of :func:`sample_prefix_counts`, unsplit."""
     connect = connect_given_counts(model, _prefix_agent_counts(model, group_sizes, rng, n))
     # v sums to 1 only within rounding, so pbar may exceed 1 by an ulp
     pbar = np.minimum(weighted_sum(connect, model.v), 1.0)

@@ -16,8 +16,9 @@ horizon.  Each call allocates its own buffers once and every chunk is
 drawn into them and computed in place, so the kernel makes no array per
 chunk and calls on different threads share nothing.  The nested oracle
 :func:`oracle_psi` draws networks in blocks as the group's connected counts per
-premium class, takes their rates and premiums from :func:`ruin.rate_and_premium`,
-and runs their paths through the kernel in batches, one stream per batch.
+premium class, takes their rates and premiums from :func:`ruin.rate_and_premium`
+and the reserve from :func:`model.group_decay`, as the estimator does, and runs
+their paths through the kernel in batches, one stream per batch.
 
 Between claim epochs the deficit strictly decreases whenever the group
 has a connected object, so checking ruin only at claim epochs is exact.
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .model import AgentSubset, RiskParams, proportional_r
+from .model import AgentSubset, RiskParams, group_decay
 from .netgen import BlockModel, sample_prefix_counts
 from .ruin import EstimateWithCI, rate_and_premium
 from .streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, map_blocks, pairwise_sum, stream
@@ -159,10 +160,11 @@ def oracle_psi(
     per-network fractions.
 
     A network is the group's connected counts per premium class, drawn by
-    the estimator's :func:`netgen.sample_prefix_counts`: agents are
-    exchangeable, so only the group's size shapes it (its members' reserves
-    set ``U``).  Networks come in blocks of :data:`NETWORK_BLOCK`; block
-    ``k`` draws from the stream ``(base_seed, ORACLE_NET_DOMAIN, k)`` and one
+    the estimator's :func:`netgen.sample_prefix_counts` under its chunk cap:
+    agents are exchangeable, so only the group's size shapes it (its
+    members' reserves set ``U``, read by :func:`model.group_decay`).
+    Networks come in blocks of :data:`NETWORK_BLOCK`; block ``k`` draws
+    from the stream ``(base_seed, ORACLE_NET_DOMAIN, k)`` and one
     :func:`streams.map_blocks` task runs it.  The block's paths, network by
     network, are cut into batches of :data:`PATH_BATCH`, and batch ``b`` runs
     on the stream ``(base_seed, ORACLE_PATH_DOMAIN, k, b)``.  The result is
@@ -176,10 +178,9 @@ def oracle_psi(
         raise ValueError("need at least two outer network samples")
     if inner_paths < 1:
         raise ValueError("need at least one inner path")
-    total_reserve = float(params.u[group.zero_based()].sum())
-    if not total_reserve > 0:
+    reserve = float(group_decay(params, group, [group.size])[0])
+    if not reserve > 0:
         raise ValueError("total reserve must be positive")
-    reserve = total_reserve / proportional_r(params, group.size)
 
     def block(k: int, lo: int, hi: int) -> np.ndarray:
         """Ruined-path counts of networks ``lo .. hi-1``."""

@@ -22,16 +22,21 @@ integer histogram of its points, and the summand is evaluated once per
 visited point and call (:func:`_by_histogram`); a larger lattice, such as
 the paper's table at ``d = 1e5``, is evaluated replicate by replicate
 (:func:`_by_replicate`).
+
+This module only evaluates and reduces: ``netgen`` draws the counts and
+hands each chunk to the reduction given here, and
+:func:`model.group_decay` reads the reserves, for the path oracle too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 import numpy as np
 
 from . import netgen
-from .model import AgentSubset, RiskParams, prefix_sizes, proportional_r
+from .model import AgentSubset, RiskParams, group_decay, prefix_sizes
 from .netgen import BlockModel
 from .streams import BLOCK_SIZE, RUIN_DOMAIN, block_counts, block_totals, mean_stderr, weighted_sum
 
@@ -103,41 +108,6 @@ def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.nda
     return np.fmax(rate, 0.0, out=rate)
 
 
-def _prefix_sampler(params: RiskParams, model: BlockModel, group_sizes):
-    """Connected-count sampler of nested groups of ``group_sizes`` agents:
-    :func:`netgen.sample_prefix_counts`, the groups' agent-type counts layer
-    by layer, then one multinomial per class.  Returns the chunk function,
-    which gives ``(rows, len(group_sizes), G)`` counts per class of
-    :attr:`RiskParams.class_ratio`, and its cells per row."""
-    sizes = params.class_sizes
-
-    def chunk(rng: np.random.Generator, n: int) -> np.ndarray:
-        return netgen.sample_prefix_counts(model, group_sizes, sizes, rng, n)
-
-    # the cap fixes where a block splits into chunks, and so the draws
-    return chunk, len(group_sizes) * max(sizes.size, model.K * model.L)
-
-
-def _graph_sampler(params: RiskParams, model: BlockModel, group: AgentSubset, group_sizes):
-    """Connected-count sampler of the prefixes of ``group`` of ``group_sizes``
-    through the full type + graph + indicator pipeline, each one's rows read
-    from one incidence draw: the reference of :func:`_prefix_sampler`, in
-    its form, with ``q * d`` cells per replicate."""
-    rows = [group.zero_based()[:k] for k in group_sizes]
-    ratio = params.class_ratio
-    cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
-    G, J = ratio.size, len(rows)
-
-    def chunk(rng: np.random.Generator, m: int) -> np.ndarray:
-        edges = netgen.sample_incidence(model, params.q, params.d, rng, m)
-        ind = np.stack([edges[:, r, :].any(axis=1) for r in rows], axis=1)  # (m, J, d)
-        # (replicate, group, class) of each indicator
-        cell = (np.arange(m * J)[:, None] * G + cls).reshape(ind.shape)
-        return np.bincount(cell[ind], minlength=m * J * G).reshape(m, J, G)
-
-    return chunk, params.q * params.d
-
-
 def _lattice_dims(class_sizes: np.ndarray, limit: int):
     """The count lattice's side lengths ``d_g + 1``, or None when it has more
     than ``limit`` points ``prod_g (d_g + 1)``."""
@@ -166,17 +136,16 @@ def _moments(h: np.ndarray, psi: np.ndarray, n: int) -> tuple[float, float]:
 def _by_replicate(sample, lam, ratio, decay, B, base_seed, threads):
     """``(mean, stderr, below)`` of each group, every replicate evaluated:
     per block :func:`_summand`, its square and ``1{PK < 1}``, each summed by
-    :func:`block_totals`' pairwise trees."""
+    :func:`block_totals`' pairwise trees.  ``sample(rng, rows, reduce)`` draws
+    the counts, each chunk reduced to its PK ratios."""
     J = decay.size
 
     def pk_of(counts: np.ndarray) -> np.ndarray:
         n, _, G = counts.shape
         return _pk_from_counts(lam, counts.reshape(n * J, G), ratio).reshape(n, J)
 
-    draw_pk = sample(pk_of)
-
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-        pk = draw_pk(rng, n)  # (rows, groups)
+        pk = sample(rng, n, pk_of)  # (rows, groups)
         if J == 1:
             pk = pk[:, 0]  # a 1-D array sums faster, with the same bits
         psi = _summand(pk, decay)
@@ -205,7 +174,10 @@ def _by_histogram(sample, lam, ratio, decay, dims, B, base_seed, threads):
         idx += offset
         return idx
 
-    hist = block_counts(B, RUIN_DOMAIN, base_seed, sample(index), J * points, threads)
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        return sample(rng, n, index)
+
+    hist = block_counts(B, RUIN_DOMAIN, base_seed, draw, J * points, threads)
     flat = np.flatnonzero(hist)  # in lattice order, group slowest
     h = hist[flat]
     j, *coords = np.unravel_index(flat, (J, *dims))
@@ -247,15 +219,15 @@ def estimate(
 
     Group ``j`` is the first ``sizes[j]`` members of ``group``, such as a
     sweep's ``{1..k}``; ``group`` alone is ``[group.size]``.  Only a group's
-    reserve reads its members.  Per replicate a group contributes
-    :func:`_summand` to ``psi`` and ``1{PK < 1}`` to ``tail`` (a disconnected
-    group has ratio 0).  The default sampler draws every group's per-class
+    reserve (:func:`model.group_decay`) reads its members.  Per replicate a
+    group contributes :func:`_summand` to ``psi`` and ``1{PK < 1}`` to
+    ``tail`` (a disconnected group has ratio 0).  The default sampler draws every group's per-class
     connected counts at once (:func:`netgen.sample_prefix_counts`) for any
     blockmodel; the groups share their first agents and their objects, so
     each estimate has the law of its own one-group call, and the errors of
     different groups are positively correlated.  ``method="graph"`` samples
-    the full network (types and edges) instead: the reference, with the same
-    law on a different stream.
+    the full network (types and edges, :func:`netgen.sample_graph_counts`)
+    instead: the reference, with the same law on a different stream.
 
     When the count lattice has at most ``min(B, BLOCK_SIZE)`` points, the
     blocks' integer histograms are added and each visited count vector is
@@ -276,21 +248,12 @@ def estimate(
     if B < 2:
         raise ValueError("need at least two replicates for a standard error")
     if method == "collapsed":
-        chunk, cells = _prefix_sampler(params, model, sizes)
+        sample = partial(netgen.sample_prefix_counts, model, sizes, params.class_sizes)
     elif method == "graph":
-        chunk, cells = _graph_sampler(params, model, group, sizes)
+        sample = partial(netgen.sample_graph_counts, model, params, group, sizes)
     else:
         raise ValueError(f"unknown sampling method {method!r}")
-    # members are sorted and distinct, so a group ending at its size is 1..size
-    prefix = group.indices[-1] == group.size
-    reserves = params.u[: group.size] if prefix else params.u[group.zero_based()]
-    decay = np.array([float(reserves[:k].sum()) / proportional_r(params, k) for k in sizes])
-
-    def sample(reduce):
-        """``draw(rng, rows)``: each chunk's ``(rows, groups, classes)`` counts, reduced."""
-        return lambda rng, n: netgen._in_chunks(lambda r, m: reduce(chunk(r, m)), rng, n, cells)
-
-    args = (sample, params.lam, params.class_ratio, decay)
+    args = (sample, params.lam, params.class_ratio, group_decay(params, group, sizes))
     # a lattice with no more points than a block has rows is histogrammed
     dims = _lattice_dims(params.class_sizes, min(B, BLOCK_SIZE))
     if dims is None:

@@ -9,12 +9,13 @@ import itertools
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ruin_reference import pk_value
-from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, cmd_sweep, main, parse_config
+from ruinnet.cli import S_SHAPE, U_SHAPE, classify_shape, cmd_sweep, main, parse_config
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from pathsim_reference import group_claims, ruin_frequency
@@ -168,7 +169,7 @@ def test_criterion_6_phase_transition_shapes():
         "seed": 42,
         "ns_grid": [4, 5, 6],
     }
-    rows = [SweepRow(**r) for r in cmd_sweep(parse_config(doc))]
+    rows = [SimpleNamespace(**r) for r in cmd_sweep(parse_config(doc))]
     shapes = {}
     for ns in (4, 5, 6):
         panel = [r for r in rows if r.ns == ns]

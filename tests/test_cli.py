@@ -6,8 +6,8 @@ import math
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ from ruinnet.cli import (
     S_SHAPE,
     U_SHAPE,
     ConfigError,
+    SWEEP_FIELDS,
     TABLE_FIELDS,
-    SweepRow,
     classify_shape,
     cmd_estimate,
     cmd_oracle,
@@ -337,7 +337,7 @@ class TestCmdSweep:
             "seed": 3,
             "ns_grid": [2],
         }
-        rows = [SweepRow(**r) for r in cmd_sweep(parse_config(doc))]
+        rows = [SimpleNamespace(**r) for r in cmd_sweep(parse_config(doc))]
         assert len(rows) == 1 and rows[0].qsize == 1
         est_doc = dict(doc, group={"size": 1})
         est_doc["premiums"] = {"low": 0.95, "high": 1.05, "ns": 2}
@@ -396,7 +396,9 @@ class TestCmdSweep:
 
     def test_rows_cover_grid(self):
         cfg = parse_config(figure_doc(replicates=500, ns_grid=[4, 6]))
-        rows = [SweepRow(**r) for r in cmd_sweep(cfg)]
+        raw = cmd_sweep(cfg)
+        assert all(tuple(r) == SWEEP_FIELDS for r in raw)  # every field, in order
+        rows = [SimpleNamespace(**r) for r in raw]
         assert len(rows) == 20
         assert {r.ns for r in rows} == {4, 6}
         assert [r.qsize for r in rows if r.ns == 4] == list(range(1, 11))
@@ -617,7 +619,7 @@ def make_rows(psi_values, ns=4):
     for k, psi in enumerate(psi_values, start=1):
         psi = float(psi)
         rows.append(
-            SweepRow(
+            SimpleNamespace(
                 qsize=k,
                 ns=ns,
                 psi_hat=psi,
@@ -648,7 +650,7 @@ class TestOutputFormats:
         assert lines[2] == '1.5,"say ""hi"""'
 
     def test_svg_well_formed_and_complete(self):
-        rows = [asdict(r) for r in make_rows([0.5, 0.4, 0.45, 0.6, 0.8])]
+        rows = [vars(r) for r in make_rows([0.5, 0.4, 0.45, 0.6, 0.8])]
         svg = sweep_svg(rows)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")

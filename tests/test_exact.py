@@ -4,13 +4,14 @@ Monte-Carlo estimator against the exact law."""
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from exact_reference import MAX_LATTICE, assert_agrees, exact_law, poisson_tails
 from ruin_reference import exhaustive_graph_psi
-from ruinnet.cli import S_SHAPE, U_SHAPE, SweepRow, classify_shape, load_config
+from ruinnet.cli import S_SHAPE, U_SHAPE, classify_shape, load_config
 from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import BlockModel
 from ruinnet.ruin import EstimateWithCI, RuinEstimate, estimate
@@ -242,11 +243,7 @@ class TestPhaseDiagram:
             psi = [exact_law(params, model, AgentSubset.prefix(k)).psi for k in range(1, 11)]
             # classify_shape reads only the group size and log10(psi)
             rows = [
-                SweepRow(
-                    qsize=k, ns=ns, psi_hat=p, stderr=0.0, ci_lo=p, ci_hi=p,
-                    log10_psi=math.log10(p), tail_hat=math.nan, approx_prob=math.nan,
-                    stein_bound=math.nan,
-                )
+                SimpleNamespace(qsize=k, log10_psi=math.log10(p))
                 for k, p in enumerate(psi, start=1)
             ]
             shapes[ns] = classify_shape(rows)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import checked_classes, classical_ruin, compute_loadings, proportional_weights
+from ruinnet import model
 from ruinnet.model import NORMAL_MIN, AgentSubset, RiskParams, prefix_sizes, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.ruin import estimate
@@ -348,6 +349,25 @@ class TestProportionalR:
     def test_rejects_sizes_outside_one_to_q(self, size):
         with pytest.raises(ValueError, match="1..3"):
             proportional_r(make_params([1.0], [1.0], q=3), size)
+
+
+class TestGroupDecay:
+    @pytest.mark.parametrize(
+        "members, sizes",
+        [(range(1, 31), [1, 7, 30]), ((3, 8, 9, 20, 41, 50), [1, 2, 5, 6])],
+        ids=["prefix", "scattered"],
+    )
+    def test_equals_the_gathered_reserves_over_r(self, members, sizes):
+        # the reference: a gathered copy of the members' reserves, summed per
+        # prefix, and the whole group's total over r_q of its size
+        u = np.random.default_rng(4).uniform(0.0, 3.0, 50)
+        params = make_params([1.0, 2.0], [1.3, 0.7], q=50, u=u)
+        group = AgentSubset(np.array(members))
+        reserves = params.u[group.zero_based()]
+        want = [float(reserves[:k].sum()) / proportional_r(params, k) for k in sizes]
+        assert model.group_decay(params, group, sizes).tolist() == want
+        oracle = float(params.u[group.zero_based()].sum()) / proportional_r(params, group.size)
+        assert model.group_decay(params, group, [group.size])[0] == oracle
 
 
 class TestPrefixSizes:

@@ -13,6 +13,7 @@ from netgen_reference import (
     one_group_counts,
     sample_group_indicators,
 )
+from ruinnet import netgen
 from ruinnet.model import AgentSubset
 from ruinnet.netgen import (
     BlockModel,
@@ -467,6 +468,24 @@ class TestPrefixCounts:
             got = sample_prefix_counts(model, [1, 3], sizes, stream(2, 0), 500)
             np.testing.assert_array_equal(got, np.broadcast_to(sizes, (500, 2, 2)))
         assert not sample_prefix_counts(empty, [1, 3], sizes, stream(2, 1), 500).any()
+
+    def test_reduce_sees_each_chunk_in_turn(self, monkeypatch):
+        # a cap of 37 rows (3 groups x max(2 classes, 2 x 2 types) cells per
+        # row): the reduced draw is each chunk of at most 37 rows drawn in
+        # turn from the stream and reduced, and an unreduced draw's chunks
+        # come back concatenated
+        monkeypatch.setattr(netgen, "_CHUNK_CELLS", 37 * 3 * 4)
+        model, groups, sizes = KERNEL_CASES["sbm"], [1, 2, 4], np.array([5, 9])
+
+        def reduce(counts):
+            return counts[:, -1] - counts[:, 0]
+
+        got = sample_prefix_counts(model, groups, sizes, stream(7, 2), 100, reduce)
+        rng = stream(7, 2)
+        chunks = [sample_prefix_counts(model, groups, sizes, rng, m) for m in (37, 37, 26)]
+        np.testing.assert_array_equal(got, np.concatenate([reduce(c) for c in chunks]))
+        whole = sample_prefix_counts(model, groups, sizes, stream(7, 2), 100)
+        np.testing.assert_array_equal(whole, np.concatenate(chunks))
 
     @pytest.mark.parametrize("group_sizes", [[], [0], [2, 2], [3, 1]])
     def test_rejects_sizes_that_do_not_increase(self, group_sizes):

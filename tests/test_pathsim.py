@@ -17,6 +17,7 @@ from pathsim_reference import (
     simulate_ruin_batch_reference,
     simulate_ruin_path_per_object,
 )
+from ruinnet import netgen, pathsim
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
 from ruinnet.netgen import BlockModel
 from ruinnet.pathsim import (
@@ -27,7 +28,7 @@ from ruinnet.pathsim import (
     simulate_ruin_batch,
 )
 from ruinnet.ruin import estimate_psi
-from ruinnet.streams import ORACLE_PATH_DOMAIN, StreamKey, stream
+from ruinnet.streams import ORACLE_NET_DOMAIN, ORACLE_PATH_DOMAIN, StreamKey, stream
 
 
 def single_object(c=1.05, u=1.0):
@@ -397,6 +398,52 @@ class TestOraclePsi:
         zero_reserve = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[0.0])
         with pytest.raises(ValueError, match="reserve"):
             oracle_psi(zero_reserve, model, group, 100.0, 2, 10, 0)
+        # a positive reserve that is 0 in units of r_q, as the kernel reads it
+        underflow = RiskParams(lam=1.0, c=[1.05e10], mu=[1e10], u=[5e-324])
+        with pytest.raises(ValueError, match="reserve"):
+            oracle_psi(underflow, model, group, 100.0, 2, 10, 0)
+
+    def test_every_agent_costs_no_copy_of_the_members(self):
+        # the group of all q = 2**20 agents: the oracle reads its reserves
+        # through a view, as the estimator does (model.group_decay)
+        q = 2**20
+        params = RiskParams(lam=1.0, c=[1.05, 0.95], mu=[1.0, 1.0], u=np.ones(q))
+        everyone = AgentSubset.prefix(q)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            oracle_psi(params, BlockModel.bernoulli(0.5), everyone, 10.0, 2, 1, base_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
+
+    def test_network_blocks_draw_within_the_chunk_cap(self, monkeypatch):
+        # a cap of 100 rows (2 premium classes per row): each 256-network
+        # block draws its connected counts in chunks of at most 100
+        # networks, and on a one-type model, whose multinomials draw row by
+        # row, the split changes no bits
+        params = RiskParams(lam=1.0, c=[0.95, 1.15], mu=[1.0, 1.0], u=[1.0, 1.0])
+        args = (params, BlockModel.bernoulli(0.5), AgentSubset.prefix(2), 100.0, 600, 2)
+        whole = oracle_psi(*args, base_seed=3)
+        rows = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, n, pvals, size):
+                rows.append(size[0])
+                return self.rng.multinomial(n, pvals, size=size)
+
+        def recording_stream(seed, domain, *path):
+            rng = stream(seed, domain, *path)
+            return Recorder(rng) if domain == ORACLE_NET_DOMAIN else rng
+
+        monkeypatch.setattr(netgen, "_CHUNK_CELLS", 200)
+        monkeypatch.setattr(pathsim, "stream", recording_stream)
+        assert oracle_psi(*args, base_seed=3) == whole
+        assert rows == [100, 100, 56, 100, 100, 56, 88]  # blocks of 256, 256 and 88
 
     def test_rejects_bad_horizon(self):
         params = RiskParams(lam=1.0, c=[1.05], mu=[1.0], u=[1.0])
