@@ -11,7 +11,9 @@ estimator, the path oracle and the approximation draw only what they need of
 a network (:func:`sample_prefix_counts`, :func:`sample_configurations`).
 Both take the sizes of nested groups, such as a sweep's ``1..q``, and one
 draw serves every group: the agents are drawn layer by layer and the objects
-once.  A single group is the one-layer case.
+once.  A single group is the one-layer case.  Given integer per-class
+weights, such as the estimator's lattice strides, both count samplers
+return each group's weighted count in place of its per-class counts.
 
 The count samplers draw in chunks under a memory cap, one after another from
 the stream, and pass each chunk to an optional ``reduce``.  The cap decides
@@ -131,13 +133,16 @@ def sample_incidence(
     return rng.random(pm.shape) < pm
 
 
-def sample_graph_counts(model: BlockModel, params, group, group_sizes, rng, n: int, reduce=None):
+def sample_graph_counts(
+    model: BlockModel, params, group, group_sizes, rng, n: int, reduce=None, weights=None
+):
     """Connected counts of the prefixes of ``group`` of ``group_sizes``, per
     class of :attr:`RiskParams.class_ratio`, through the full type + graph +
     indicator pipeline: the reference of :func:`sample_prefix_counts`, with
     its law and shape on other draws.  Every group's rows are read from one
     :func:`sample_incidence` draw, in chunks of ``q * d`` cells per replicate,
-    each passed through ``reduce`` as there."""
+    each weighted by ``weights`` (``weighted_sum``) when given and then
+    passed through ``reduce``, as there."""
     rows = [group.zero_based()[:k] for k in group_sizes]
     ratio = params.class_ratio
     cls = np.searchsorted(ratio, params.c / params.mu)  # each object's class
@@ -148,7 +153,8 @@ def sample_graph_counts(model: BlockModel, params, group, group_sizes, rng, n: i
         ind = np.stack([edges[:, r, :].any(axis=1) for r in rows], axis=1)  # (m, J, d)
         # (replicate, group, class) of each indicator
         cell = (np.arange(m * J)[:, None] * G + cls).reshape(ind.shape)
-        return np.bincount(cell[ind], minlength=m * J * G).reshape(m, J, G)
+        counts = np.bincount(cell[ind], minlength=m * J * G).reshape(m, J, G)
+        return counts if weights is None else weighted_sum(counts, weights)
 
     return _in_chunks(chunk, rng, int(n), params.q * params.d, reduce)
 
@@ -252,9 +258,11 @@ def sample_prefix_counts(
     rng: np.random.Generator,
     replicates: int,
     reduce=None,
+    weights=None,
 ) -> np.ndarray:
     """Counts of objects connected to each of nested groups, per class, for
-    any blockmodel.
+    any blockmodel, or with an integer array of per-class ``weights`` each
+    group's weighted count ``sum_g weights_g * n_g``.
 
     Draws the groups' agent-type counts layer by layer
     (:func:`_prefix_agent_counts`).  Given group ``j``'s counts ``m``,
@@ -264,7 +272,11 @@ def sample_prefix_counts(
     ``pbar_j - pbar_{j-1}``.  So the objects of class ``g`` are counted by
     their first layer in one ``Multinomial(d_g, .)`` with a last cell for
     "none", and cumulative sums over the layers give every group's
-    connected count (one group's are its one layer's, copied out).  Each
+    connected count (one group's are its one layer's, copied out).  With
+    ``weights``, group ``j``'s weighted count is group ``j-1``'s plus layer
+    ``j``'s weighted first connections, built one layer at a time in a
+    ``(J, replicates)`` array: the integers of ``weighted_sum(counts,
+    weights)`` with no per-class counts array and no cumulative sum.  Each
     group's counts have the law of the full type + graph + indicator
     pipeline, no object type is drawn, and within a replicate the counts
     never decrease from one group to the next.  One
@@ -278,16 +290,18 @@ def sample_prefix_counts(
 
     Returns:
         A fresh C-contiguous integer array of shape
-        ``(replicates, len(group_sizes), len(class_sizes))``, or with
-        ``reduce`` the chunks' ``reduce(counts)`` concatenated.
+        ``(replicates, len(group_sizes), len(class_sizes))``; with
+        ``weights``, a fresh ``(replicates, len(group_sizes))`` integer array
+        with the replicate axis innermost in memory; with ``reduce``, the
+        chunks' ``reduce`` of either concatenated.
     """
     sizes = np.asarray(class_sizes, dtype=np.int64)
     cells = len(group_sizes) * max(sizes.size, model.K * model.L)
-    chunk = partial(_prefix_counts, model, group_sizes, sizes)
+    chunk = partial(_prefix_counts, model, group_sizes, sizes, weights=weights)
     return _in_chunks(chunk, rng, int(replicates), cells, reduce)
 
 
-def _prefix_counts(model, group_sizes, sizes, rng, n) -> np.ndarray:
+def _prefix_counts(model, group_sizes, sizes, rng, n, weights=None) -> np.ndarray:
     """One chunk of :func:`sample_prefix_counts`, unsplit."""
     connect = connect_given_counts(model, _prefix_agent_counts(model, group_sizes, rng, n))
     # v sums to 1 only within rounding, so pbar may exceed 1 by an ulp
@@ -302,6 +316,14 @@ def _prefix_counts(model, group_sizes, sizes, rng, n) -> np.ndarray:
     cells[:, J] = 1.0
     np.subtract(cells[:, 1:], cells[:, :-1], out=cells[:, 1:])
     first = rng.multinomial(sizes, cells[:, None, :], size=(n, sizes.size))
+    if weights is not None:
+        # group j's row is group j-1's plus layer j's: every temporary is one row
+        out = np.empty((J, n), dtype=np.int64)
+        for j, row in enumerate(out):
+            weighted_sum(first[..., j], weights, out=row)
+            if j:
+                row += out[j - 1]
+        return out.T
     counts = np.empty((n, J, sizes.size), dtype=np.int64)
     if J == 1:  # one layer's counts are its group's: no sum, which numpy runs row by row
         counts[:, 0] = first[..., 0]

@@ -163,19 +163,21 @@ def _by_histogram(sample, lam, ratio, decay, dims, B, base_seed, threads):
     its count vectors on the lattice ``prod_g [0, dims_g)``: each block adds
     its ``np.bincount`` (:func:`block_counts`), then :func:`_summand` and
     ``1{PK < 1}`` are evaluated once per visited vector.  ``below`` is an
-    exact count, and ``psi``'s sums are :func:`_moments`'."""
+    exact count, and ``psi``'s sums are :func:`_moments`'.
+
+    ``sample(rng, rows, reduce, weights=strides)`` draws each group's
+    weighted count ``sum_g n_g*strides_g``, its point's raveled index in
+    the lattice, and the reduction only adds ``j*points`` to group ``j``'s."""
     J, points = decay.size, math.prod(dims)
     strides = np.array([math.prod(dims[g + 1 :]) for g in range(len(dims))], dtype=np.int64)
     offset = np.arange(J, dtype=np.int64) * points
 
-    def index(counts: np.ndarray) -> np.ndarray:
-        """Each group's raveled lattice index ``j*points + sum_g n_g*strides_g``."""
-        idx = weighted_sum(counts, strides)
+    def index(idx: np.ndarray) -> np.ndarray:
         idx += offset
         return idx
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return sample(rng, n, index)
+        return sample(rng, n, index, weights=strides)
 
     hist = block_counts(B, RUIN_DOMAIN, base_seed, draw, J * points, threads)
     flat = np.flatnonzero(hist)  # in lattice order, group slowest

@@ -77,11 +77,12 @@ def pairwise_sum(values) -> float:
     return float(_tree(x)) if x.size else 0.0
 
 
-def weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def weighted_sum(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """``sum_i x[..., i] * w[..., i]`` over the last axis, leading axes
     broadcast: the first product, then each later one added left to right,
-    elementwise.  Each row has the bits of that loop in Python floats, on any CPU."""
-    total = x[..., 0] * w[..., 0]
+    elementwise, into ``out`` when one is given.  Each row has the bits of
+    that loop in Python floats, on any CPU."""
+    total = np.multiply(x[..., 0], w[..., 0], out=out)
     for i in range(1, x.shape[-1]):
         total += x[..., i] * w[..., i]
     return total
@@ -144,7 +145,8 @@ def block_counts(
 
     Block ``k`` makes one ``draw`` call on the stream
     ``(base_seed, domain, k)``, as in :func:`block_totals`.  Each block's
-    ``np.bincount`` is added into one accumulator as the block finishes.
+    values are raveled in memory order, so a transposed view is not copied,
+    and their ``np.bincount`` is added into one accumulator as the block finishes.
     Integer addition is exact, so the counts are independent of ``threads``
     and of the order in which blocks finish, and no block's histogram is
     kept once it is added.
@@ -154,7 +156,7 @@ def block_counts(
 
     def work(k: int, lo: int, hi: int) -> None:
         values = draw(stream(base_seed, domain, k), hi - lo)
-        counts = np.bincount(np.ravel(values), minlength=length)
+        counts = np.bincount(np.ravel(values, order="K"), minlength=length)
         with lock:
             np.add(total, counts, out=total)
 

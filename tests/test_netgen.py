@@ -14,15 +14,16 @@ from netgen_reference import (
     sample_group_indicators,
 )
 from ruinnet import netgen
-from ruinnet.model import AgentSubset
+from ruinnet.model import AgentSubset, RiskParams
 from ruinnet.netgen import (
     BlockModel,
     connect_given_counts,
     sample_configurations,
+    sample_graph_counts,
     sample_incidence,
     sample_prefix_counts,
 )
-from ruinnet.streams import stream
+from ruinnet.streams import stream, weighted_sum
 
 
 def group_counts(model, size_q, class_sizes, rng, replicates):
@@ -491,6 +492,57 @@ class TestPrefixCounts:
     def test_rejects_sizes_that_do_not_increase(self, group_sizes):
         with pytest.raises(ValueError, match="increasing"):
             sample_prefix_counts(KERNEL_CASES["sbm"], group_sizes, [3], stream(0, 0), 10)
+
+
+class TestWeightedDraw:
+    """With integer per-class weights, as the histogram's lattice strides,
+    each sampler draws ``weighted_sum`` of its unweighted draw on the same
+    stream, whole or split into chunks, and leaves the stream where that
+    draw does."""
+
+    CLASS_SIZES = np.array([5, 9, 2])
+    STRIDES = np.array([30, 3, 1], dtype=np.int64)  # the lattice 6 x 10 x 3
+
+    @staticmethod
+    def assert_weighted(draw, seed):
+        rng_w, rng = stream(seed, 1), stream(seed, 1)
+        got = draw(rng_w, weights=TestWeightedDraw.STRIDES)
+        counts = draw(rng)
+        assert got.dtype == np.int64 and got.shape == counts.shape[:2]
+        np.testing.assert_array_equal(got, weighted_sum(counts, TestWeightedDraw.STRIDES))
+        assert rng_w.random() == rng.random()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("group_sizes", [[3], [1, 2, 4]], ids=["J=1", "J=3"])
+    @pytest.mark.parametrize("name", ["bernoulli", "sbm"])
+    def test_prefix_counts(self, monkeypatch, name, group_sizes, split):
+        model = BlockModel.bernoulli(0.4) if name == "bernoulli" else KERNEL_CASES["sbm"]
+        if split:  # chunks of 37, 37 and 26 rows
+            cells = len(group_sizes) * max(self.CLASS_SIZES.size, model.K * model.L)
+            monkeypatch.setattr(netgen, "_CHUNK_CELLS", 37 * cells)
+
+        def draw(rng, weights=None):
+            return sample_prefix_counts(
+                model, group_sizes, self.CLASS_SIZES, rng, 100, weights=weights
+            )
+
+        self.assert_weighted(draw, 11)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("group_sizes", [[3], [1, 2, 4]], ids=["J=1", "J=3"])
+    @pytest.mark.parametrize("name", ["bernoulli", "sbm"])
+    def test_graph_counts(self, monkeypatch, name, group_sizes, split):
+        model = BlockModel.bernoulli(0.4) if name == "bernoulli" else KERNEL_CASES["sbm"]
+        c = np.repeat([0.9, 1.0, 1.1], self.CLASS_SIZES)  # three classes of these sizes
+        params = RiskParams(lam=1.0, c=c, mu=np.ones(c.size), u=np.ones(5))
+        if split:  # chunks of 37, 37 and 26 rows
+            monkeypatch.setattr(netgen, "_CHUNK_CELLS", 37 * params.q * params.d)
+        group = AgentSubset((2, 3, 5, 1))
+
+        def draw(rng, weights=None):
+            return sample_graph_counts(model, params, group, group_sizes, rng, 100, weights=weights)
+
+        self.assert_weighted(draw, 12)
 
 
 class TestPrefixConfigurations:

@@ -453,6 +453,23 @@ class TestHistogram:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 16 << 10, peaks
 
+    @pytest.mark.parametrize("ns", [3, 6])
+    def test_sweep_block_peaks_near_its_multinomial(self, ns):
+        # one block of the figure sweep's setting over sizes 1..10: the
+        # multinomial's (4096, 2, 11) first-connection counts are 0.69 MiB,
+        # and the lattice index beside them is one (10, 4096) array built a
+        # layer at a time, with no (4096, 10, 2) counts and no index copy
+        args = (two_class_params(ns, 10), BlockModel.bernoulli(0.5), AgentSubset.prefix(10))
+        args += (range(1, 11), BLOCK_SIZE, 5)
+        estimate(*args)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            estimate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.10 * 2**20, f"peak {peak / 2**20:.3f} MiB"
+
     @pytest.mark.parametrize(
         "model", [BlockModel.bernoulli(0.5), SBM_3X3], ids=["bernoulli", "sbm-3x3"]
     )

@@ -1,6 +1,7 @@
 """Tests for block scheduling, its worker-pool size, and the block sums."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ class TestBlockCounts:
             np.add.at(expected, draw(stream(2, 79, k), min(BLOCK_SIZE, n - lo)).ravel(), 1)
         got = block_counts(n, 79, 2, draw, 50, threads)
         assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+    def test_a_transposed_block_is_counted_without_a_copy(self):
+        # the estimator's lattice index is the (rows, groups) view of a
+        # (groups, rows) array: it is raveled in memory order, not copied
+        values = np.arange(64 * BLOCK_SIZE).reshape(64, BLOCK_SIZE) % 50
+
+        def draw(rng, rows):
+            return values.T
+
+        block_counts(BLOCK_SIZE, 81, 1, draw, 50)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            got = block_counts(BLOCK_SIZE, 81, 1, draw, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == np.bincount(values.ravel(), minlength=50).tolist()
+        assert peak < values.nbytes // 4, f"peak {peak} of a {values.nbytes}-byte block"
 
     def test_no_update_is_lost_to_more_threads_than_cores(self, monkeypatch):
         # eight workers on any machine, a thread switch every microsecond,
