@@ -162,6 +162,18 @@ def _rational(x, coeffs):
     return _poly(x, coeffs[0]) / _poly(x, coeffs[1])
 
 
+def _exp(hi, lo=0.0, over=1.0):
+    """``exp(hi + lo) / over``, ``|lo| < 1 <= over``: Cody and Waite's ``hi +
+    lo = k ln 2 + r``, a polynomial in r, and 2**k last, the one rounding of a
+    subnormal result.  Correctly rounded operations only, so the same bits on
+    every CPU; 0 below about -745.13 and at -inf, inf past 709.78, NaN kept."""
+    hi = np.minimum(np.maximum(hi, -750.0), 710.0)  # NaN stays NaN, and -inf gives 0
+    k = np.fmax(np.rint((hi + lo) * _INV_LN2), -1100.0)  # no NaN is cast: a NaN's k is -1100
+    r = (hi - k * _LN2_HI) - k * _LN2_LO + lo
+    out = (1.0 + (r + (r * r) * _poly(r, _EXPM1_TAIL))) / over
+    return np.ldexp(out, k.astype(np.int32))
+
+
 def _erfc_small(x, ax):
     """|x| < 0.84375: erf(x) = x + x R(x^2), and no exp.  Below 1/4, erfc is
     ``1 - (x + x R)``, and from there ``0.5 - (x R + (x - 0.5))``: one
@@ -183,16 +195,11 @@ def _erfc_tail(x, ax, coeffs):
     """1.25 <= |x| < 28: erfc(|x|) = exp(-x^2 - 0.5625 + R(1/x^2)) / |x|, and
     erfc(x) = 2 - erfc(|x|) for x < 0.  With ``xh`` the high 21 bits of |x|,
     ``hi = -xh^2 - 0.5625`` is exact, and ``lo = (xh - |x|)(xh + |x|) + R``
-    carries the rest of the exponent.  exp is Cody and Waite's reduction
-    ``hi + lo = k ln 2 + r`` and a polynomial in r, and the quotient by |x|
-    is scaled by 2**k last: the one rounding of a subnormal result."""
+    carries the rest of the exponent into :func:`_exp`."""
     xh = (ax.view(np.uint64) & _HIGH_WORD).view(np.float64)
     hi = -(xh * xh) - 0.5625
     lo = (xh - ax) * (xh + ax) + _rational(1.0 / (ax * ax), coeffs)
-    k = np.rint((hi + lo) * _INV_LN2)
-    r = (hi - k * _LN2_HI) - k * _LN2_LO + lo
-    tail = (1.0 + (r + (r * r) * _poly(r, _EXPM1_TAIL))) / ax
-    tail = np.ldexp(tail, k.astype(np.int32))
+    tail = _exp(hi, lo, ax)
     sign = np.sign(x)
     tail *= sign  # exact, and then 0 + tail or 2 - |tail|
     tail += 1.0 - sign

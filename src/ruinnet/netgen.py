@@ -193,6 +193,15 @@ def connect_given_counts(model: BlockModel, agent_counts) -> np.ndarray:
     return np.subtract(1.0, none, out=none).T
 
 
+def _nest(layers: np.ndarray) -> np.ndarray:
+    """Nested groups' counts from their layers', in place along the first
+    axis: each layer ``j`` adds group ``j - 1``'s counts, one whole-array add
+    per layer.  Integer sums, so the bits of any order; returns ``layers``."""
+    for j in range(1, layers.shape[0]):
+        layers[j] += layers[j - 1]
+    return layers
+
+
 def _prefix_agent_counts(
     model: BlockModel, group_sizes, rng: np.random.Generator, n: int
 ) -> np.ndarray:
@@ -200,20 +209,18 @@ def _prefix_agent_counts(
 
     The agents are drawn layer by layer: the ``group_sizes[j] -
     group_sizes[j-1]`` agents that group ``j`` adds get ``Multinomial(layer
-    size, w)`` type counts, and a group's counts sum its layers'.  Returns
-    ``(n, J, K)``, a view with the replicate axis innermost in memory, or
-    ``(1, J, 1)`` (nothing drawn) if ``K == 1``.  With one group it draws
-    the bits of ``rng.multinomial(size, w, size=n)``.
+    size, w)`` type counts, and a group's counts sum its layers'
+    (:func:`_nest`, on whole replicate rows).  Returns ``(n, J, K)``, a view
+    of a ``(K, J, n)`` array, or ``(1, J, 1)`` (nothing drawn) if ``K == 1``.
+    With one group it draws the bits of ``rng.multinomial(size, w, size=n)``.
     """
     sizes = np.array(prefix_sizes(group_sizes, np.inf))  # no agent count bounds them here
     if model.K == 1:
         return sizes[None, :, None]
-    layers = sizes.copy()
-    layers[1:] -= sizes[:-1]
-    # summed as (K, J, n) rows: a cumsum over J runs one short loop per (row, type)
+    layers = np.diff(sizes, prepend=0)
+    # (K, J, n) in memory: each type's counts contiguous for connect_given_counts
     counts = np.asarray(rng.multinomial(layers, model.w, size=(n, sizes.size)).T, order="C")
-    for j in range(1, sizes.size):
-        counts[:, j] += counts[:, j - 1]
+    _nest(counts.swapaxes(0, 1))
     return counts.T
 
 
@@ -271,15 +278,12 @@ def sample_prefix_counts(
     connect_l(m)``, and first connects to layer ``j`` with probability
     ``pbar_j - pbar_{j-1}``.  So the objects of class ``g`` are counted by
     their first layer in one ``Multinomial(d_g, .)`` with a last cell for
-    "none", and cumulative sums over the layers give every group's
-    connected count (one group's are its one layer's, copied out).  With
-    ``weights``, group ``j``'s weighted count is group ``j-1``'s plus layer
-    ``j``'s weighted first connections, built one layer at a time in a
-    ``(J, replicates)`` array: the integers of ``weighted_sum(counts,
-    weights)`` with no per-class counts array and no cumulative sum.  Each
-    group's counts have the law of the full type + graph + indicator
-    pipeline, no object type is drawn, and within a replicate the counts
-    never decrease from one group to the next.  One
+    "none", and group ``j``'s count is group ``j-1``'s plus layer ``j``'s
+    (:func:`_nest`): per class, or with ``weights`` the layers' weighted first
+    connections, one ``(replicates,)`` row at a time, so there is no per-class
+    counts array.  Each group's counts have the law of the full type + graph
+    + indicator pipeline, no object type is drawn, and within a replicate the
+    counts never decrease from one group to the next.  One
     group's two-cell multinomial draws the bits of the single binomial
     ``rng.binomial(class_sizes, pbar)``; on a one-type model ``pbar = 1 -
     (1-p)**size_q``.
@@ -317,16 +321,10 @@ def _prefix_counts(model, group_sizes, sizes, rng, n, weights=None) -> np.ndarra
     np.subtract(cells[:, 1:], cells[:, :-1], out=cells[:, 1:])
     first = rng.multinomial(sizes, cells[:, None, :], size=(n, sizes.size))
     if weights is not None:
-        # group j's row is group j-1's plus layer j's: every temporary is one row
+        # each layer's weighted first connections, then nested: every temporary is one row
         out = np.empty((J, n), dtype=np.int64)
         for j, row in enumerate(out):
             weighted_sum(first[..., j], weights, out=row)
-            if j:
-                row += out[j - 1]
-        return out.T
-    counts = np.empty((n, J, sizes.size), dtype=np.int64)
-    if J == 1:  # one layer's counts are its group's: no sum, which numpy runs row by row
-        counts[:, 0] = first[..., 0]
-    else:
-        np.cumsum(first[..., :-1], axis=2, out=counts.transpose(0, 2, 1))
-    return counts
+        return _nest(out).T
+    layers = first[..., :-1].transpose(2, 0, 1)  # (J, n, G): each add runs over n * G cells
+    return np.ascontiguousarray(_nest(layers).transpose(1, 0, 2))

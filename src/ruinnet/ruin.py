@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 import numpy as np
 
-from . import netgen
+from . import approx, netgen
 from .model import AgentSubset, RiskParams, group_decay, prefix_sizes
 from .netgen import BlockModel
 from .streams import BLOCK_SIZE, RUIN_DOMAIN, block_counts, block_totals, mean_stderr, weighted_sum
@@ -80,26 +80,25 @@ class RuinEstimate:
 
 def _summand(pk: np.ndarray, decay):
     """Each replicate's contribution to the ruin-probability estimator,
-    unchecked: ``pk * exp(-(1 - pk) * decay)`` below 1, ``decay =
-    total_reserve / r_q``, and 1 from 1 upward (certain ruin); continuous at
-    ``pk = 1``.  A float for a 0-d ``pk``, and otherwise an array with
-    ``decay`` broadcast against ``pk``: one per column of ``(replicates,
-    groups)`` ratios, or one per visited count vector."""
+    unchecked: ``P * exp(-(1 - P) * decay)``, ``P = min(pk, 1)`` and ``decay =
+    total_reserve / r_q`` finite, so exactly 1 (certain ruin) from ``pk = 1``
+    up; exp is :func:`approx._exp`.  A float for a 0-d ``pk``, else ``decay``
+    broadcast against ``pk``: one per group column, or per visited vector."""
     capped = np.minimum(pk, 1.0)
-    out = np.where(pk >= 1.0, 1.0, capped * np.exp(-(1.0 - capped) * decay))
+    out = capped * approx._exp(-(1.0 - capped) * decay)
     return float(out) if out.ndim == 0 else out
 
 
 def rate_and_premium(lam: float, counts: np.ndarray, ratio: np.ndarray):
     """Claim rate ``lam * n`` and premium rate ``sum_g n_g * ratio_g`` (units of
-    ``r_q``) of ``(rows, G)`` connected counts per class of :attr:`RiskParams.class_ratio`."""
-    total = np.einsum("ij->i", counts)  # exact integers, faster than sum(axis=1)
+    ``r_q``) of ``(..., G)`` connected counts per class of :attr:`RiskParams.class_ratio`."""
+    total = np.einsum("...g->...", counts)  # exact integers, faster than sum(axis=-1)
     return lam * total, weighted_sum(counts, ratio)
 
 
 def _pk_from_counts(lam: float, counts: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """PK ratios ``rate / premium`` (:func:`rate_and_premium`), 0 for a
-    disconnected group; never negative, since the ratios are positive."""
+    """PK ratios ``rate / premium`` of ``(..., G)`` counts (:func:`rate_and_premium`),
+    0 for a disconnected group; never negative, since the ratios are positive."""
     rate, premium = rate_and_premium(lam, counts, ratio)
     with np.errstate(invalid="ignore"):
         np.divide(rate, premium, out=rate)
@@ -137,12 +136,10 @@ def _by_replicate(sample, lam, ratio, decay, B, base_seed, threads):
     """``(mean, stderr, below)`` of each group, every replicate evaluated:
     per block :func:`_summand`, its square and ``1{PK < 1}``, each summed by
     :func:`block_totals`' pairwise trees.  ``sample(rng, rows, reduce)`` draws
-    the counts, each chunk reduced to its PK ratios."""
+    the ``(rows, groups, G)`` counts, each chunk reduced to its PK ratios, so
+    that no more than one chunk of counts is held when ``G`` is large."""
     J = decay.size
-
-    def pk_of(counts: np.ndarray) -> np.ndarray:
-        n, _, G = counts.shape
-        return _pk_from_counts(lam, counts.reshape(n * J, G), ratio).reshape(n, J)
+    pk_of = partial(_pk_from_counts, lam, ratio=ratio)
 
     def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
         pk = sample(rng, n, pk_of)  # (rows, groups)
@@ -165,19 +162,17 @@ def _by_histogram(sample, lam, ratio, decay, dims, B, base_seed, threads):
     ``1{PK < 1}`` are evaluated once per visited vector.  ``below`` is an
     exact count, and ``psi``'s sums are :func:`_moments`'.
 
-    ``sample(rng, rows, reduce, weights=strides)`` draws each group's
-    weighted count ``sum_g n_g*strides_g``, its point's raveled index in
-    the lattice, and the reduction only adds ``j*points`` to group ``j``'s."""
+    ``sample(rng, rows, weights=strides)`` draws each group's weighted count
+    ``sum_g n_g*strides_g``, its point's raveled index in the lattice, and
+    ``j*points`` is added to group ``j``'s in place."""
     J, points = decay.size, math.prod(dims)
     strides = np.array([math.prod(dims[g + 1 :]) for g in range(len(dims))], dtype=np.int64)
     offset = np.arange(J, dtype=np.int64) * points
 
-    def index(idx: np.ndarray) -> np.ndarray:
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        idx = sample(rng, n, weights=strides)  # (rows, groups)
         idx += offset
         return idx
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return sample(rng, n, index, weights=strides)
 
     hist = block_counts(B, RUIN_DOMAIN, base_seed, draw, J * points, threads)
     flat = np.flatnonzero(hist)  # in lattice order, group slowest

@@ -24,10 +24,11 @@ from approx_reference import (
     p_of_config,
     sampled_one_group,
 )
+from cpu_features import avx512_features
 from exact_reference import exact_law
 from model_reference import compute_loadings
 from ruin_reference import pk_value
-from ruinnet import approx
+from ruinnet import approx, ruin
 from ruinnet.approx import (
     INDETERMINATE,
     TAIL_TO_ONE,
@@ -163,15 +164,20 @@ def positive_prob(mean, variance):
 
 #: The error bound of ``approx._erfc``, in ulps of the correctly rounded value.
 ERFC_ULPS = 3.0
+#: The error bound of ``approx._exp``, likewise (the largest error seen is
+#: 0.93 ulps): r = x - k ln 2, r's polynomial and the final 1 + ... each round.
+EXP_ULPS = 0.95
 
 
-def ulp_errors(x, got) -> np.ndarray:
-    """|got - erfc(x)| in ulps of the correctly rounded erfc(x), elementwise,
-    with erfc at 100 bits by ``mpmath``; an ulp of 0 is the least subnormal."""
+def ulp_errors(x, got, fn=mpmath.erfc) -> np.ndarray:
+    """|got - fn(x)| in ulps of the correctly rounded fn(x), elementwise,
+    with ``fn`` (erfc unless given) at 100 bits by ``mpmath``, and the
+    quotient taken there too, so that a difference below the least
+    subnormal is not rounded; an ulp of 0 is the least subnormal."""
     with mpmath.workprec(100):
-        exact = [mpmath.erfc(mpmath.mpf(v)) for v in np.ravel(x).tolist()]
+        exact = [fn(mpmath.mpf(v)) for v in np.ravel(x).tolist()]
         errors = [
-            float(abs(mpmath.mpf(g) - e)) / float(np.spacing(float(e)))
+            float(abs(mpmath.mpf(g) - e) / float(np.spacing(float(e))))
             for g, e in zip(np.ravel(got).tolist(), exact)
         ]
     return np.array(errors)
@@ -255,6 +261,62 @@ class TestErfc:
         calls.clear()
         approx._erfc(np.array([0.1, -0.5]))
         assert calls == [(0, 2)]
+
+
+class TestExp:
+    """``approx._exp``, the one exp of the erfc and of the estimator's
+    summand, against ``mpmath``: within ``EXP_ULPS``, and total."""
+
+    def assert_accurate(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = approx._exp(x)
+        errors = ulp_errors(x, got, mpmath.exp)
+        worst = int(np.argmax(errors))
+        assert errors[worst] <= EXP_ULPS, (x[worst], got[worst], errors[worst])
+        return got
+
+    def test_random_arguments(self):
+        # [-746, 709]: every finite result, 0 and the subnormals included
+        rng = np.random.default_rng(6)
+        x = np.r_[rng.uniform(-746.0, 709.0, 20_000), rng.uniform(-2.0, 2.0, 2000), -1e-300]
+        self.assert_accurate(x)
+
+    def test_subnormal_results(self):
+        # exp(x) leaves the normal range near x = -708.40 and rounds to 0
+        # below -745.13: the mantissa rounds, and then its scaling by 2**k
+        rng = np.random.default_rng(7)
+        x = np.r_[rng.uniform(-746.0, -708.0, 5000), ulps_apart(-708.3964185322641, 4)]
+        x = np.r_[x, ulps_apart(-745.1332191019411, 4)]
+        got = self.assert_accurate(x)
+        assert (got[x < -708.4] < 2.0**-1022).all() and (got[x < -745.14] == 0.0).all()
+
+    def test_exact_values_and_edges(self):
+        x = np.array([0.0, -0.0, -745.2, -746.0, -750.0, -1e4, -1e308, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = approx._exp(x)
+        assert got[:2].tolist() == [1.0, 1.0]
+        assert got[2:-1].tolist() == [0.0] * 6 and not np.signbit(got[2:-1]).any()
+        assert np.isnan(got[-1])
+
+    def test_one_value_has_the_bits_of_the_array(self):
+        rng = np.random.default_rng(8)
+        x = np.r_[rng.uniform(-746.0, 709.0, 300), 0.0, -np.inf, np.nan]
+        got = approx._exp(x)
+        for v, want in zip(x.tolist(), got.tolist()):
+            one = approx._exp(np.float64(v))
+            assert np.float64(one).tobytes() == np.float64(want).tobytes()
+
+    def test_erfc_and_summand_share_it(self, monkeypatch):
+        # the erfc's tail range and the estimator's summand both call it:
+        # neither has an exp of its own
+        calls = []
+        real = approx._exp
+        monkeypatch.setattr(approx, "_exp", lambda *a: calls.append(len(a)) or real(*a))
+        approx._erfc(np.array([2.0, 2.5]))
+        ruin._summand(np.array([0.5, 2.0]), 1.0)
+        assert calls == [3, 1]
 
 
 class TestNormalPositiveProb:
@@ -848,15 +910,6 @@ def probe(config):
         out += [(r.probability, r.stein_bound) for r in res.results]
     return out
 """
-
-
-def avx512_features() -> list[str]:
-    """The AVX-512 dispatch targets numpy finds on this CPU."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as features
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__ as features
-    return [k for k, on in features.items() if on and (k.startswith("AVX512") or k == "X86_V4")]
 
 
 class TestSimdDispatch:

@@ -3,7 +3,10 @@ the shape classifier."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cpu_features import avx512_features
 from ruinnet import cli, model
 from ruinnet.cli import (
     FLAT,
@@ -1034,6 +1038,40 @@ class TestGoldenOutput:
                     assert main(["estimate", "--config", str(bad)]) == 2
                     captured = capsys.readouterr()
                     assert captured.out == "" and "reserves must be nonnegative" in captured.err
+
+    def test_goldens_do_not_depend_on_simd_dispatch(self):
+        # numpy runs exp, log1p and power through AVX-512 loops where the CPU
+        # has them, whose last bits differ from libm's; with them turned off
+        # in a child process, every golden command prints its committed
+        # bytes in both formats, the oracle's full-precision JSON included
+        features = avx512_features()
+        if not features:
+            pytest.skip("this CPU has no AVX-512, so there is no dispatch to turn off")
+        script = """
+import contextlib, io, json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__ as features
+from ruinnet.cli import main
+golden, out = sys.argv[1], {}
+for case in ("estimate", "sweep", "table", "oracle", "sweep_mixed"):
+    for fmt in ("csv", "json"):
+        text, command = io.StringIO(), "sweep" if case == "sweep_mixed" else case
+        with contextlib.redirect_stdout(text):
+            assert main([command, "--config", f"{golden}/{case}/config.json", "--format", fmt]) == 0
+        out[f"{case}/stdout.{fmt}"] = text.getvalue()
+print(json.dumps([[k for k in sys.argv[2:] if not features[k]], out]))
+"""
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+        child = [sys.executable, "-c", script, str(GOLDEN), *features]
+        off, outputs = json.loads(
+            subprocess.run(child, capture_output=True, text=True, env=env, check=True).stdout
+        )
+        assert off  # the child's dispatch targets: some were turned off
+        assert len(outputs) == 10
+        for name, text in outputs.items():
+            assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_mixed_mode_sweep_matches_golden(self, capsys, threads):

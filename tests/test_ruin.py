@@ -1,6 +1,7 @@
 """Tests for the Pollaczek-Khintchine ratio and the Monte-Carlo estimators."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -93,11 +94,12 @@ class TestPsiSummand:
 
     @given(
         pk=st.floats(0.0, 3.0),
-        r=st.floats(0.01, 10.0),
-        reserve=st.floats(0.0, 100.0),
+        decay=st.one_of(st.floats(0.0, 1000.0), st.floats(0.0, sys.float_info.max)),
     )
-    def test_bounded_in_unit_interval(self, pk, r, reserve):
-        val = _summand(pk, reserve / r)
+    def test_bounded_in_unit_interval(self, pk, decay):
+        # any decay RiskParams admits, up to the largest finite double: from
+        # pk = 1 up the summand is 1 * exp(-0 * decay), exactly 1
+        val = _summand(pk, decay)
         assert 0.0 <= val <= 1.0
         if pk >= 1.0:
             assert val == 1.0

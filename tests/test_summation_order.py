@@ -69,6 +69,14 @@ def test_pk_from_counts(G):
         want.append(lam * int(row.sum()) / premium if premium else 0.0)
     assert _pk_from_counts(lam, counts, ratio).tolist() == want
     assert _pk_from_counts(lam, counts[1:], ratio).tolist() == want[1:]
+    # (rows, groups, G) counts, as the estimator's per-replicate path passes
+    # them: each group's column has the bits of its own 2-D call
+    nested = counts[:4095].reshape(1365, 3, G)
+    got = _pk_from_counts(lam, nested, ratio)
+    assert got.shape == (1365, 3)
+    for j in range(3):
+        assert got[:, j].tolist() == _pk_from_counts(lam, nested[:, j], ratio).tolist()
+    assert got.ravel().tolist() == want[:4095]
 
 
 class Recorder:
