@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import approx
-from .model import AgentSubset, RiskParams
+from .model import AgentSubset, RiskParams, _run_bounds
 from .netgen import BlockModel
 from .output import fmt, render_csv, sweep_svg
 from .pathsim import oracle_psi
@@ -84,20 +84,11 @@ class PremiumSpec:
     def is_two_value(self) -> bool:
         return self.vector is None
 
-    def resolve(self, d: int, ns_override: Optional[int] = None) -> np.ndarray:
-        if self.vector is not None:
-            if ns_override is not None:
-                raise ConfigError("cannot override ns with an explicit premium vector")
-            return np.asarray(self.vector, dtype=np.float64)
-        ns = self.ns if ns_override is None else int(ns_override)
-        if ns is None:
-            raise ConfigError("two-value premium scheme needs ns")
-        if not 0 <= ns <= d:
-            raise ConfigError(f"ns must lie in [0, {d}], got {ns}")
-        out = np.empty(d)
-        out[:ns] = float(self.low)
-        out[ns:] = float(self.high)
-        return out
+    def resolve(self, ns_override: Optional[int] = None) -> np.ndarray:
+        """The explicit premium vector, which takes no ``ns``."""
+        if ns_override is not None:
+            raise ConfigError("cannot override ns with an explicit premium vector")
+        return np.asarray(self.vector, dtype=np.float64)
 
 
 SWEEP_FIELDS = (
@@ -130,9 +121,24 @@ class ExperimentConfig:
     approx_mode: str
     m_configs: int
 
+    @functools.cached_property
+    def _mu_bounds(self) -> np.ndarray:
+        return _run_bounds(self.mu, self.mu)  # mu's runs, scanned once per config
+
     def risk_params(self, ns_override: Optional[int] = None) -> RiskParams:
-        c = self.premiums.resolve(self.d, ns_override)
-        return RiskParams(lam=self.lam, c=c, mu=self.mu, u=self.reserves)
+        """The parameters at ``ns_override``, else at ``ns``: the two-value scheme's
+        runs (``ns`` lows, then highs) split at ``mu``'s, with no array of ``d`` floats."""
+        premiums = self.premiums
+        if not premiums.is_two_value:
+            return RiskParams(self.lam, premiums.resolve(ns_override), self.mu, self.reserves)
+        ns = premiums.ns if ns_override is None else int(ns_override)
+        if ns is None:
+            raise ConfigError("two-value premium scheme needs ns")
+        if not 0 <= ns <= self.d:
+            raise ConfigError(f"ns must lie in [0, {self.d}], got {ns}")
+        bounds = np.union1d(self._mu_bounds, ns)  # an empty run at 0 or d is dropped
+        c, mu = np.where(bounds[:-1] < ns, premiums.low, premiums.high), self.mu[bounds[:-1]]
+        return RiskParams.from_runs(self.lam, c, mu, np.diff(bounds), self.reserves)
 
 
 REQUIRED = object()
@@ -367,7 +373,6 @@ def _per_ns(cfg: ExperimentConfig, grid, group: AgentSubset, sizes, mode: str):
         approximations = approx.mixture_probability(
             params, cfg.network, sizes, mode, cfg.m_configs, cfg.seed, cfg.threads
         ).results
-        del params  # so that the next point's RiskParams is built without this one's arrays
         yield int(ns), estimates, approximations
 
 

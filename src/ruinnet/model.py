@@ -6,11 +6,11 @@ size ``mu_j``; claims arrive at a common Poisson intensity ``lam``.  A group
 of agents that insures an object splits the loss equally, scaled so that
 every column of the weighted adjacency matrix sums to at most one.
 
-:class:`RiskParams` scans ``c`` and ``mu`` once for their runs of equal
-``(c_j, mu_j)``, then checks them and partitions the objects into premium
-classes on the run heads alone, and keeps ``min(mu)`` for ``r_q``; so a
-blocked premium vector, such as the two-value scheme, costs one pass over
-its objects.
+:class:`RiskParams` holds the objects as runs of equal ``(c_j, mu_j)``,
+scanned once from ``c`` and ``mu`` or given (:meth:`RiskParams.from_runs`).
+It checks the run heads, partitions the objects into premium classes on
+them alone and keeps ``min(mu)`` for ``r_q``: a blocked premium vector, such
+as the two-value scheme, costs one pass over its objects, or none as runs.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ def _as_vector(x, name: str, length: Optional[int] = None) -> np.ndarray:
 def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
+
+
+def _vectors(c, mu) -> tuple[np.ndarray, np.ndarray]:
+    """``c`` and ``mu`` as float vectors of one length."""
+    c = _as_vector(c, "c")
+    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    if mu.shape != c.shape:  # no runs to scan; c's finiteness is checked first
+        _require_finite(c, "c")
+        _as_vector(mu, "mu", c.size)  # raises: mu is not a vector of c's length
+    return c, mu
 
 
 def _run_bounds(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -79,27 +89,27 @@ def _premium_classes(
     return values[firsts], np.add.reduceat(lengths, firsts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RiskParams:
-    """Scalar and vector parameters of the networked risk model.
+    """Parameters of the networked risk model, its objects held as runs.
 
     Attributes:
         lam: Claim arrival intensity, shared by all objects (> 0).
-        c: Premium rate per object, length ``d`` (all > 0).
-        mu: Mean claim size per object, length ``d`` (all > 0).
         u: Initial reserve per agent, length ``q`` (all >= 0).
         class_ratio: The distinct ``c_j/mu_j`` in ascending order, one per
             premium class; ``np.searchsorted(class_ratio, c/mu)`` gives each
             object's class.
         class_sizes: The number of objects in each class (``int64``).
         mu_min: The smallest mean claim size, which scales ``r_q``.
+        c_head, mu_head, lengths: The runs of equal ``(c_j, mu_j)``, in
+            object order; ``c`` and ``mu`` (length ``d``, all > 0) are
+            expanded from them when read.
 
     An object enters the PK ratio (``ruin``) and its loading
-    ``xi_j = (c_j/mu_j)/lam`` (``approx``) only through ``c_j/mu_j``.  The
-    constructor scans ``c`` and ``mu`` once for their runs of equal
-    ``(c_j, mu_j)``; it checks them and builds the partition on the run
-    heads, dividing once per run, so a blocked premium vector costs no array
-    of ``d`` ratios and no further pass over ``d`` objects.  It rejects
+    ``xi_j = (c_j/mu_j)/lam`` (``approx``) only through ``c_j/mu_j``.
+    ``RiskParams(lam, c, mu, u)`` scans ``c`` and ``mu`` once for their
+    runs; :meth:`from_runs` takes them as given.  Both check the run heads
+    and build the partition from them, one division per run.  They reject
     parameters with which the estimator's arithmetic would leave the float
     range: a ``c/mu`` or ``mu`` below the smallest normal float, a ``c/mu``
     that overflows, and an overflowing ``lam/min(c/mu)``, ``lam*d``,
@@ -107,31 +117,37 @@ class RiskParams:
     """
 
     lam: float
-    c: np.ndarray
-    mu: np.ndarray
     u: np.ndarray
-    class_ratio: np.ndarray = field(init=False, repr=False, compare=False)
-    class_sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    mu_min: float = field(init=False, repr=False, compare=False)
+    c_head: np.ndarray
+    mu_head: np.ndarray
+    lengths: np.ndarray
+    class_ratio: np.ndarray = field(repr=False, compare=False)
+    class_sizes: np.ndarray = field(repr=False, compare=False)
+    mu_min: float = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        c = _as_vector(self.c, "c")
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64))
-        if mu.shape != c.shape:  # no runs to scan; c's finiteness is checked first
-            _require_finite(c, "c")
-            _as_vector(mu, "mu", c.size)  # raises: mu is not a vector of c's length
-        # every elementwise check on c and mu reads only the heads of their runs
+    def __init__(self, lam, c, mu, u):
+        c, mu = _vectors(c, mu)
         bounds = _run_bounds(c, mu)
-        c_head, mu_head = c[bounds[:-1]], mu[bounds[:-1]]
+        self._set_runs(lam, c[bounds[:-1]], mu[bounds[:-1]], np.diff(bounds), u)
+
+    @classmethod
+    def from_runs(cls, lam, c, mu, lengths, u) -> "RiskParams":
+        """The objects given in order as runs: ``lengths[k]`` objects of premium
+        rate ``c[k]`` and mean claim size ``mu[k]``; neighbouring runs may be
+        equal.  The heads pass the vector constructor's checks, in its order."""
+        c, mu = _vectors(c, mu)
+        lengths = np.asarray(lengths)
+        if lengths.shape != c.shape or lengths.dtype.kind not in "iu" or not (lengths > 0).all():
+            raise ValueError("run lengths must be positive integers, one per run")
+        return cls.__new__(cls)._set_runs(lam, c, mu, lengths.astype(np.int64), u)
+
+    def _set_runs(self, lam, c_head, mu_head, lengths, u) -> "RiskParams":
+        lam = float(lam)
         _require_finite(c_head, "c")
         _require_finite(mu_head, "mu")
-        u = _as_vector(self.u, "u")
+        u = _as_vector(u, "u")
         _require_finite(u, "u")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "u", u)
-        if not 0 < self.lam < math.inf:
+        if not 0 < lam < math.inf:
             raise ValueError("claim intensity lam must be positive and finite")
         if not (c_head > 0).all():
             raise ValueError("every premium rate must be positive")
@@ -139,10 +155,10 @@ class RiskParams:
             raise ValueError("every mean claim size must be positive")
         if not (u >= 0).all():
             raise ValueError("reserves must be nonnegative")
-        if u.size < 1 or c.size < 1:
+        if u.size < 1 or c_head.size < 1:
             raise ValueError("need at least one agent and one object")
-        ratio, sizes = _premium_classes(c_head, mu_head, bounds[1:] - bounds[:-1])
-        low, high = float(ratio[0]), float(ratio[-1])
+        ratio, sizes = _premium_classes(c_head, mu_head, lengths)
+        low, high, d = float(ratio[0]), float(ratio[-1]), int(lengths.sum())
         if not high < math.inf:
             raise ValueError("every premium-to-claim ratio c/mu must be finite")
         if not low >= NORMAL_MIN:
@@ -151,7 +167,7 @@ class RiskParams:
                 f"got {low:.6g}"
             )
         # lam*n / (n ratios summed) for n <= d connected objects: none of the three may overflow
-        if not max(self.lam / low, self.lam * self.d, self.d * high) < math.inf:
+        if not max(lam / low, lam * d, d * high) < math.inf:
             raise ValueError(
                 "lam/min(c/mu), lam*d and d*max(c/mu), which bound the PK ratio, "
                 "its numerator and its denominator, must be finite"
@@ -164,13 +180,16 @@ class RiskParams:
             )
         with np.errstate(over="ignore"):
             reserve = float(u.sum())
-        if not reserve * self.q / mu_min < math.inf:
+        if not reserve * u.size / mu_min < math.inf:
             raise ValueError(
                 "sum(u) * q / min(mu), which bounds the ruin summand's decay, must be finite"
             )
-        object.__setattr__(self, "class_ratio", ratio)
-        object.__setattr__(self, "class_sizes", sizes)
-        object.__setattr__(self, "mu_min", mu_min)
+        vars(self).update(lam=lam, u=u, c_head=c_head, mu_head=mu_head, lengths=lengths,
+                          class_ratio=ratio, class_sizes=sizes, mu_min=mu_min)
+        return self
+
+    c = property(lambda self: np.repeat(self.c_head, self.lengths), doc="Premium rates.")
+    mu = property(lambda self: np.repeat(self.mu_head, self.lengths), doc="Mean claim sizes.")
 
     @property
     def q(self) -> int:
@@ -180,7 +199,7 @@ class RiskParams:
     @property
     def d(self) -> int:
         """Number of objects."""
-        return self.c.size
+        return int(self.lengths.sum())
 
 
 @dataclass(frozen=True, eq=False)

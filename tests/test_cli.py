@@ -154,7 +154,11 @@ NAMED_FIELD_INPUTS = {
     "replicates-0": ("estimate", "replicates", {"replicates": 0}),
 }
 
+#: A three-agent group, which ``table`` and ``estimate`` need on ``figure_doc()``.
+TABLE_3 = {"group": {"size": 3}}
+
 GOLDEN = Path(__file__).parent / "golden"
+TABLE_AT_SCALE = Path(__file__).parent / "table_at_scale"
 
 
 def run_main(tmp_path, capsys, command, doc):
@@ -264,6 +268,56 @@ UNKNOWN_KEY_INPUTS = {
     ),
     "unknown-9": ({"network": dict(SBM_2X1, K=2)}, "unknown config key 'network.K'"),
 }
+
+
+class TestRiskParamsOfConfig:
+    """The two-value scheme's parameters at an ``ns``, built as runs, against
+    ``RiskParams`` on the premium vector that the scheme describes."""
+
+    @pytest.mark.parametrize(
+        "mu, premiums",
+        [
+            (1.0, {"low": 0.95, "high": 1.05}),
+            ([2.0, 2.0, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 2.0, 2.0], {"low": 0.95, "high": 1.05}),
+            ([0.5] * 5 + [2.0] * 5, {"low": 1.9, "high": 0.95}),  # ratios shared across runs
+            (1.0, {"low": 1.05, "high": 1.05}),
+        ],
+    )
+    def test_runs_match_the_premium_vector(self, mu, premiums):
+        cfg = parse_config(figure_doc(mu=mu, premiums=premiums, reserves=[0.5, 2.0] * 5))
+        for ns in range(cfg.d + 1):
+            params = cfg.risk_params(ns)
+            c = np.where(np.arange(cfg.d) < ns, premiums["low"], premiums["high"])
+            want = model.RiskParams(cfg.lam, c, cfg.mu, cfg.reserves)
+            assert params.class_ratio.tobytes() == want.class_ratio.tobytes()
+            assert params.class_sizes.tobytes() == want.class_sizes.tobytes()
+            assert (params.d, params.mu_min, params.lam) == (want.d, want.mu_min, want.lam)
+            assert params.c.tobytes() == c.tobytes()
+            assert params.mu.tobytes() == cfg.mu.tobytes()
+            assert params.u is cfg.reserves
+            if np.ndim(mu) == 0 and ns in (0, cfg.d) or premiums["low"] == premiums["high"]:
+                assert params.class_sizes.tolist() == [cfg.d]  # an empty run is dropped
+
+    def test_an_ns_point_allocates_no_array_of_d_floats(self):
+        # mu's runs are scanned once per config; after that, the parameters
+        # at an ns cost a few runs, not a premium vector of d floats
+        d = 2**20
+        cfg = parse_config(figure_doc(d=d))
+        cfg.risk_params(1)
+        tracemalloc.start()
+        try:
+            params = cfg.risk_params(d // 2 + 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert params.class_sizes.tolist() == [d // 2 + 17, d // 2 - 17]
+        assert peak < 64 * 1024, f"peak {peak} bytes"
+
+    def test_explicit_vector_takes_no_ns(self):
+        cfg = parse_config(degenerate_doc(d=2, premiums=[1.05, 0.95], mu=[1.0, 2.0]))
+        assert cfg.risk_params().c.tolist() == [1.05, 0.95]
+        with pytest.raises(ConfigError, match="^cannot override ns with an explicit premium"):
+            cfg.risk_params(1)
 
 
 class TestUnknownKeys:
@@ -879,6 +933,31 @@ class TestMainEntryPoint:
         assert captured.out == ""
         assert captured.err == "error: ns_grid must not be empty\n"
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            # a point beyond d after one that runs, and a negative one
+            ("table", figure_doc(**TABLE_3, ns_grid=[5, 11]), "ns must lie in [0, 10], got 11"),
+            ("table", figure_doc(**TABLE_3, ns_grid=[-1]), "ns must lie in [0, 10], got -1"),
+            ("sweep", figure_doc(ns_grid=[5, 11]), "ns must lie in [0, 10], got 11"),
+            ("sweep", figure_doc(ns_grid=[-1, 5]), "ns must lie in [0, 10], got -1"),
+            (
+                "table",
+                figure_doc(**TABLE_3, premiums=[1.05] * 10, ns_grid=[5]),
+                "table mode requires the two-value premium scheme",
+            ),
+            (
+                "sweep",
+                figure_doc(premiums=[1.05] * 10, ns_grid=[5]),
+                "sweep requires the two-value premium scheme",
+            ),
+            ("estimate", figure_doc(**TABLE_3), "two-value premium scheme needs ns"),
+        ],
+    )
+    def test_ns_errors_exit_2(self, tmp_path, capsys, command, doc, message):
+        rc, out, err = run_main(tmp_path, capsys, command, doc)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_oracle_failure_exit_code(self, tmp_path, capsys):
         # a vanishing horizon starves the oracle, forcing an honest mismatch
         doc = degenerate_doc(horizon=1e-6, outer_networks=3, inner_paths=50)
@@ -1072,6 +1151,15 @@ print(json.dumps([[k for k in sys.argv[2:] if not features[k]], out]))
         assert len(outputs) == 10
         for name, text in outputs.items():
             assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    def test_table_at_paper_scale_matches(self, capsys, fmt_name):
+        # the paper's table, d = 1e5 objects and ns from 49 000 to 51 000,
+        # on the benchmark's config at seed 1 and 1000 replicates
+        args = ["table", "--config", str(TABLE_AT_SCALE / "config.json"), "--format", fmt_name]
+        assert main(args) == 0
+        expected = (TABLE_AT_SCALE / f"stdout.{fmt_name}").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_mixed_mode_sweep_matches_golden(self, capsys, threads):

@@ -40,6 +40,23 @@ def run_vector(draw, size):
     return values
 
 
+def as_runs(c, mu):
+    """``(c, mu, lengths)`` for :meth:`RiskParams.from_runs`: the heads and
+    lengths of the runs of equal neighbouring ``(c_j, mu_j)``, found by a
+    loop; or ``c`` and ``mu`` as they are, one object per run, when their
+    shapes differ and there are no runs to find."""
+    if np.shape(c) != np.shape(mu):
+        return c, mu, np.ones(len(c), dtype=np.int64)
+    heads, lengths = [], []
+    for pair in zip(c, mu):
+        if lengths and pair == heads[-1]:
+            lengths[-1] += 1
+        else:
+            heads.append(pair)
+            lengths.append(1)
+    return [h[0] for h in heads], [h[1] for h in heads], np.array(lengths, dtype=np.int64)
+
+
 def make_params(c, mu, q=1, lam=1.0, u=None):
     c = np.atleast_1d(np.asarray(c, dtype=float))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), c.shape)
@@ -125,9 +142,10 @@ class TestRiskParams:
 
 
 class TestChecksOnRunHeads:
-    """The constructor checks ``c`` and ``mu`` on the heads of their runs;
-    the reference checks every object.  Each must raise the same message,
-    or give the same partition bytes."""
+    """Both constructors check ``c`` and ``mu`` on the heads of their runs:
+    the vector one finds the runs, :meth:`RiskParams.from_runs` is given
+    them.  The reference checks every object.  Each must raise the same
+    message, or give the same partition bytes."""
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -138,17 +156,60 @@ class TestChecksOnRunHeads:
         mu = data.draw(run_vector(mu_size), label="mu")
         u = data.draw(run_vector(data.draw(st.sampled_from([0, 1, 1, 2, 3]))), label="u")
         lam = data.draw(st.one_of(st.just(1.0), ENTRY), label="lam")
+        runs = as_runs(c, mu)
         try:
             ratio, sizes = checked_classes(lam, c, mu, u)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                RiskParams(lam=lam, c=c, mu=mu, u=u)
+                RiskParams(lam, c, mu, u)
+            with pytest.raises(ValueError) as got_runs:
+                RiskParams.from_runs(lam, *runs, u)
+            assert str(got.value) == str(got_runs.value) == str(exc)
+            return
+        for params in (RiskParams(lam, c, mu, u), RiskParams.from_runs(lam, *runs, u)):
+            assert params.class_ratio.tobytes() == ratio.tobytes()
+            assert params.class_sizes.tobytes() == sizes.tobytes()
+            assert params.mu_min == float(np.min(mu)) and params.d == d
+            # the per-object vectors, expanded from the runs, have the given bytes
+            assert params.c.tobytes() == np.asarray(c, dtype=float).tobytes()
+            assert params.mu.tobytes() == np.asarray(mu, dtype=float).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_split_into_runs_matches_the_vector(self, data):
+        # neighbouring runs may be equal: every split of a blocked vector
+        # into runs gives the vector constructor's parameters
+        k = data.draw(st.integers(1, 5), label="runs")
+        c = data.draw(st.lists(ENTRY, min_size=k, max_size=k), label="c")
+        mu = data.draw(st.lists(ENTRY, min_size=k, max_size=k), label="mu")
+        lengths = np.array(data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+        c_vec, mu_vec = np.repeat(c, lengths), np.repeat(mu, lengths)
+        try:
+            want = RiskParams(1.0, c_vec, mu_vec, [1.0])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                RiskParams.from_runs(1.0, c, mu, lengths, [1.0])
             assert str(got.value) == str(exc)
             return
-        params = RiskParams(lam=lam, c=c, mu=mu, u=u)
-        assert params.class_ratio.tobytes() == ratio.tobytes()
-        assert params.class_sizes.tobytes() == sizes.tobytes()
-        assert params.mu_min == float(np.min(mu))
+        params = RiskParams.from_runs(1.0, c, mu, lengths, [1.0])
+        assert params.class_ratio.tobytes() == want.class_ratio.tobytes()
+        assert params.class_sizes.tobytes() == want.class_sizes.tobytes()
+        assert (params.mu_min, params.d) == (want.mu_min, want.d) == (mu_vec.min(), c_vec.size)
+        assert params.c.tobytes() == c_vec.tobytes()
+        assert params.mu.tobytes() == mu_vec.tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[2, 0], [-1, 3], [0, 0], [3], [1, 2, 3], [1.0, 2.0], [[1, 2]], [True, True]],
+    )
+    def test_run_lengths_are_positive_integers_one_per_run(self, lengths):
+        with pytest.raises(ValueError, match="run lengths must be positive integers"):
+            RiskParams.from_runs(1.0, [0.95, 1.05], [1.0, 1.0], lengths, [1.0])
+
+    def test_equal_premiums_give_one_class(self):
+        params = RiskParams.from_runs(1.0, [1.05, 1.05], [1.0, 1.0], [3, 7], [1.0])
+        assert params.class_ratio.tolist() == [1.05] and params.class_sizes.tolist() == [10]
+        assert params.c.tolist() == [1.05] * 10 and params.d == 10
 
     @pytest.mark.parametrize(
         "c, mu, message",
@@ -171,6 +232,8 @@ class TestChecksOnRunHeads:
             checked_classes(1.0, c, mu, [1.0])
         with pytest.raises(ValueError, match=message):
             RiskParams(lam=1.0, c=c, mu=mu, u=[1.0])
+        with pytest.raises(ValueError, match=message):
+            RiskParams.from_runs(1.0, *as_runs(c, mu), [1.0])
 
 
 class TestAgentSubset:
