@@ -1,8 +1,10 @@
 """Reproducible random streams for parallel Monte Carlo.
 
-Every stream is a Philox counter-based generator addressed by
-``(base_seed, *path)``.  A given address always produces the same stream,
-so any piece of work that derives its own address is bit-reproducible no
+Every stream is a PCG64DXSM generator seeded by
+``SeedSequence(base_seed, spawn_key=path)``, so it is addressed by
+``(base_seed, *path)``: numpy's recommended way to derive independent
+parallel streams.  A given address always produces the same stream, so
+any piece of work that derives its own address is bit-reproducible no
 matter how it is scheduled across workers.
 
 Replicated sampling is organised in fixed blocks of :data:`BLOCK_SIZE`
@@ -47,7 +49,7 @@ class StreamKey:
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.base_seed), spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def stream(base_seed: int, *path: int) -> np.random.Generator:

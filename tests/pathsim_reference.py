@@ -25,6 +25,12 @@ kernel on the stream ``key.path + (j,)`` gives the reference's flag for
 worked in place: fresh ``(rows x _CLAIM_CHUNK)`` arrays per chunk, claim
 sizes positive, and the crossing read off a boolean ``hit`` array.  The
 package's kernel must give its flags on the same stream.
+
+:func:`oracle_reference` is :func:`ruinnet.pathsim.oracle_psi` built from
+these references: its networks drawn by
+:func:`netgen_reference.one_group_counts`, their rates and premiums added
+in Python floats, and their paths run by :func:`simulate_ruin_batch_reference`,
+on the oracle's streams.
 """
 
 import math
@@ -32,10 +38,18 @@ import math
 import numpy as np
 
 from model_reference import proportional_weights
+from netgen_reference import one_group_counts
 from ruinnet.model import AgentSubset, RiskParams, proportional_r
-from ruinnet.pathsim import _CLAIM_CHUNK, PATH_BATCH, simulate_ruin_batch
+from ruinnet.netgen import BlockModel
+from ruinnet.pathsim import _CLAIM_CHUNK, NETWORK_BLOCK, PATH_BATCH, simulate_ruin_batch
 from ruinnet.ruin import EstimateWithCI
-from ruinnet.streams import StreamKey, stream
+from ruinnet.streams import (
+    ORACLE_NET_DOMAIN,
+    ORACLE_PATH_DOMAIN,
+    StreamKey,
+    pairwise_sum,
+    stream,
+)
 
 #: Domain tag of this reference's path streams.  It must stay disjoint from
 #: the package's domains 1-4 (``ruinnet.streams``), so that its paths never
@@ -125,6 +139,49 @@ def simulate_ruin_batch_reference(rate, premium, reserve, horizon, rng) -> np.nd
         t = epochs[stay, -1]
         live, rate, premium = live[stay], rate[stay], premium[stay]
     return flags
+
+
+def oracle_reference(
+    params: RiskParams,
+    model: BlockModel,
+    size_q: int,
+    horizon: float,
+    outer_networks: int,
+    inner_paths: int,
+    base_seed: int,
+) -> EstimateWithCI:
+    """The nested oracle for the prefix group of ``size_q`` agents.  Network
+    block ``k`` draws its counts on the stream ``(base_seed, ORACLE_NET_DOMAIN, k)``;
+    each network's claim rate is ``lam * n`` and its premium ``sum_g n_g * ratio_g``,
+    added class by class; the block's paths, network by network, run in
+    batches of :data:`PATH_BATCH`, batch ``b`` on the stream
+    ``(base_seed, ORACLE_PATH_DOMAIN, k, b)``."""
+    reserve = float(params.u[:size_q].sum()) / proportional_r(params, size_q)
+    ratio = params.class_ratio.tolist()
+    fractions = []
+    for k, lo in enumerate(range(0, outer_networks, NETWORK_BLOCK)):
+        n = min(NETWORK_BLOCK, outer_networks - lo)
+        rng = stream(base_seed, ORACLE_NET_DOMAIN, k)
+        counts = one_group_counts(model, size_q, params.class_sizes, rng, n).tolist()
+        rate = np.array([params.lam * sum(row) for row in counts])
+        premium = np.array([sum(c * r for c, r in zip(row, ratio)) for row in counts])
+        ruined = [0] * n
+        paths = n * inner_paths
+        for b, start in enumerate(range(0, paths, PATH_BATCH)):
+            network = np.arange(start, min(start + PATH_BATCH, paths)) // inner_paths
+            rng = stream(base_seed, ORACLE_PATH_DOMAIN, k, b)
+            flags = simulate_ruin_batch_reference(
+                rate[network], premium[network], reserve, horizon, rng
+            )
+            for i in network[flags].tolist():
+                ruined[i] += 1
+        fractions += [r / inner_paths for r in ruined]
+    fractions = np.array(fractions)
+    mean = pairwise_sum(fractions) / outer_networks
+    var = float(((fractions - mean) ** 2).sum()) / (outer_networks - 1)
+    return EstimateWithCI(
+        mean=mean, stderr=math.sqrt(var / outer_networks), replicates=outer_networks
+    )
 
 
 def _claims_upto(rng, lam, mu_j, horizon):

@@ -19,6 +19,17 @@ from test_acceptance import exact_tail
 
 GOLDEN_ESTIMATE = Path(__file__).parent / "golden" / "estimate" / "config.json"
 
+#: Every committed output whose estimates the exact law can enumerate: its
+#: directory under ``tests/`` and the command that printed it.
+ENUMERABLE_GOLDENS = {
+    "golden/estimate": "estimate",
+    "golden/oracle": "oracle",
+    "golden/table": "table",
+    "golden/sweep": "sweep",
+    "golden/sweep_mixed": "sweep",
+    "exact_at_scale": "sweep",
+}
+
 
 def random_instance(rng, q_max=3, d_max=4):
     """A tiny instance with continuous ``c``/``mu``, so no PK ratio sits at 1."""
@@ -167,12 +178,27 @@ class TestEstimateAgainstExactLaw:
         assert abs(law.z_tail(est.tail.mean, cfg.replicates)) <= 4
 
     def test_golden_estimate_output(self):
-        # the pinned stdout of the estimate command against the exact law
-        cfg = load_config(str(GOLDEN_ESTIMATE))
-        law = exact_law(cfg.risk_params(), cfg.network, cfg.group)
-        out = json.loads((GOLDEN_ESTIMATE.parent / "stdout.json").read_text())
-        assert abs(law.z_psi(out["psi_hat"], cfg.replicates)) <= 4
-        assert abs(law.z_tail(out["tail_hat"], cfg.replicates)) <= 4
+        # every committed psi_hat and tail_hat (the table's estimate column)
+        # against the exact law of its point: a golden is regenerated by
+        # running the command, and this is what checks the new bytes
+        for case, command in ENUMERABLE_GOLDENS.items():
+            where = Path(__file__).parent / case
+            cfg = load_config(str(where / "config.json"))
+            out = json.loads((where / "stdout.json").read_text())
+            B = cfg.replicates
+            for row in out if isinstance(out, list) else [out]:
+                params = cfg.risk_params(ns_override=row.get("ns"))
+                group = AgentSubset.prefix(row["qsize"]) if command == "sweep" else cfg.group
+                law = exact_law(params, cfg.network, group)
+                psi, tail = row.get("psi_hat"), row.get("tail_hat", row.get("estimate"))
+                note = (case, row)
+                if psi is not None and tail is not None:
+                    est = RuinEstimate(EstimateWithCI(psi, 0.0, B), EstimateWithCI(tail, 0.0, B))
+                    assert_agrees(law, est, B, note)
+                elif psi is not None:
+                    assert abs(law.z_psi(psi, B)) <= 4, note
+                else:
+                    assert abs(law.z_tail(tail, B)) <= 4, note
 
 
 class TestPrefixEstimatesAgainstExactLaw:

@@ -1,4 +1,6 @@
-"""Tests for block scheduling, its worker-pool size, and the block sums."""
+"""Tests for the stream rule (a PCG64DXSM generator on
+``SeedSequence(base_seed, spawn_key=path)`` per address), block scheduling,
+its worker-pool size, and the block sums."""
 
 import sys
 import tracemalloc
@@ -9,12 +11,51 @@ import pytest
 from ruinnet import streams
 from ruinnet.streams import (
     BLOCK_SIZE,
+    ORACLE_PATH_DOMAIN,
+    RUIN_DOMAIN,
     block_counts,
     block_totals,
     map_blocks,
     pairwise_sum,
     stream,
 )
+
+
+class TestStreamRule:
+    """Every output bit of the package rests on this rule, so a change of
+    generator fails here first, by name."""
+
+    def test_an_address_is_a_pcg64dxsm_on_its_seed_sequence(self):
+        for seed, path in [(0, ()), (7, (RUIN_DOMAIN, 5)), (11, (ORACLE_PATH_DOMAIN, 3, 2))]:
+            rng = stream(seed, *path)
+            assert type(rng.bit_generator) is np.random.PCG64DXSM
+            ss = np.random.SeedSequence(seed, spawn_key=path)
+            assert rng.bit_generator.state == np.random.PCG64DXSM(ss).state
+
+    @pytest.mark.parametrize(
+        "address, words",
+        [
+            ((0,), [0xD97E4A147F788A70, 0x8DFA7BCE56E3A253, 0x13556ED9F53D3C10]),
+            ((1, RUIN_DOMAIN, 0), [0x49DB0D86D693B589, 0x20D005E2A0209E5A, 0x0742B9D6F17D5755]),
+            (
+                (11, ORACLE_PATH_DOMAIN, 3, 2),
+                [0x5A55860DC3B61CF4, 0xE3D07D56FD66BD60, 0x7503C8EDC0E0F482],
+            ),
+        ],
+        ids=["seed", "ruin-block", "oracle-batch"],
+    )
+    def test_first_raw_words_are_pinned(self, address, words):
+        assert stream(*address).bit_generator.random_raw(3).tolist() == words
+
+    def test_addresses_of_the_workloads_do_not_share_a_first_output(self):
+        # every (domain, block) and every oracle (path domain, block, batch)
+        # that the benchmark's workloads reach, at five base seeds
+        addresses = [(s, d, k) for s in range(1, 6) for d in range(1, 5) for k in range(64)]
+        addresses += [
+            (s, ORACLE_PATH_DOMAIN, k, b) for s in range(1, 6) for k in range(8) for b in range(8)
+        ]
+        first = {int(stream(*a).bit_generator.random_raw()) for a in addresses}
+        assert len(first) == len(addresses)
 
 
 class InlinePool:
