@@ -10,11 +10,10 @@ fixed network is thus a Cramér–Lundberg process: claims at rate
 inflow ``sum_j c_j / mu_j`` over the same objects, and reserve ``U / r_q``.
 
 One kernel, :func:`simulate_ruin_batch`, runs a batch of at most
-:data:`PATH_BATCH` paths from one stream in ``(rows x _CLAIM_CHUNK)``
-chunks until every path has either crossed its reserve or passed the
-horizon.  Each call allocates its own buffers once and every chunk is
-drawn into them and computed in place, so the kernel makes no array per
-chunk and calls on different threads share nothing.  The nested oracle
+:data:`PATH_BATCH` paths from one stream in ``(rows x _CLAIM_CHUNK)`` chunks
+until every path has either crossed its reserve or passed the horizon.  It
+counts time in gap mass, epoch times rate, and allocates its buffers once per
+call, so calls on different threads share nothing.  The nested oracle
 :func:`oracle_psi` draws networks in blocks as the group's connected counts per
 premium class, takes their rates and premiums from :func:`ruin.rate_and_premium`
 and the reserve from :func:`model.group_decay`, as the estimator does, and runs
@@ -80,9 +79,11 @@ def simulate_ruin_batch(
     rows' flags.
 
     The call allocates its buffers once, sized for its rows, and each chunk
-    draws into their first rows and works in place.  Claim sizes stay
-    negated: rounding to nearest is symmetric in sign, so their cumulative
-    and row sums carry the bits of the positive sizes'.
+    draws into their first rows and works in place.  A row's deficit is the
+    running sum of its claims' net costs, each one's size less ``premium /
+    rate`` times its gap, and its horizon is a budget of ``horizon * rate``
+    in gaps.  Each chunk spends its row sum of gaps, and the gaps up to a
+    crossing are summed only in the chunk where the horizon falls.
 
     Raises:
         ValueError: ``rate`` and ``premium`` are not equal-length vectors of
@@ -104,39 +105,42 @@ def simulate_ruin_batch(
         return np.ones(rate.size, dtype=bool)  # deficit starts at zero
     flags = np.zeros(rate.size, dtype=bool)
     live = np.flatnonzero(rate > 0)
-    neg_rate, premium = -rate[live], premium[live]
-    t, cum_jumps = np.zeros((2, live.size))
+    left = np.full(live.size, float(reserve))  # the reserve still left
     uniforms = np.empty((2, live.size, _CLAIM_CHUNK))
-    inflow = np.empty((live.size, _CLAIM_CHUNK))
+    cost = np.empty((live.size, _CLAIM_CHUNK))
     hit_rows = np.empty((live.size, _CLAIM_CHUNK), dtype=bool)
-    # An epoch past the float range (a tiny rate) is infinite, so past every horizon;
-    # an inflow past it never ruins, and a zero premium's 0 * inf is NaN and fails >=.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A tiny rate overflows the slope, a huge one the budget, and an infinite inflow
+    # never ruins.  The slope is capped at the largest float: an infinite one times
+    # a zero gap (a uniform of 0) is NaN, which would hide a crossing at time zero.
+    with np.errstate(over="ignore"):
+        budget = horizon * rate[live]  # the gap mass before the horizon
+        slope = np.minimum(premium[live] / rate[live], np.finfo(np.float64).max)
         while live.size:
             n = live.size
             both = uniforms[:, :n]
-            epochs, deficit = both
-            rng.random(out=epochs)
-            rng.random(out=deficit)
+            gaps, sizes = both
+            rng.random(out=gaps)
+            rng.random(out=sizes)
             np.negative(both, out=both)
             np.log1p(both, out=both)  # minus Exp(1) gaps and sizes
-            np.divide(epochs, neg_rate[:, None], out=epochs)  # the gaps: -x/r is x/(-r) exactly
-            next_jumps = cum_jumps - deficit.sum(axis=1)  # before the sizes are summed in place
-            np.cumsum(both, axis=2, out=both)
-            epochs += t[:, None]
-            np.subtract(cum_jumps[:, None], deficit, out=deficit)  # cum_jumps plus the summed sizes
-            np.multiply(premium[:, None], epochs, out=inflow[:n])
-            deficit -= inflow[:n]
-            # a comparison, not a row maximum: a NaN inflow fails it, and a
-            # maximum would spread the NaN over the row
-            hit = np.greater_equal(deficit, reserve, out=hit_rows[:n])
+            net = cost[:n]
+            np.multiply(gaps, slope[:, None], out=net)  # minus the premium earned
+            np.subtract(net, sizes, out=net)  # each claim's net cost
+            np.cumsum(net, axis=1, out=net)
+            hit = np.greater_equal(net, left[:, None], out=hit_rows[:n])
             crossed = hit.any(axis=1)
-            first = hit[crossed].argmax(axis=1)
-            flags[live[crossed]] = epochs[crossed, first] <= horizon
+            before, budget = budget[crossed], budget + gaps.sum(axis=1)
+            ruined = budget[crossed] >= 0  # the whole chunk is within the horizon
+            edge = np.flatnonzero((before >= 0) & ~ruined)  # the horizon falls inside
+            if edge.size:
+                rows = np.flatnonzero(crossed)[edge]
+                mass = np.cumsum(gaps[rows], axis=1)[np.arange(edge.size), hit[rows].argmax(axis=1)]
+                ruined[edge] = -mass <= before[edge]
+            flags[live[crossed]] = ruined
             stay = ~crossed
-            live, neg_rate, premium = live[stay], neg_rate[stay], premium[stay]
-            t, cum_jumps = epochs[stay, -1], next_jumps[stay]
-            if not (t <= horizon).any():
+            live, slope, budget = live[stay], slope[stay], budget[stay]
+            left = left[stay] - net[stay, -1]
+            if not (budget >= 0).any():
                 break
     return flags
 

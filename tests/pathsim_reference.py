@@ -23,8 +23,16 @@ kernel on the stream ``key.path + (j,)`` gives the reference's flag for
 
 :func:`simulate_ruin_batch_reference` is the kernel as it was before it
 worked in place: fresh ``(rows x _CLAIM_CHUNK)`` arrays per chunk, claim
-sizes positive, and the crossing read off a boolean ``hit`` array.  The
-package's kernel must give its flags on the same stream.
+epochs as summed gaps over the rate, and the deficit as summed sizes less
+premium times epoch.  The package's kernel sums each claim's net cost and
+counts the horizon in gaps.  Its arithmetic differs from this one's by
+rounding only, so a flag can differ only where a deficit lies within
+rounding of the reserve, or a crossing's epoch within rounding of the
+horizon; the tests pin that the two give equal flags on their streams.
+Only overflow differs beyond rounding: once a tiny rate (below about
+1e-306) takes this one's epochs past the float range, its row crosses no
+more, while the kernel's may still cross, after the horizon, and leave the
+batch, which moves the draws of the rows after it.
 
 :func:`oracle_reference` is :func:`ruinnet.pathsim.oracle_psi` built from
 these references: its networks drawn by

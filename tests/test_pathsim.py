@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,41 @@ class TestSimulateRuinPath:
         assert flags1 == flags2
 
 
+class ChosenUniforms:
+    """A generator stand-in, on the pattern of ``CountingRng``: every row of
+    a batch draws the same uniforms, ``gap`` and ``size`` but at the claims
+    that ``chosen`` names, ``{("gap" or "size", claim number): uniform}``."""
+
+    def __init__(self, gap, size, chosen):
+        self.fill, self.chosen, self.calls = (gap, size), chosen, 0
+
+    def random(self, size=None, out=None):
+        chunk, kind = divmod(self.calls, 2)
+        self.calls += 1
+        row = np.full(_CLAIM_CHUNK, self.fill[kind])
+        for (name, claim), u in self.chosen.items():
+            if name == ("gap", "size")[kind] and claim // _CLAIM_CHUNK == chunk:
+                row[claim % _CLAIM_CHUNK] = u
+        values = np.broadcast_to(row, size if out is None else out.shape)
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out
+
+
+def kernel_and_reference(rate, premium, reserve, horizon, uniforms):
+    """Flags of the kernel, which must raise no warning, and of the reference,
+    each on its own copy of ``uniforms`` (``(gap, size, chosen)``)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = simulate_ruin_batch(rate, premium, reserve, horizon, ChosenUniforms(*uniforms))
+    with np.errstate(all="ignore"):  # the reference's epochs overflow
+        want = simulate_ruin_batch_reference(
+            rate, premium, reserve, horizon, ChosenUniforms(*uniforms)
+        )
+    return got.tolist(), want.tolist()
+
+
 class TestKernelAgainstReference:
     def test_flags_match_the_kernel_with_arrays_per_chunk(self):
         # batches of 1 to 256 rows with rates 0, 1e-10 (the first claim lies
@@ -225,6 +261,35 @@ class TestKernelAgainstReference:
         # the uniforms and the inflow take 3 of these 4 float arrays, the
         # crossing flags an eighth of one
         assert peak < 4 * PATH_BATCH * _CLAIM_CHUNK * 8
+
+    @pytest.mark.parametrize(
+        "rate, premium, chosen, ruined",
+        [
+            ([1e-10], [1e300], {("gap", 0): 0.0, ("size", 0): 0.9}, [True]),
+            ([1e-310, 5e-324], [1.0, 0.0], {("gap", 0): 0.0, ("size", 0): 0.9}, [True, True]),
+            ([1e-310, 5e-324], [1.0, 0.0], {("size", 0): 0.9}, [False, False]),
+        ],
+        ids=["zero-gap-overflowing-slope", "subnormal-rate-zero-gap", "subnormal-rate"],
+    )
+    def test_time_zero_and_subnormal_rates(self, rate, premium, chosen, ruined):
+        # a uniform of 0 is a zero first gap: its claim is at time zero,
+        # where no premium has come in, whatever premium / rate is; a
+        # subnormal rate's other claims lie past the float range
+        got, want = kernel_and_reference(rate, premium, 1.0, 10.0, (0.5, 0.25, chosen))
+        assert got == want == ruined
+
+    def test_crossings_either_side_of_the_horizon_inside_its_chunk(self):
+        # every row's first crossing is claim 300, in the second chunk, at gap
+        # mass m; the rates put its epoch m / rate a relative 1e-9 before and
+        # after the horizon, where the horizon falls inside that chunk, then
+        # where the whole chunk lies within the horizon and where the first
+        # chunk already ends past it
+        horizon, gap = 100.0, 0.5
+        m = math.fsum([-math.log1p(-gap)] * 301)
+        rate = np.array([m / (horizon * f) for f in (1 - 1e-9, 1 + 1e-9, 0.5, 2.0)])
+        uniforms = (gap, 0.25, {("size", 300): 0.9})
+        got, want = kernel_and_reference(rate, 0.4 * rate, 5.0, horizon, uniforms)
+        assert got == want == [True, False, True, False]
 
 
 class TestMergedClaimStream:
@@ -471,6 +536,16 @@ class TestOraclePsi:
             horizon=1000.0, outer_networks=1200, inner_paths=5, base_seed=seed,
         )
         assert abs(oracle.mean - exact) <= 4 * oracle.stderr, (oracle, exact)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_oracle_workload_equals_the_reference(self, seed):
+        # the benchmark's oracle model: the kernel rounds otherwise than the
+        # reference, and that flips no path's flag here
+        params = RiskParams(lam=1.0, c=[0.95, 1.15], mu=[1.0, 1.0], u=[1.0, 1.0])
+        model = BlockModel.bernoulli(0.5)
+        args = (1000.0, 1200, 5, seed)
+        got = oracle_psi(params, model, AgentSubset.prefix(2), *args)
+        assert got == oracle_reference(params, model, 2, *args)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_more_than_a_hundred_pairs_against_exact_law(self, seed):
